@@ -41,11 +41,13 @@ class AmbientSpace:
         return 1.0 / np.sqrt(abs(self.c))
 
     def quadric_defect(self, point):
-        """Distance of <p, p> from its model value; 0 for flat kinds."""
+        """Distance of <p, p> from its model value (per point for a point
+        set of shape (B, flat_dim)); 0 for flat kinds."""
         if not self.is_space_form:
             return 0.0
+        point = np.asarray(point, float)
         target = 1.0 / self.c  # r^2 for sphere, -r^2 for hyperbolic
-        return abs(self.inner(point, point) - target)
+        return np.abs(np.sum(self.signature * point * point, axis=-1) - target)
 
     def position_normal(self, point):
         """Unit normal of the quadric at `point`, along the position vector."""

@@ -119,8 +119,15 @@ class WobblySphericalCurve:
         return sqrt(1.0 / self.r ** 2 - dth * dth) / sin(self._theta(t))
 
     def _psi(self, t):
-        t0 = float(t)
-        val = quad(lambda s: float(self._speed(s)), 0.0, t0, limit=200)[0]
+        """Longitude at t (a float, or a jet of one point or of a batch):
+        the speed integrated by quadrature once per point, carried to jets
+        through the speed's own derivatives."""
+        t0 = t.v if isinstance(t, Jet) else t
+        ends = np.ravel(t0)
+        val = np.array([quad(lambda s: float(self._speed(s)), 0.0, e,
+                             limit=200)[0] for e in ends])
+        if np.ndim(t0) == 0:
+            val = float(val[0])
         s = Jet.variable(t0, 0, 1, 3)
         F = self._speed(s)
         return apply_univariate(t, val, F.v, F.g[0], F.h[0, 0])

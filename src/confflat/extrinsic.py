@@ -23,7 +23,7 @@ RANK_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# generic vector algebra over floats or jets
+# generic vector algebra over floats, point-set arrays or jets
 # ---------------------------------------------------------------------------
 
 def _vdot(sig, u, v):
@@ -43,7 +43,53 @@ def _scale(c, u):
 
 
 def _val(x):
-    return x.v if isinstance(x, Jet) else float(x)
+    return x.v if isinstance(x, Jet) else x
+
+
+# Scalars here are floats at one point and (B,) arrays over a point set, so
+# sign choices, pivots and breakdown checks are made per point.
+
+def _sign(q):
+    if isinstance(q, np.ndarray):
+        return np.where(q > 0, 1.0, -1.0)
+    return 1.0 if q > 0 else -1.0
+
+
+def _pick(take, new, old):
+    if isinstance(take, np.ndarray):
+        return np.where(take, new, old)
+    return new if take else old
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else float(np.sqrt(x))
+
+
+def _refuse(bad, message):
+    """FrameError when `bad` holds, at the point or at any point of a batch
+    (the first one is named)."""
+    if isinstance(bad, np.ndarray):
+        if bad.any():
+            raise FrameError(f"{message} (point {int(np.argmax(bad))} of the batch)")
+    elif bad:
+        raise FrameError(message)
+
+
+def _unit(sig, r, q=None):
+    """r scaled to <u, u> = eps in {-1, +1}, given q = <r, r> when known;
+    returns (u, eps)."""
+    if q is None:
+        q = _vdot(sig, r, r)
+    e = _sign(_val(q))
+    if isinstance(q, Jet):
+        return _scale(jsqrt(q * e) ** -1.0, r), e
+    return _scale(1.0 / _sqrt(q * e), r), e
+
+
+def _project_out(sig, units, eps, r):
+    for u, e in zip(units, eps):
+        r = _axpy(-e * _vdot(sig, r, u), u, r)
+    return r
 
 
 def orthonormalize(sig, vectors, tol=1e-12):
@@ -54,57 +100,55 @@ def orthonormalize(sig, vectors, tol=1e-12):
     """
     units, eps = [], []
     for v in vectors:
-        r = list(v)
-        for u, e in zip(units, eps):
-            c = _vdot(sig, r, u)
-            r = _axpy(-e * c, u, r)
+        r = _project_out(sig, units, eps, list(v))
         q = _vdot(sig, r, r)
         qv = _val(q)
-        scale = max(sum(_val(a) ** 2 for a in v), 1.0)
-        if abs(qv) < tol * scale:
-            raise FrameError("Gram-Schmidt breakdown: degenerate residual")
-        e = 1.0 if qv > 0 else -1.0
-        norm = jsqrt(q * e) if isinstance(q, Jet) else float(np.sqrt(qv * e))
-        units.append(_scale(1.0 / norm if not isinstance(norm, Jet) else norm ** -1.0, r))
+        scale = sum(_val(a) ** 2 for a in v)
+        scale = np.maximum(scale, 1.0) if isinstance(scale, np.ndarray) else max(scale, 1.0)
+        _refuse(abs(qv) < tol * scale, "Gram-Schmidt breakdown: degenerate residual")
+        u, e = _unit(sig, r, q)
+        units.append(u)
         eps.append(e)
     return units, eps
 
 
 def complement_frame(sig, span_units, span_eps, count, pivot_order=None, tol=1e-10):
     """Extend an orthonormalized spanning set to the full space by projecting
-    the ambient basis, pivoting on the largest residual self inner product."""
+    the ambient basis, pivoting on the largest residual self inner product
+    (per point over a batch: in candidate order, a candidate replaces the
+    best only when its residual is larger by more than 1e-15).  With a
+    `pivot_order` the candidates are taken in that order instead."""
     dim = len(sig)
     order = list(pivot_order) if pivot_order is not None else None
     units = list(span_units)
     eps = list(span_eps)
     frame, frame_eps, chosen = [], [], []
-    candidates = order if order is not None else list(range(dim))
+
+    def residual(b):
+        r = [0.0] * dim
+        r[b] = 1.0
+        r = _project_out(sig, units, eps, r)
+        return abs(_val(_vdot(sig, r, r))), r
+
     for _ in range(count):
-        best = None
-        for b in candidates:
-            if b in chosen:
-                continue
-            r = [Jet.constant(0.0, units[0][0].n, units[0][0].order) if isinstance(units[0][0], Jet) else 0.0
-                 for _ in range(dim)]
-            r[b] = r[b] + 1.0
-            for u, e in zip(units, eps):
-                c = _vdot(sig, r, u)
-                r = _axpy(-e * c, u, r)
-            q = abs(_val(_vdot(sig, r, r)))
-            if best is None or q > best[0] + 1e-15:
-                best = (q, b, r)
-            if order is not None:
-                break  # fixed order: take candidates as given
-        if best is None or best[0] < tol:
-            raise FrameError("cannot complete normal frame: residuals degenerate")
-        q, b, r = best
         if order is not None:
-            candidates = [c for c in candidates if c != b]
+            b = order.pop(0)
+            q, r = residual(b)
+        else:
+            q, b, r = -np.inf, -1, [0.0] * dim
+            for c in range(dim):
+                free = True
+                for prev in chosen:
+                    free = free & (prev != c)
+                if free is False:       # taken already (at a single point)
+                    continue
+                qc, rc = residual(c)
+                take = free & (qc > q + 1e-15)
+                q, b = _pick(take, qc, q), _pick(take, c, b)
+                r = [_pick(take, x, y) for x, y in zip(rc, r)]
+        _refuse(q < tol, "cannot complete normal frame: residuals degenerate")
         chosen.append(b)
-        qq = _vdot(sig, r, r)
-        e = 1.0 if _val(qq) > 0 else -1.0
-        norm = jsqrt(qq * e) if isinstance(qq, Jet) else float(np.sqrt(_val(qq) * e))
-        unit = _scale(norm ** -1.0 if isinstance(norm, Jet) else 1.0 / norm, r)
+        unit, e = _unit(sig, r)
         units.append(unit)
         eps.append(e)
         frame.append(unit)
@@ -118,13 +162,18 @@ def complement_frame(sig, span_units, span_eps, count, pivot_order=None, tol=1e-
 
 @dataclass
 class ExtrinsicData:
+    """Extrinsic data at a point, or at each point of a point set (then every
+    array field has a leading batch axis; the methods below take one point,
+    see `at`)."""
+
     point: np.ndarray
     ambient: AmbientSpace
     jet: Jet3
     tangent: np.ndarray       # (n, A) coordinate vectors
     g: np.ndarray             # (n, n) induced metric
     g_inv: np.ndarray
-    lame: np.ndarray | None   # (n,) when the net is orthogonal
+    lame: np.ndarray | None   # (n,) when the net is orthogonal; over a point
+                              # set, NaN rows where it is not
     frame: np.ndarray         # (p, A) pseudo-orthonormal normal frame
     frame_eps: np.ndarray     # (p,) signs <xi_a, xi_a>
     alpha: np.ndarray         # (n, n, A) second fundamental form
@@ -136,18 +185,29 @@ class ExtrinsicData:
 
     @property
     def n(self):
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
     @property
     def p(self):
-        return self.frame.shape[0]
+        return self.frame.shape[-2]
+
+    def at(self, m):
+        """The data at point m of a point set."""
+        lame = None
+        if self.lame is not None and not np.isnan(self.lame[m]).any():
+            lame = self.lame[m]
+        return ExtrinsicData(self.point[m], self.ambient, self.jet.at(m),
+                             self.tangent[m], self.g[m], self.g_inv[m], lame,
+                             self.frame[m], self.frame_eps[m], self.alpha[m],
+                             self.h_comp[m], self.shape_ops[m], self.onb[m],
+                             self.S[m], self.H[m])
 
     def ambient_inner(self, u, v):
         return self.ambient.inner(u, v)
 
     def alpha_onb(self):
         """Second fundamental form over the orthonormal tangent basis."""
-        return np.einsum("ki,lj,klA->ijA", self.onb, self.onb, self.alpha)
+        return np.einsum("...ki,...lj,...klA->...ijA", self.onb, self.onb, self.alpha)
 
     def normal_project(self, v):
         """Projection of an ambient vector onto the normal space."""
@@ -166,67 +226,120 @@ class ExtrinsicData:
 
 
 def _net_is_orthogonal(g, rel=1e-8):
-    d = np.sqrt(np.diag(g))
-    off = g - np.diag(np.diag(g))
-    return np.max(np.abs(off)) <= rel * np.max(d) ** 2 if off.size else True
+    """Per point: off-diagonal metric entries below `rel` times the largest
+    diagonal one."""
+    d = np.diagonal(g, axis1=-2, axis2=-1)
+    off = np.abs(g - d[..., None] * np.eye(g.shape[-1]))
+    return off.max(axis=(-2, -1)) <= rel * d.max(axis=-1)
 
 
-def fundamental_forms(smooth_map: SmoothMap, ambient: AmbientSpace, point,
+def _immersion_metric(jet: Jet3, sig, points):
+    """Induced metric of the jet's tangents; raises ImmersionError naming the
+    first point where the differential is rank deficient."""
+    T = jet.d1
+    g = T @ (sig[:, None] * np.swapaxes(T, -1, -2))
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    evals = np.linalg.eigvalsh(g)
+    bad = evals[..., 0] <= RANK_TOL * np.maximum(evals[..., -1], 1.0)
+    if np.any(bad):
+        where = points[np.argmax(bad)] if bad.ndim else points
+        raise ImmersionError(f"rank-deficient differential at {where}")
+    return g
+
+
+def _spanning_vectors(jet: Jet3, ambient: AmbientSpace):
+    """Tangents, plus the position normal for space-form ambients, as rows
+    of a (..., k, A) array."""
+    if not ambient.is_space_form:
+        return jet.d1
+    pos = ambient.position_normal(jet.value)
+    return np.concatenate([jet.d1, pos[..., None, :]], axis=-2)
+
+
+def _components(vectors):
+    """(..., k, A) vectors as k lists of A scalars: floats at one point,
+    (B,) arrays over a point set."""
+    if vectors.ndim == 2:
+        return vectors.tolist()
+    return [list(v) for v in np.moveaxis(vectors, 0, -1)]
+
+
+def _stacked(rows, batched):
+    out = np.array(rows, float)
+    return np.moveaxis(out, -1, 0) if batched else out
+
+
+def fundamental_forms(smooth_map: SmoothMap, ambient: AmbientSpace, points,
                       jet: Jet3 | None = None, pivot_order=None) -> ExtrinsicData:
-    """Complete pointwise extrinsic data of an immersion."""
-    point = np.asarray(point, float)
+    """Complete pointwise extrinsic data of an immersion, at one point (n,)
+    or at each point of a point set (B, n), where every field comes back
+    stacked along a leading batch axis.  Frames, pivots and the FrameError
+    and ImmersionError checks are decided per point."""
+    points = np.asarray(points, float)
+    batched = points.ndim == 2
     if jet is None:
-        jet = evaluate_jet(smooth_map, point, 3)
+        jet = evaluate_jet(smooth_map, points, 3)
     n = jet.n
     A = jet.codim
     if A != ambient.flat_dim:
         raise ValueError("map codomain does not match ambient realization dim")
-    sig = ambient.signature
-    G = np.diag(sig.astype(float))
-    T = jet.d1                                  # (n, A)
-    g = T @ G @ T.T
-    g = 0.5 * (g + g.T)
-    evals = np.linalg.eigvalsh(g)
-    if evals[0] <= RANK_TOL * max(evals[-1], 1.0):
-        raise ImmersionError(f"rank-deficient differential at {point}")
+    sig = ambient.signature.astype(float)
+    g = _immersion_metric(jet, sig, points)
 
-    span = [list(T[i]) for i in range(n)]
     if ambient.is_space_form:
-        if ambient.quadric_defect(jet.value) > 1e3 * QUADRIC_TOL * max(1.0, abs(1.0 / ambient.c)):
+        tol = 1e3 * QUADRIC_TOL * max(1.0, abs(1.0 / ambient.c))
+        if np.any(ambient.quadric_defect(jet.value) > tol):
             raise ValueError("evaluator does not land on the model quadric")
-        span.append(list(ambient.position_normal(jet.value)))
-    span_units, span_eps = orthonormalize(sig, span)
+    span = _spanning_vectors(jet, ambient)
+    sig_list = sig.tolist()
+    span_units, span_eps = orthonormalize(sig_list, _components(span))
 
-    p = A - len(span)
-    frame_list, frame_eps, _ = complement_frame(sig, span_units, span_eps, p,
-                                                pivot_order=pivot_order)
-    frame = np.array(frame_list, float)
-    frame_eps = np.array(frame_eps)
+    p = A - span.shape[-2]
+    frame_list, frame_eps, _ = complement_frame(sig_list, span_units, span_eps,
+                                                p, pivot_order=pivot_order)
+    frame = _stacked(frame_list, batched)            # (..., p, A)
+    frame_eps = _stacked(frame_eps, batched)         # (..., p)
 
-    # second fundamental form: normal projection of the second derivatives
+    # second fundamental form: second derivatives minus their part in the span
+    su = _stacked(span_units, batched)               # (..., k, A)
+    se = _stacked(span_eps, batched)
+    coeffs = se[..., None, None, :] * np.einsum("...kA,A,...ijA->...ijk",
+                                                su, sig, jet.d2)
+    alpha = jet.d2 - np.einsum("...ijk,...kA->...ijA", coeffs, su)
+
     g_inv = np.linalg.inv(g)
-    alpha = np.zeros((n, n, A))
-    su = np.array([u for u in span_units], float)
-    se = np.array(span_eps)
-    for i in range(n):
-        for j in range(i, n):
-            v = jet.d2[i, j]
-            coeffs = se * (su @ (sig * v))
-            a = v - coeffs @ su
-            alpha[i, j] = alpha[j, i] = a
-
-    h_comp = np.einsum("ijA,A,aA->aij", alpha, sig.astype(float), frame)
-    shape_ops = np.einsum("ij,ajk->aik", g_inv, h_comp)
-    H = np.einsum("ij,ijA->A", g_inv, alpha) / n
+    h_comp = np.einsum("...ijA,A,...aA->...aij", alpha, sig, frame)
+    shape_ops = np.einsum("...ij,...ajk->...aik", g_inv, h_comp)
+    H = np.einsum("...ij,...ijA->...A", g_inv, alpha) / n
 
     L = np.linalg.cholesky(g)
-    B = np.linalg.inv(L).T                     # columns: ONB in coordinates
-    S = np.einsum("ki,akl,lj->aij", B, h_comp, B)
-    S = 0.5 * (S + S.transpose(0, 2, 1))
+    B = np.swapaxes(np.linalg.inv(L), -1, -2)        # columns: ONB in coordinates
+    S = np.einsum("...ki,...akl,...lj->...aij", B, h_comp, B)
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
 
-    lame = np.sqrt(np.diag(g)) if _net_is_orthogonal(g) else None
-    return ExtrinsicData(point, ambient, jet, T, g, g_inv, lame, frame,
+    lame = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
+    orthogonal = _net_is_orthogonal(g)
+    if not batched:
+        lame = lame if orthogonal else None
+    else:
+        lame[~orthogonal] = np.nan
+    return ExtrinsicData(points, ambient, jet, jet.d1, g, g_inv, lame, frame,
                          frame_eps, alpha, h_comp, shape_ops, B, S, H)
+
+
+def normal_projectors(smooth_map: SmoothMap, ambient: AmbientSpace, points):
+    """Projectors onto the normal space at a point set (B, n), shape
+    (B, A, A), from one batched order-1 jet: P = I - U (U^T G U)^{-1} U^T G
+    with U the tangents, plus the position normal for space-form ambients.
+    Needs no normal frame; the rank check is that of fundamental_forms."""
+    points = np.asarray(points, float)
+    jet = evaluate_jet(smooth_map, points, 1)
+    sig = ambient.signature.astype(float)
+    _immersion_metric(jet, sig, points)
+    U = _spanning_vectors(jet, ambient)              # (B, k, A), rows
+    UG = U * sig
+    coef = np.linalg.solve(UG @ np.swapaxes(U, -1, -2), UG)
+    return np.eye(jet.codim) - np.swapaxes(U, -1, -2) @ coef
 
 
 # ---------------------------------------------------------------------------

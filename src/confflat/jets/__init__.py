@@ -1,7 +1,9 @@
-from ._backend import BACKEND
 from .core import (Jet, apply_univariate, constant, cos, cosh, dot, exp, log,
                    norm_sq, sin, sinh, sqrt, variable)
 from .maps import ChartDomain, Jet3, SmoothMap, evaluate_jet, finite_difference_jet
+
+# the one jet implementation: numpy kernels batched over points
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

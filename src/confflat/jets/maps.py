@@ -54,10 +54,14 @@ class ChartDomain:
         return np.stack(mesh, axis=-1)
 
     def contains(self, point, margin=0.0):
-        """Closed-box membership (up to rounding), shrunk by `margin`."""
+        """Closed-box membership (up to rounding), shrunk by `margin`; one
+        flag per point for a point set of shape (B, dim)."""
         point = np.asarray(point, float)
-        return all(lo + margin - 1e-12 * (hi - lo) <= x <= hi - margin + 1e-12 * (hi - lo)
-                   for (lo, hi), x in zip(self.box, point))
+        box = np.asarray(self.box, float)
+        lo, hi = box[:, 0], box[:, 1]
+        slack = 1e-12 * (hi - lo)
+        return np.all((lo + margin - slack <= point)
+                      & (point <= hi - margin + slack), axis=-1)
 
     def center(self):
         return np.array([(lo + hi) / 2.0 for lo, hi in self.box])
@@ -72,21 +76,29 @@ class ChartDomain:
 
 @dataclass
 class Jet3:
-    """Value and partial derivatives to order 3 of a map at a chart point."""
+    """Value and partial derivatives to `order` of a map at a chart point,
+    or at each point of a point set (then every field has a leading batch
+    axis).  Derivatives above `order` are None."""
 
-    value: np.ndarray          # (N,)
-    d1: np.ndarray             # (n, N)
-    d2: np.ndarray             # (n, n, N)
-    d3: np.ndarray             # (n, n, n, N)
+    value: np.ndarray             # (..., N)
+    d1: np.ndarray                # (..., n, N)
+    d2: np.ndarray | None         # (..., n, n, N)
+    d3: np.ndarray | None         # (..., n, n, n, N)
     order: int = 3
 
     @property
     def n(self):
-        return self.d1.shape[0]
+        return self.d1.shape[-2]
 
     @property
     def codim(self):
-        return self.value.shape[0]
+        return self.value.shape[-1]
+
+    def at(self, m):
+        """The jet at point m of a point set."""
+        return Jet3(self.value[m], self.d1[m],
+                    None if self.d2 is None else self.d2[m],
+                    None if self.d3 is None else self.d3[m], self.order)
 
 
 @dataclass
@@ -108,31 +120,39 @@ class SmoothMap:
         return evaluate_jet(self, point, order)
 
 
-def evaluate_jet(smooth_map: SmoothMap, point, order=3) -> Jet3:
-    """Exact jets of the evaluator via truncated Taylor propagation."""
-    point = np.asarray(point, float)
-    n = smooth_map.domain.dim
-    if not smooth_map.domain.contains(point):
-        raise DomainError(f"point {point} outside chart box {smooth_map.domain.box}")
-    seeds = [Jet.variable(point[i], i, n, order) for i in range(n)]
-    out = smooth_map.evaluator(seeds)
+def evaluate_jet(smooth_map: SmoothMap, points, order=3) -> Jet3:
+    """Exact jets of the evaluator via truncated Taylor propagation, at one
+    point (n,) or, in one batched pass, at a point set (B, n)."""
+    points = np.asarray(points, float)
+    dom = smooth_map.domain
+    n = dom.dim
+    batch = points.shape[:-1]
+    inside = dom.contains(points)
+    if not np.all(inside):
+        bad = points[np.argmin(inside)] if batch else points
+        raise DomainError(f"point {bad} outside chart box {dom.box}")
+    coords = np.ascontiguousarray(points.T)
+    out = smooth_map.evaluator([Jet.variable(coords[i], i, n, order)
+                                for i in range(n)])
     N = len(out)
-    value = np.zeros(N)
-    d1 = np.zeros((n, N))
-    d2 = np.zeros((n, n, N))
-    d3 = np.zeros((n, n, n, N))
+    value = np.zeros(batch + (N,))
+    derivs = [np.zeros(batch + (n,) * k + (N,)) for k in range(1, order + 1)]
     for a, c in enumerate(out):
-        if isinstance(c, Jet):
-            value[a] = c.v
-            d1[:, a] = c.g
-            d2[:, :, a] = c.h
-            d3[:, :, :, a] = c.t
-        else:
-            value[a] = float(c)
-    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(d1))
-            and np.all(np.isfinite(d2)) and np.all(np.isfinite(d3))):
-        raise EvaluationError(f"non-finite jet output at {point}")
-    return Jet3(value, d1, d2, d3, order)
+        if not isinstance(c, Jet):
+            value[..., a] = c
+            continue
+        value[..., a] = c.v
+        for d, comp in zip(derivs, (c.g, c.h, c.t)):
+            # the jet keeps the batch axis last, Jet3 keeps it first
+            d[..., a] = np.moveaxis(comp, -1, 0) if batch else comp
+    finite = np.isfinite(value).all(axis=-1)
+    for d in derivs:
+        finite &= np.isfinite(d).reshape(batch + (-1,)).all(axis=-1)
+    if not np.all(finite):
+        bad = points[np.argmin(finite)] if batch else points
+        raise EvaluationError(f"non-finite jet output at {bad}")
+    derivs += [None] * (3 - order)
+    return Jet3(value, *derivs, order)
 
 
 # second-order central stencils per derivative order, in units of h
@@ -179,8 +199,8 @@ def finite_difference_jet(smooth_map: SmoothMap, point, order=3, h=None) -> Jet3
     N = smooth_map.codomain_dim
     value = f([0] * n)
     d1 = np.zeros((n, N))
-    d2 = np.zeros((n, n, N))
-    d3 = np.zeros((n, n, n, N))
+    d2 = np.zeros((n, n, N)) if order >= 2 else None
+    d3 = np.zeros((n, n, n, N)) if order >= 3 else None
     if order >= 1:
         for i in range(n):
             c = [0] * n

@@ -508,6 +508,8 @@ def run_pipeline(source, out_dir=None) -> Report:
                           "(centered differences with interior equations)")
     hashable = {k: scenario[k] for k in
                 ("schema", "item", "seed", "tol_scale", "count")}
+    if scenario.get("grid") is not None:
+        hashable["grid"] = scenario["grid"]
     report = Report(hashable, environment=_environment())
     t0 = time.perf_counter()
     fam = rb.conformally_flat_family(item.smooth_map, item.conformal,
@@ -527,6 +529,13 @@ def run_pipeline(source, out_dir=None) -> Report:
         if not rec.retained:
             report.skipped.append({"anchor": anchor,
                                    "reason": "flatness filter rejected"})
+            continue
+        if not rec.projected:
+            report.skipped.append({
+                "anchor": anchor,
+                "reason": f"retained with flat residual {rec.flat_residual:.3e}, "
+                          "but it has no closed-form map, so the projection "
+                          "checks were not run"})
             continue
         report.checks.append(CheckResult(
             f"member {rec.name}: projection conformally flat",

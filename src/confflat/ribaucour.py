@@ -20,10 +20,10 @@ from scipy.linalg import expm
 
 from . import ambient as amb_mod
 from .conformal import conformal_flatness_test, immersion_curvature_provider
-from .errors import (DegenerateInputError, DegenerateTransformError,
-                     DimensionAmbiguityError, FrameError, NotApplicable,
-                     SingularTransformError)
-from .extrinsic import fundamental_forms, normal_connection_and_curvature
+from .errors import (ConfflatError, DegenerateInputError,
+                     DegenerateTransformError, DimensionAmbiguityError,
+                     FrameError, NotApplicable, SingularTransformError)
+from .extrinsic import ExtrinsicData, fundamental_forms, normal_projectors
 from .jets import SmoothMap
 from .lightcone import (ConeModel, LiftedImmersion, build_cone_model,
                         flat_lift, project_from_cone)
@@ -86,7 +86,7 @@ class LiftGrid:
     frame: np.ndarray           # (M, p, A) parallel normal frame
     eps: np.ndarray             # (p,)
     parallel_residual: float    # Richardson estimate of the transport error
-    exts: list
+    ext: ExtrinsicData          # pointwise data at the grid points, batched
     fd_parallel_residual: float = 0.0
 
     @property
@@ -143,6 +143,30 @@ def _pseudo_gs(sig, vectors, eps_expected):
     return np.array(out)
 
 
+def _sweep_edges(shape):
+    """Grid edges (from, to) in the order the frame sweep crosses them: along
+    axis 0 from the base point, then along axis 1 from every point reached,
+    and so on; each point is reached exactly once."""
+    n = len(shape)
+    strides = np.array([int(np.prod(shape[d + 1:])) for d in range(n)])
+    done = np.zeros(int(np.prod(shape)), bool)
+    done[0] = True
+    edges = []
+    for axis in range(n):
+        for m in np.where(done)[0]:
+            if np.unravel_index(m, shape)[axis] != 0:
+                continue
+            for k in range(1, shape[axis]):
+                m_prev = m + (k - 1) * strides[axis]
+                m_next = m + k * strides[axis]
+                if not done[m_next]:
+                    edges.append((m_prev, m_next))
+                    done[m_next] = True
+    if not done.all():
+        raise FrameError("grid transport failed to reach every point")
+    return np.array(edges, int).reshape(-1, 2)
+
+
 def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
                     substeps=2) -> LiftGrid:
     """Sample the lift geometry on the domain grid and construct a parallel
@@ -154,7 +178,12 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     and 2*`substeps` per edge; the Richardson difference between the two
     estimates the transport error, and a frame error is raised when it
     exceeds frame_tol.  The coarser finite-difference parallelism residual
-    (floor O(h^2) from the difference stencils) is kept as a diagnostic."""
+    (floor O(h^2) from the difference stencils) is kept as a diagnostic.
+
+    All pointwise data comes from two batched passes before the sweep: the
+    extrinsic data at the grid points, and the normal projectors at the
+    transport sub-step points of every edge (fractions k / (4 substeps),
+    which the two step counts share)."""
     dom = lift.F.domain
     if dom.grid_shape is None:
         raise ValueError("lift domain carries no grid")
@@ -166,85 +195,58 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     M = pts.shape[0]
     sig = amb.signature
 
-    exts = [fundamental_forms(lift.F, amb, pts[m]) for m in range(M)]
-    p = exts[0].p
+    ext = fundamental_forms(lift.F, amb, pts)
+    p = ext.p
+    fe = ext.frame_eps.astype(float)
+    P_grid = np.einsum("ma,maA,B,maB->mAB", fe, ext.frame, sig, ext.frame)
 
-    def projector_of(ext):
-        fr = np.array([ext.frame[a] for a in range(p)])
-        return np.einsum("a,aA,B,aB->AB", ext.frame_eps.astype(float),
-                         fr, sig, fr)
+    edges = _sweep_edges(shape)
+    D = 4 * substeps
+    fracs = np.arange(1, D) / D
+    u0 = pts[edges[:, 0]]
+    u1 = pts[edges[:, 1]]
+    sub = u0[:, None, :] + (u1 - u0)[:, None, :] * fracs[None, :, None]
+    P_sub = normal_projectors(lift.F, amb, sub.reshape(-1, n)).reshape(
+        len(edges), D - 1, amb.flat_dim, amb.flat_dim)
 
-    def projector_at(u):
-        return projector_of(fundamental_forms(lift.F, amb, u))
+    def project(m, vectors):
+        coef = np.einsum("a,vA,A,aA->va", fe[m], vectors, sig, ext.frame[m])
+        return coef @ ext.frame[m]
 
-    def project(ext, vectors):
-        fr = np.array([ext.frame[a] for a in range(p)])
-        coef = np.einsum("a,vA,A,aA->va", ext.frame_eps.astype(float),
-                         vectors, sig, fr)
-        return coef @ fr
-
-    # two resolutions of the same transport for a Richardson error estimate
-    coarse = np.zeros((M, p, exts[0].jet.codim))
-    frame = np.zeros_like(coarse)
-    coarse[0] = frame[0] = np.array([exts[0].frame[a] for a in range(p)])
-    eps = exts[0].frame_eps.copy()
-    done = np.zeros(M, bool)
-    done[0] = True
-
-    def transport(vectors, u0, u1, P0, P1, K):
+    def transport(vectors, e, K):
+        """K commutator-exponential steps along edge e; step s uses the
+        projectors at fractions s/K, (s + 1/2)/K and (s + 1)/K."""
+        r = D // K
+        m0, m1 = edges[e]
         cur = vectors
-        Pa = P0
+        Pa = P_grid[m0]
         for s in range(K):
-            c = u0 + (u1 - u0) * ((s + 1.0) / K)
-            mid = u0 + (u1 - u0) * ((s + 0.5) / K)
-            Pm = projector_at(mid)
-            Pc = P1 if s == K - 1 else projector_at(c)
+            Pm = P_sub[e, (2 * s + 1) * r // 2 - 1]
+            Pc = P_grid[m1] if s == K - 1 else P_sub[e, (s + 1) * r - 1]
             A = (Pc - Pa) @ Pm - Pm @ (Pc - Pa)
             cur = (expm(A) @ cur.T).T
             Pa = Pc
         return cur
 
-    def step(m_from, m_to):
-        u0 = pts[m_from]
-        u1 = pts[m_to]
-        P0 = projector_of(exts[m_from])
-        P1 = projector_of(exts[m_to])
-        ext1 = exts[m_to]
+    # two resolutions of the same transport for a Richardson error estimate
+    coarse = np.zeros((M, p, amb.flat_dim))
+    frame = np.zeros_like(coarse)
+    coarse[0] = frame[0] = ext.frame[0]
+    eps = ext.frame_eps[0].copy()
+    for e, (m_from, m_to) in enumerate(edges):
         # clean residual out-of-bundle drift, keep pseudo-orthonormality
         coarse[m_to] = _pseudo_gs(
-            sig, project(ext1, transport(coarse[m_from], u0, u1, P0, P1,
-                                         substeps)), eps)
+            sig, project(m_to, transport(coarse[m_from], e, substeps)), eps)
         frame[m_to] = _pseudo_gs(
-            sig, project(ext1, transport(frame[m_from], u0, u1, P0, P1,
-                                         2 * substeps)), eps)
-        done[m_to] = True
-
-    strides = np.array([int(np.prod(shape[d + 1:])) for d in range(n)])
-    for axis in range(n):
-        for m in np.where(done)[0]:
-            if np.unravel_index(m, shape)[axis] != 0:
-                continue
-            for k in range(1, shape[axis]):
-                m_prev = m + (k - 1) * strides[axis]
-                m_next = m + k * strides[axis]
-                if not done[m_next]:
-                    step(m_prev, m_next)
-    if not done.all():
-        raise FrameError("grid transport failed to reach every point")
+            sig, project(m_to, transport(frame[m_from], e, 2 * substeps)), eps)
     transport_error = float(np.max(np.abs(frame - coarse))) / 3.0
 
-    F_vals = np.stack([e.jet.value for e in exts])
-    tangents = np.stack([e.jet.d1 for e in exts])
-    g = np.stack([e.g for e in exts])
-    g_inv = np.stack([e.g_inv for e in exts])
-    alpha = np.stack([e.alpha for e in exts])
-
-    grid = LiftGrid(lift, shape, pts, spac, F_vals, tangents, g, g_inv,
-                    alpha, frame, eps, transport_error, exts)
+    grid = LiftGrid(lift, shape, pts, spac, ext.jet.value, ext.tangent, ext.g,
+                    ext.g_inv, ext.alpha, frame, eps, transport_error, ext)
 
     # diagnostic only: finite-difference parallelism residual, whose floor
     # is the O(h^2) truncation of the stencils rather than transport error
-    scale = max(float(np.max(np.abs(alpha))), 1e-12)
+    scale = max(float(np.max(np.abs(ext.alpha))), 1e-12)
     worst = 0.0
     for axis in range(n):
         d = grid.diff(frame.reshape(M, -1), axis).reshape(M, p, grid.A)
@@ -358,7 +360,7 @@ class NullspaceResult:
 def _degeneracy_guard(grid: LiftGrid, margin=DEGENERATE_MARGIN, samples=3):
     idx = np.linspace(0, grid.M - 1, samples).astype(int)
     for m in idx:
-        dec = principal_decomposition(grid.exts[m])
+        dec = principal_decomposition(grid.ext.at(m))
         if dec.k < 2:
             raise DegenerateInputError(
                 "input has a single principal normal: the condition loses "
@@ -681,7 +683,7 @@ def hessian_commutation_residual(grid: LiftGrid, phi):
     # (for solutions the Christoffel and coordinate terms cancel)
     dd_scale = float(np.max(np.abs(DDphi[inner])))
     for m in inner:
-        ext = grid.exts[m]
+        ext = grid.ext.at(m)
         gam_low = _christoffels(ext)            # Gamma[k, i, j]
         gam = np.einsum("lk,kij->lij", ext.g_inv, gam_low)
         dd_scale = max(dd_scale, float(np.max(np.abs(
@@ -812,7 +814,7 @@ def conformally_flat_family(smooth_map: SmoothMap, conf, amb,
             if frec.retained and frec.result.F_tilde_map is not None:
                 _member_postchecks(grid, rec, model, frec.result.F_tilde_map,
                                    seed=seed)
-        except Exception as err:   # isolate per-member failures
+        except ConfflatError as err:   # isolate per-member failures
             rec.error = f"{type(err).__name__}: {err}"
         members.append(rec)
     return FamilyResult(lift, grid, ns, members)

@@ -109,6 +109,44 @@ def test_pipeline_refuses_unliftable_item():
         run_pipeline({"schema": 1, "item": "s2xpseudosphere"})
 
 
+def _stub_family(monkeypatch, members):
+    """Replace the family construction by a fixed result, so that a test
+    sees only what run_pipeline makes of it."""
+    from types import SimpleNamespace
+
+    from confflat import ribaucour as rb
+    fam = SimpleNamespace(
+        grid=SimpleNamespace(lift=SimpleNamespace(model=SimpleNamespace(N=4)),
+                             shape=(5, 5, 5, 5), n=4),
+        nullspace=SimpleNamespace(dimension=9), members=members)
+    monkeypatch.setattr(rb, "conformally_flat_family", lambda *a, **k: fam)
+
+
+def test_pipeline_skips_retained_member_without_map(monkeypatch):
+    """A grid-level member kept by the flatness filter has no closed-form
+    map to project: it is reported as skipped, with its flat residual."""
+    from confflat.ribaucour import MemberReport
+    member = MemberReport("nullspace", 0.0, 1e-3, cone_defect=1e-3,
+                          flat_residual=0.26, retained=True)
+    _stub_family(monkeypatch, [member])
+    rep = run_pipeline({"schema": 1, "item": "s3xs1", "count": 0})
+    assert rep.skipped == [{
+        "anchor": "pipeline/member-nullspace",
+        "reason": "retained with flat residual 2.600e-01, but it has no "
+                  "closed-form map, so the projection checks were not run"}]
+    assert [c.anchor for c in rep.checks] == ["pipeline/nullspace-dimension"]
+
+
+def test_pipeline_grid_enters_scenario_and_hash(monkeypatch):
+    _stub_family(monkeypatch, [])
+    base = {"schema": 1, "item": "s3xs1", "count": 0}
+    default = run_pipeline(base).as_dict()
+    refined = run_pipeline(dict(base, grid=[5, 5, 5, 6])).as_dict()
+    assert "grid" not in default["scenario"]
+    assert refined["scenario"]["grid"] == [5, 5, 5, 6]
+    assert refined["hash"] != default["hash"]
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from confflat import ambient as amb_mod
-from confflat.extrinsic import (fundamental_forms, intrinsic_curvatures,
-                                normal_connection_and_curvature)
+from confflat.extrinsic import (complement_frame, fundamental_forms,
+                                intrinsic_curvatures,
+                                normal_connection_and_curvature, orthonormalize)
 
 from conftest import interior_points
 
@@ -106,3 +107,54 @@ def test_conformal_metric_residual(catalog):
         pts = interior_points(item, 4)
         resid = item.conformal.metric_residual(item.smooth_map, item.ambient, pts)
         assert resid < 1e-8
+
+
+_FF_FIELDS = ("g", "g_inv", "frame", "frame_eps", "alpha", "h_comp",
+              "shape_ops", "onb", "S", "H")
+
+
+def _pivots(sig, tangents):
+    """Complement pivots and signs of the frame built on these tangents."""
+    units, eps = orthonormalize(sig, tangents)
+    _, frame_eps, chosen = complement_frame(sig, units, eps,
+                                            len(sig) - len(tangents))
+    return chosen, frame_eps
+
+
+def test_fundamental_forms_on_a_point_set(catalog, s3xs1_lift):
+    """A point set gives, point for point, the pivots, signs and arrays of
+    single-point calls (to 1e-12 of each array's scale), on every catalog
+    item and on a Lorentzian lift."""
+    cases = [(item.smooth_map, item.ambient) for item in catalog.values()]
+    cases.append((s3xs1_lift.F, s3xs1_lift.ambient))
+    for fmap, amb in cases:
+        pts = fmap.domain.sample_points(4, np.random.default_rng(6))
+        batch = fundamental_forms(fmap, amb, pts)
+        sig = amb.signature.tolist()
+        chosen_b, eps_b = _pivots(sig, [list(t) for t in
+                                        np.moveaxis(batch.tangent, 0, -1)])
+        for k, pt in enumerate(pts):
+            single = fundamental_forms(fmap, amb, pt)
+            for field in _FF_FIELDS:
+                ref = getattr(single, field)
+                err = np.max(np.abs(getattr(batch, field)[k] - ref))
+                # relative: example2 has ill-conditioned metrics (|g^-1| ~ 300)
+                assert err <= 1e-12 * max(1.0, np.max(np.abs(ref))), \
+                    (fmap.name, field, k)
+            assert (single.lame is None) == (batch.at(k).lame is None)
+            chosen, eps = _pivots(sig, single.tangent.tolist())
+            assert chosen == [int(c[k]) for c in chosen_b], fmap.name
+            assert eps == [float(e[k]) for e in eps_b], fmap.name
+
+
+def test_point_set_refuses_a_degenerate_point():
+    """A rank-deficient differential at one point of a set is refused and
+    the point is named."""
+    from confflat.errors import ImmersionError
+    from confflat.jets import ChartDomain, SmoothMap
+    dom = ChartDomain(2, ((-1.0, 1.0), (-1.0, 1.0)))
+    fold = SmoothMap(dom, 3, lambda x: [x[0], x[1] * x[1], x[1] * x[1] * x[1]],
+                     "fold")
+    pts = np.array([[0.2, 0.5], [0.3, 0.0], [0.1, -0.4]])
+    with pytest.raises(ImmersionError, match=r"\[0\.3 0\. *\]"):
+        fundamental_forms(fold, amb_mod.euclidean(3), pts)

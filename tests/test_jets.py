@@ -1,16 +1,5 @@
 """Jet arithmetic against the central-difference oracle and algebraic
 identities that exact derivatives must satisfy."""
-import importlib
-import importlib.machinery
-import importlib.util
-import os
-import re
-import shlex
-import shutil
-import sys
-import sysconfig
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +8,8 @@ from hypothesis import strategies as st
 from confflat.jets import (ChartDomain, Jet, SmoothMap, cos, cosh, dot,
                            evaluate_jet, exp, finite_difference_jet, log,
                            norm_sq, sin, sinh, sqrt, variable)
+
+from conftest import interior_points
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)
 positive = st.floats(0.2, 2.0, allow_nan=False)
@@ -121,103 +112,57 @@ def test_domain_guard():
         evaluate_jet(m, np.array([2.0]))
 
 
-CY_MODULE = "confflat.jets._taylor_cy"
+def _jets_at(m, pts, order):
+    return [evaluate_jet(m, pt, order) for pt in pts]
 
 
-def _cy_source(suffix):
-    from confflat.jets import _taylor_py
-    return Path(_taylor_py.__file__).with_name("_taylor_cy" + suffix)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_batched_jets_match_single_points(catalog, order):
+    """One batched pass gives, point for point, the jets of single-point
+    calls on every catalog item; derivatives above the order stay None."""
+    for name, item in catalog.items():
+        pts = interior_points(item, 5, seed=order)
+        batch = evaluate_jet(item.smooth_map, pts, order)
+        for k, single in enumerate(_jets_at(item.smooth_map, pts, order)):
+            for field in ("value", "d1", "d2", "d3"):
+                a, b = getattr(batch, field), getattr(single, field)
+                if b is None:
+                    assert a is None, (name, field)
+                    continue
+                assert np.max(np.abs(a[k] - b)) <= 1e-13, (name, field, k)
 
 
-def _missing_toolchain():
-    """Why the C extension cannot be compiled here, or None if it can."""
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC")
-    if not cc or shutil.which(shlex.split(cc)[0]) is None:
-        return f"no C compiler found (CC={cc!r})"
-    include = Path(sysconfig.get_paths()["include"])
-    if not (include / "Python.h").is_file():
-        return f"Python.h not found under {include}"
-    return None
+def test_batched_jets_match_finite_differences(catalog):
+    """A batched pass agrees with the central-difference oracle at every
+    point of the batch, to the oracle's O(h^2) error."""
+    dom = ChartDomain(2, ((-1.0, 1.0), (-1.0, 1.0)))
+
+    def evaluator(x):
+        return [sin(x[0]) * cosh(x[1]),
+                exp(0.5 * x[0] - x[1]),
+                dot(x, x) + cos(x[0] * x[1])]
+
+    m = SmoothMap(dom, 3, evaluator, "mixed")
+    pts = np.random.default_rng(4).uniform(-0.6, 0.6, size=(6, 2))
+    batch = evaluate_jet(m, pts)
+    for k, pt in enumerate(pts):
+        approx = finite_difference_jet(m, pt, h=1e-3)
+        assert np.allclose(batch.value[k], approx.value, atol=1e-10)
+        assert np.allclose(batch.d1[k], approx.d1, atol=1e-5)
+        assert np.allclose(batch.d2[k], approx.d2, atol=1e-4)
+        assert np.allclose(batch.d3[k], approx.d3, atol=2e-2)
+    for item in catalog.values():
+        pts = interior_points(item, 3, seed=5)
+        batch = evaluate_jet(item.smooth_map, pts)
+        for k, pt in enumerate(pts):
+            approx = finite_difference_jet(item.smooth_map, pt, h=1e-3)
+            assert np.allclose(batch.d1[k], approx.d1, atol=1e-5), item.name
+            assert np.allclose(batch.d2[k], approx.d2, atol=1e-4), item.name
 
 
-def _compile_extension(build_dir):
-    """Compile the committed generated C source into `build_dir` with the
-    include dir and macros of setup.py, and load the result."""
-    from setuptools import Distribution, Extension
-    ext = Extension(CY_MODULE, [str(_cy_source(".c"))],
-                    include_dirs=[np.get_include()],
-                    define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")])
-    cmd = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
-    cmd.build_lib = str(build_dir / "lib")
-    cmd.build_temp = str(build_dir / "temp")
-    cmd.ensure_finalized()
-    cmd.run()
-    path = cmd.get_ext_fullpath(CY_MODULE)
-    loader = importlib.machinery.ExtensionFileLoader(CY_MODULE, path)
-    spec = importlib.util.spec_from_file_location(CY_MODULE, path, loader=loader)
-    module = importlib.util.module_from_spec(spec)
-    loader.exec_module(module)
-    return module
-
-
-@pytest.fixture
-def taylor_cy(tmp_path, request):
-    """The compiled Taylor kernels: the built extension when it imports,
-    else the committed `_taylor_cy.c` compiled into a temporary directory.
-    Skips only when no C compiler or no Python headers are available."""
-    try:
-        return importlib.import_module(CY_MODULE)
-    except ImportError:
-        pass
-    reason = _missing_toolchain()
-    if reason:
-        pytest.skip(reason)
-    # Loading registers the module; drop it afterwards so the rest of the
-    # session keeps the kernels `_backend` chose at import.
-    request.addfinalizer(lambda: sys.modules.pop(CY_MODULE, None))
-    return _compile_extension(tmp_path)
-
-
-def test_generated_c_matches_pyx():
-    """The committed `_taylor_cy.c` is generated from `_taylor_cy.pyx`:
-    every code line of the .pyx is quoted in the source comments Cython
-    embeds in the .c, and every line the .c marks as compiled is a .pyx line."""
-    pyx = [line.rstrip() for line in _cy_source(".pyx").read_text().splitlines()]
-    blocks = re.findall(r'/\* "confflat/jets/_taylor_cy\.pyx":\d+\n(.*?)\n\*/',
-                        _cy_source(".c").read_text(), re.S)
-    assert blocks
-    quoted, marked = set(), []
-    for line in "\n".join(blocks).splitlines():
-        text, mark = re.subn(r"\s+# <+$", "", line[3:])
-        quoted.add(text.rstrip())
-        if mark:
-            marked.append(text.rstrip())
-    code = [line for line in pyx if line.strip() and not line.lstrip().startswith("#")]
-    assert [line for line in code if line not in quoted] == []
-    assert [line for line in marked if line not in pyx] == []
-
-
-def test_backend_agreement(taylor_cy):
-    """The compiled and the numpy Taylor kernels produce identical jets."""
-    from confflat.jets import _taylor_py
-    assert taylor_cy.BACKEND == "cython"
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        args = [rng.standard_normal(), rng.standard_normal(n),
-                rng.standard_normal((n, n)), rng.standard_normal((n, n, n))]
-        brgs = [rng.standard_normal(), rng.standard_normal(n),
-                rng.standard_normal((n, n)), rng.standard_normal((n, n, n))]
-        coeffs = rng.standard_normal(4)
-        def compare(out_cy, out_py):
-            for a, b in zip(out_cy, out_py):
-                if a is None or b is None:
-                    assert a is None and b is None
-                else:
-                    assert np.allclose(a, b, atol=1e-13)
-
-        for order in (1, 2, 3):
-            compare(taylor_cy.mul(order, *args, *brgs),
-                    _taylor_py.mul(order, *args, *brgs))
-            compare(taylor_cy.compose(order, *args, *coeffs),
-                    _taylor_py.compose(order, *args, *coeffs))
+def test_batched_domain_guard_names_the_point():
+    from confflat.errors import DomainError
+    dom = ChartDomain(1, ((0.0, 1.0),))
+    m = SmoothMap(dom, 1, lambda x: [x[0]], "id")
+    with pytest.raises(DomainError, match=r"\[2\.5\]"):
+        evaluate_jet(m, np.array([[0.5], [2.5], [0.7]]))

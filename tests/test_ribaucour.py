@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from confflat.errors import (DegenerateInputError, SingularTransformError)
+from confflat.extrinsic import normal_projectors
 from confflat.lightcone import build_cone_model, flat_lift
 from confflat import ribaucour as rb
 
@@ -216,3 +217,26 @@ def test_family_reflections_differ_from_original(family, s3xs1):
             diff = max(diff, float(np.max(np.abs(
                 m.f_map.value(pt) - s3xs1.smooth_map.value(pt)))))
         assert diff > 1e-3
+
+
+def test_grid_projectors_match_frame_projectors(s3xs1_grid):
+    """The transport's normal projectors, built from (U^T G U)^{-1} without
+    a frame, equal the projectors of the Gram-Schmidt normal frame at the
+    grid points."""
+    g = s3xs1_grid
+    from_frame = np.einsum("ma,maA,B,maB->mAB", g.ext.frame_eps, g.ext.frame,
+                           g.sig, g.ext.frame)
+    direct = normal_projectors(g.lift.F, g.lift.ambient, g.points)
+    assert np.max(np.abs(direct - from_frame)) <= 1e-12
+
+
+def test_member_postcheck_errors_propagate(s3xs1, monkeypatch):
+    """A programming error in a member's postchecks ends the run; it is not
+    reported as a skipped member."""
+    def broken(*args, **kwargs):
+        raise TypeError("broken postcheck")
+
+    monkeypatch.setattr(rb, "_member_postchecks", broken)
+    with pytest.raises(TypeError, match="broken postcheck"):
+        rb.conformally_flat_family(s3xs1.smooth_map, s3xs1.conformal,
+                                   s3xs1.ambient, count=1, seed=0)

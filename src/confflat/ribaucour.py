@@ -14,6 +14,7 @@ discretization error).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -120,8 +121,15 @@ class LiftGrid:
         """Ambient components of beta = sum_a b_a psi_a, b of shape (M, p)."""
         return np.einsum("ma,maA->mA", b, self.frame)
 
+    def cone_constant(self, phi, b):
+        """Pointwise <<F, beta>> - phi, constant for a solution of the
+        condition (its light-cone constant c)."""
+        return self.lorentz_inner(self.F_vals, self.beta_ambient(b)) - phi
+
+    @cached_property
     def h_parallel(self):
-        """eps_a <<alpha(d_i, d_i), psi_a>>, shape (M, p, n)."""
+        """eps_a <<alpha(d_i, d_i), psi_a>>, shape (M, p, n); computed once
+        per grid."""
         diag = np.einsum("miiA->miA", self.alpha)
         return np.einsum("a,maA,A,miA->mai", self.eps.astype(float),
                          self.frame, self.sig, diag)
@@ -286,7 +294,7 @@ def check_condition(grid: LiftGrid, phi, b):
     phi = np.asarray(phi, float)
     b = np.asarray(b, float)
     M, n, p = grid.M, grid.n, grid.p
-    hpar = grid.h_parallel()                    # (M, p, n)
+    hpar = grid.h_parallel                      # (M, p, n)
     res = np.zeros((M, n, p))
     for i in range(n):
         Dphi = grid.diff(phi[:, None], i)[:, 0]
@@ -316,9 +324,7 @@ def constant_vector_data(grid: LiftGrid, z, name="") -> RibaucourData:
     phi = np.einsum("mA,A,A->m", grid.F_vals, grid.sig, z)
     b = np.einsum("a,maA,A,A->ma", grid.eps.astype(float), grid.frame,
                   grid.sig, z)
-    beta = grid.beta_ambient(b)
-    cvals = grid.lorentz_inner(grid.F_vals, beta) - phi
-    c = float(np.mean(cvals))
+    c = float(np.mean(grid.cone_constant(phi, b)))
     return RibaucourData(phi, b, c, condition_residual(grid, phi, b), z=z,
                          name=name or "constant-vector")
 
@@ -374,50 +380,41 @@ def _degeneracy_guard(grid: LiftGrid, margin=DEGENERATE_MARGIN, samples=3):
                         f"principal normals {i}, {j} too close (margin {gap:.3e})")
 
 
-def solve_condition_nullspace(grid: LiftGrid, threshold=None,
-                              dense_limit=50000,
-                              max_members=24) -> NullspaceResult:
-    """Assemble the condition as a sparse operator on the grid unknowns
-    (phi, b_1..b_p per point; centered differences, equations at interior
-    points) and return an orthonormal basis of its numerical null space."""
-    _degeneracy_guard(grid)
+def _condition_operator(grid: LiftGrid):
+    """The condition as a sparse CSR operator on the grid unknowns (phi,
+    b_1..b_p per point, column blocks of M): one row per interior point m,
+    direction i and frame index a, in that order, holding the centered
+    differences of b_a and of phi (weighted by g^{ii} h_par) at m +- e_i."""
     from scipy import sparse
 
     M, n, p = grid.M, grid.n, grid.p
-    cols_total = M * (1 + p)
-    if cols_total > dense_limit:
-        raise NotImplementedError("randomized null-space path not sized for this build")
-    hpar = grid.h_parallel()                    # (M, p, n)
+    hpar = grid.h_parallel                      # (M, p, n)
     strides = np.array([int(np.prod(grid.shape[d + 1:])) for d in range(n)])
     interior = np.where(_interior_mask(grid.shape))[0]
+    shape = (len(interior), n, p)
+    n_rows = len(interior) * n * p
+    inv2h = np.broadcast_to((1.0 / (2.0 * grid.spacings))[:, None], shape)
+    m_plus = np.broadcast_to((interior[:, None] + strides)[:, :, None], shape)
+    m_minus = np.broadcast_to((interior[:, None] - strides)[:, :, None], shape)
+    b_off = M * (1 + np.arange(p))
+    coef = grid.g_inv[interior][:, np.arange(n), np.arange(n)]
+    # g^{ii} (D_i phi) h_par, as coef * h_par * inv2h
+    w = coef[:, :, None] * hpar[interior].transpose(0, 2, 1) * inv2h
+    cols = np.stack([b_off + m_plus, b_off + m_minus, m_plus, m_minus], -1)
+    vals = np.stack([inv2h, -inv2h, w, -w], -1)
+    rows = np.repeat(np.arange(n_rows), 4)
+    return sparse.coo_matrix((vals.reshape(-1), (rows, cols.reshape(-1))),
+                             shape=(n_rows, M * (1 + p))).tocsr()
 
-    rows, cols, vals = [], [], []
-    row = 0
-    for m in interior:
-        for i in range(n):
-            inv2h = 1.0 / (2.0 * grid.spacings[i])
-            m_plus = m + strides[i]
-            m_minus = m - strides[i]
-            coef = grid.g_inv[m, i, i]
-            for a in range(p):
-                # D_i b_a
-                rows += [row, row]
-                cols += [M * (1 + a) + m_plus, M * (1 + a) + m_minus]
-                vals += [inv2h, -inv2h]
-                # g^{ii} (D_i phi) h_par
-                rows += [row, row]
-                cols += [m_plus, m_minus]
-                vals += [coef * hpar[m, a, i] * inv2h,
-                         -coef * hpar[m, a, i] * inv2h]
-                row += 1
-    op = sparse.coo_matrix((vals, (rows, cols)),
-                           shape=(row, cols_total)).tocsr()
 
-    dense = op.toarray()
-    _, svals, vt = np.linalg.svd(dense, full_matrices=True)
-    smax = float(svals[0])
-    h = float(np.max(grid.spacings))
-    spectrum = np.concatenate([svals, np.zeros(cols_total - len(svals))])
+def _nullspace_threshold(spectrum, h, threshold=None):
+    """Singular-value threshold of the numerical null space for a spectrum
+    sorted descending (zero-padded to the column count) on a grid of largest
+    spacing h: 100 h^2 smax, or on a coarse grid the geometric middle of the
+    largest gap in the small spectrum.  Raises DimensionAmbiguityError when
+    no clear plateau separates the null space."""
+    cols_total = len(spectrum)
+    smax = float(spectrum[0])
     if threshold is None:
         threshold = 100.0 * h * h * smax
         if threshold >= 0.1 * smax:
@@ -436,14 +433,58 @@ def solve_condition_nullspace(grid: LiftGrid, threshold=None,
                     f"{ratios[k]:.1f})", spectrum=spectrum)
             threshold = float(np.sqrt(small[k] * small[k + 1]))
     threshold = min(threshold, 0.1 * smax)
-    null_count = int(np.sum(spectrum < threshold))
     near = np.sum((spectrum >= threshold) & (spectrum < 3.0 * threshold))
     inside = np.sum((spectrum >= threshold / 3.0) & (spectrum < threshold))
     if near + inside > 0.02 * cols_total:
         raise DimensionAmbiguityError(
             f"no clear singular-value plateau around {threshold:.3e}",
             spectrum=spectrum)
-    basis = vt[-null_count:, :] if null_count else vt[:0, :]
+    return threshold
+
+
+def solve_condition_nullspace(grid: LiftGrid, threshold=None,
+                              max_members=24) -> NullspaceResult:
+    """Assemble the condition as a sparse operator on the grid unknowns
+    (phi, b_1..b_p per point; centered differences, equations at interior
+    points) and return an orthonormal basis of its numerical null space.
+
+    The operator is block diagonal up to a permutation: an equation at m
+    touches only m +- e_i, so the connected components of its row/column
+    graph are independent blocks (columns no equation touches are blocks of
+    their own).  The SVD of the operator is the union of the dense SVDs of
+    its blocks."""
+    _degeneracy_guard(grid)
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    M, p = grid.M, grid.p
+    op = _condition_operator(grid)
+    rows_total, cols_total = op.shape
+    _, labels = connected_components(
+        sparse.bmat([[None, op], [op.T, None]]), directed=False)
+    row_labels, col_labels = labels[:rows_total], labels[rows_total:]
+    blocks = []                                 # (columns, svals, vt)
+    for label in np.unique(row_labels):
+        r = np.flatnonzero(row_labels == label)
+        c = np.flatnonzero(col_labels == label)
+        _, s, vt = np.linalg.svd(op[r][:, c].toarray(), full_matrices=True)
+        blocks.append((c, s, vt))
+    untouched = np.flatnonzero(~np.isin(col_labels, row_labels))
+
+    svals = np.sort(np.concatenate([s for _, s, _ in blocks]))[::-1]
+    spectrum = np.concatenate([svals, np.zeros(cols_total - len(svals))])
+    threshold = _nullspace_threshold(spectrum, float(np.max(grid.spacings)),
+                                     threshold)
+    null_count = int(np.sum(spectrum < threshold))
+    # each block's trailing right singular vectors (below the threshold, or
+    # beyond its row count), then one unit row per untouched column
+    basis = np.zeros((null_count, cols_total))
+    row = 0
+    for c, s, vt in blocks:
+        null = vt[int(np.sum(s >= threshold)):]
+        basis[row:row + len(null), c] = null
+        row += len(null)
+    basis[np.arange(row, null_count), untouched] = 1.0
 
     # representative members: random orthonormal combinations of the basis
     # (the raw basis mixes the solution family with unconstrained boundary
@@ -459,8 +500,7 @@ def solve_condition_nullspace(grid: LiftGrid, threshold=None,
         phi = vec[:M]
         b = vec[M:].reshape(p, M).T
         members.append(RibaucourData(
-            phi, b, float(np.mean(grid.lorentz_inner(
-                grid.F_vals, grid.beta_ambient(b)) - phi)),
+            phi, b, float(np.mean(grid.cone_constant(phi, b))),
             condition_residual(grid, phi, b), name="nullspace"))
 
     fam = analytic_family(grid)
@@ -519,7 +559,7 @@ def transform(grid: LiftGrid, data: RibaucourData,
               singular_tol=SINGULAR_TOL, rank_tol=RANK_MARGIN) -> TransformResult:
     """F~ = F - 2 nu_R phi calF with calF = F_* grad phi + beta and
     nu_R^{-1} = <<calF, calF>>."""
-    M, n = grid.M, grid.n
+    n = grid.n
     if data.z is not None:
         zz = float(np.sum(grid.sig * data.z * data.z))
         if abs(zz) < singular_tol * float(np.sum(data.z * data.z)):
@@ -540,11 +580,8 @@ def transform(grid: LiftGrid, data: RibaucourData,
     F_tilde = grid.F_vals - 2.0 * (data.phi / nu_inv)[:, None] * calF
 
     dF = np.stack([grid.diff(F_tilde, i) for i in range(n)], axis=1)  # (M,n,A)
-    margins = np.empty(M)
-    for m in range(M):
-        sv = np.linalg.svd(dF[m], compute_uv=False)
-        margins[m] = sv[-1] / sv[0]
-    rank_margin = float(np.min(margins))
+    sv = np.linalg.svd(dF, compute_uv=False)                         # (M, n)
+    rank_margin = float(np.min(sv[:, -1] / sv[:, 0]))
     if rank_margin < rank_tol:
         raise DegenerateTransformError(
             f"transformed differential rank margin {rank_margin:.3e}")
@@ -638,9 +675,14 @@ def flatness_filter(grid: LiftGrid, candidates, tol=1e-8, numeric_tol=None):
     reports for the untransformed (exactly flat) F: a grid candidate is
     retained only if it looks flatter than the flat reference, so on coarse
     grids the numeric route is conservative and rejects what it cannot
-    resolve."""
+    resolve.  A grid candidate must also keep the light-cone constant
+    <<F, beta>> - phi constant over the grid, as every solution of the
+    condition does, up to the O(h^2) floor of the analytic-family check:
+    a generic null-space member, which carries free boundary values, does
+    not."""
     if numeric_tol is None:
         numeric_tol = 0.5 * grid_curvature_residual(grid, grid.F_vals)
+    h2 = float(np.max(grid.spacings)) ** 2
     records = []
     for data in candidates:
         try:
@@ -654,8 +696,13 @@ def flatness_filter(grid: LiftGrid, candidates, tol=1e-8, numeric_tol=None):
             records.append(FilterRecord(data, result, resid, resid <= tol, True))
         else:
             resid = grid_curvature_residual(grid, result.F_tilde)
+            scale = max(float(np.max(np.abs(data.phi))),
+                        float(np.max(np.abs(data.b))))
+            constant = (float(np.ptp(grid.cone_constant(data.phi, data.b)))
+                        <= 0.5 * h2 * scale)
             records.append(FilterRecord(data, result, resid,
-                                        resid <= numeric_tol, False))
+                                        resid <= numeric_tol and constant,
+                                        False))
     return records
 
 

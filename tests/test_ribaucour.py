@@ -7,6 +7,7 @@ from confflat.errors import (DegenerateInputError, SingularTransformError)
 from confflat.extrinsic import normal_projectors
 from confflat.lightcone import build_cone_model, flat_lift
 from confflat import ribaucour as rb
+from confflat.reports import _resolve_item
 
 from conftest import interior_points
 
@@ -75,6 +76,49 @@ def test_nullspace_dimension_and_projections(s3xs1_grid):
     h2 = float(np.max(s3xs1_grid.spacings)) ** 2
     for m in ns.members:
         assert m.condition_residual <= h2
+
+
+@pytest.fixture(scope="module")
+def s3xs1_refined_grid():
+    item = _resolve_item({"item": "s3xs1", "grid": [5, 5, 5, 6]})
+    model = build_cone_model(item.smooth_map.codomain_dim)
+    lift = flat_lift(item.smooth_map, item.conformal, model)
+    return rb.build_lift_grid(lift)
+
+
+@pytest.mark.parametrize("grid_name", ["s3xs1_grid", "s3xs1_refined_grid"])
+def test_block_nullspace_matches_dense_svd(grid_name, request):
+    """The union of the block SVDs is the SVD of the whole operator: the
+    same spectrum, threshold, dimension, null space and analytic
+    projections as one dense SVD of the densified operator.  The dense null
+    space is the orthogonal complement of the right singular vectors above
+    the threshold (`above`), so for orthonormal bases of equal dimension
+    ||B_ref - B_ref B^T B|| = ||above B^T||, and the projection of a unit
+    vector onto it is sqrt(1 - ||above vec||^2); the thin SVD holds
+    `above`."""
+    g = request.getfixturevalue(grid_name)
+    ns = rb.solve_condition_nullspace(g)
+    dense = rb._condition_operator(g).toarray()
+    _, svals, vt = np.linalg.svd(dense, full_matrices=False)
+    smax = float(svals[0])
+    cols = dense.shape[1]
+    spectrum = np.concatenate([svals, np.zeros(cols - len(svals))])
+    assert np.max(np.abs(ns.spectrum - spectrum)) <= 1e-12 * smax
+    h = float(np.max(g.spacings))
+    assert rb._nullspace_threshold(spectrum, h) == pytest.approx(
+        ns.threshold, rel=1e-9)
+    dimension = int(np.sum(spectrum < ns.threshold))
+    assert ns.dimension == dimension
+    assert ns.basis.shape == (dimension, cols)
+    B = ns.basis
+    assert np.max(np.abs(B @ B.T - np.eye(dimension))) <= 1e-12
+    above = vt[:cols - dimension]
+    assert np.linalg.norm(above @ B.T) <= 1e-10
+    for k, data in enumerate(rb.analytic_family(g)):
+        vec = np.concatenate([data.phi, data.b.T.reshape(-1)])
+        vec = vec / np.linalg.norm(vec)
+        ref = np.sqrt(1.0 - float(np.linalg.norm(above @ vec)) ** 2)
+        assert abs(ns.analytic_projections[k] - ref) <= 1e-12
 
 
 def test_degenerate_input_guard(catalog):
@@ -179,6 +223,35 @@ def test_flatness_filter(s3xs1_grid, rng):
     # a generic grid-level member cannot be certified flat at this resolution
     assert not records[1].exact
     assert not records[1].retained
+
+
+def test_numeric_route_rejects_generic_members(s3xs1_grid):
+    """Generic null-space members carry free boundary values, so their
+    light-cone constant <<F, beta>> - phi varies over the grid: the numeric
+    route rejects every one of them, and a datum with a varying c, whichever
+    basis the solver returns.  The light-cone gate alone decides this: the
+    curvature tolerance is switched off (the default one only rejects more),
+    and the gate keeps an exact solution sent down the same route."""
+    g = s3xs1_grid
+    ns = rb.solve_condition_nullspace(g)
+    candidates = []
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        vec = rng.standard_normal(ns.dimension) @ ns.basis
+        phi = vec[:g.M]
+        b = vec[g.M:].reshape(g.p, g.M).T
+        candidates.append(rb.RibaucourData(phi, b, 0.0, 0.0,
+                                           name=f"combo-{seed}"))
+    data = _reflection_data(g, seed=19)
+    bump = float(np.max(np.abs(data.phi))) * g.points[:, 0]
+    candidates.append(rb.RibaucourData(data.phi + bump, data.b, data.c, 0.0,
+                                       name="varying-c"))
+    for rec in rb.flatness_filter(g, candidates, numeric_tol=np.inf):
+        assert rec.error is None and not rec.exact, rec.data.name
+        assert not rec.retained, rec.data.name
+    exact = rb.RibaucourData(data.phi, data.b, data.c, 0.0, name="grid-route")
+    rec, = rb.flatness_filter(g, [exact], numeric_tol=np.inf)
+    assert not rec.exact and rec.retained
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 whose normal bundle is flat and whose induced metric is conformal to a flat
 chart metric.
 
-The package computes exact jets of parametrized immersions (compiled core
-with a pure Python fallback), extracts extrinsic invariants, verifies the
+The package computes exact jets of parametrized immersions (numpy kernels
+batched over point sets), extracts extrinsic invariants, verifies the
 structural properties such immersions must satisfy, lifts them to the light
 cone of a Lorentzian space, and deforms the lifts through sphere-congruence
 preserving transforms to produce families of new immersions with the same

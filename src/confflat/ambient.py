@@ -7,7 +7,7 @@ with the time axis at index 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

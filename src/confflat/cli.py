@@ -7,8 +7,10 @@ Verbs:
   report    re-print a stored report file (summary or full JSON)
 
 Exit codes: 0 all checks passed (or negative control confirmed), 1 at least
-one check failed, 2 usage or configuration error, 3 numerical degeneracy
-detected in the inputs.
+one check failed, 2 usage or configuration error, 3 the input was refused:
+any other toolkit error (a numerical degeneracy, a map that is not an
+immersion, a conformal structure that does not hold, ...), with its class
+name and message on stderr.
 """
 from __future__ import annotations
 
@@ -17,14 +19,8 @@ import json
 import sys
 
 from .catalog import default_catalog
-from .errors import (ConfigError, DegenerateInputError,
-                     DegenerateTransformError, DimensionAmbiguityError,
-                     FrameError, NonProperError, SingularTransformError)
-from .reports import SUITES, Report, run_pipeline, run_scenario
-
-_DEGENERACY = (DimensionAmbiguityError, DegenerateInputError, FrameError,
-               SingularTransformError, DegenerateTransformError,
-               NonProperError)
+from .errors import ConfflatError, ConfigError
+from .reports import SUITES, run_pipeline, run_scenario
 
 
 def _print_report(report_dict, full=False, stream=None):
@@ -177,7 +173,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except _DEGENERACY as exc:
+    except ConfflatError as exc:
         print(f"numerical degeneracy: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3

@@ -1,7 +1,6 @@
 """Conformal calculus: conformal changes of metric, the Q tensors, the
-quadruple curvature test for conformal flatness, the principal-normal shift
-under conformal repositioning, and the residual suite for the Q identities
-on proper submanifolds with flat normal bundle.
+quadruple curvature test for conformal flatness, and the residual suite for
+the Q identities on proper submanifolds with flat normal bundle.
 """
 from __future__ import annotations
 
@@ -9,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientSpace, euclidean
+from .ambient import AmbientSpace
 from .errors import ConformalStructureError, NotApplicable
 from .extrinsic import fundamental_forms, intrinsic_curvatures
-from .jets import ChartDomain, SmoothMap, evaluate_jet
+from .jets import SmoothMap, evaluate_jet
 from .principal import principal_decomposition
 
 
@@ -29,9 +28,6 @@ class ConformalStructure:
 
     omega: SmoothMap
     flat_chart: SmoothMap | None = None
-
-    def conf_factor(self, point):
-        return float(np.exp(self.omega.value(point)[0]))
 
     def flat_frame(self, point):
         """(x, J) with x the flat coordinates of `point` and J = dPhi."""
@@ -190,65 +186,6 @@ def conformal_flatness_test(provider, points, trials=50, seed=0):
                 kmax = max(kmax, abs(K[a, b]))
             worst = max(worst, abs(K[0, 1] + K[2, 3] - K[0, 2] - K[1, 3]))
     return worst / max(kmax, 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# principal-normal shift under a conformal change of the ambient metric
-# ---------------------------------------------------------------------------
-
-def principal_normal_shift(eta, lam, grad_lam_perp):
-    """Shifted principal normal under passing from the ambient metric g to
-    lam^2 g: eta - (1/lam) (grad lam)-perp, the normal projection of the
-    ambient gradient taken in g."""
-    if lam <= 0:
-        raise ValueError("conformal factor must be positive")
-    return np.asarray(eta, float) - np.asarray(grad_lam_perp, float) / lam
-
-
-def _ambient_jet(func, x, order=1):
-    """Jet of an ambient-space map (R^N -> R^M) at x."""
-    x = np.asarray(x, float)
-    N = len(x)
-    dom = ChartDomain(N, np.column_stack([x - 1.0, x + 1.0]))
-    m = SmoothMap(dom, None, func, "ambient-map")
-    return evaluate_jet(m, x, order)
-
-
-def repositioned_decomposition_check(smooth_map: SmoothMap, amb: AmbientSpace,
-                                     tau, lam, points, cluster_tol=1e-6, seed=0):
-    """Empirical verification that a conformal diffeomorphism tau of the
-    ambient space (with tau* <,> = lam^2 <,>) carries the principal normals
-    of f to those of tau o f by the shift rule: the principal normal of the
-    repositioned immersion, in its own induced metric, is
-
-        d tau ( (eta - (1/lam) (grad lam)-perp) / lam^2 ).
-
-    Returns the worst mismatch against a direct decomposition of tau o f."""
-    dom = smooth_map.domain
-    comp = SmoothMap(dom, None, lambda u: tau(smooth_map.evaluator(u)),
-                     smooth_map.name + "-repositioned")
-    worst = 0.0
-    for pt in np.asarray(points, float):
-        ext1 = fundamental_forms(smooth_map, amb, pt)
-        dec1 = principal_decomposition(ext1, cluster_tol=cluster_tol, seed=seed)
-        x = ext1.jet.value
-        jl = _ambient_jet(lambda y: [lam(y)], x, 1)
-        lv = float(jl.value[0])
-        grad = jl.d1[:, 0]
-        if amb.kind == "lorentz":
-            grad = amb.signature * grad
-        gperp = ext1.normal_project(grad)
-        jt = _ambient_jet(tau, x, 1)
-        dtau = jt.d1.T                        # (M, N)
-
-        ext2 = fundamental_forms(comp, amb, pt)
-        dec2 = principal_decomposition(ext2, cluster_tol=cluster_tol, seed=seed)
-        scale = max(max(np.linalg.norm(e) for e in dec2.etas), 1e-12)
-        for eta in dec1.etas:
-            pred = dtau @ (principal_normal_shift(eta, lv, gperp) / lv ** 2)
-            d = min(np.linalg.norm(pred - e) for e in dec2.etas)
-            worst = max(worst, d / scale)
-    return worst
 
 
 # ---------------------------------------------------------------------------

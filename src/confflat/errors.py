@@ -6,11 +6,9 @@ class ConfflatError(Exception):
 
 
 class DomainError(ConfflatError):
-    """Evaluation point outside (or too close to the boundary of) the chart box."""
-
-
-class EvaluationError(ConfflatError):
-    """Evaluator produced non-finite output."""
+    """The map is undefined at the evaluation point: the point lies outside
+    (or too close to the boundary of) the chart box, the evaluator produced
+    non-finite output, or the point projects from the cone near infinity."""
 
 
 class ImmersionError(ConfflatError):
@@ -21,28 +19,9 @@ class FrameError(ConfflatError):
     """Normal-frame construction or transport broke down."""
 
 
-class DimensionError(ConfflatError):
-    """Operation requested below its minimal dimension."""
-
-
 class NotApplicable(ConfflatError):
-    """Check does not apply to the given input (reported, not a failure)."""
-
-
-class FlatNormalBundleError(ConfflatError):
-    """Shape operators fail to commute beyond tolerance."""
-
-
-class ClusterAmbiguityError(ConfflatError):
-    """Eigenvalue clustering gap too close to the tolerance to resolve."""
-
-
-class RankError(ConfflatError):
-    """Numerical rank decision ambiguous (singular-value gap below tolerance)."""
-
-
-class NetError(ConfflatError):
-    """Supplied coordinate net is not orthogonal within tolerance."""
+    """Check does not apply to the given input, e.g. below its minimal
+    dimension (reported, not a failure)."""
 
 
 class QuasiumbilicError(ConfflatError):
@@ -57,10 +36,6 @@ class ModelMembershipError(ConfflatError):
     """Vector does not lie on the light-cone model set."""
 
 
-class PoleError(ConfflatError):
-    """Projection from the cone requested at a point mapping near infinity."""
-
-
 class SingularTransformError(ConfflatError):
     """Ribaucour direction field is null at some grid point."""
 
@@ -70,7 +45,10 @@ class DegenerateTransformError(ConfflatError):
 
 
 class DegenerateInputError(ConfflatError):
-    """Input lacks the curvature-line rigidity the solver requires."""
+    """Input too degenerate for a numerical decision: shape operators that
+    fail to commute (normal bundle not flat), principal normals or singular
+    values too close to their clustering or rank threshold, a coordinate net
+    that is not orthogonal, or missing curvature-line rigidity."""
 
 
 class DimensionAmbiguityError(ConfflatError):

@@ -1,6 +1,6 @@
 """Pointwise submanifold geometry: fundamental forms, frames, shape
 operators, normal connection and curvature, and the intrinsic curvature
-quantities (Riemann, Ricci, scalar, Schouten, sectional).
+quantities (Riemann, Ricci, scalar, sectional).
 
 The normal frame is built by Gram-Schmidt (with signs, so it also handles
 Lorentzian ambient spaces) applied to the ambient basis projected to the
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import QUADRIC_TOL, AmbientSpace
-from .errors import DimensionError, FrameError, ImmersionError
+from .errors import FrameError, ImmersionError
 from .jets import Jet, evaluate_jet, sqrt as jsqrt
 from .jets.maps import Jet3, SmoothMap
 
@@ -202,9 +202,6 @@ class ExtrinsicData:
                              self.h_comp[m], self.shape_ops[m], self.onb[m],
                              self.S[m], self.H[m])
 
-    def ambient_inner(self, u, v):
-        return self.ambient.inner(u, v)
-
     def alpha_onb(self):
         """Second fundamental form over the orthonormal tangent basis."""
         return np.einsum("...ki,...lj,...klA->...ijA", self.onb, self.onb, self.alpha)
@@ -353,9 +350,6 @@ class NormalBundleData:
     r_perp_commutator: np.ndarray  # (n, n, p, p) from shape-operator commutators
     disagreement: float
 
-    def norm(self):
-        return float(np.max(np.abs(self.r_perp_frame)))
-
 
 def _jet_components(jet: Jet3, order=2):
     """Ambient vectors of the map and its tangent basis as jet scalars of the
@@ -459,12 +453,6 @@ class CurvaturePack:
     @property
     def n(self):
         return self.ricci.shape[0]
-
-    def schouten(self):
-        n = self.n
-        if n < 3:
-            raise DimensionError("Schouten tensor needs n >= 3")
-        return (self.ricci - self.tau / (2.0 * (n - 1)) * np.eye(n)) / (n - 2)
 
     def sectional(self, X, Y):
         """Sectional curvature of the plane spanned by X, Y (ONB coords)."""

@@ -7,11 +7,11 @@ finite_difference_jet provides the independent central-difference oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DomainError, EvaluationError
+from ..errors import DomainError
 from .core import Jet
 
 _EPS = np.finfo(float).eps
@@ -150,7 +150,7 @@ def evaluate_jet(smooth_map: SmoothMap, points, order=3) -> Jet3:
         finite &= np.isfinite(d).reshape(batch + (-1,)).all(axis=-1)
     if not np.all(finite):
         bad = points[np.argmin(finite)] if batch else points
-        raise EvaluationError(f"non-finite jet output at {bad}")
+        raise DomainError(f"non-finite jet output at {bad}")
     derivs += [None] * (3 - order)
     return Jet3(value, *derivs, order)
 

@@ -23,11 +23,11 @@ import numpy as np
 from . import ambient as amb_mod
 from .ambient import AmbientSpace
 from .conformal import ConformalStructure
-from .errors import (ConformalStructureError, ModelMembershipError,
-                     NotApplicable, PoleError)
+from .errors import (ConformalStructureError, DomainError,
+                     ModelMembershipError, NotApplicable)
 from .extrinsic import fundamental_forms
-from .jets import SmoothMap, evaluate_jet, exp as jexp, norm_sq
-from .principal import principal_decomposition
+from .jets import ChartDomain, SmoothMap, exp as jexp, log as jlog, norm_sq
+from .principal import offdiagonal_defects, principal_decomposition
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -37,40 +37,16 @@ MEMBERSHIP_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LorentzForm:
-    """Flat Lorentzian inner product diag(-1, +1, ..., +1) on N+2 slots."""
-
-    dim: int
-
-    @property
-    def signature(self):
-        sig = np.ones(self.dim)
-        sig[0] = -1.0
-        return sig
-
-    def inner(self, u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        return float(np.sum(self.signature * u * v))
-
-
-@dataclass(frozen=True)
 class ConeModel:
     """Concrete cone slice: null vectors v, w with <<v,w>> = 1 and a linear
-    isometry A of R^N onto the spacelike complement of span{v, w}."""
+    isometry A of R^N onto the spacelike complement of span{v, w}, inside
+    the Lorentzian space L^{N+2} that carries the pairing <<,>>."""
 
     N: int
     v: np.ndarray          # (N+2,)
     w: np.ndarray          # (N+2,)
     A: np.ndarray          # (N+2, N), columns orthonormal spacelike
-    form: LorentzForm
-
-    @property
-    def ambient(self) -> AmbientSpace:
-        return amb_mod.lorentz(self.N + 2)
-
-    def inner(self, u, v):
-        return self.form.inner(u, v)
+    ambient: AmbientSpace  # L^{N+2}
 
 
 def build_cone_model(N: int) -> ConeModel:
@@ -88,7 +64,7 @@ def build_cone_model(N: int) -> ConeModel:
     A = np.zeros((dim, N))
     for b in range(N):
         A[b + 1, b] = 1.0
-    return ConeModel(N, v, w, A, LorentzForm(dim))
+    return ConeModel(N, v, w, A, amb_mod.lorentz(dim))
 
 
 def psi_components(model: ConeModel, xs):
@@ -112,14 +88,14 @@ def psi_invert(model: ConeModel, V, tol=MEMBERSHIP_TOL):
     """Inverse of the embedding on the model slice; rejects vectors whose
     cone and slice defects exceed `tol`."""
     V = np.asarray(V, float)
-    slice_defect = abs(model.inner(V, model.w) - 1.0)
-    cone_defect = abs(model.inner(V, V))
+    slice_defect = abs(model.ambient.inner(V, model.w) - 1.0)
+    cone_defect = abs(model.ambient.inner(V, V))
     scale = max(float(V @ V), 1.0)
     if slice_defect > tol * np.sqrt(scale) or cone_defect > tol * scale:
         raise ModelMembershipError(
             f"vector off the model slice: <<V,w>>-1 = {slice_defect:.3e}, "
             f"<<V,V>> = {cone_defect:.3e}")
-    sig = model.form.signature
+    sig = model.ambient.signature
     return np.array([float(np.sum(sig * V * model.A[:, b])) for b in range(model.N)])
 
 
@@ -131,7 +107,6 @@ def psi_second_fundamental_residual(model: ConeModel, points):
     for x in np.asarray(points, float):
         lo = x - 1.0
         hi = x + 1.0
-        from .jets import ChartDomain
         dom = ChartDomain(model.N, np.column_stack([lo, hi]))
         m = SmoothMap(dom, model.N + 2, lambda u: psi_components(model, u), "psi")
         ext = fundamental_forms(m, amb, x)
@@ -166,8 +141,8 @@ class LiftedImmersion:
     def cone_defects(self, point):
         """(<<F,F>>, <<F,w>> - e^{-omega}) at a chart point."""
         val = self.F.value(point)
-        ff = self.model.inner(val, val)
-        fw = self.model.inner(val, self.model.w)
+        ff = self.ambient.inner(val, val)
+        fw = self.ambient.inner(val, self.model.w)
         return ff, fw - np.exp(-self.conformal.omega.value(point)[0])
 
 
@@ -282,36 +257,36 @@ class ConeProjection:
 
     f: SmoothMap
     omega: SmoothMap
-    pole_mask: np.ndarray | None   # True where |<<F,w>>| clears the pole guard
-    eps_pole: float
+    eps_pole: float     # pole guard on |<<F,w>>|
 
 
 def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
-                      eps_pole=None, tol=1e-8) -> ConeProjection:
+                      tol=1e-8) -> ConeProjection:
     """Invert the lift: f with Psi o f = F / <<F,w>>, plus the conformal
-    factor map omega = -log|<<F,w>>|.  Points where <<F,w>> falls under the
-    pole guard are masked; evaluating the returned maps there raises a pole
-    error (such points map near infinity)."""
-    if eps_pole is None:
-        widths = [hi - lo for lo, hi in F.domain.box]
-        eps_pole = 1e-6 * float(np.sqrt(sum(w * w for w in widths)))
-    sig = model.form.signature
+    factor map omega = -log|<<F,w>>|.  Evaluating the returned maps where
+    |<<F,w>>| falls under the pole guard (1e-6 times the chart box diagonal)
+    raises DomainError: such points map near infinity.  At the given points
+    the projected metric is checked against <<F,w>>^{-2} <,>_0."""
+    widths = [hi - lo for lo, hi in F.domain.box]
+    eps_pole = 1e-6 * float(np.sqrt(sum(w * w for w in widths)))
+    sig = model.ambient.signature
     sw = sig * model.w
     F_eval = F.evaluator
 
-    def rho_of(vals):
-        acc = sw[0] * vals[0]
+    def guarded(x):
+        """(F, <<F,w>>) at x; DomainError under the pole guard."""
+        vals = F_eval(list(x))
+        rho = sw[0] * vals[0]
         for s, c in zip(sw[1:], vals[1:]):
             if s != 0.0:
-                acc = acc + s * c
-        return acc
+                rho = rho + s * c
+        if abs(float(rho)) < eps_pole:
+            raise DomainError(f"<<F,w>> = {float(rho):.3e} under the pole guard "
+                              f"{eps_pole:.3e}")
+        return vals, rho
 
     def f_eval(x):
-        vals = F_eval(list(x))
-        rho = rho_of(vals)
-        rv = float(rho)
-        if abs(rv) < eps_pole:
-            raise PoleError(f"<<F,w>> = {rv:.3e} under the pole guard {eps_pole:.3e}")
+        vals, rho = guarded(x)
         unit = [c / rho for c in vals]
         out = []
         for b in range(model.N):
@@ -324,28 +299,19 @@ def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
         return out
 
     def omega_eval(x):
-        vals = F_eval(list(x))
-        rho = rho_of(vals)
-        rv = float(rho)
-        if abs(rv) < eps_pole:
-            raise PoleError(f"<<F,w>> = {rv:.3e} under the pole guard {eps_pole:.3e}")
-        from .jets import log as jlog
-        return [-1.0 * jlog(rho if rv > 0 else -1.0 * rho)]
+        _, rho = guarded(x)
+        return [-1.0 * jlog(rho if float(rho) > 0 else -1.0 * rho)]
 
     f = SmoothMap(F.domain, model.N, f_eval, F.name + "_proj")
     omega = SmoothMap(F.domain, 1, omega_eval, F.name + "_proj_omega")
 
-    mask = None
     if points is not None:
-        points = np.asarray(points, float)
-        mask = np.zeros(len(points), bool)
         ambE = amb_mod.euclidean(model.N)
         ambL = model.ambient
-        for idx, pt in enumerate(points):
+        for pt in np.asarray(points, float):
             vals = np.array([float(c) for c in F_eval(list(pt))])
             rho = float(np.sum(sw * vals))
-            mask[idx] = abs(rho) >= eps_pole
-            if not mask[idx]:
+            if abs(rho) < eps_pole:
                 continue
             extf = fundamental_forms(f, ambE, pt)
             extF = fundamental_forms(F, ambL, pt)
@@ -354,7 +320,7 @@ def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
             if r > tol:
                 raise ConformalStructureError(
                     f"projected metric defect {r:.3e} at {pt}")
-    return ConeProjection(f, omega, mask, eps_pole)
+    return ConeProjection(f, omega, eps_pole)
 
 
 # ---------------------------------------------------------------------------
@@ -363,52 +329,30 @@ def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
 
 @dataclass
 class LiftCorrespondenceReport:
-    applicable: bool
-    reason: str | None = None
-    offdiag_f: float | None = None        # holonomicity defect of f
-    offdiag_F: float | None = None        # holonomicity defect of the lift
-    k_f: int | None = None
-    k_F: int | None = None
-    multiplicities_match: bool | None = None
-    lemma_residual: float | None = None   # closed-form alpha_F defect
+    offdiag_F: float              # max(net, alpha) holonomic defect of the lift
+    k_f: int
+    k_F: int
+    multiplicities_match: bool
 
 
-def lift_correspondence_check(f: SmoothMap, conf: ConformalStructure,
-                              model: ConeModel, points,
-                              cluster_tol=1e-6, seed=0) -> LiftCorrespondenceReport:
+def lift_correspondence_check(lift: LiftedImmersion, points, cluster_tol=1e-6,
+                              seed=0) -> LiftCorrespondenceReport:
     """For an immersion with orthogonal (principal) chart net: the flat lift
-    is holonomic with respect to the same coordinates, the principal normals
-    correspond one to one, and the closed-form second fundamental form of
-    the lift holds."""
-    if conf is None:
-        return LiftCorrespondenceReport(False, "no conformal structure attached")
-    lift = flat_lift(f, conf, model, check_points=points)
-    ambE = amb_mod.euclidean(model.N)
-    ambL = model.ambient
-    off_f = off_F = lemma = 0.0
+    is holonomic with respect to the same coordinates (its net orthogonal and
+    its second fundamental form diagonal), and the principal normals of f and
+    of the lift correspond one to one."""
+    f = lift.parent
+    ambE = amb_mod.euclidean(lift.model.N)
+    off_F = 0.0
     k_f = k_F = None
     match = True
     for pt in np.asarray(points, float):
         extf = fundamental_forms(f, ambE, pt)
-        extF = fundamental_forms(lift.F, ambL, pt)
-        for ext, store in ((extf, "f"), (extF, "F")):
-            d = np.sqrt(np.diag(ext.g))
-            anorm = np.sqrt(np.einsum("ijA,ijA->ij", ext.alpha, ext.alpha))
-            scale = max(float(np.max(anorm)), 1e-12)
-            offd = 0.0
-            for i in range(ext.n):
-                for j in range(i + 1, ext.n):
-                    offd = max(offd, anorm[i, j] / (d[i] * d[j]) / scale)
-            if store == "f":
-                off_f = max(off_f, offd)
-            else:
-                off_F = max(off_F, offd)
+        extF = fundamental_forms(lift.F, lift.ambient, pt)
+        off_F = max(off_F, *offdiagonal_defects(extF))
         dec_f = principal_decomposition(extf, cluster_tol=cluster_tol, seed=seed)
         dec_F = principal_decomposition(extF, cluster_tol=cluster_tol, seed=seed)
         k_f, k_F = dec_f.k, dec_F.k
         match = match and (sorted(dec_f.multiplicities)
                            == sorted(dec_F.multiplicities))
-        _, resid = lift_second_fundamental_form(lift, pt)
-        lemma = max(lemma, resid)
-    return LiftCorrespondenceReport(True, None, off_f, off_F, k_f, k_F,
-                                    match, lemma)
+    return LiftCorrespondenceReport(off_F, k_f, k_F, match)

@@ -5,15 +5,14 @@ the span / quasiumbilical / nullity structure built on top of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 
 from .ambient import AmbientSpace
-from .errors import (ClusterAmbiguityError, DimensionError, FlatNormalBundleError,
-                     NetError, NonProperError, NotApplicable, QuasiumbilicError,
-                     RankError)
+from .errors import (DegenerateInputError, NonProperError, NotApplicable,
+                     QuasiumbilicError)
 from .extrinsic import (ExtrinsicData, fundamental_forms, intrinsic_curvatures,
                         orthonormalize)
 from .jets.maps import SmoothMap
@@ -164,7 +163,7 @@ def principal_decomposition(ext: ExtrinsicData, cluster_tol=CLUSTER_TOL,
         for b in range(a + 1, p):
             comm = S[a] @ S[b] - S[b] @ S[a]
             if np.max(np.abs(comm)) > flat_tol * scale ** 2 * n:
-                raise FlatNormalBundleError(
+                raise DegenerateInputError(
                     f"shape operators do not commute: |[A_{a}, A_{b}]| = "
                     f"{np.max(np.abs(comm)):.3e} at {ext.point}")
 
@@ -176,7 +175,7 @@ def principal_decomposition(ext: ExtrinsicData, cluster_tol=CLUSTER_TOL,
     gap = cluster_tol * max(scale, 1e-12)
     clusters, inter = _cluster_columns(list(etas_cols), gap)
     if inter < 2.0 * gap:
-        raise ClusterAmbiguityError(
+        raise DegenerateInputError(
             f"principal normal gap {inter:.3e} too close to the clustering "
             f"threshold {gap:.3e} to resolve")
 
@@ -305,6 +304,25 @@ def _christoffels(ext: ExtrinsicData):
                   - dg)
 
 
+def offdiagonal_defects(ext: ExtrinsicData):
+    """(net, alpha): how far the chart coordinates at one point are from
+    principal coordinates.  `net` is the largest off-diagonal metric entry
+    over the largest diagonal one; `alpha` is the largest |alpha(d_i, d_j)|,
+    i != j, over unit coordinate vectors, relative to the largest entry of
+    the second fundamental form in an orthonormal basis."""
+    g = ext.g
+    d = np.sqrt(np.diag(g))
+    off = g - np.diag(np.diag(g))
+    net = float(np.max(np.abs(off))) / float(np.max(d) ** 2)
+    ascale = max(float(np.max(np.abs(ext.alpha_onb()))), 1e-300)
+    alpha = 0.0
+    for i in range(ext.n):
+        for j in range(i + 1, ext.n):
+            a = float(np.linalg.norm(ext.alpha[i, j])) / (d[i] * d[j])
+            alpha = max(alpha, a / ascale)
+    return net, float(alpha)
+
+
 def holonomicity_check(smooth_map: SmoothMap, amb: AmbientSpace, points,
                        cluster_tol=CLUSTER_TOL, seed=0, net_tol=1e-8,
                        fd_step=1e-5) -> HolonomicityReport:
@@ -316,22 +334,16 @@ def holonomicity_check(smooth_map: SmoothMap, amb: AmbientSpace, points,
     net_off = alpha_off = c1 = c2 = 0.0
     for pt in points:
         ext = fundamental_forms(smooth_map, amb, pt)
-        g = ext.g
-        d = np.sqrt(np.diag(g))
-        off = g - np.diag(np.diag(g))
-        rel = float(np.max(np.abs(off))) / float(np.max(d) ** 2)
-        if rel > net_tol:
-            raise NetError(f"coordinate net not orthogonal: defect {rel:.3e} at {pt}")
-        net_off = max(net_off, rel)
+        net, alpha = offdiagonal_defects(ext)
+        if net > net_tol:
+            raise DegenerateInputError(
+                f"coordinate net not orthogonal: defect {net:.3e} at {pt}")
         if ext.lame is None:
-            raise NetError("no Lame functions: net not orthogonal")
+            raise DegenerateInputError("no Lame functions: net not orthogonal")
+        net_off = max(net_off, net)
+        alpha_off = max(alpha_off, alpha)
         h = ext.lame
         n = ext.n
-        ascale = max(float(np.max(np.abs(ext.alpha_onb()))), 1e-300)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a = float(np.linalg.norm(ext.alpha[i, j])) / (h[i] * h[j])
-                alpha_off = max(alpha_off, a / ascale)
 
         dec = principal_decomposition(ext, cluster_tol=cluster_tol, seed=seed)
         # cluster index of each coordinate direction, by its normal curvature
@@ -393,7 +405,7 @@ def _num_rank(M, rel=1e-8, gap=50.0):
     keep = sv >= rel * sv[0]
     r = int(np.sum(keep))
     if 0 < r < len(sv) and sv[r - 1] < gap * sv[r]:
-        raise RankError(f"singular-value gap ambiguous: {sv}")
+        raise DegenerateInputError(f"singular-value gap ambiguous: {sv}")
     return r, sv
 
 
@@ -447,7 +459,7 @@ def quasiumbilical_frame(dec: PrincipalDecomposition, tol=1e-8) -> QuasiumbilicF
     ext = dec.ext
     n = ext.n
     if n < 4:
-        raise DimensionError("quasiumbilical frame characterization needs n >= 4")
+        raise NotApplicable("quasiumbilical frame characterization needs n >= 4")
     mults = dec.multiplicities
     if mults[0] < n - (dec.k - 1) or (dec.k > 1 and mults[1] >= 2):
         raise QuasiumbilicError(

@@ -89,9 +89,6 @@ class Report:
                 "environment": self.environment,
                 "timings": self.timings}
 
-    def to_json(self, indent=2):
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
 
 def _environment():
     return {"python": platform.python_version(),
@@ -134,8 +131,10 @@ def load_scenario(source) -> dict:
         raise ConfigError(f"field 'suite': unknown suite {suite!r}")
     for key, default in _DEFAULTS.items():
         raw.setdefault(key, default)
-    if not (isinstance(raw["seed"], int) and raw["seed"] >= 0):
-        raise ConfigError("field 'seed': must be a nonnegative integer")
+    for key, least in (("seed", 0), ("samples", 1), ("count", 0)):
+        value = raw[key]
+        if isinstance(value, bool) or not (isinstance(value, int) and value >= least):
+            raise ConfigError(f"field '{key}': must be an integer >= {least}")
     if not (isinstance(raw["tol_scale"], (int, float)) and raw["tol_scale"] > 0):
         raise ConfigError("field 'tol_scale': must be positive")
     grid = raw.get("grid")
@@ -343,15 +342,13 @@ def suite_lightcone(item, scenario):
     checks.append(CheckResult("closed form of the lifted second fundamental form",
                               "lightcone/lift-second-fundamental", lemma,
                               1e-7 * ts).evaluate())
-    rep = lift_correspondence_check(item.smooth_map, item.conformal, model,
-                                    pts, seed=scenario["seed"])
-    if rep.applicable:
-        checks.append(CheckResult("lift stays holonomic in the same chart",
-                                  "lightcone/lift-holonomic",
-                                  rep.offdiag_F, 1e-7 * ts).evaluate())
-        checks.append(CheckResult("principal normal count preserved by the lift",
-                                  "lightcone/lift-k-match",
-                                  float(abs(rep.k_F - rep.k_f)), 0.0).evaluate())
+    rep = lift_correspondence_check(lift, pts, seed=scenario["seed"])
+    checks.append(CheckResult("lift stays holonomic in the same chart",
+                              "lightcone/lift-holonomic",
+                              rep.offdiag_F, 1e-7 * ts).evaluate())
+    checks.append(CheckResult("principal normal count preserved by the lift",
+                              "lightcone/lift-k-match",
+                              float(abs(rep.k_F - rep.k_f)), 0.0).evaluate())
     return checks, skipped
 
 

@@ -13,7 +13,7 @@ discretization error).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +28,7 @@ from .extrinsic import ExtrinsicData, fundamental_forms, normal_projectors
 from .jets import SmoothMap
 from .lightcone import (ConeModel, LiftedImmersion, build_cone_model,
                         flat_lift, project_from_cone)
-from .principal import principal_decomposition
+from .principal import offdiagonal_defects, principal_decomposition
 
 SINGULAR_TOL = 1e-8
 DEGENERATE_MARGIN = 1e-3
@@ -784,16 +784,8 @@ def _member_postchecks(grid: LiftGrid, rec: MemberReport, model: ConeModel,
     ambE = amb_mod.euclidean(model.N)
     provider = immersion_curvature_provider(proj.f, ambE)
     rec.cf_residual = conformal_flatness_test(provider, pts, trials=20, seed=seed)
-    off = 0.0
-    for pt in pts:
-        ext = fundamental_forms(proj.f, ambE, pt)
-        d = np.sqrt(np.diag(ext.g))
-        anorm = np.sqrt(np.einsum("ijA,ijA->ij", ext.alpha, ext.alpha))
-        scale = max(float(np.max(anorm)), 1e-12)
-        for i in range(ext.n):
-            for j in range(i + 1, ext.n):
-                off = max(off, anorm[i, j] / (d[i] * d[j]) / scale)
-    rec.offdiag_residual = off
+    rec.offdiag_residual = max(
+        max(offdiagonal_defects(fundamental_forms(proj.f, ambE, pt))) for pt in pts)
     vals = np.full((grid.M, model.N), np.nan)
     sw = grid.sig * model.w
     for m in range(grid.M):

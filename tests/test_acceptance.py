@@ -133,7 +133,7 @@ def test_criterion_4_conformal_identities(catalog):
         lift = flat_lift(item.smooth_map, item.conformal, model)
         for pt in pts[:3]:
             F = lift.F.value(pt)
-            ok &= abs(model.inner(F, F)) <= 1e-8 * max(1.0, F @ F)
+            ok &= abs(model.ambient.inner(F, F)) <= 1e-8 * max(1.0, F @ F)
             ok &= lift_second_fundamental_form(lift, pt)[1] <= 1e-7
         proj = project_from_cone(lift.F, model, points=pts[:3])
         for pt in pts[:3]:

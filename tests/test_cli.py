@@ -29,6 +29,10 @@ def test_scenario_defaults():
     ({"schema": 1, "item": "s3xs1", "seed": -1}, "seed"),
     ({"schema": 1, "item": "s3xs1", "tol_scale": 0.0}, "tol_scale"),
     ({"schema": 1, "item": "s3xs1", "grid": [2, 5, 5, 5]}, "grid"),
+    ({"schema": 1, "item": "s3xs1", "samples": 0}, "samples"),
+    ({"schema": 1, "item": "s3xs1", "samples": "6"}, "samples"),
+    ({"schema": 1, "item": "s3xs1", "count": -2}, "count"),
+    ({"schema": 1, "item": "s3xs1", "count": "2"}, "count"),
 ])
 def test_scenario_rejections_name_the_field(raw, field):
     with pytest.raises(ConfigError) as err:
@@ -187,16 +191,61 @@ def test_cli_usage_errors(capsys):
     assert main(["bogus"]) == 2
 
 
-def test_cli_degeneracy_exit_code(monkeypatch, capsys):
-    from confflat import cli
-    from confflat.errors import DimensionAmbiguityError
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scenario",
+     '{"schema":1,"item":"s3xs1","suite":"extrinsic","samples":0}'],
+    ["verify", "--scenario", '{"schema":1,"item":"s3xs1","samples":"6"}'],
+    ["pipeline", "--scenario", '{"schema":1,"item":"s3xs1","count":"2"}'],
+    ["pipeline", "s3xs1", "--count", "-2"],
+])
+def test_cli_refuses_bad_counts(argv, capsys):
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", ["DimensionAmbiguityError", "ImmersionError",
+                                   "ConformalStructureError",
+                                   "DegenerateInputError"])
+def test_cli_degeneracy_exit_code(monkeypatch, capsys, error):
+    """Every toolkit error that reaches the command line is a refused input:
+    exit code 3 with the class name on stderr."""
+    from confflat import cli, errors
 
     def boom(_):
-        raise DimensionAmbiguityError("no clear singular-value plateau")
+        raise getattr(errors, error)("input refused")
 
     monkeypatch.setattr(cli, "run_scenario", boom)
     assert main(["verify", "s3xs1"]) == 3
-    assert "numerical degeneracy" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical degeneracy" in err and error in err
+
+
+def test_cli_programming_errors_propagate(monkeypatch):
+    from confflat import cli
+
+    def boom(_):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "run_scenario", boom)
+    with pytest.raises(RuntimeError):
+        main(["verify", "s3xs1"])
+
+
+def test_every_error_class_is_used():
+    """Each class in confflat.errors is raised somewhere in the package or
+    named by the command line, so unused classes cannot pile up."""
+    import inspect
+    from pathlib import Path
+
+    from confflat import cli, errors
+    package = Path(errors.__file__).parent
+    source = "\n".join(p.read_text() for p in package.rglob("*.py"))
+    cli_source = Path(cli.__file__).read_text()
+    classes = [name for name, obj in inspect.getmembers(errors, inspect.isclass)
+               if obj.__module__ == errors.__name__]
+    unused = [name for name in classes
+              if f"raise {name}(" not in source and name not in cli_source]
+    assert classes and not unused
 
 
 def test_cli_report_roundtrip(tmp_path, capsys):

@@ -16,10 +16,10 @@ LIFTABLE = ["s3xs1", "cone_t3", "cylinder_r1xs3"]
 
 def test_model_vectors():
     model = build_cone_model(4)
-    assert abs(model.inner(model.v, model.v)) < 1e-14
-    assert abs(model.inner(model.w, model.w)) < 1e-14
-    assert abs(model.inner(model.v, model.w) - 1.0) < 1e-14
-    gram = model.A.T @ np.diag(model.form.signature) @ model.A
+    assert abs(model.ambient.inner(model.v, model.v)) < 1e-14
+    assert abs(model.ambient.inner(model.w, model.w)) < 1e-14
+    assert abs(model.ambient.inner(model.v, model.w) - 1.0) < 1e-14
+    gram = model.A.T @ np.diag(model.ambient.signature) @ model.A
     assert np.allclose(gram, np.eye(4), atol=1e-14)
 
 
@@ -27,7 +27,7 @@ def test_embed_invert_roundtrip(rng):
     model = build_cone_model(5)
     for x in rng.uniform(-2.0, 2.0, size=(10, 5)):
         V = psi_embed(model, x)
-        assert abs(model.inner(V, V)) < 1e-12 * max(1.0, V @ V)
+        assert abs(model.ambient.inner(V, V)) < 1e-12 * max(1.0, V @ V)
         assert np.allclose(psi_invert(model, V), x, atol=1e-12)
 
 
@@ -52,7 +52,7 @@ def test_flat_lift_is_on_cone(catalog, name):
     lift = flat_lift(item.smooth_map, item.conformal, model, check_points=pts)
     for pt in pts:
         F = lift.F.value(pt)
-        assert abs(model.inner(F, F)) < 1e-10 * max(1.0, F @ F)
+        assert abs(model.ambient.inner(F, F)) < 1e-10 * max(1.0, F @ F)
 
 
 @pytest.mark.parametrize("name", LIFTABLE)
@@ -61,7 +61,7 @@ def test_lift_is_isometric_to_flat_chart(catalog, name):
     item = catalog[name]
     model = build_cone_model(item.smooth_map.codomain_dim)
     lift = flat_lift(item.smooth_map, item.conformal, model)
-    sig = model.form.signature
+    sig = model.ambient.signature
     for pt in interior_points(item, 3):
         jF = lift.F.jet(pt, order=1)
         jx = item.conformal.flat_chart.jet(pt, order=1)
@@ -98,12 +98,11 @@ def test_lift_correspondence(catalog):
     item = catalog["s3xs1"]
     model = build_cone_model(6)
     pts = interior_points(item, 4)
-    rep = lift_correspondence_check(item.smooth_map, item.conformal, model, pts)
-    assert rep.applicable
+    lift = flat_lift(item.smooth_map, item.conformal, model, check_points=pts)
+    rep = lift_correspondence_check(lift, pts)
     assert rep.offdiag_F < 1e-7
     assert rep.k_F == rep.k_f
     assert rep.multiplicities_match
-    assert rep.lemma_residual < 1e-7
 
 
 def test_flat_lift_rejects_wrong_factor(catalog):

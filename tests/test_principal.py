@@ -3,10 +3,13 @@ nullity/leaf invariants over the catalog."""
 import numpy as np
 import pytest
 
+from confflat.ambient import euclidean
 from confflat.errors import NotApplicable, QuasiumbilicError
 from confflat.extrinsic import fundamental_forms
+from confflat.jets import ChartDomain, SmoothMap
 from confflat.principal import (holonomicity_check, joint_diagonalize,
                                 nullity_and_leaf_invariants,
+                                offdiagonal_defects,
                                 principal_decomposition, properness_and_census,
                                 quasiumbilical_frame, separation_check,
                                 span_structure, traceless_relations)
@@ -48,6 +51,33 @@ def test_holonomicity(catalog, name):
     rep = holonomicity_check(item.smooth_map, item.ambient, pts)
     assert rep.net_offdiag < 1e-7
     assert rep.alpha_offdiag < 1e-7
+
+
+def _defects_in_r5(evaluator, pinned_axis=None):
+    """offdiagonal_defects of a map of the chart (-1, 1)^4 into R^5 at four
+    points, with one coordinate set to 0 when `pinned_axis` is given."""
+    smooth_map = SmoothMap(ChartDomain(4, ((-1.0, 1.0),) * 4), 5, evaluator)
+    pts = np.random.default_rng(0).uniform(-0.8, 0.8, size=(4, 4))
+    if pinned_axis is not None:
+        pts[:, pinned_axis] = 0.0
+    return [offdiagonal_defects(fundamental_forms(smooth_map, euclidean(5), pt))
+            for pt in pts]
+
+
+def test_offdiagonal_defects_can_fail():
+    """The holonomic defect vanishes on principal coordinates and reads
+    large where the second fundamental form or the metric is not diagonal."""
+    # u0 = 0: orthogonal net, but alpha(d0, d1) = d0 d1 (u0 u1) != 0
+    mixed = _defects_in_r5(lambda u: [u[0], u[1], u[2], u[3], u[0] * u[1]], 0)
+    assert all(net <= 1e-12 and alpha >= 0.1 for net, alpha in mixed)
+    # u1 = 0: orthogonal net and diagonal second fundamental form
+    saddle = _defects_in_r5(
+        lambda u: [u[0], u[1], u[2], u[3], 0.5 * (u[0] * u[0] - u[1] * u[1])], 1)
+    assert all(max(d) <= 1e-12 for d in saddle)
+    # flat, but the net is sheared: <d0, d1> = 1e-6
+    sheared = _defects_in_r5(
+        lambda u: [u[0] + 1e-6 * u[1], u[1], u[2], u[3], 0.0 * u[0]])
+    assert all(net > 1e-7 for net, _ in sheared)
 
 
 def test_dupin_condition(catalog):

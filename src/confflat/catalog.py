@@ -6,6 +6,7 @@ known invariants (including negative controls).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -485,7 +486,9 @@ def build_example2(curve1=None, curve2=None, r1=0.8, r2=0.6,
 # full catalog
 # ---------------------------------------------------------------------------
 
+@cache
 def default_catalog():
+    """The catalog by name, built once per process (no caller mutates it)."""
     items = {}
     items.update(build_baselines())
     items.update(build_products())

@@ -340,6 +340,40 @@ def normal_projectors(smooth_map: SmoothMap, ambient: AmbientSpace, points):
 
 
 # ---------------------------------------------------------------------------
+# Levi-Civita connection and the Codazzi tensor
+# ---------------------------------------------------------------------------
+
+def christoffels(ext: ExtrinsicData):
+    """Gamma[..., k, i, j] = <nabla_{d_i} d_j, d_k> from exact metric
+    derivatives, at a point or at each point of a point set."""
+    jet = ext.jet
+    sig = ext.ambient.signature.astype(float)
+    # d_i g_jk = <d2[i,j], d1[k]> + <d1[j], d2[i,k]>
+    dg = (np.einsum("...ijA,A,...kA->...ijk", jet.d2, sig, jet.d1)
+          + np.einsum("...jA,A,...ikA->...ijk", jet.d1, sig, jet.d2))
+    return 0.5 * (np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg)
+                  - dg)
+
+
+def codazzi_tensor(ext: ExtrinsicData):
+    """T[..., i, j, k, :] = (nabla_{d_i} alpha)(d_j, d_k) from the order-3 jet,
+    at a point or at each point of a point set:
+    (F_ijk)^perp - Gamma^l_jk alpha_il - Gamma^l_ij alpha_lk - Gamma^l_ik alpha_jl.
+    The first two terms are nabla-perp_{d_i} alpha_jk; in a space form the
+    position normal of alpha_jk = F_jk - Gamma^l_jk F_l + c g_jk F differentiates
+    into tangent and position terms, which the projection drops."""
+    sig = ext.ambient.signature.astype(float)
+    perp = np.einsum("...a,...aA,...aB->...AB", ext.frame_eps, ext.frame,
+                     ext.frame * sig)
+    gam = np.einsum("...lm,...mij->...lij", ext.g_inv, christoffels(ext))
+    alpha = ext.alpha
+    return (np.einsum("...AB,...ijkB->...ijkA", perp, ext.jet.d3)
+            - np.einsum("...ljk,...ilA->...ijkA", gam, alpha)
+            - np.einsum("...lij,...lkA->...ijkA", gam, alpha)
+            - np.einsum("...lik,...jlA->...ijkA", gam, alpha))
+
+
+# ---------------------------------------------------------------------------
 # normal connection and its curvature
 # ---------------------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from .conformal import ConformalStructure
 from .errors import (ConformalStructureError, DomainError,
                      ModelMembershipError, NotApplicable)
 from .extrinsic import fundamental_forms
-from .jets import ChartDomain, SmoothMap, exp as jexp, log as jlog, norm_sq
+from .jets import ChartDomain, Jet, SmoothMap, exp as jexp, log as jlog, norm_sq
 from .principal import offdiagonal_defects, principal_decomposition
 
 MEMBERSHIP_TOL = 1e-8
@@ -274,19 +274,25 @@ def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
     F_eval = F.evaluator
 
     def guarded(x):
-        """(F, <<F,w>>) at x; DomainError under the pole guard."""
+        """(F, <<F,w>>, sign of <<F,w>>) at x, or at each point of a batch;
+        DomainError under the pole guard, naming the first such point of a
+        batch."""
         vals = F_eval(list(x))
         rho = sw[0] * vals[0]
         for s, c in zip(sw[1:], vals[1:]):
             if s != 0.0:
                 rho = rho + s * c
-        if abs(float(rho)) < eps_pole:
-            raise DomainError(f"<<F,w>> = {float(rho):.3e} under the pole guard "
-                              f"{eps_pole:.3e}")
-        return vals, rho
+        r = np.asarray(rho.v if isinstance(rho, Jet) else rho)
+        bad = np.abs(r) < eps_pole
+        if bad.any():
+            m = int(np.argmax(bad))
+            where = f" (point {m} of the batch)" if r.ndim else ""
+            raise DomainError(f"<<F,w>> = {r.flat[m]:.3e} under the pole guard "
+                              f"{eps_pole:.3e}{where}")
+        return vals, rho, np.where(r > 0, 1.0, -1.0)
 
     def f_eval(x):
-        vals, rho = guarded(x)
+        vals, rho, _ = guarded(x)
         unit = [c / rho for c in vals]
         out = []
         for b in range(model.N):
@@ -299,8 +305,8 @@ def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
         return out
 
     def omega_eval(x):
-        _, rho = guarded(x)
-        return [-1.0 * jlog(rho if float(rho) > 0 else -1.0 * rho)]
+        _, rho, sign = guarded(x)
+        return [-1.0 * jlog(sign * rho)]
 
     f = SmoothMap(F.domain, model.N, f_eval, F.name + "_proj")
     omega = SmoothMap(F.domain, 1, omega_eval, F.name + "_proj_omega")

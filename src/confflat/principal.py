@@ -6,16 +6,15 @@ the span / quasiumbilical / nullity structure built on top of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .ambient import AmbientSpace
 from .errors import (DegenerateInputError, NonProperError, NotApplicable,
                      QuasiumbilicError)
-from .extrinsic import (ExtrinsicData, fundamental_forms, intrinsic_curvatures,
-                        orthonormalize)
-from .jets.maps import SmoothMap
+from .extrinsic import (ExtrinsicData, christoffels, codazzi_tensor,
+                        intrinsic_curvatures, orthonormalize)
 
 FLAT_NB_TOL = 1e-8
 CLUSTER_TOL = 1e-6
@@ -100,6 +99,16 @@ class PrincipalDecomposition:
     def chart_basis(self, i):
         """E_i basis pushed to chart coordinates."""
         return self.ext.onb @ self.bases[i]
+
+    @cached_property
+    def eta_derivatives(self):
+        """(k, n, A): [c, i] is nabla-perp_{d_i} eta_c = (1/m_c) tr_{E_c}
+        (nabla_{d_i} alpha), from the Codazzi tensor.  eta_c is the mean of
+        alpha(e_s, e_s) over an orthonormal frame e_s of E_c, and the frame
+        terms alpha(nabla e_s, e_s) = <nabla e_s, e_s> eta_c vanish."""
+        T = codazzi_tensor(self.ext)
+        return np.array([np.einsum("js,ks,ijkA->iA", B, B, T) / B.shape[1]
+                         for B in map(self.chart_basis, range(self.k))])
 
     def reconstruction_residual(self, seed=0, trials=8):
         """max over random unit normals xi of |A_xi - sum_i <xi, eta_i> P_i|."""
@@ -191,6 +200,13 @@ def principal_decomposition(ext: ExtrinsicData, cluster_tol=CLUSTER_TOL,
     return PrincipalDecomposition(ext, etas, bases, V, kappa)
 
 
+def principal_decompositions(ext: ExtrinsicData, cluster_tol=CLUSTER_TOL,
+                             seed=0):
+    """One decomposition per point of batched extrinsic data."""
+    return [principal_decomposition(ext.at(m), cluster_tol=cluster_tol, seed=seed)
+            for m in range(len(ext.point))]
+
+
 # ---------------------------------------------------------------------------
 # properness census over a sample set
 # ---------------------------------------------------------------------------
@@ -205,24 +221,17 @@ class CensusReport:
     single_high_multiplicity: bool
 
 
-def _eta_field(smooth_map, amb, point, cluster_tol, seed):
-    ext = fundamental_forms(smooth_map, amb, point)
-    return principal_decomposition(ext, cluster_tol=cluster_tol, seed=seed)
-
-
 def _match_eta(target, etas):
     d = [float(np.linalg.norm(target - e)) for e in etas]
     return int(np.argmin(d))
 
 
-def properness_and_census(smooth_map: SmoothMap, amb: AmbientSpace, points,
-                          cluster_tol=CLUSTER_TOL, seed=0,
-                          dupin_step=1e-5) -> CensusReport:
-    """Check that the number of distinct principal normals is constant over
-    the sample points, and that every multiplicity >= 2 principal normal is
-    a Dupin one (covariantly constant along its own eigendistribution)."""
-    points = np.asarray(points, float)
-    decs = [_eta_field(smooth_map, amb, pt, cluster_tol, seed) for pt in points]
+def properness_and_census(decs, seed=0) -> CensusReport:
+    """Check, over the decompositions at the sample points, that the number
+    of distinct principal normals is constant, and that every multiplicity
+    >= 2 principal normal is a Dupin one (covariantly constant along its own
+    eigendistribution)."""
+    points = np.array([d.ext.point for d in decs])
     ks = [d.k for d in decs]
     if len(set(ks)) > 1:
         strata = {}
@@ -234,27 +243,17 @@ def properness_and_census(smooth_map: SmoothMap, amb: AmbientSpace, points,
     if any(d.multiplicities != mults for d in decs):
         raise NonProperError("multiplicity pattern varies across samples")
 
-    # Dupin check by central differencing the eta field along E_i directions
+    # Dupin check: nabla-perp eta_i along the unit basis vectors of E_i
     dupin = {}
     rec = 0.0
-    for pt, dec in zip(points, decs):
+    for dec in decs:
         rec = max(rec, dec.reconstruction_residual(seed=seed))
-        ext = dec.ext
         for i, m in enumerate(dec.multiplicities):
             if m < 2:
                 continue
-            base = dec.etas[i]
-            worst = dupin.get(i, 0.0)
-            for col in range(m):
-                Xc = dec.chart_basis(i)[:, col]
-                h = dupin_step / max(np.linalg.norm(Xc), 1e-12)
-                dp = _eta_field(smooth_map, amb, pt + h * Xc, cluster_tol, seed)
-                dm = _eta_field(smooth_map, amb, pt - h * Xc, cluster_tol, seed)
-                ep = dp.etas[_match_eta(base, dp.etas)]
-                em = dm.etas[_match_eta(base, dm.etas)]
-                deriv = (ep - em) / (2.0 * h)
-                worst = max(worst, float(np.linalg.norm(ext.normal_project(deriv))))
-            dupin[i] = worst
+            along = dec.chart_basis(i).T @ dec.eta_derivatives[i]
+            dupin[i] = max(dupin.get(i, 0.0),
+                           float(np.max(np.linalg.norm(along, axis=1))))
     high = sum(1 for m in mults if m >= 2)
     return CensusReport(ks[0], mults, points, dupin, rec, high <= 1)
 
@@ -292,18 +291,6 @@ class HolonomicityReport:
     points: np.ndarray
 
 
-def _christoffels(ext: ExtrinsicData):
-    """Gamma[k, i, j] = <nabla_{d_i} d_j, d_k> from exact metric derivatives."""
-    jet = ext.jet
-    sig = ext.ambient.signature.astype(float)
-    n = ext.n
-    # d_i g_jk = <d2[i,j], d1[k]> + <d1[j], d2[i,k]>
-    dg = (np.einsum("ijA,A,kA->ijk", jet.d2, sig, jet.d1)
-          + np.einsum("jA,A,ikA->ijk", jet.d1, sig, jet.d2))
-    return 0.5 * (np.einsum("ijk->kij", dg) + np.einsum("jik->kij", dg)
-                  - dg)
-
-
 def offdiagonal_defects(ext: ExtrinsicData):
     """(net, alpha): how far the chart coordinates at one point are from
     principal coordinates.  `net` is the largest off-diagonal metric entry
@@ -323,21 +310,19 @@ def offdiagonal_defects(ext: ExtrinsicData):
     return net, float(alpha)
 
 
-def holonomicity_check(smooth_map: SmoothMap, amb: AmbientSpace, points,
-                       cluster_tol=CLUSTER_TOL, seed=0, net_tol=1e-8,
-                       fd_step=1e-5) -> HolonomicityReport:
-    """Verify that the chart coordinates follow the curvature directions:
-    the net must be orthogonal, the second fundamental form diagonal, and
-    the principal normals must satisfy the two derivation rules that
-    characterize a holonomic curvature net."""
-    points = np.asarray(points, float)
+def holonomicity_check(decs, net_tol=1e-8) -> HolonomicityReport:
+    """Verify, over the decompositions at the sample points, that the chart
+    coordinates follow the curvature directions: the net must be orthogonal,
+    the second fundamental form diagonal, and the principal normals must
+    satisfy the two derivation rules that characterize a holonomic
+    curvature net."""
     net_off = alpha_off = c1 = c2 = 0.0
-    for pt in points:
-        ext = fundamental_forms(smooth_map, amb, pt)
+    for dec in decs:
+        ext = dec.ext
         net, alpha = offdiagonal_defects(ext)
         if net > net_tol:
             raise DegenerateInputError(
-                f"coordinate net not orthogonal: defect {net:.3e} at {pt}")
+                f"coordinate net not orthogonal: defect {net:.3e} at {ext.point}")
         if ext.lame is None:
             raise DegenerateInputError("no Lame functions: net not orthogonal")
         net_off = max(net_off, net)
@@ -345,23 +330,11 @@ def holonomicity_check(smooth_map: SmoothMap, amb: AmbientSpace, points,
         h = ext.lame
         n = ext.n
 
-        dec = principal_decomposition(ext, cluster_tol=cluster_tol, seed=seed)
         # cluster index of each coordinate direction, by its normal curvature
         eta_coord = [ext.alpha[i, i] / h[i] ** 2 for i in range(n)]
         assign = [_match_eta(eta_coord[i], dec.etas) for i in range(n)]
-        Gam = _christoffels(ext)
-
-        def d_eta(cluster, j):
-            """central difference of eta_cluster along the j-th coordinate,
-            projected to the normal space."""
-            step = fd_step / h[j]
-            e = np.zeros(ext.n)
-            e[j] = 1.0
-            dp = _eta_field(smooth_map, amb, pt + step * e, cluster_tol, seed)
-            dm = _eta_field(smooth_map, amb, pt - step * e, cluster_tol, seed)
-            ep = dp.etas[_match_eta(dec.etas[cluster], dp.etas)]
-            em = dm.etas[_match_eta(dec.etas[cluster], dm.etas)]
-            return ext.normal_project((ep - em) / (2.0 * step * h[j]))
+        Gam = christoffels(ext)
+        d_eta = dec.eta_derivatives
 
         eta_scale = max(max(float(np.linalg.norm(e)) for e in dec.etas), 1e-300)
         for i in range(n):
@@ -369,8 +342,10 @@ def holonomicity_check(smooth_map: SmoothMap, amb: AmbientSpace, points,
                 if assign[i] == assign[j]:
                     continue
                 # <X_i, X_i> nabla-perp_{X_j} eta_i = <nabla_{X_i} X_i, X_j>(eta_i - eta_j)
+                # with the unit vectors X = d / h
                 coef = Gam[j, i, i] / (h[i] ** 2 * h[j])
-                res = d_eta(assign[i], j) - coef * (dec.etas[assign[i]] - dec.etas[assign[j]])
+                res = (d_eta[assign[i], j] / h[j]
+                       - coef * (dec.etas[assign[i]] - dec.etas[assign[j]]))
                 c1 = max(c1, float(np.linalg.norm(res)) / eta_scale)
                 for l in range(n):
                     if assign[l] in (assign[i], assign[j]):
@@ -380,7 +355,8 @@ def holonomicity_check(smooth_map: SmoothMap, amb: AmbientSpace, points,
                     rhs = (Gam[j, l, i] / (h[i] * h[l] * h[j])
                            * (dec.etas[assign[j]] - dec.etas[assign[i]]))
                     c2 = max(c2, float(np.linalg.norm(lhs - rhs)) / eta_scale)
-    return HolonomicityReport(net_off, alpha_off, c1, c2, points)
+    return HolonomicityReport(net_off, alpha_off, c1, c2,
+                              np.array([d.ext.point for d in decs]))
 
 
 # ---------------------------------------------------------------------------
@@ -574,57 +550,39 @@ class NullityReport:
     ruling_derivative: float | None  # |d lambda| along nullity directions (not asserted)
 
 
-def nullity_and_leaf_invariants(smooth_map: SmoothMap, amb: AmbientSpace, point,
-                                cluster_tol=CLUSTER_TOL, seed=0,
-                                fd_step=1e-5) -> NullityReport:
+def nullity_and_leaf_invariants(dec: PrincipalDecomposition) -> NullityReport:
     """Locate the relative nullity distribution (zero principal normal) and
     the invariant lambda = <eta_i, eta_j> shared by all pairs of distinct
     nonzero principal normals; lambda is constant along the leaves of the
     conullity distribution but varies along the rulings, so only the leaf
     derivative is a residual."""
-    point = np.asarray(point, float)
-    ext = fundamental_forms(smooth_map, amb, point)
-    dec = principal_decomposition(ext, cluster_tol=cluster_tol, seed=seed)
+    ext = dec.ext
+    amb = ext.ambient
     scale = max(float(np.max(np.abs(ext.S))), 1e-12)
-    null_idx = None
-    for i, eta in enumerate(dec.etas):
-        if np.linalg.norm(eta) <= 1e-6 * scale:
-            null_idx = i
-            break
+    nonzero = [i for i, eta in enumerate(dec.etas)
+               if np.linalg.norm(eta) > 1e-6 * scale]
+    null_idx = next((i for i in range(dec.k) if i not in nonzero), None)
     if null_idx is None:
         raise NotApplicable("no zero principal normal: nullity is trivial")
     nu = dec.multiplicities[null_idx]
 
-    def lam_at(pt):
-        e = fundamental_forms(smooth_map, amb, pt)
-        d = principal_decomposition(e, cluster_tol=cluster_tol, seed=seed)
-        sc = max(float(np.max(np.abs(e.S))), 1e-12)
-        nz = [eta for eta in d.etas if np.linalg.norm(eta) > 1e-6 * sc]
-        vals = [amb.inner(a, b) for a, b in combinations(nz, 2)]
-        for eta, m in zip(d.etas, d.multiplicities):
-            if m >= 2 and np.linalg.norm(eta) > 1e-6 * sc:
-                vals.append(amb.inner(eta, eta))
-        if not vals:
-            return None, None
-        return float(np.mean(vals)), float(np.max(vals) - np.min(vals))
-
-    lam, spread = lam_at(point)
-    leaf_d = rule_d = None
-    if lam is not None:
-        leaf_d = 0.0
-        rule_d = 0.0
-        for i in range(dec.k):
-            B = dec.chart_basis(i)
-            for col in range(B.shape[1]):
-                Xc = B[:, col]
-                h = fd_step / max(np.linalg.norm(Xc), 1e-12)
-                lp, _ = lam_at(point + h * Xc)
-                lm, _ = lam_at(point - h * Xc)
-                if lp is None or lm is None:
-                    continue
-                d = abs(lp - lm) / (2.0 * h)
-                if i == null_idx:
-                    rule_d = max(rule_d, d)
-                else:
-                    leaf_d = max(leaf_d, d)
-    return NullityReport(nu, null_idx, lam, spread, leaf_d, rule_d)
+    pairs = list(combinations(nonzero, 2)) + [
+        (i, i) for i in nonzero if dec.multiplicities[i] >= 2]
+    if not pairs:
+        return NullityReport(nu, null_idx, None, None, None, None)
+    etas = dec.etas
+    vals = [amb.inner(etas[a], etas[b]) for a, b in pairs]
+    # d_i <eta_a, eta_b> = <nabla-perp_{d_i} eta_a, eta_b> + <eta_a, nabla-perp_{d_i} eta_b>
+    D = dec.eta_derivatives
+    sig = amb.signature
+    dlam = np.mean([D[a] @ (sig * etas[b]) + D[b] @ (sig * etas[a])
+                    for a, b in pairs], axis=0)
+    leaf_d = rule_d = 0.0
+    for i in range(dec.k):
+        d = float(np.max(np.abs(dec.chart_basis(i).T @ dlam)))
+        if i == null_idx:
+            rule_d = d
+        else:
+            leaf_d = max(leaf_d, d)
+    return NullityReport(nu, null_idx, float(np.mean(vals)),
+                         float(np.max(vals) - np.min(vals)), leaf_d, rule_d)

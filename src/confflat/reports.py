@@ -26,7 +26,7 @@ from .jets import ChartDomain, SmoothMap, evaluate_jet
 from .lightcone import (build_cone_model, flat_lift, lift_correspondence_check,
                         lift_second_fundamental_form, project_from_cone,
                         psi_second_fundamental_residual)
-from .principal import (holonomicity_check, principal_decomposition,
+from .principal import (holonomicity_check, principal_decompositions,
                         properness_and_census, separation_check)
 
 SCHEMA_VERSION = 1
@@ -213,10 +213,12 @@ def suite_extrinsic(item, scenario):
 
 def suite_principal(item, scenario):
     ts = scenario["tol_scale"]
+    seed = scenario["seed"]
     pts = _sample(item, scenario)
     checks, skipped = [], []
-    census = properness_and_census(item.smooth_map, item.ambient, pts,
-                                   seed=scenario["seed"])
+    decs = principal_decompositions(
+        fundamental_forms(item.smooth_map, item.ambient, pts), seed=seed)
+    census = properness_and_census(decs, seed=seed)
     expected_k = item.expected.get("k")
     if expected_k is not None:
         checks.append(CheckResult("number of principal normals",
@@ -244,8 +246,7 @@ def suite_principal(item, scenario):
                               census.reconstruction_residual,
                               1e-7 * ts).evaluate())
     try:
-        rep = holonomicity_check(item.smooth_map, item.ambient, pts,
-                                 seed=scenario["seed"])
+        rep = holonomicity_check(decs)
         checks.append(CheckResult("coordinate net follows curvature directions",
                                   "principal/holonomic-offdiag",
                                   max(rep.net_offdiag, rep.alpha_offdiag),
@@ -254,12 +255,9 @@ def suite_principal(item, scenario):
         skipped.append({"anchor": "principal/holonomic-offdiag",
                         "reason": str(exc)})
     if census.k >= 3:
-        dec = principal_decomposition(
-            fundamental_forms(item.smooth_map, item.ambient, pts[0]),
-            seed=scenario["seed"])
         checks.append(CheckResult("principal normals pairwise separated",
                                   "principal/separation",
-                                  separation_check(dec), 0.0,
+                                  separation_check(decs[0]), 0.0,
                                   kind="min").evaluate())
     else:
         skipped.append({"anchor": "principal/separation",

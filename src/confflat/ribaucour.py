@@ -24,8 +24,9 @@ from .conformal import conformal_flatness_test, immersion_curvature_provider
 from .errors import (ConfflatError, DegenerateInputError,
                      DegenerateTransformError, DimensionAmbiguityError,
                      FrameError, NotApplicable, SingularTransformError)
-from .extrinsic import ExtrinsicData, fundamental_forms, normal_projectors
-from .jets import SmoothMap
+from .extrinsic import (ExtrinsicData, christoffels, fundamental_forms,
+                        normal_projectors)
+from .jets import SmoothMap, evaluate_jet
 from .lightcone import (ConeModel, LiftedImmersion, build_cone_model,
                         flat_lift, project_from_cone)
 from .principal import offdiagonal_defects, principal_decomposition
@@ -713,8 +714,7 @@ def flatness_filter(grid: LiftGrid, candidates, tol=1e-8, numeric_tol=None):
 def hessian_commutation_residual(grid: LiftGrid, phi):
     """Residual of [Hess phi, A_xi] = 0, a consequence of the condition plus
     flat normal bundle; noise floor O(h^2)."""
-    from .principal import _christoffels
-    n, M = grid.n, grid.M
+    n = grid.n
     phi = np.asarray(phi, float)
     Dphi = np.stack([grid.diff(phi[:, None], i)[:, 0] for i in range(n)],
                     axis=1)
@@ -722,27 +722,22 @@ def hessian_commutation_residual(grid: LiftGrid, phi):
     for i in range(n):
         DDphi[:, i, i] = _grid_diff2(phi[:, None], grid.shape,
                                      grid.spacings, i)[:, 0]
-    inner = np.where(_interior_mask(grid.shape))[0]
-    comms = []
-    a_scale = 0.0
+    inner = _interior_mask(grid.shape)
+    ext = grid.ext
+    g_inv = ext.g_inv[inner]
+    gam = np.einsum("mlk,mkij->mlij", g_inv, christoffels(ext)[inner])
+    gam_dphi = np.einsum("mlij,ml->mij", gam, Dphi[inner])
+    dd = DDphi[inner]
+    # Hess phi_ij = D_i D_j phi - Gamma^l_ij D_l phi, as a mixed operator
+    H = g_inv @ (0.5 * (dd + np.swapaxes(dd, -1, -2)) - gam_dphi)
+    S = ext.shape_ops[inner]
+    C = H[:, None] @ S - S @ H[:, None]
     # the normalization uses the raw second-derivative scale of phi, which
     # stays O(1) even when the intrinsic Hessian itself nearly vanishes
     # (for solutions the Christoffel and coordinate terms cancel)
-    dd_scale = float(np.max(np.abs(DDphi[inner])))
-    for m in inner:
-        ext = grid.ext.at(m)
-        gam_low = _christoffels(ext)            # Gamma[k, i, j]
-        gam = np.einsum("lk,kij->lij", ext.g_inv, gam_low)
-        dd_scale = max(dd_scale, float(np.max(np.abs(
-            np.einsum("lij,l->ij", gam, Dphi[m])))))
-        # Hess phi_ij = D_i D_j phi - Gamma^l_ij D_l phi
-        hess = 0.5 * (DDphi[m] + DDphi[m].T) - np.einsum("lij,l->ij", gam, Dphi[m])
-        H = ext.g_inv @ hess                     # mixed Hessian operator
-        a_scale = max(a_scale, float(np.max(np.abs(ext.shape_ops))))
-        for a in range(grid.p):
-            C = H @ ext.shape_ops[a] - ext.shape_ops[a] @ H
-            comms.append(float(np.max(np.abs(C))))
-    return max(comms) / max(dd_scale * a_scale, 1e-12)
+    dd_scale = max(float(np.max(np.abs(dd))), float(np.max(np.abs(gam_dphi))))
+    a_scale = float(np.max(np.abs(S)))
+    return float(np.max(np.abs(C))) / max(dd_scale * a_scale, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -786,14 +781,12 @@ def _member_postchecks(grid: LiftGrid, rec: MemberReport, model: ConeModel,
     rec.cf_residual = conformal_flatness_test(provider, pts, trials=20, seed=seed)
     rec.offdiag_residual = max(
         max(offdiagonal_defects(fundamental_forms(proj.f, ambE, pt))) for pt in pts)
+    # grid samples, NaN at the points under the pole guard
     vals = np.full((grid.M, model.N), np.nan)
-    sw = grid.sig * model.w
-    for m in range(grid.M):
-        Fv = np.array([float(c) for c in F_map.evaluator(list(grid.points[m]))])
-        rho = float(np.sum(sw * Fv))
-        if abs(rho) >= proj.eps_pole:
-            vals[m] = np.array([float(c)
-                                for c in proj.f.evaluator(list(grid.points[m]))])
+    rho = evaluate_jet(F_map, grid.points, 0).value @ (grid.sig * model.w)
+    keep = np.abs(rho) >= proj.eps_pole
+    if keep.any():
+        vals[keep] = evaluate_jet(proj.f, grid.points[keep], 0).value
     rec.samples = vals
     rec.projected = True
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from confflat.catalog import default_catalog
+from confflat.extrinsic import fundamental_forms
 from confflat.lightcone import build_cone_model, flat_lift
+from confflat.principal import principal_decompositions
 from confflat.ribaucour import build_lift_grid
 
 
@@ -37,3 +39,10 @@ def rng():
 def interior_points(item, count, seed=0):
     rng = np.random.default_rng(seed)
     return item.smooth_map.domain.sample_points(count, rng)
+
+
+def decompositions(item, points, seed=0):
+    """Principal decompositions at `points`, from one batched pass of
+    fundamental_forms."""
+    return principal_decompositions(
+        fundamental_forms(item.smooth_map, item.ambient, points), seed=seed)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from confflat import ambient as amb_mod
-from confflat.extrinsic import (complement_frame, fundamental_forms,
-                                intrinsic_curvatures,
+from confflat.extrinsic import (codazzi_tensor, complement_frame,
+                                fundamental_forms, intrinsic_curvatures,
                                 normal_connection_and_curvature, orthonormalize)
 
 from conftest import interior_points
@@ -145,6 +145,18 @@ def test_fundamental_forms_on_a_point_set(catalog, s3xs1_lift):
             chosen, eps = _pivots(sig, single.tangent.tolist())
             assert chosen == [int(c[k]) for c in chosen_b], fmap.name
             assert eps == [float(e[k]) for e in eps_b], fmap.name
+
+
+def test_codazzi_tensor_on_a_point_set(catalog):
+    """The Codazzi tensor of batched extrinsic data is, point for point, that
+    of single-point data."""
+    for item in catalog.values():
+        pts = interior_points(item, 3)
+        batch = codazzi_tensor(_ext(item, pts))
+        for k, pt in enumerate(pts):
+            ref = codazzi_tensor(_ext(item, pt))
+            assert np.max(np.abs(batch[k] - ref)) <= 1e-12 * max(
+                1.0, np.max(np.abs(ref))), item.smooth_map.name
 
 
 def test_point_set_refuses_a_degenerate_point():

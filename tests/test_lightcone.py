@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from confflat.errors import ConformalStructureError, ModelMembershipError
+from confflat.errors import (ConformalStructureError, DomainError,
+                             ModelMembershipError)
+from confflat.jets import ChartDomain, SmoothMap, evaluate_jet
 from confflat.lightcone import (build_cone_model, flat_lift,
                                 lift_correspondence_check,
                                 lift_second_fundamental_form, project_from_cone,
@@ -118,3 +120,21 @@ def test_flat_lift_rejects_wrong_factor(catalog):
     with pytest.raises(ConformalStructureError):
         flat_lift(item.smooth_map, bad, model,
                   check_points=interior_points(item, 3))
+
+
+def test_pole_guard_decides_per_point():
+    """Over a batch, the projection's pole guard names the first point with
+    <<F,w>> under it, and the conformal factor takes |<<F,w>>| per point."""
+    model = build_cone_model(2)
+    # <<F, w>> = u on the chart (-1, 1)
+    F = SmoothMap(ChartDomain(1, ((-1.0, 1.0),)), 4,
+                  lambda u: [0.0 * u[0], u[0], 0.0 * u[0], u[0]])
+    proj = project_from_cone(F, model)
+    with pytest.raises(DomainError, match="point 1 of the batch"):
+        evaluate_jet(proj.f, np.array([[0.5], [0.0], [-0.3], [0.0]]), 0)
+    with pytest.raises(DomainError) as err:
+        evaluate_jet(proj.f, np.array([0.0]), 0)
+    assert "batch" not in str(err.value)
+    omega = evaluate_jet(proj.omega, np.array([[0.5], [-0.25]]), 1)
+    assert np.allclose(omega.value[:, 0], -np.log([0.5, 0.25]), atol=1e-15)
+    assert np.allclose(omega.d1[:, 0, 0], [-2.0, 4.0], atol=1e-14)

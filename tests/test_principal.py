@@ -1,20 +1,25 @@
 """Principal normal census, holonomicity, quasiumbilical frames and the
 nullity/leaf invariants over the catalog."""
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from confflat.ambient import euclidean
+from confflat import extrinsic
+from confflat.ambient import euclidean, sphere_form
 from confflat.errors import NotApplicable, QuasiumbilicError
 from confflat.extrinsic import fundamental_forms
-from confflat.jets import ChartDomain, SmoothMap
+from confflat.jets import ChartDomain, SmoothMap, norm_sq
 from confflat.principal import (holonomicity_check, joint_diagonalize,
                                 nullity_and_leaf_invariants,
                                 offdiagonal_defects,
                                 principal_decomposition, properness_and_census,
                                 quasiumbilical_frame, separation_check,
                                 span_structure, traceless_relations)
+from confflat.reports import load_scenario, suite_principal
 
-from conftest import interior_points
+from conftest import decompositions, interior_points
 
 CENSUS_ITEMS = ["s3xs1", "s2xpseudosphere", "s2xs2_control", "cone_t3",
                 "cylinder_r1xs3", "flat_cylinder", "example2",
@@ -37,7 +42,7 @@ def test_joint_diagonalize_random_commuting(rng):
 def test_census_matches_expectation(catalog, name):
     item = catalog[name]
     pts = interior_points(item, 5)
-    census = properness_and_census(item.smooth_map, item.ambient, pts)
+    census = properness_and_census(decompositions(item, pts))
     assert census.k == item.expected["k"]
     assert tuple(sorted(census.multiplicities)) == \
         tuple(sorted(item.expected["multiplicities"]))
@@ -48,9 +53,10 @@ def test_census_matches_expectation(catalog, name):
 def test_holonomicity(catalog, name):
     item = catalog[name]
     pts = interior_points(item, 4)
-    rep = holonomicity_check(item.smooth_map, item.ambient, pts)
+    rep = holonomicity_check(decompositions(item, pts))
     assert rep.net_offdiag < 1e-7
     assert rep.alpha_offdiag < 1e-7
+    assert rep.c1_residual <= 1e-10
 
 
 def _defects_in_r5(evaluator, pinned_axis=None):
@@ -85,10 +91,10 @@ def test_dupin_condition(catalog):
     eigendistribution."""
     item = catalog["example2"]
     pts = interior_points(item, 3)
-    census = properness_and_census(item.smooth_map, item.ambient, pts)
+    census = properness_and_census(decompositions(item, pts))
     for idx, worst in census.dupin_residuals.items():
         if census.multiplicities[idx] >= 2:
-            assert worst < 1e-4
+            assert worst < 1e-12
 
 
 @pytest.mark.parametrize("name", ["s2xpseudosphere", "example2", "cone_t3"])
@@ -154,21 +160,97 @@ def test_span_structure_umbilic_direction(catalog):
 def test_nullity_invariants_cone(catalog):
     item = catalog["cone_t3"]
     for pt in interior_points(item, 3):
-        rep = nullity_and_leaf_invariants(item.smooth_map, item.ambient, pt)
+        rep = nullity_and_leaf_invariants(principal_decomposition(
+            fundamental_forms(item.smooth_map, item.ambient, pt)))
         assert rep.nullity_dim == item.expected["nullity"]
         assert rep.lam_spread < 1e-7
-        assert rep.leaf_derivative < 1e-5
+        assert rep.leaf_derivative < 1e-12
 
 
 def test_nullity_trivial_when_absent(catalog):
     item = catalog["s3xs1"]
     pt = interior_points(item, 1)[0]
     with pytest.raises(NotApplicable):
-        nullity_and_leaf_invariants(item.smooth_map, item.ambient, pt)
+        nullity_and_leaf_invariants(principal_decomposition(
+            fundamental_forms(item.smooth_map, item.ambient, pt)))
 
 
 def test_flat_cylinder_nullity(catalog):
     item = catalog["flat_cylinder"]
     pt = interior_points(item, 1)[0]
-    rep = nullity_and_leaf_invariants(item.smooth_map, item.ambient, pt)
+    rep = nullity_and_leaf_invariants(principal_decomposition(
+        fundamental_forms(item.smooth_map, item.ambient, pt)))
     assert rep.nullity_dim == item.expected["nullity"]
+
+
+def _into_sphere(item):
+    """The item composed with inverse stereographic projection of its
+    Euclidean ambient onto the unit sphere one dimension up."""
+    N = item.smooth_map.codomain_dim
+
+    def evaluator(u):
+        x = item.smooth_map.evaluator(u)
+        q = norm_sq(x)
+        return [2.0 * c / (q + 1.0) for c in x] + [(q - 1.0) / (q + 1.0)]
+
+    fmap = SmoothMap(item.smooth_map.domain, N + 1, evaluator,
+                     item.smooth_map.name + "_in_sphere")
+    return replace(item, smooth_map=fmap, ambient=sphere_form(N, 1.0))
+
+
+def _central_eta_derivatives(item, dec, h=1e-5):
+    """Oracle for eta_derivatives: central differences of the principal
+    normals that principal_decomposition finds at the neighbouring points
+    along each chart axis (matched to the nearest principal normal at the
+    centre), projected to the normal space."""
+    ext = dec.ext
+    out = np.zeros_like(dec.eta_derivatives)
+    for i in range(ext.n):
+        step = np.zeros(ext.n)
+        step[i] = h
+        plus, minus = (principal_decomposition(
+            fundamental_forms(item.smooth_map, item.ambient, ext.point + s))
+            for s in (step, -step))
+        for c, eta in enumerate(dec.etas):
+            ep, em = (min(d.etas, key=lambda e: float(np.linalg.norm(e - eta)))
+                      for d in (plus, minus))
+            out[c, i] = ext.normal_project((ep - em) / (2.0 * h))
+    return out
+
+
+@pytest.mark.parametrize("name,in_sphere", [
+    ("example2", False), ("cone_t3", False), ("s2xpseudosphere", False),
+    ("example2", True)])
+def test_eta_derivatives_match_central_differences(catalog, name, in_sphere):
+    """The principal-normal derivatives taken from the Codazzi tensor of the
+    order-3 jet agree with central differences of the decomposition, in
+    Euclidean space and in a sphere."""
+    item = _into_sphere(catalog[name]) if in_sphere else catalog[name]
+    for dec in decompositions(item, interior_points(item, 2)):
+        exact = dec.eta_derivatives
+        scale = float(np.max(np.abs(exact)))
+        assert scale > 1e-3
+        assert np.max(np.abs(exact - _central_eta_derivatives(item, dec))) \
+            <= 1e-7 * scale
+
+
+def test_suite_principal_makes_one_fundamental_forms_pass(catalog, monkeypatch):
+    """The principal suite evaluates extrinsic data in one batched pass per
+    item, which the census, the holonomicity check and the separation check
+    share."""
+    original = extrinsic.fundamental_forms
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("confflat")
+                and getattr(module, "fundamental_forms", None) is original):
+            monkeypatch.setattr(module, "fundamental_forms", counting)
+    for name, item in sorted(catalog.items()):
+        calls.clear()
+        suite_principal(item, load_scenario(
+            {"schema": 1, "item": name, "suite": "principal"}))
+        assert len(calls) == 1, name

@@ -10,9 +10,9 @@ import numpy as np
 
 from .ambient import AmbientSpace
 from .errors import ConformalStructureError, NotApplicable
-from .extrinsic import fundamental_forms, intrinsic_curvatures
+from .extrinsic import ExtrinsicData, intrinsic_curvatures
 from .jets import SmoothMap, evaluate_jet
-from .principal import principal_decomposition
+from .principal import principal_decompositions
 
 
 # ---------------------------------------------------------------------------
@@ -29,45 +29,51 @@ class ConformalStructure:
     omega: SmoothMap
     flat_chart: SmoothMap | None = None
 
-    def flat_frame(self, point):
-        """(x, J) with x the flat coordinates of `point` and J = dPhi."""
+    def flat_frame(self, points):
+        """(x, J) with x the flat coordinates of `points` and J = dPhi, at
+        a point or at each point of a point set."""
+        points = np.asarray(points, float)
         if self.flat_chart is None:
-            return np.asarray(point, float), np.eye(len(point))
-        jet = evaluate_jet(self.flat_chart, point, 1)
-        return jet.value, jet.d1.T          # J[a, i] = d Phi_a / d u_i
+            return points, np.broadcast_to(np.eye(points.shape[-1]),
+                                           points.shape + points.shape[-1:])
+        jet = evaluate_jet(self.flat_chart, points, 1)
+        return jet.value, np.swapaxes(jet.d1, -1, -2)  # J[a, i] = d Phi_a / d u_i
 
-    def omega_flat_jets(self, point):
-        """(omega, grad, Hess) with respect to the flat coordinates."""
-        jw = evaluate_jet(self.omega, point, 2)
-        w = float(jw.value[0])
-        gu = jw.d1[:, 0]
-        Hu = jw.d2[:, :, 0]
+    def omega_flat_jets(self, points):
+        """(omega, grad, Hess) with respect to the flat coordinates, at a
+        point or at each point of a point set."""
+        jw = evaluate_jet(self.omega, points, 2)
+        w = jw.value[..., 0]
+        gu = jw.d1[..., 0]
+        Hu = jw.d2[..., 0]
         if self.flat_chart is None:
             return w, gu, Hu
-        jp = evaluate_jet(self.flat_chart, point, 2)
-        J = jp.d1.T                          # (n, n)
-        Jinv = np.linalg.inv(J)
-        gx = Jinv.T @ gu
+        jp = evaluate_jet(self.flat_chart, points, 2)
+        JinvT = np.linalg.inv(jp.d1)                 # J^-T, with J = d1^T
+        gx = np.einsum("...ij,...j->...i", JinvT, gu)
         # H_u = J^T H_x J + sum_a (g_x)_a Hess_u Phi_a
-        corr = np.einsum("a,ija->ij", gx, jp.d2)
-        Hx = Jinv.T @ (Hu - corr) @ Jinv
-        return w, gx, 0.5 * (Hx + Hx.T)
+        corr = np.einsum("...a,...ija->...ij", gx, jp.d2)
+        Hx = JinvT @ (Hu - corr) @ np.swapaxes(JinvT, -1, -2)
+        return w, gx, 0.5 * (Hx + np.swapaxes(Hx, -1, -2))
 
     def metric_residual(self, smooth_map: SmoothMap, amb: AmbientSpace, points,
                         tol=None):
-        """Worst relative defect of f*<,> = e^{2 omega} (flat chart metric)."""
-        worst, worst_pt = 0.0, None
-        for pt in np.asarray(points, float):
-            ext = fundamental_forms(smooth_map, amb, pt)
-            x, J = self.flat_frame(pt)
-            target = np.exp(2.0 * self.omega.value(pt)[0]) * (J.T @ J)
-            r = float(np.max(np.abs(ext.g - target))) / float(np.max(np.abs(ext.g)))
-            if r > worst:
-                worst, worst_pt = r, pt
+        """Worst relative defect of f*<,> = e^{2 omega} (flat chart metric)
+        over a point set, from one batched order-1 jet each of the map, of
+        omega and of the flat chart."""
+        points = np.asarray(points, float)
+        d1 = evaluate_jet(smooth_map, points, 1).d1
+        g = np.einsum("...iA,A,...jA->...ij", d1, amb.signature.astype(float), d1)
+        _, J = self.flat_frame(points)
+        w = evaluate_jet(self.omega, points, 0).value[..., 0]
+        target = np.exp(2.0 * w)[..., None, None] * (np.swapaxes(J, -1, -2) @ J)
+        r = (np.max(np.abs(g - target), axis=(-2, -1))
+             / np.max(np.abs(g), axis=(-2, -1)))
+        worst = float(np.max(r))
         if tol is not None and worst > tol:
             raise ConformalStructureError(
                 f"induced metric differs from e^(2 omega) x flat by {worst:.3e} "
-                f"at {worst_pt}")
+                f"at {points[np.argmax(r)]}")
         return worst
 
 
@@ -157,34 +163,30 @@ def conformal_change(omega_map: SmoothMap, point) -> ConformalChangeResult:
 # conformal flatness: quadruple sectional-curvature test
 # ---------------------------------------------------------------------------
 
-def immersion_curvature_provider(smooth_map: SmoothMap, amb: AmbientSpace):
-    def provider(pt):
-        return intrinsic_curvatures(fundamental_forms(smooth_map, amb, pt))
-    return provider
-
-
-def conformal_flatness_test(provider, points, trials=50, seed=0):
-    """max over samples and Haar-random orthonormal quadruples (X1..X4) of
-    |K(X1,X2) + K(X3,X4) - K(X1,X3) - K(X2,X4)|, normalized by the largest
-    sectional curvature magnitude encountered.  Zero (to tolerance) iff the
-    metric is conformally flat, for n >= 4."""
+def conformal_flatness_test(ext: ExtrinsicData, trials=50, seed=0):
+    """max over the points of `ext` and Haar-random orthonormal quadruples
+    (X1..X4) of |K(X1,X2) + K(X3,X4) - K(X1,X3) - K(X2,X4)|, normalized by
+    the largest sectional curvature magnitude encountered.  Zero (to
+    tolerance) iff the metric is conformally flat, for n >= 4.  All
+    quadruples come from one draw, in the order of a loop over points and
+    then trials."""
+    R = intrinsic_curvatures(ext).riemann
+    n = R.shape[-1]
+    if n < 4:
+        raise NotApplicable("quadruple test needs n >= 4")
+    R = R.reshape((-1,) + (n,) * 4)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    kmax = 0.0
-    for pt in np.asarray(points, float):
-        pack = provider(pt)
-        n = pack.n
-        if n < 4:
-            raise NotApplicable("quadruple test needs n >= 4")
-        for _ in range(trials):
-            M = rng.standard_normal((n, 4))
-            Qo, _ = np.linalg.qr(M)
-            X = [Qo[:, i] for i in range(4)]
-            K = {}
-            for a, b in ((0, 1), (2, 3), (0, 2), (1, 3)):
-                K[a, b] = pack.sectional(X[a], X[b])
-                kmax = max(kmax, abs(K[a, b]))
-            worst = max(worst, abs(K[0, 1] + K[2, 3] - K[0, 2] - K[1, 3]))
+    X, _ = np.linalg.qr(rng.standard_normal((len(R), trials, n, 4)))
+
+    def sectional(a, b):
+        x, y = X[..., a], X[..., b]
+        num = np.einsum("pijkl,pti,ptj,ptk,ptl->pt", R, x, y, y, x)
+        xx, yy, xy = (np.sum(u * v, axis=-1) for u, v in ((x, x), (y, y), (x, y)))
+        return num / (xx * yy - xy ** 2)
+
+    K01, K23, K02, K13 = (sectional(a, b) for a, b in ((0, 1), (2, 3), (0, 2), (1, 3)))
+    kmax = max(float(np.max(np.abs(K))) for K in (K01, K23, K02, K13))
+    worst = float(np.max(np.abs(K01 + K23 - K02 - K13)))
     return worst / max(kmax, 1e-12)
 
 
@@ -200,30 +202,27 @@ class QSuiteReport:
     points: np.ndarray
 
 
-def lemma_q_suite(smooth_map: SmoothMap, amb: AmbientSpace,
-                  conf: ConformalStructure, points, cluster_tol=1e-6,
-                  seed=0) -> QSuiteReport:
+def lemma_q_suite(ext: ExtrinsicData, conf: ConformalStructure,
+                  cluster_tol=1e-6, seed=0) -> QSuiteReport:
     """Residuals of the two pointwise Q identities that hold for any proper
     isometric immersion with flat normal bundle of a globally conformally
-    flat manifold, with Q and gradients taken in the flat chart metric."""
+    flat manifold, with Q and gradients taken in the flat chart metric, over
+    the points of batched extrinsic data."""
     if conf is None:
         raise NotApplicable("no conformal structure attached")
-    points = np.asarray(points, float)
+    decs = principal_decompositions(ext, cluster_tol=cluster_tol, seed=seed)
+    W, GW, HW = conf.omega_flat_jets(ext.point)
+    _, JS = conf.flat_frame(ext.point)
     off = 0.0
     high = None
     dual = 0.0
-    for pt in points:
-        ext = fundamental_forms(smooth_map, amb, pt)
-        dec = principal_decomposition(ext, cluster_tol=cluster_tol, seed=seed)
-        w, gw, Hw = conf.omega_flat_jets(pt)
+    for dec, w, gw, Hw, J in zip(decs, W, GW, HW, JS):
         Q = Hw - np.outer(gw, gw)
         dual = max(dual, QPack(w, gw, Q, float(gw @ gw)).duality_residual())
-        _, J = conf.flat_frame(pt)
         qscale = max(float(np.max(np.abs(Q))), 1.0)
 
         # push the eigendistribution bases to flat coordinates
         flat_bases = [J @ dec.chart_basis(i) for i in range(dec.k)]
-        n = ext.n
         for i, B in enumerate(flat_bases):
             for col in range(B.shape[1]):
                 X = B[:, col]
@@ -236,14 +235,15 @@ def lemma_q_suite(smooth_map: SmoothMap, amb: AmbientSpace,
             eta1 = dec.etas[0]
             # gradient in the flat metric, its norm in the curved one:
             # e^{-4w} |grad_0 w|^2_curved = e^{-2w} |grad_0 w|^2_flat
-            target = -0.5 * (amb.inner(eta1, eta1) + np.exp(-2.0 * w) * float(gw @ gw))
+            target = -0.5 * (ext.ambient.inner(eta1, eta1)
+                             + np.exp(-2.0 * w) * float(gw @ gw))
             B = flat_bases[0]
             Bc = dec.chart_basis(0)
             r = 0.0
             for col in range(B.shape[1]):
                 # unit with respect to the induced metric of the immersion
-                nrm = np.sqrt(Bc[:, col] @ ext.g @ Bc[:, col])
+                nrm = np.sqrt(Bc[:, col] @ dec.ext.g @ Bc[:, col])
                 Z = B[:, col] / nrm
                 r = max(r, abs(Z @ Q @ Z - target) / max(abs(target), 1.0))
             high = r if high is None else max(high, r)
-    return QSuiteReport(off, high, dual, points)
+    return QSuiteReport(off, high, dual, ext.point)

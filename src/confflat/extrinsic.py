@@ -117,7 +117,8 @@ def complement_frame(sig, span_units, span_eps, count, pivot_order=None, tol=1e-
     the ambient basis, pivoting on the largest residual self inner product
     (per point over a batch: in candidate order, a candidate replaces the
     best only when its residual is larger by more than 1e-15).  With a
-    `pivot_order` the candidates are taken in that order instead."""
+    `pivot_order` the candidates are taken in that order instead; over a
+    batch an entry may be a (B,) array of per-point pivots."""
     dim = len(sig)
     order = list(pivot_order) if pivot_order is not None else None
     units = list(span_units)
@@ -125,8 +126,7 @@ def complement_frame(sig, span_units, span_eps, count, pivot_order=None, tol=1e-
     frame, frame_eps, chosen = [], [], []
 
     def residual(b):
-        r = [0.0] * dim
-        r[b] = 1.0
+        r = [(b == c) * 1.0 for c in range(dim)]
         r = _project_out(sig, units, eps, r)
         return abs(_val(_vdot(sig, r, r))), r
 
@@ -182,6 +182,7 @@ class ExtrinsicData:
     onb: np.ndarray           # (n, n) columns = orthonormal tangent basis
     S: np.ndarray             # (p, n, n) symmetric shape operators in the ONB
     H: np.ndarray             # (A,) mean curvature vector
+    pivots: np.ndarray        # (p,) ambient axes the frame was completed from
 
     @property
     def n(self):
@@ -200,7 +201,7 @@ class ExtrinsicData:
                              self.tangent[m], self.g[m], self.g_inv[m], lame,
                              self.frame[m], self.frame_eps[m], self.alpha[m],
                              self.h_comp[m], self.shape_ops[m], self.onb[m],
-                             self.S[m], self.H[m])
+                             self.S[m], self.H[m], self.pivots[m])
 
     def alpha_onb(self):
         """Second fundamental form over the orthonormal tangent basis."""
@@ -267,7 +268,7 @@ def _stacked(rows, batched):
 
 
 def fundamental_forms(smooth_map: SmoothMap, ambient: AmbientSpace, points,
-                      jet: Jet3 | None = None, pivot_order=None) -> ExtrinsicData:
+                      jet: Jet3 | None = None) -> ExtrinsicData:
     """Complete pointwise extrinsic data of an immersion, at one point (n,)
     or at each point of a point set (B, n), where every field comes back
     stacked along a leading batch axis.  Frames, pivots and the FrameError
@@ -292,10 +293,11 @@ def fundamental_forms(smooth_map: SmoothMap, ambient: AmbientSpace, points,
     span_units, span_eps = orthonormalize(sig_list, _components(span))
 
     p = A - span.shape[-2]
-    frame_list, frame_eps, _ = complement_frame(sig_list, span_units, span_eps,
-                                                p, pivot_order=pivot_order)
+    frame_list, frame_eps, pivots = complement_frame(sig_list, span_units,
+                                                     span_eps, p)
     frame = _stacked(frame_list, batched)            # (..., p, A)
     frame_eps = _stacked(frame_eps, batched)         # (..., p)
+    pivots = _stacked(pivots, batched).astype(int)
 
     # second fundamental form: second derivatives minus their part in the span
     su = _stacked(span_units, batched)               # (..., k, A)
@@ -321,7 +323,7 @@ def fundamental_forms(smooth_map: SmoothMap, ambient: AmbientSpace, points,
     else:
         lame[~orthogonal] = np.nan
     return ExtrinsicData(points, ambient, jet, jet.d1, g, g_inv, lame, frame,
-                         frame_eps, alpha, h_comp, shape_ops, B, S, H)
+                         frame_eps, alpha, h_comp, shape_ops, B, S, H, pivots)
 
 
 def normal_projectors(smooth_map: SmoothMap, ambient: AmbientSpace, points):
@@ -379,90 +381,79 @@ def codazzi_tensor(ext: ExtrinsicData):
 
 @dataclass
 class NormalBundleData:
+    """Normal connection and curvature at a point, or at each point of a
+    point set (then every array has a leading batch axis)."""
+
+    frame: np.ndarray          # (p, A) value of the jet frame: ext.frame
     gamma: np.ndarray          # (n, p, p) connection coefficients Gamma_{i,a}^b
     r_perp_frame: np.ndarray   # (n, n, p, p) from frame differentiation
     r_perp_commutator: np.ndarray  # (n, n, p, p) from shape-operator commutators
-    disagreement: float
+    disagreement: float        # worst |frame - commutator| over all points
 
 
-def _jet_components(jet: Jet3, order=2):
-    """Ambient vectors of the map and its tangent basis as jet scalars of the
-    given order in the chart variables."""
+def _jet_components(jet: Jet3):
+    """Ambient vectors of the map and its tangent basis as order-2 jet
+    scalars in the chart variables, with the batch axis last."""
     n = jet.n
-    value = [Jet(n, order, jet.value[a], jet.d1[:, a].copy(), jet.d2[:, :, a].copy())
-             for a in range(jet.codim)]
-    tangent = [[Jet(n, order, jet.d1[i, a], jet.d2[:, i, a].copy(), jet.d3[:, :, i, a].copy())
-                for a in range(jet.codim)] for i in range(n)]
+    batched = jet.value.ndim == 2
+
+    def last(x):
+        return np.moveaxis(x, 0, -1) if batched else x
+
+    value = [Jet(n, 2, last(jet.value[..., a]), last(jet.d1[..., a]),
+                 last(jet.d2[..., a])) for a in range(jet.codim)]
+    tangent = [[Jet(n, 2, last(jet.d1[..., i, a]), last(jet.d2[..., :, i, a]),
+                    last(jet.d3[..., :, :, i, a])) for a in range(jet.codim)]
+               for i in range(n)]
     return value, tangent
 
 
-def normal_connection_and_curvature(smooth_map: SmoothMap, ambient: AmbientSpace,
-                                    point, ext: ExtrinsicData | None = None,
-                                    pivot_order=None) -> NormalBundleData:
-    """Normal connection coefficients and R-perp, computed two independent
-    ways: (a) exact differentiation of the Gram-Schmidt frame through jets,
-    (b) shape-operator commutators (Ricci equation)."""
-    point = np.asarray(point, float)
-    jet = evaluate_jet(smooth_map, point, 3)
-    if ext is None:
-        ext = fundamental_forms(smooth_map, ambient, point, jet=jet)
-    n, p, A = ext.n, ext.p, jet.codim
-    sig = ambient.signature
+def normal_connection_and_curvature(ext: ExtrinsicData) -> NormalBundleData:
+    """Normal connection coefficients and R-perp at the points of `ext`,
+    computed two independent ways: (a) exact differentiation of the
+    Gram-Schmidt frame through jets, (b) shape-operator commutators (Ricci
+    equation).  The jet frame is completed from the pivots of `ext`, so its
+    value is `ext.frame` at every point."""
+    jet, ambient, p = ext.jet, ext.ambient, ext.p
+    sig = ambient.signature.astype(float)
+    batch = ext.g.shape[:-2]
 
-    value, tangent = _jet_components(jet, order=2)
+    value, tangent = _jet_components(jet)
     span = list(tangent)
     if ambient.is_space_form:
-        r = ambient.radius
-        span.append([c * (1.0 / r) for c in value])
+        span.append([c * (1.0 / ambient.radius) for c in value])
     units, eps_span = orthonormalize(sig, span)
-    # pivot order frozen from the float computation for frame consistency
-    if pivot_order is None:
-        float_span = [list(jet.d1[i]) for i in range(n)]
-        if ambient.is_space_form:
-            float_span.append(list(ambient.position_normal(jet.value)))
-        fu, fe = orthonormalize(sig, float_span)
-        _, _, pivot_order = complement_frame(sig, fu, fe, p)
+    pivots = list(ext.pivots.T) if batch else ext.pivots.tolist()
     frame, frame_eps, _ = complement_frame(sig, units, eps_span, p,
-                                           pivot_order=pivot_order)
-    frame_eps = np.array(frame_eps)
+                                           pivot_order=pivots)
+    # frame jets stacked (a, A, [derivative axes,] batch...)
+    V = np.array([[c.v for c in xi] for xi in frame])
+    G = np.array([[c.g for c in xi] for xi in frame])
+    Hs = np.array([[c.h for c in xi] for xi in frame])
+    eps = np.moveaxis(np.array(frame_eps, float), 0, -1)     # (..., p)
 
-    # Gamma_{i,a}^b = eps_b <d_i xi_a, xi_b>, carried to first order in x
-    def partial(jet_scalar, i, order=1):
-        return Jet(n, order, jet_scalar.g[i], jet_scalar.h[i].copy())
+    # Gamma_{i,a}^b = eps_b <d_i xi_a, xi_b> and its derivatives
+    # dgamma[k, i] = d_k Gamma_i
+    gamma = eps[..., None, None, :] * np.einsum("aAi...,A,bA...->...iab", G, sig, V)
+    dgamma = eps[..., None, None, None, :] * (
+        np.einsum("aAik...,A,bA...->...kiab", Hs, sig, V)
+        + np.einsum("aAi...,A,bAk...->...kiab", G, sig, G))
+    comm = (np.einsum("...jac,...icb->...ijab", gamma, gamma)
+            - np.einsum("...iac,...jcb->...ijab", gamma, gamma))
+    r_frame = dgamma - np.swapaxes(dgamma, -4, -3) + comm
+    # the same metric pairing as route (b): <R(d_i,d_j)xi_a, xi_b>
+    r_frame_pair = r_frame * eps[..., None, None, None, :]
 
-    gamma_jets = [[[None] * p for _ in range(p)] for _ in range(n)]
-    for i in range(n):
-        for a in range(p):
-            dxi = [partial(frame[a][c], i) for c in range(A)]
-            for b in range(p):
-                xib = [Jet(n, 1, frame[b][c].v, frame[b][c].g.copy()) for c in range(A)]
-                gamma_jets[i][a][b] = frame_eps[b] * _vdot(sig, dxi, xib)
+    # Ricci equation: <R-perp(d_i, d_j) xi_a, xi_b> = <[A_a, A_b] d_i, d_j>,
+    # with the shape operators in the coordinate basis
+    M = ext.shape_ops
+    MM = np.einsum("...aik,...bkj->...abij", M, M)
+    C = MM - np.swapaxes(MM, -4, -3)
+    r_comm = np.einsum("...jk,...abki->...ijab", ext.g, C)
 
-    gamma = np.array([[[gamma_jets[i][a][b].v for b in range(p)] for a in range(p)]
-                      for i in range(n)])
-    dgamma = np.array([[[[gamma_jets[j][a][b].g[i] for b in range(p)] for a in range(p)]
-                        for j in range(n)] for i in range(n)])  # (i, j, a, b)
-
-    r_frame = np.zeros((n, n, p, p))
-    for i in range(n):
-        for j in range(n):
-            comm = gamma[j] @ gamma[i] - gamma[i] @ gamma[j]  # (a,c)@(c,b)
-            r_frame[i, j] = dgamma[i, j] - dgamma[j, i] + comm
-
-    # Ricci equation: <R-perp(d_i, d_j) xi_a, xi_b> = <[A_a, A_b] d_i, d_j>
-    r_comm = np.zeros((n, n, p, p))
-    M = ext.shape_ops  # (p, n, n), coordinate basis
-    for a in range(p):
-        for b in range(p):
-            C = M[a] @ M[b] - M[b] @ M[a]
-            r_comm[:, :, a, b] = ext.g @ C  # (<[A_b,A_a] d_j, d_i>)_{ij} -> fix below
-    # components: <[A_b,A_a] d_i, d_j> = (g @ C)_{j i}; transpose the grid part
-    r_comm = r_comm.transpose(1, 0, 2, 3)
-    # express route (a) in the same metric pairing: <R(d_i,d_j)xi_a, xi_b>
-    r_frame_pair = np.einsum("ijab,b->ijab", r_frame, frame_eps.astype(float))
-
-    disagreement = float(np.max(np.abs(r_frame_pair - r_comm))) if p > 0 else 0.0
-    return NormalBundleData(gamma, r_frame_pair, r_comm, disagreement)
+    disagreement = float(np.max(np.abs(r_frame_pair - r_comm)))
+    return NormalBundleData(np.moveaxis(V, -1, 0) if batch else V, gamma,
+                            r_frame_pair, r_comm, disagreement)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +462,9 @@ def normal_connection_and_curvature(smooth_map: SmoothMap, ambient: AmbientSpace
 
 @dataclass
 class CurvaturePack:
-    """Curvature quantities over an orthonormal tangent basis.
+    """Curvature quantities over an orthonormal tangent basis, at a point or
+    at each point of a point set (then every array has a leading batch
+    axis; `sectional` takes one point).
 
     Convention: riemann[i, j, k, l] = R(e_i, e_j, e_k, e_l)
     = <alpha(e_i, e_l), alpha(e_j, e_k)> - <alpha(e_i, e_k), alpha(e_j, e_l)>
@@ -481,12 +474,12 @@ class CurvaturePack:
 
     riemann: np.ndarray   # (n, n, n, n)
     ricci: np.ndarray     # (n, n)
-    tau: float
-    ricci_crosscheck_residual: float
+    tau: float            # (B,) over a point set
+    ricci_crosscheck_residual: float   # worst over all points
 
     @property
     def n(self):
-        return self.ricci.shape[0]
+        return self.ricci.shape[-1]
 
     def sectional(self, X, Y):
         """Sectional curvature of the plane spanned by X, Y (ONB coords)."""
@@ -498,22 +491,23 @@ class CurvaturePack:
 def intrinsic_curvatures(ext: ExtrinsicData) -> CurvaturePack:
     n = ext.n
     sig = ext.ambient.signature.astype(float)
-    aon = ext.alpha_onb()                       # (n, n, A)
-    inner = np.einsum("ijA,A,klA->ijkl", aon, sig, aon)  # <a_ij, a_kl>
+    aon = ext.alpha_onb()                       # (..., n, n, A)
+    inner = np.einsum("...ijA,A,...klA->...ijkl", aon, sig, aon)  # <a_ij, a_kl>
     # R_{ijkl} = <a_il, a_jk> - <a_ik, a_jl>
-    R = np.einsum("iljk->ijkl", inner) - np.einsum("ikjl->ijkl", inner)
+    R = np.einsum("...iljk->...ijkl", inner) - np.einsum("...ikjl->...ijkl", inner)
     c = ext.ambient.c
     if c != 0.0:
         I = np.eye(n)
         R = R + c * (np.einsum("il,jk->ijkl", I, I) - np.einsum("ik,jl->ijkl", I, I))
-    ric = np.einsum("ijki->jk", R)
-    tau = float(np.trace(ric))
+    ric = np.einsum("...ijki->...jk", R)
+    tau = np.trace(ric, axis1=-2, axis2=-1)
 
     # independent mean-curvature form of the Ricci tensor
     H = ext.H
-    ric2 = (n * np.einsum("jkA,A->jk", aon, sig * H)
-            - np.einsum("jiA,A,kiA->jk", aon, sig, aon))
+    ric2 = (n * np.einsum("...jkA,...A->...jk", aon, sig * H)
+            - np.einsum("...jiA,A,...kiA->...jk", aon, sig, aon))
     if c != 0.0:
         ric2 = ric2 + c * (n - 1) * np.eye(n)
     resid = float(np.max(np.abs(ric - ric2)))
-    return CurvaturePack(R, 0.5 * (ric + ric.T), tau, resid)
+    return CurvaturePack(R, 0.5 * (ric + np.swapaxes(ric, -1, -2)),
+                         float(tau) if tau.ndim == 0 else tau, resid)

@@ -25,8 +25,9 @@ from .ambient import AmbientSpace
 from .conformal import ConformalStructure
 from .errors import (ConformalStructureError, DomainError,
                      ModelMembershipError, NotApplicable)
-from .extrinsic import fundamental_forms
-from .jets import ChartDomain, Jet, SmoothMap, exp as jexp, log as jlog, norm_sq
+from .extrinsic import ExtrinsicData, fundamental_forms
+from .jets import (ChartDomain, Jet, SmoothMap, evaluate_jet, exp as jexp,
+                   log as jlog, norm_sq)
 from .principal import offdiagonal_defects, principal_decomposition
 
 MEMBERSHIP_TOL = 1e-8
@@ -100,19 +101,16 @@ def psi_invert(model: ConeModel, V, tol=MEMBERSHIP_TOL):
 
 
 def psi_second_fundamental_residual(model: ConeModel, points):
-    """Worst defect of alpha_Psi(X, Y) = -<X,Y> w over coordinate pairs,
-    with alpha_Psi computed by jets of the embedding."""
-    amb = model.ambient
-    worst = 0.0
-    for x in np.asarray(points, float):
-        lo = x - 1.0
-        hi = x + 1.0
-        dom = ChartDomain(model.N, np.column_stack([lo, hi]))
-        m = SmoothMap(dom, model.N + 2, lambda u: psi_components(model, u), "psi")
-        ext = fundamental_forms(m, amb, x)
-        target = -np.einsum("ij,A->ijA", np.eye(model.N), model.w)
-        worst = max(worst, float(np.max(np.abs(ext.alpha - target))))
-    return worst
+    """Worst defect of alpha_Psi(X, Y) = -<X,Y> w over coordinate pairs at
+    a point set, with alpha_Psi computed by jets of the embedding on one
+    chart around the hull of the points."""
+    points = np.asarray(points, float)
+    dom = ChartDomain(model.N, np.column_stack([points.min(axis=0) - 1.0,
+                                                points.max(axis=0) + 1.0]))
+    m = SmoothMap(dom, model.N + 2, lambda u: psi_components(model, u), "psi")
+    ext = fundamental_forms(m, model.ambient, points)
+    target = -np.einsum("ij,A->ijA", np.eye(model.N), model.w)
+    return float(np.max(np.abs(ext.alpha - target)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,37 +120,35 @@ def psi_second_fundamental_residual(model: ConeModel, points):
 @dataclass
 class LiftedImmersion:
     """F = e^{-omega} Psi o f, an isometric immersion of the flat metric of
-    the source, with image inside the cone."""
+    the source, with image inside the cone, together with its extrinsic
+    data at the points where `flat_lift` verified it."""
 
     F: SmoothMap
     parent: SmoothMap
     conformal: ConformalStructure
     model: ConeModel
+    checked: ExtrinsicData | None = None
 
     @property
     def ambient(self) -> AmbientSpace:
         return self.model.ambient
 
-    def flat_metric(self, point):
-        """The flat chart metric g0 = J^T J at a chart point."""
-        _, J = self.conformal.flat_frame(point)
-        return J.T @ J
-
-    def cone_defects(self, point):
-        """(<<F,F>>, <<F,w>> - e^{-omega}) at a chart point."""
-        val = self.F.value(point)
-        ff = self.ambient.inner(val, val)
-        fw = self.ambient.inner(val, self.model.w)
-        return ff, fw - np.exp(-self.conformal.omega.value(point)[0])
+    def flat_metric(self, points):
+        """The flat chart metric g0 = J^T J at a chart point, or at each
+        point of a point set."""
+        _, J = self.conformal.flat_frame(points)
+        return np.swapaxes(J, -1, -2) @ J
 
 
 def flat_lift(f: SmoothMap, conf: ConformalStructure, model: ConeModel,
               check_points=None, tol=1e-8) -> LiftedImmersion:
     """Flat lift of an immersion f whose induced metric is e^{2 omega} times
-    the flat chart metric.  Verifies at the check points that the lift is an
-    isometric immersion of the flat metric, that <<alpha_F(X,Y), F>> =
-    -<X,Y>_0, and that the position field is parallel in the normal
-    connection."""
+    the flat chart metric.  Verifies at the check points, from one batched
+    pass of extrinsic data, that the lift is an isometric immersion of the
+    flat metric, that it lies on the model slice of the cone, that
+    <<alpha_F(X,Y), F>> = -<X,Y>_0, and that the position field is parallel
+    in the normal connection.  The first point (in order) that breaks one of
+    the last three is named; the metric is judged by its worst point."""
     if conf is None:
         raise NotApplicable("flat lift needs a conformal structure")
     omega_eval = conf.omega.evaluator
@@ -170,80 +166,82 @@ def flat_lift(f: SmoothMap, conf: ConformalStructure, model: ConeModel,
     if check_points is None:
         rng = np.random.default_rng(0)
         check_points = f.domain.sample_points(5, rng)
+    pts = np.asarray(check_points, float)
     amb = model.ambient
-    worst_metric, worst_pt = 0.0, None
-    for pt in np.asarray(check_points, float):
-        ext = fundamental_forms(F, amb, pt)
-        g0 = lift.flat_metric(pt)
-        r = float(np.max(np.abs(ext.g - g0))) / float(np.max(np.abs(g0)))
-        if r > worst_metric:
-            worst_metric, worst_pt = r, pt
-        ff, fw = lift.cone_defects(pt)
-        if abs(ff) > tol or abs(fw) > tol:
+    sig = amb.signature.astype(float)
+    ext = fundamental_forms(F, amb, pts)
+    g0 = lift.flat_metric(pts)
+    g0_scale = np.max(np.abs(g0), axis=(-2, -1))
+    metric = np.max(np.abs(ext.g - g0), axis=(-2, -1)) / g0_scale
+
+    val = ext.jet.value
+    ff = np.einsum("...A,A,...A->...", val, sig, val)
+    fw = (np.einsum("...A,A->...", val, sig * model.w)
+          - np.exp(-evaluate_jet(conf.omega, pts, 0).value[..., 0]))
+    # position field: <<alpha_F(X,Y), F>> = -<X,Y>_0 and parallel normal
+    pairing = np.einsum("...ijA,...A->...ij", ext.alpha, sig * val)
+    coef = np.einsum("...iA,A,...aA->...ia", ext.jet.d1, sig, ext.frame)
+    perp = np.einsum("...ia,...aA->...iA", coef * ext.frame_eps[..., None, :],
+                     ext.frame)
+    off_slice = (np.abs(ff) > tol) | (np.abs(fw) > tol)
+    off_pairing = np.max(np.abs(pairing + g0), axis=(-2, -1)) > tol * g0_scale
+    not_parallel = (np.max(np.abs(perp), axis=(-2, -1))
+                    > tol * np.maximum(1.0, np.max(np.abs(val), axis=-1)))
+    bad = off_slice | off_pairing | not_parallel
+    if bad.any():
+        m = int(np.argmax(bad))
+        if off_slice[m]:
             raise ConformalStructureError(
-                f"lift leaves the model set at {pt}: <<F,F>> = {ff:.3e}, "
-                f"slice defect = {fw:.3e}")
-        # position field: <<alpha_F(X,Y), F>> = -<X,Y>_0 and parallel normal
-        val = ext.jet.value
-        sig = amb.signature
-        pairing = np.einsum("ijA,A->ij", ext.alpha, sig * val)
-        if float(np.max(np.abs(pairing + g0))) > tol * float(np.max(np.abs(g0))):
+                f"lift leaves the model set at {pts[m]}: <<F,F>> = {ff[m]:.3e}, "
+                f"slice defect = {fw[m]:.3e}")
+        if off_pairing[m]:
             raise ConformalStructureError(
-                f"position pairing defect beyond {tol} at {pt}")
-        for i in range(ext.n):
-            perp = ext.normal_project(ext.jet.d1[i])
-            if float(np.max(np.abs(perp))) > tol * max(1.0, float(np.max(np.abs(val)))):
-                raise ConformalStructureError(
-                    f"position field not parallel in the normal connection at {pt}")
-    if worst_metric > tol:
+                f"position pairing defect beyond {tol} at {pts[m]}")
         raise ConformalStructureError(
-            f"lift metric differs from the flat metric by {worst_metric:.3e} "
-            f"at {worst_pt}")
+            f"position field not parallel in the normal connection at {pts[m]}")
+    if np.max(metric) > tol:
+        m = int(np.argmax(metric))
+        raise ConformalStructureError(
+            f"lift metric differs from the flat metric by {metric[m]:.3e} "
+            f"at {pts[m]}")
+    lift.checked = ext
     return lift
 
 
-def lift_second_fundamental_form(lift: LiftedImmersion, point):
-    """alpha_F over the flat coordinate frame, by direct jets of F, together
-    with its residual against the closed form
+def lift_second_fundamental_form(lift: LiftedImmersion, extF: ExtrinsicData,
+                                 extf: ExtrinsicData):
+    """alpha_F over the flat coordinate frame, from the extrinsic data of
+    the lift and of its parent at the same point set, together with its
+    worst residual (relative per point) against the closed form
 
         -Q(X,Y) F + e^{-w} Psi_*(alpha_f(X,Y) - <X,Y>_0 f_* grad_0 w)
         - e^{w} <X,Y>_0 w.
     """
-    point = np.asarray(point, float)
     model = lift.model
     conf = lift.conformal
-    extF = fundamental_forms(lift.F, model.ambient, point)
-    extf = fundamental_forms(lift.parent, amb_mod.euclidean(model.N), point)
-
-    wv, gw, Hw = conf.omega_flat_jets(point)
-    Q = Hw - np.outer(gw, gw)
-    _, J = conf.flat_frame(point)
+    wv, gw, Hw = conf.omega_flat_jets(extF.point)
+    Q = Hw - gw[..., :, None] * gw[..., None, :]
+    _, J = conf.flat_frame(extF.point)
     Jinv = np.linalg.inv(J)
 
     # second fundamental forms are tensorial: move the slots to flat coords
-    aF = np.einsum("ia,jb,ijA->abA", Jinv, Jinv, extF.alpha)
-    af = np.einsum("ia,jb,ijA->abA", Jinv, Jinv, extf.alpha)
-    df_flat = Jinv.T @ extf.jet.d1                 # rows: f_* of flat frame
-    push_grad = gw @ df_flat                        # f_* grad_0 omega
+    aF = np.einsum("...ia,...jb,...ijA->...abA", Jinv, Jinv, extF.alpha)
+    af = np.einsum("...ia,...jb,...ijA->...abA", Jinv, Jinv, extf.alpha)
+    df_flat = np.swapaxes(Jinv, -1, -2) @ extf.jet.d1   # rows: f_* of flat frame
+    push_grad = np.einsum("...a,...aN->...N", gw, df_flat)  # f_* grad_0 omega
 
-    fx = extf.jet.value
-    Fval = extF.jet.value
-    e_m = np.exp(-wv)
-    n = extf.n
-    I = np.eye(n)
-
-    def psi_star(u):
-        return model.A @ u - float(fx @ u) * model.w
-
-    rhs = np.zeros_like(aF)
-    for a in range(n):
-        for b in range(n):
-            inner = af[a, b] - I[a, b] * push_grad
-            rhs[a, b] = (-Q[a, b] * Fval + e_m * psi_star(inner)
-                         - np.exp(wv) * I[a, b] * model.w)
-    scale = max(float(np.max(np.abs(rhs))), 1.0)
-    residual = float(np.max(np.abs(aF - rhs))) / scale
-    return aF, residual
+    I = np.eye(extf.n)
+    inner = af - I[:, :, None] * push_grad[..., None, None, :]
+    # Psi_*(u) = A u - <f, u> w
+    psi_star = (np.einsum("AN,...abN->...abA", model.A, inner)
+                - np.einsum("...N,...abN->...ab", extf.jet.value, inner)[..., None]
+                * model.w)
+    rhs = (-Q[..., None] * extF.jet.value[..., None, None, :]
+           + np.exp(-wv)[..., None, None, None] * psi_star
+           - np.exp(wv)[..., None, None, None] * I[:, :, None] * model.w)
+    scale = np.maximum(np.max(np.abs(rhs), axis=(-3, -2, -1)), 1.0)
+    residual = np.max(np.abs(aF - rhs), axis=(-3, -2, -1)) / scale
+    return aF, float(np.max(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +310,23 @@ def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
     omega = SmoothMap(F.domain, 1, omega_eval, F.name + "_proj_omega")
 
     if points is not None:
-        ambE = amb_mod.euclidean(model.N)
-        ambL = model.ambient
-        for pt in np.asarray(points, float):
-            vals = np.array([float(c) for c in F_eval(list(pt))])
-            rho = float(np.sum(sw * vals))
-            if abs(rho) < eps_pole:
-                continue
-            extf = fundamental_forms(f, ambE, pt)
-            extF = fundamental_forms(F, ambL, pt)
-            target = extF.g / rho ** 2
-            r = float(np.max(np.abs(extf.g - target))) / float(np.max(np.abs(target)))
-            if r > tol:
+        # metrics only: one batched order-1 jet each of F and f
+        pts = np.asarray(points, float)
+        jF = evaluate_jet(F, pts, 1)
+        rho = jF.value @ sw
+        keep = np.abs(rho) >= eps_pole
+        if keep.any():
+            pts = pts[keep]
+            dF = jF.d1[keep]
+            df = evaluate_jet(f, pts, 1).d1
+            target = (np.einsum("...iA,A,...jA->...ij", dF, sig, dF)
+                      / rho[keep, None, None] ** 2)
+            r = (np.max(np.abs(df @ np.swapaxes(df, -1, -2) - target), axis=(-2, -1))
+                 / np.max(np.abs(target), axis=(-2, -1)))
+            if np.any(r > tol):
+                m = int(np.argmax(r > tol))
                 raise ConformalStructureError(
-                    f"projected metric defect {r:.3e} at {pt}")
+                    f"projected metric defect {r[m]:.3e} at {pts[m]}")
     return ConeProjection(f, omega, eps_pole)
 
 
@@ -341,23 +342,22 @@ class LiftCorrespondenceReport:
     multiplicities_match: bool
 
 
-def lift_correspondence_check(lift: LiftedImmersion, points, cluster_tol=1e-6,
-                              seed=0) -> LiftCorrespondenceReport:
-    """For an immersion with orthogonal (principal) chart net: the flat lift
-    is holonomic with respect to the same coordinates (its net orthogonal and
-    its second fundamental form diagonal), and the principal normals of f and
-    of the lift correspond one to one."""
-    f = lift.parent
-    ambE = amb_mod.euclidean(lift.model.N)
+def lift_correspondence_check(extF: ExtrinsicData, extf: ExtrinsicData,
+                              cluster_tol=1e-6, seed=0) -> LiftCorrespondenceReport:
+    """For an immersion with orthogonal (principal) chart net, from the
+    extrinsic data of the flat lift and of the immersion at the same point
+    set: the lift is holonomic with respect to the same coordinates (its net
+    orthogonal and its second fundamental form diagonal), and the principal
+    normals of f and of the lift correspond one to one."""
     off_F = 0.0
     k_f = k_F = None
     match = True
-    for pt in np.asarray(points, float):
-        extf = fundamental_forms(f, ambE, pt)
-        extF = fundamental_forms(lift.F, lift.ambient, pt)
-        off_F = max(off_F, *offdiagonal_defects(extF))
-        dec_f = principal_decomposition(extf, cluster_tol=cluster_tol, seed=seed)
-        dec_F = principal_decomposition(extF, cluster_tol=cluster_tol, seed=seed)
+    for m in range(len(extF.point)):
+        off_F = max(off_F, *offdiagonal_defects(extF.at(m)))
+        dec_f = principal_decomposition(extf.at(m), cluster_tol=cluster_tol,
+                                        seed=seed)
+        dec_F = principal_decomposition(extF.at(m), cluster_tol=cluster_tol,
+                                        seed=seed)
         k_f, k_F = dec_f.k, dec_F.k
         match = match and (sorted(dec_f.multiplicities)
                            == sorted(dec_F.multiplicities))

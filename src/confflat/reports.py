@@ -18,8 +18,7 @@ import numpy as np
 
 from . import ambient as amb_mod
 from .catalog import default_catalog
-from .conformal import (conformal_flatness_test, immersion_curvature_provider,
-                        lemma_q_suite)
+from .conformal import conformal_flatness_test, lemma_q_suite
 from .errors import ConfigError, NotApplicable
 from .extrinsic import fundamental_forms, normal_connection_and_curvature
 from .jets import ChartDomain, SmoothMap, evaluate_jet
@@ -189,16 +188,14 @@ def suite_extrinsic(item, scenario):
     ts = scenario["tol_scale"]
     pts = _sample(item, scenario)
     checks, skipped = [], []
-    rperp = ricci = 0.0
-    for pt in pts:
-        nb = normal_connection_and_curvature(item.smooth_map, item.ambient, pt)
-        rperp = max(rperp, float(np.max(np.abs(nb.r_perp_frame))))
-        ricci = max(ricci, nb.disagreement)
+    nb = normal_connection_and_curvature(
+        fundamental_forms(item.smooth_map, item.ambient, pts))
     checks.append(CheckResult("normal curvature vanishes",
-                              "extrinsic/flat-normal-bundle", rperp,
+                              "extrinsic/flat-normal-bundle",
+                              float(np.max(np.abs(nb.r_perp_frame))),
                               1e-8 * ts).evaluate())
     checks.append(CheckResult("normal curvature matches shape-operator commutators",
-                              "extrinsic/ricci-agreement", ricci,
+                              "extrinsic/ricci-agreement", nb.disagreement,
                               1e-8 * ts).evaluate())
     if item.conformal is not None:
         resid = item.conformal.metric_residual(item.smooth_map, item.ambient, pts)
@@ -269,9 +266,8 @@ def suite_conformal(item, scenario):
     ts = scenario["tol_scale"]
     pts = _sample(item, scenario)
     checks, skipped = [], []
-    provider = immersion_curvature_provider(item.smooth_map, item.ambient)
-    resid = conformal_flatness_test(provider, pts, trials=20,
-                                    seed=scenario["seed"])
+    ext = fundamental_forms(item.smooth_map, item.ambient, pts)
+    resid = conformal_flatness_test(ext, trials=20, seed=scenario["seed"])
     expect_flat = item.expected.get("conformally_flat", True)
     if expect_flat:
         checks.append(CheckResult("curvature satisfies the conformal flatness "
@@ -287,8 +283,7 @@ def suite_conformal(item, scenario):
         checks.append(chk)
     if item.conformal is not None:
         try:
-            q = lemma_q_suite(item.smooth_map, item.ambient, item.conformal,
-                              pts, seed=scenario["seed"])
+            q = lemma_q_suite(ext, item.conformal, seed=scenario["seed"])
             checks.append(CheckResult("Q vanishes between eigendistributions",
                                       "conformal/q-offblock",
                                       q.offblock_residual, 1e-7 * ts).evaluate())
@@ -324,23 +319,24 @@ def suite_lightcone(item, scenario):
                               psi_second_fundamental_residual(model, psi_pts),
                               1e-9 * ts).evaluate())
     lift = flat_lift(item.smooth_map, item.conformal, model, check_points=pts)
-    cone = max(abs(float(np.sum(model.ambient.signature
-                                * lift.F.value(pt) ** 2))) for pt in pts)
+    extF = lift.checked
+    cone = float(np.max(np.abs(np.einsum("mA,A,mA->m", extF.jet.value,
+                                         model.ambient.signature,
+                                         extF.jet.value))))
     checks.append(CheckResult("lift lies on the cone",
                               "lightcone/cone-membership", cone,
                               1e-8 * ts).evaluate())
+    extf = fundamental_forms(item.smooth_map, amb_mod.euclidean(model.N), pts)
     proj = project_from_cone(lift.F, model, points=pts)
-    rt = 0.0
-    for pt in pts:
-        x = item.smooth_map.value(pt)
-        rt = max(rt, float(np.max(np.abs(proj.f.value(pt) - x))))
+    rt = float(np.max(np.abs(evaluate_jet(proj.f, pts, 0).value
+                             - extf.jet.value)))
     checks.append(CheckResult("projection recovers the original immersion",
                               "lightcone/roundtrip", rt, 1e-9 * ts).evaluate())
-    lemma = max(lift_second_fundamental_form(lift, pt)[1] for pt in pts)
+    lemma = lift_second_fundamental_form(lift, extF, extf)[1]
     checks.append(CheckResult("closed form of the lifted second fundamental form",
                               "lightcone/lift-second-fundamental", lemma,
                               1e-7 * ts).evaluate())
-    rep = lift_correspondence_check(lift, pts, seed=scenario["seed"])
+    rep = lift_correspondence_check(extF, extf, seed=scenario["seed"])
     checks.append(CheckResult("lift stays holonomic in the same chart",
                               "lightcone/lift-holonomic",
                               rep.offdiag_F, 1e-7 * ts).evaluate())
@@ -397,24 +393,20 @@ def suite_ribaucour(item, scenario):
     checks.append(CheckResult("reflection transform stays on the cone",
                               "ribaucour/reflection-cone-defect",
                               result.cone_defect, 1e-10 * ts).evaluate())
-    mpres = 0.0
     pts = _sample(item, scenario)
-    for pt in pts:
-        jF = evaluate_jet(lift.F, pt, 1)
-        jT = evaluate_jet(result.F_tilde_map, pt, 1)
-        sig = grid.sig
-        gF = np.einsum("iA,A,jA->ij", jF.d1, sig, jF.d1)
-        gT = np.einsum("iA,A,jA->ij", jT.d1, sig, jT.d1)
-        mpres = max(mpres, float(np.max(np.abs(gF - gT))) /
-                    float(np.max(np.abs(gF))))
+    dF = evaluate_jet(lift.F, pts, 1).d1
+    dT = evaluate_jet(result.F_tilde_map, pts, 1).d1
+    gF = np.einsum("miA,A,mjA->mij", dF, grid.sig, dF)
+    gT = np.einsum("miA,A,mjA->mij", dT, grid.sig, dT)
+    mpres = float(np.max(np.max(np.abs(gF - gT), axis=(1, 2))
+                         / np.max(np.abs(gF), axis=(1, 2))))
     checks.append(CheckResult("reflection preserves the induced metric",
                               "ribaucour/reflection-metric",
                               mpres, 1e-9 * ts).evaluate())
     proj = project_from_cone(result.F_tilde_map, model, points=pts)
-    provider = immersion_curvature_provider(proj.f,
-                                            amb_mod.euclidean(model.N))
-    cf = conformal_flatness_test(provider, pts, trials=20,
-                                 seed=scenario["seed"])
+    cf = conformal_flatness_test(
+        fundamental_forms(proj.f, amb_mod.euclidean(model.N), pts),
+        trials=20, seed=scenario["seed"])
     checks.append(CheckResult("projected reflection is conformally flat",
                               "ribaucour/reflection-projection-flatness",
                               cf, 1e-6 * ts).evaluate())

@@ -20,12 +20,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import ambient as amb_mod
-from .conformal import conformal_flatness_test, immersion_curvature_provider
+from .conformal import conformal_flatness_test
 from .errors import (ConfflatError, DegenerateInputError,
                      DegenerateTransformError, DimensionAmbiguityError,
                      FrameError, NotApplicable, SingularTransformError)
 from .extrinsic import (ExtrinsicData, christoffels, fundamental_forms,
-                        normal_projectors)
+                        intrinsic_curvatures, normal_projectors)
 from .jets import SmoothMap, evaluate_jet
 from .lightcone import (ConeModel, LiftedImmersion, build_cone_model,
                         flat_lift, project_from_cone)
@@ -642,19 +642,18 @@ def grid_curvature_residual(grid: LiftGrid, F_tilde):
 
 
 def exact_flatness_residual(grid: LiftGrid, F_map: SmoothMap, samples=3, seed=0):
-    """Riemann residual of an exactly represented map via jets."""
-    from .extrinsic import intrinsic_curvatures
+    """Riemann residual of an exactly represented map via jets, relative per
+    point to the scale of its second fundamental form, from one batched
+    pass at the sample points."""
     rng = np.random.default_rng(seed)
     pts = F_map.domain.sample_points(samples, rng)
-    worst = 0.0
-    for pt in pts:
-        ext = fundamental_forms(F_map, grid.lift.ambient, pt)
-        pack = intrinsic_curvatures(ext)
-        scale = max(float(np.max(np.abs(
-            np.einsum("ijA,A,klA->ijkl", ext.alpha_onb(), grid.sig.astype(float),
-                      ext.alpha_onb())))), 1e-12)
-        worst = max(worst, float(np.max(np.abs(pack.riemann))) / scale)
-    return worst
+    ext = fundamental_forms(F_map, grid.lift.ambient, pts)
+    riemann = intrinsic_curvatures(ext).riemann
+    aon = ext.alpha_onb()
+    scale = np.maximum(np.max(np.abs(np.einsum(
+        "mijA,A,mklA->mijkl", aon, grid.sig.astype(float), aon)),
+        axis=(1, 2, 3, 4)), 1e-12)
+    return float(np.max(np.max(np.abs(riemann), axis=(1, 2, 3, 4)) / scale))
 
 
 @dataclass
@@ -776,11 +775,11 @@ def _member_postchecks(grid: LiftGrid, rec: MemberReport, model: ConeModel,
     rec.omega_map = proj.omega
     rng = np.random.default_rng(seed)
     pts = F_map.domain.sample_points(sample_count, rng)
-    ambE = amb_mod.euclidean(model.N)
-    provider = immersion_curvature_provider(proj.f, ambE)
-    rec.cf_residual = conformal_flatness_test(provider, pts, trials=20, seed=seed)
-    rec.offdiag_residual = max(
-        max(offdiagonal_defects(fundamental_forms(proj.f, ambE, pt))) for pt in pts)
+    # the quadruple test and the holonomic gate share one pass
+    ext = fundamental_forms(proj.f, amb_mod.euclidean(model.N), pts)
+    rec.cf_residual = conformal_flatness_test(ext, trials=20, seed=seed)
+    rec.offdiag_residual = max(max(offdiagonal_defects(ext.at(m)))
+                               for m in range(len(pts)))
     # grid samples, NaN at the points under the pole guard
     vals = np.full((grid.M, model.N), np.nan)
     rho = evaluate_jet(F_map, grid.points, 0).value @ (grid.sig * model.w)

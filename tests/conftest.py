@@ -1,8 +1,14 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from confflat import extrinsic
+from confflat.ambient import sphere_form
 from confflat.catalog import default_catalog
 from confflat.extrinsic import fundamental_forms
+from confflat.jets import SmoothMap, norm_sq
 from confflat.lightcone import build_cone_model, flat_lift
 from confflat.principal import principal_decompositions
 from confflat.ribaucour import build_lift_grid
@@ -36,6 +42,24 @@ def rng():
     return np.random.default_rng(0)
 
 
+@pytest.fixture
+def fundamental_forms_calls(monkeypatch):
+    """A list that gets the point argument of every fundamental_forms call
+    made through a confflat module while the test runs."""
+    original = extrinsic.fundamental_forms
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("confflat")
+                and getattr(module, "fundamental_forms", None) is original):
+            monkeypatch.setattr(module, "fundamental_forms", counting)
+    return calls
+
+
 def interior_points(item, count, seed=0):
     rng = np.random.default_rng(seed)
     return item.smooth_map.domain.sample_points(count, rng)
@@ -46,3 +70,18 @@ def decompositions(item, points, seed=0):
     fundamental_forms."""
     return principal_decompositions(
         fundamental_forms(item.smooth_map, item.ambient, points), seed=seed)
+
+
+def into_sphere(item):
+    """The item composed with inverse stereographic projection of its
+    Euclidean ambient onto the unit sphere one dimension up."""
+    N = item.smooth_map.codomain_dim
+
+    def evaluator(u):
+        x = item.smooth_map.evaluator(u)
+        q = norm_sq(x)
+        return [2.0 * c / (q + 1.0) for c in x] + [(q - 1.0) / (q + 1.0)]
+
+    fmap = SmoothMap(item.smooth_map.domain, N + 1, evaluator,
+                     item.smooth_map.name + "_in_sphere")
+    return replace(item, smooth_map=fmap, ambient=sphere_form(N, 1.0))

@@ -8,7 +8,7 @@ import pytest
 
 from confflat.ambient import euclidean
 from confflat.conformal import (conformal_change, conformal_flatness_test,
-                                immersion_curvature_provider, lemma_q_suite)
+                                lemma_q_suite)
 from confflat.extrinsic import fundamental_forms, intrinsic_curvatures
 from confflat.lightcone import (build_cone_model, flat_lift,
                                 lift_second_fundamental_form,
@@ -76,8 +76,8 @@ def test_criterion_2_quasiumbilical(catalog):
         ok = False
     except QuasiumbilicError:
         pass
-    provider = immersion_curvature_provider(control.smooth_map, control.ambient)
-    ok &= conformal_flatness_test(provider, interior_points(control, 4)) > 0.05
+    ok &= conformal_flatness_test(fundamental_forms(
+        control.smooth_map, control.ambient, interior_points(control, 4))) > 0.05
     _verdict(2, "quasiumbilical frames with negative control", ok)
 
 
@@ -123,18 +123,20 @@ def test_criterion_4_conformal_identities(catalog):
     for name in ("s3xs1", "cone_t3", "cylinder_r1xs3"):
         item = catalog[name]
         pts = interior_points(item, 4)
-        q = lemma_q_suite(item.smooth_map, item.ambient, item.conformal, pts)
+        ext = fundamental_forms(item.smooth_map, item.ambient, pts)
+        q = lemma_q_suite(ext, item.conformal)
         ok &= q.offblock_residual <= 1e-7 and q.duality_residual <= 1e-7
         if q.high_mult_residual is not None:
             ok &= q.high_mult_residual <= 1e-7
         model = build_cone_model(item.smooth_map.codomain_dim)
         ok &= psi_second_fundamental_residual(
             model, rng.uniform(-0.6, 0.6, size=(2, model.N))) <= 1e-8
-        lift = flat_lift(item.smooth_map, item.conformal, model)
+        lift = flat_lift(item.smooth_map, item.conformal, model,
+                         check_points=pts)
         for pt in pts[:3]:
             F = lift.F.value(pt)
             ok &= abs(model.ambient.inner(F, F)) <= 1e-8 * max(1.0, F @ F)
-            ok &= lift_second_fundamental_form(lift, pt)[1] <= 1e-7
+        ok &= lift_second_fundamental_form(lift, lift.checked, ext)[1] <= 1e-7
         proj = project_from_cone(lift.F, model, points=pts[:3])
         for pt in pts[:3]:
             ok &= float(np.max(np.abs(
@@ -170,9 +172,9 @@ def test_criterion_5_transform_suite(s3xs1_grid, s3xs1):
     model = g.lift.model
     proj = project_from_cone(result.F_tilde_map, model,
                              points=interior_points(s3xs1, 3))
-    provider = immersion_curvature_provider(proj.f, euclidean(model.N))
-    ok &= conformal_flatness_test(provider, interior_points(s3xs1, 3),
-                                  trials=20) <= 1e-6
+    ok &= conformal_flatness_test(
+        fundamental_forms(proj.f, euclidean(model.N), interior_points(s3xs1, 3)),
+        trials=20) <= 1e-6
     shifted = rb.shift_data(g, data, 0.8)
     rep = rb.cone_preservation_check(g, shifted, rb.transform(g, shifted))
     ok &= rep.prediction_mismatch <= 1e-8

@@ -7,8 +7,8 @@ import pytest
 
 from confflat.cli import main
 from confflat.errors import ConfigError
-from confflat.reports import (load_scenario, read_grid_samples, run_pipeline,
-                              run_scenario, write_grid_samples)
+from confflat.reports import (_SUITE_FUNCS, load_scenario, read_grid_samples,
+                              run_pipeline, run_scenario, write_grid_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,24 @@ def test_report_seed_changes_hash():
     b = run_scenario({"schema": 1, "item": "s3xs1", "suite": "extrinsic",
                       "seed": 1}).as_dict()
     assert a["hash"] != b["hash"]
+
+
+def test_pointwise_suites_make_one_fundamental_forms_pass(
+        catalog, fundamental_forms_calls):
+    """Each pointwise suite evaluates extrinsic data in batched passes over
+    its sample points, which all of its checks share: one per item, and for
+    the light-cone suite one each of the model, the lift and the item."""
+    for name, item in sorted(catalog.items()):
+        conf = item.conformal
+        liftable = conf is not None and conf.flat_chart is not None
+        for suite, expected in (("extrinsic", 1), ("principal", 1),
+                                ("conformal", 1),
+                                ("lightcone", 3 if liftable else 0)):
+            fundamental_forms_calls.clear()
+            _SUITE_FUNCS[suite](item, load_scenario(
+                {"schema": 1, "item": name, "suite": suite}))
+            assert len(fundamental_forms_calls) == expected, (name, suite)
+            assert all(np.ndim(p) == 2 for p in fundamental_forms_calls)
 
 
 def test_negative_control_report():

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from confflat import ambient as amb_mod
+from confflat.catalog import CatalogItem
 from confflat.extrinsic import (codazzi_tensor, complement_frame,
                                 fundamental_forms, intrinsic_curvatures,
                                 normal_connection_and_curvature, orthonormalize)
+from confflat.jets import ChartDomain, SmoothMap
+from confflat.reports import load_scenario, suite_extrinsic
 
-from conftest import interior_points
+from conftest import interior_points, into_sphere
 
 
 def _ext(item, pt):
@@ -46,10 +49,69 @@ def test_flat_normal_bundle(catalog, name):
     negative control (flatness of the normal connection does not imply
     conformal flatness of the metric)."""
     item = catalog[name]
-    for pt in interior_points(item, 3):
-        nb = normal_connection_and_curvature(item.smooth_map, item.ambient, pt)
-        assert np.max(np.abs(nb.r_perp_frame)) < 1e-8
-        assert nb.disagreement < 1e-8
+    nb = normal_connection_and_curvature(_ext(item, interior_points(item, 3)))
+    assert np.max(np.abs(nb.r_perp_frame)) < 1e-8
+    assert nb.disagreement < 1e-8
+
+
+_NB_FIELDS = ("frame", "gamma", "r_perp_frame", "r_perp_commutator")
+
+
+def test_normal_connection_on_a_point_set(catalog):
+    """The normal connection of batched extrinsic data is, point for point,
+    that of single-point data (to 1e-12 of each array's scale), on every
+    catalog item and on one composed into a sphere, and its jet frame takes
+    the value of the frame of the extrinsic data."""
+    items = list(catalog.values()) + [into_sphere(catalog["example2"])]
+    for item in items:
+        ext = _ext(item, interior_points(item, 4, seed=3))
+        batch = normal_connection_and_curvature(ext)
+        assert np.max(np.abs(batch.frame - ext.frame)) <= 1e-12
+        for k in range(len(ext.point)):
+            single = normal_connection_and_curvature(ext.at(k))
+            for field in _NB_FIELDS:
+                ref = getattr(single, field)
+                err = np.max(np.abs(getattr(batch, field)[k] - ref))
+                assert err <= 1e-12 * max(1.0, np.max(np.abs(ref))), \
+                    (item.smooth_map.name, field, k)
+
+
+def _surface(name, dim, evaluator):
+    dom = ChartDomain(2, ((-1.0, 1.0), (-1.0, 1.0)))
+    return CatalogItem(name, SmoothMap(dom, dim, evaluator, name),
+                       amb_mod.euclidean(dim), None, {}, "")
+
+
+def test_normal_curvature_gate_can_fail():
+    """Surfaces whose normal bundle is not flat: the holomorphic curve
+    (x, y, x^2 - y^2, 2xy) in R^4, and (x, y, x^2, xy, y^2) in R^5, whose
+    normal connection matrices do not commute.  R-perp reads large, the two
+    routes still agree, and the suite's flat-normal-bundle gate fails."""
+    holo = _surface("holomorphic", 4,
+                    lambda x: [x[0], x[1], x[0] * x[0] - x[1] * x[1],
+                               2.0 * x[0] * x[1]])
+    pts = np.array([[0.0, 0.0], [0.3, -0.2]])
+    nb = normal_connection_and_curvature(_ext(holo, pts))
+    rperp = np.max(np.abs(nb.r_perp_frame), axis=(1, 2, 3, 4))
+    assert np.all(rperp > 1.0)
+    assert abs(rperp[0] - 8.0) <= 1e-12
+    assert nb.disagreement <= 1e-12
+    quad = _surface("quadratic", 5,
+                    lambda x: [x[0], x[1], x[0] * x[0], x[0] * x[1],
+                               x[1] * x[1]])
+    pts = np.array([[0.3, -0.2], [-0.5, 0.4]])
+    nb = normal_connection_and_curvature(_ext(quad, pts))
+    comm = (np.einsum("...jac,...icb->...ijab", nb.gamma, nb.gamma)
+            - np.einsum("...iac,...jcb->...ijab", nb.gamma, nb.gamma))
+    assert np.max(np.abs(comm)) > 0.1
+    assert np.max(np.abs(nb.r_perp_frame)) > 1.0
+    assert nb.disagreement <= 1e-12
+    for item in (holo, quad):
+        checks, _ = suite_extrinsic(item, load_scenario(
+            {"schema": 1, "item": item.name, "suite": "extrinsic"}))
+        verdicts = {c.anchor: c.passed for c in checks}
+        assert verdicts == {"extrinsic/flat-normal-bundle": False,
+                            "extrinsic/ricci-agreement": True}, item.name
 
 
 def test_shape_operators_commute(catalog):

@@ -1,9 +1,13 @@
 """Light-cone model of flat space, flat lifts, and the projection back."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from confflat.ambient import euclidean
 from confflat.errors import (ConformalStructureError, DomainError,
                              ModelMembershipError)
+from confflat.extrinsic import fundamental_forms
 from confflat.jets import ChartDomain, SmoothMap, evaluate_jet
 from confflat.lightcone import (build_cone_model, flat_lift,
                                 lift_correspondence_check,
@@ -72,13 +76,29 @@ def test_lift_is_isometric_to_flat_chart(catalog, name):
         assert np.allclose(gF, gx, atol=1e-9 * max(1.0, np.max(np.abs(gx))))
 
 
+def _parent_ext(item, points):
+    """Extrinsic data of the item in the Euclidean space its lift sits over."""
+    return fundamental_forms(item.smooth_map,
+                             euclidean(item.smooth_map.codomain_dim), points)
+
+
 def test_lift_second_fundamental_closed_form(catalog):
-    item = catalog["s3xs1"]
-    model = build_cone_model(6)
-    lift = flat_lift(item.smooth_map, item.conformal, model)
-    for pt in interior_points(item, 3):
-        _, resid = lift_second_fundamental_form(lift, pt)
-        assert resid < 1e-7
+    """The lift's second fundamental form has the closed form on every
+    liftable item, and a wrong conformal factor breaks it."""
+    for name in LIFTABLE:
+        item = catalog[name]
+        model = build_cone_model(item.smooth_map.codomain_dim)
+        pts = interior_points(item, 3)
+        lift = flat_lift(item.smooth_map, item.conformal, model,
+                         check_points=pts)
+        extf = _parent_ext(item, pts)
+        _, resid = lift_second_fundamental_form(lift, lift.checked, extf)
+        assert resid < 1e-7, name
+        wrong = SmoothMap(item.smooth_map.domain, 1, lambda x: [0.3 * x[0]],
+                          "wrong")
+        bad = replace(lift, conformal=replace(item.conformal, omega=wrong))
+        _, resid = lift_second_fundamental_form(bad, lift.checked, extf)
+        assert resid > 1e-3, name
 
 
 @pytest.mark.parametrize("name", LIFTABLE)
@@ -101,7 +121,7 @@ def test_lift_correspondence(catalog):
     model = build_cone_model(6)
     pts = interior_points(item, 4)
     lift = flat_lift(item.smooth_map, item.conformal, model, check_points=pts)
-    rep = lift_correspondence_check(lift, pts)
+    rep = lift_correspondence_check(lift.checked, _parent_ext(item, pts))
     assert rep.offdiag_F < 1e-7
     assert rep.k_F == rep.k_f
     assert rep.multiplicities_match

@@ -1,25 +1,19 @@
 """Principal normal census, holonomicity, quasiumbilical frames and the
 nullity/leaf invariants over the catalog."""
-import sys
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from confflat import extrinsic
-from confflat.ambient import euclidean, sphere_form
+from confflat.ambient import euclidean
 from confflat.errors import NotApplicable, QuasiumbilicError
 from confflat.extrinsic import fundamental_forms
-from confflat.jets import ChartDomain, SmoothMap, norm_sq
+from confflat.jets import ChartDomain, SmoothMap
 from confflat.principal import (holonomicity_check, joint_diagonalize,
                                 nullity_and_leaf_invariants,
                                 offdiagonal_defects,
                                 principal_decomposition, properness_and_census,
                                 quasiumbilical_frame, separation_check,
                                 span_structure, traceless_relations)
-from confflat.reports import load_scenario, suite_principal
-
-from conftest import decompositions, interior_points
+from conftest import decompositions, interior_points, into_sphere
 
 CENSUS_ITEMS = ["s3xs1", "s2xpseudosphere", "s2xs2_control", "cone_t3",
                 "cylinder_r1xs3", "flat_cylinder", "example2",
@@ -183,21 +177,6 @@ def test_flat_cylinder_nullity(catalog):
     assert rep.nullity_dim == item.expected["nullity"]
 
 
-def _into_sphere(item):
-    """The item composed with inverse stereographic projection of its
-    Euclidean ambient onto the unit sphere one dimension up."""
-    N = item.smooth_map.codomain_dim
-
-    def evaluator(u):
-        x = item.smooth_map.evaluator(u)
-        q = norm_sq(x)
-        return [2.0 * c / (q + 1.0) for c in x] + [(q - 1.0) / (q + 1.0)]
-
-    fmap = SmoothMap(item.smooth_map.domain, N + 1, evaluator,
-                     item.smooth_map.name + "_in_sphere")
-    return replace(item, smooth_map=fmap, ambient=sphere_form(N, 1.0))
-
-
 def _central_eta_derivatives(item, dec, h=1e-5):
     """Oracle for eta_derivatives: central differences of the principal
     normals that principal_decomposition finds at the neighbouring points
@@ -225,32 +204,10 @@ def test_eta_derivatives_match_central_differences(catalog, name, in_sphere):
     """The principal-normal derivatives taken from the Codazzi tensor of the
     order-3 jet agree with central differences of the decomposition, in
     Euclidean space and in a sphere."""
-    item = _into_sphere(catalog[name]) if in_sphere else catalog[name]
+    item = into_sphere(catalog[name]) if in_sphere else catalog[name]
     for dec in decompositions(item, interior_points(item, 2)):
         exact = dec.eta_derivatives
         scale = float(np.max(np.abs(exact)))
         assert scale > 1e-3
         assert np.max(np.abs(exact - _central_eta_derivatives(item, dec))) \
             <= 1e-7 * scale
-
-
-def test_suite_principal_makes_one_fundamental_forms_pass(catalog, monkeypatch):
-    """The principal suite evaluates extrinsic data in one batched pass per
-    item, which the census, the holonomicity check and the separation check
-    share."""
-    original = extrinsic.fundamental_forms
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
-
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("confflat")
-                and getattr(module, "fundamental_forms", None) is original):
-            monkeypatch.setattr(module, "fundamental_forms", counting)
-    for name, item in sorted(catalog.items()):
-        calls.clear()
-        suite_principal(item, load_scenario(
-            {"schema": 1, "item": name, "suite": "principal"}))
-        assert len(calls) == 1, name

@@ -313,3 +313,22 @@ def test_member_postcheck_errors_propagate(s3xs1, monkeypatch):
     with pytest.raises(TypeError, match="broken postcheck"):
         rb.conformally_flat_family(s3xs1.smooth_map, s3xs1.conformal,
                                    s3xs1.ambient, count=1, seed=0)
+
+
+def test_member_postchecks_make_one_fundamental_forms_pass(
+        s3xs1_grid, fundamental_forms_calls):
+    """A retained member's quadruple test and holonomic gate share one
+    batched pass of extrinsic data of its projection, and the exact
+    flatness residual of a transform is one pass too."""
+    g = s3xs1_grid
+    data = _reflection_data(g)
+    result = rb.transform(g, data)
+    fundamental_forms_calls.clear()
+    rec = rb.MemberReport(data.name, data.c, data.condition_residual)
+    rb._member_postchecks(g, rec, g.lift.model, result.F_tilde_map)
+    assert len(fundamental_forms_calls) == 1
+    assert np.ndim(fundamental_forms_calls[0]) == 2
+    assert rec.cf_residual < 1e-6 and rec.offdiag_residual < 1e-6
+    fundamental_forms_calls.clear()
+    assert rb.exact_flatness_residual(g, result.F_tilde_map) < 1e-8
+    assert len(fundamental_forms_calls) == 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import QUADRIC_TOL, AmbientSpace
-from .errors import FrameError, ImmersionError
+from .errors import FrameError, ImmersionError, NotApplicable
 from .jets import Jet, evaluate_jet, sqrt as jsqrt
 from .jets.maps import Jet3, SmoothMap
 
@@ -289,10 +289,15 @@ def fundamental_forms(smooth_map: SmoothMap, ambient: AmbientSpace, points,
         if np.any(ambient.quadric_defect(jet.value) > tol):
             raise ValueError("evaluator does not land on the model quadric")
     span = _spanning_vectors(jet, ambient)
+    p = A - span.shape[-2]
+    if p <= 0:
+        raise NotApplicable(
+            f"no normal directions: a {n}-dimensional map into the "
+            f"{ambient.manifold_dim}-dimensional {ambient.kind} ambient "
+            f"has codimension {p}")
     sig_list = sig.tolist()
     span_units, span_eps = orthonormalize(sig_list, _components(span))
 
-    p = A - span.shape[-2]
     frame_list, frame_eps, pivots = complement_frame(sig_list, span_units,
                                                      span_eps, p)
     frame = _stacked(frame_list, batched)            # (..., p, A)

@@ -136,44 +136,47 @@ class LiftGrid:
                          self.frame, self.sig, diag)
 
 
-def _pseudo_gs(sig, vectors, eps_expected):
-    """Pseudo-orthonormalize rows of `vectors` in order; the resulting signs
-    must reproduce `eps_expected` (the transported frame keeps its causal
-    type for small steps)."""
-    out = []
-    for a, v in enumerate(vectors):
-        r = v.copy()
-        for u, e in zip(out, eps_expected):
-            r = r - e * float(np.sum(sig * r * u)) * u
-        q = float(np.sum(sig * r * r))
-        if q * eps_expected[a] <= 0:
-            raise FrameError("transported frame changed causal type")
-        out.append(r / np.sqrt(abs(q)))
-    return np.array(out)
+def _pseudo_gs(sig, vectors, eps_expected, points):
+    """Pseudo-orthonormalize the p rows of each frame in a batch (B, p, A),
+    in order; the resulting signs must reproduce `eps_expected` (the
+    transported frame keeps its causal type for small steps).  Raises
+    FrameError naming the first point (row of `points`) where it does not."""
+    out = np.empty_like(vectors)
+    for a in range(vectors.shape[1]):
+        r = vectors[:, a].copy()
+        for b in range(a):
+            u = out[:, b]
+            r -= eps_expected[b] * np.sum(sig * r * u, axis=-1)[:, None] * u
+        q = np.sum(sig * r * r, axis=-1)
+        bad = q * eps_expected[a] <= 0
+        if np.any(bad):
+            raise FrameError("transported frame changed causal type at "
+                             f"{points[np.argmax(bad)]}")
+        out[:, a] = r / np.sqrt(np.abs(q))[:, None]
+    return out
 
 
 def _sweep_edges(shape):
-    """Grid edges (from, to) in the order the frame sweep crosses them: along
-    axis 0 from the base point, then along axis 1 from every point reached,
-    and so on; each point is reached exactly once."""
-    n = len(shape)
-    strides = np.array([int(np.prod(shape[d + 1:])) for d in range(n)])
+    """Grid edges (from, to) in the order the frame sweep crosses them,
+    grouped into levels: along axis 0 from the base point, then along axis 1
+    from every point reached, and so on.  Level (axis, k) holds the k-th
+    edge of every line along `axis` whose start was reached before that
+    axis, so its sources were reached at an earlier level and its edges are
+    independent of each other.  Returns one (E_l, 2) array per level; each
+    point is reached exactly once."""
+    strides = np.array([int(np.prod(shape[d + 1:])) for d in range(len(shape))])
     done = np.zeros(int(np.prod(shape)), bool)
     done[0] = True
-    edges = []
-    for axis in range(n):
-        for m in np.where(done)[0]:
-            if np.unravel_index(m, shape)[axis] != 0:
-                continue
-            for k in range(1, shape[axis]):
-                m_prev = m + (k - 1) * strides[axis]
-                m_next = m + k * strides[axis]
-                if not done[m_next]:
-                    edges.append((m_prev, m_next))
-                    done[m_next] = True
+    levels = []
+    for axis, size in enumerate(shape):
+        starts = np.flatnonzero(done)
+        for k in range(1, size):
+            to = starts + k * strides[axis]
+            levels.append(np.stack([to - strides[axis], to], axis=1))
+            done[to] = True
     if not done.all():
         raise FrameError("grid transport failed to reach every point")
-    return np.array(edges, int).reshape(-1, 2)
+    return levels
 
 
 def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
@@ -192,7 +195,13 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     All pointwise data comes from two batched passes before the sweep: the
     extrinsic data at the grid points, and the normal projectors at the
     transport sub-step points of every edge (fractions k / (4 substeps),
-    which the two step counts share)."""
+    which the two step counts share).  A step depends on the projectors
+    only, not on the frame it carries, so every edge's transport operator
+    is built up front, per resolution: one batched expm per sub-step over
+    all edges, multiplied into one (E, A, A) operator.  The sweep then runs
+    level by level (`_sweep_edges`): sum(N_i - 1) levels on a grid of shape
+    (N_1, ..., N_n), each one batched apply, projection onto the normal
+    space and pseudo-Gram-Schmidt over all of its edges."""
     dom = lift.F.domain
     if dom.grid_shape is None:
         raise ValueError("lift domain carries no grid")
@@ -209,7 +218,8 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     fe = ext.frame_eps.astype(float)
     P_grid = np.einsum("ma,maA,B,maB->mAB", fe, ext.frame, sig, ext.frame)
 
-    edges = _sweep_edges(shape)
+    levels = _sweep_edges(shape)
+    edges = np.concatenate(levels)
     D = 4 * substeps
     fracs = np.arange(1, D) / D
     u0 = pts[edges[:, 0]]
@@ -218,36 +228,40 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     P_sub = normal_projectors(lift.F, amb, sub.reshape(-1, n)).reshape(
         len(edges), D - 1, amb.flat_dim, amb.flat_dim)
 
-    def project(m, vectors):
-        coef = np.einsum("a,vA,A,aA->va", fe[m], vectors, sig, ext.frame[m])
-        return coef @ ext.frame[m]
-
-    def transport(vectors, e, K):
-        """K commutator-exponential steps along edge e; step s uses the
-        projectors at fractions s/K, (s + 1/2)/K and (s + 1)/K."""
+    def operators(K):
+        """Every edge's transport in K commutator-exponential steps, as one
+        (E, A, A) operator; step s uses the projectors at fractions s/K,
+        (s + 1/2)/K and (s + 1)/K."""
         r = D // K
-        m0, m1 = edges[e]
-        cur = vectors
-        Pa = P_grid[m0]
+        Pa = P_grid[edges[:, 0]]
+        T = None
         for s in range(K):
-            Pm = P_sub[e, (2 * s + 1) * r // 2 - 1]
-            Pc = P_grid[m1] if s == K - 1 else P_sub[e, (s + 1) * r - 1]
-            A = (Pc - Pa) @ Pm - Pm @ (Pc - Pa)
-            cur = (expm(A) @ cur.T).T
+            Pm = P_sub[:, (2 * s + 1) * r // 2 - 1]
+            Pc = P_grid[edges[:, 1]] if s == K - 1 else P_sub[:, (s + 1) * r - 1]
+            dP = Pc - Pa
+            step = expm(dP @ Pm - Pm @ dP)
+            T = step if T is None else step @ T
             Pa = Pc
-        return cur
+        return np.swapaxes(T, -1, -2)    # acts on frame rows from the right
 
     # two resolutions of the same transport for a Richardson error estimate
     coarse = np.zeros((M, p, amb.flat_dim))
     frame = np.zeros_like(coarse)
     coarse[0] = frame[0] = ext.frame[0]
     eps = ext.frame_eps[0].copy()
-    for e, (m_from, m_to) in enumerate(edges):
-        # clean residual out-of-bundle drift, keep pseudo-orthonormality
-        coarse[m_to] = _pseudo_gs(
-            sig, project(m_to, transport(coarse[m_from], e, substeps)), eps)
-        frame[m_to] = _pseudo_gs(
-            sig, project(m_to, transport(frame[m_from], e, 2 * substeps)), eps)
+    runs = ((coarse, operators(substeps)), (frame, operators(2 * substeps)))
+    start = 0
+    for level in levels:
+        src, dst = level.T
+        ops = slice(start, start + len(level))
+        start = ops.stop
+        normals = ext.frame[dst]
+        for out, T in runs:
+            moved = out[src] @ T[ops]
+            # clean residual out-of-bundle drift, keep pseudo-orthonormality
+            coef = np.einsum("epA,A,eaA->epa", moved, sig, normals)
+            coef *= fe[dst][:, None]
+            out[dst] = _pseudo_gs(sig, coef @ normals, eps, pts[dst])
     transport_error = float(np.max(np.abs(frame - coarse))) / 3.0
 
     grid = LiftGrid(lift, shape, pts, spac, ext.jet.value, ext.tangent, ext.g,
@@ -259,10 +273,9 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     worst = 0.0
     for axis in range(n):
         d = grid.diff(frame.reshape(M, -1), axis).reshape(M, p, grid.A)
-        for a in range(p):
-            coeff = np.einsum("b,mbA,A,mA->mb", eps.astype(float), frame,
-                              grid.sig, d[:, a])
-            worst = max(worst, float(np.max(np.abs(coeff))))
+        coeff = np.einsum("b,mbA,A,maA->mab", eps.astype(float), frame,
+                          grid.sig, d)
+        worst = max(worst, float(np.max(np.abs(coeff))))
     grid.fd_parallel_residual = worst / scale
     if grid.parallel_residual > frame_tol:
         raise FrameError(

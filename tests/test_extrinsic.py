@@ -232,3 +232,14 @@ def test_point_set_refuses_a_degenerate_point():
     pts = np.array([[0.2, 0.5], [0.3, 0.0], [0.1, -0.4]])
     with pytest.raises(ImmersionError, match=r"\[0\.3 0\. *\]"):
         fundamental_forms(fold, amb_mod.euclidean(3), pts)
+
+
+def test_codimension_zero_is_not_applicable():
+    """A map with no normal directions is refused before any frame is
+    built, at one point and over a point set."""
+    from confflat.errors import NotApplicable
+    dom = ChartDomain(2, ((-1.0, 1.0), (-1.0, 1.0)))
+    chart = SmoothMap(dom, 2, lambda x: [x[0], x[1]], "identity")
+    for pts in (np.array([0.1, 0.2]), np.array([[0.1, 0.2], [0.3, -0.4]])):
+        with pytest.raises(NotApplicable, match="codimension 0"):
+            fundamental_forms(chart, amb_mod.euclidean(2), pts)

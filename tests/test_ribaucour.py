@@ -1,9 +1,12 @@
 """Sphere-congruence transforms of the lifted grid: compatibility condition,
 numerical null space, exact reflections, and the full family pipeline."""
+import re
+
 import numpy as np
 import pytest
 
-from confflat.errors import (DegenerateInputError, SingularTransformError)
+from confflat.errors import (DegenerateInputError, FrameError,
+                             SingularTransformError)
 from confflat.extrinsic import normal_projectors
 from confflat.lightcone import build_cone_model, flat_lift
 from confflat import ribaucour as rb
@@ -37,6 +40,152 @@ def test_grid_metric_orthogonal_net(s3xs1_grid):
     g = s3xs1_grid
     off = g.g - np.einsum("mij,ij->mij", g.g, np.eye(g.n))
     assert np.max(np.abs(off)) < 1e-8 * np.max(np.abs(g.g))
+
+
+# Edges of the (2, 3) grid in the order the one-edge-at-a-time sweep
+# crossed them: along axis 0 from the base point, then along axis 1 line by
+# line.
+SEQUENTIAL_EDGES_2x3 = [(0, 3), (0, 1), (1, 2), (3, 4), (4, 5)]
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 5, 5), (3, 4, 2)])
+def test_sweep_levels_reach_every_point_once(shape):
+    levels = rb._sweep_edges(shape)
+    assert len(levels) == sum(k - 1 for k in shape)
+    reached_at = np.full(int(np.prod(shape)), -1)
+    reached_at[0] = 0
+    for lvl, level in enumerate(levels, start=1):
+        src, dst = level.T
+        assert np.all(reached_at[dst] == -1)
+        assert np.all((reached_at[src] >= 0) & (reached_at[src] < lvl))
+        reached_at[dst] = lvl
+        step = np.array(np.unravel_index(dst, shape)) - np.array(
+            np.unravel_index(src, shape))
+        assert np.all(np.abs(step).sum(axis=0) == 1)
+        assert np.all(step.sum(axis=0) == 1)
+    assert np.all(reached_at >= 0)
+
+
+def test_sweep_levels_regroup_the_sequential_edges():
+    """The levels hold the sequential sweep's edges, each grid line's edges
+    in the same order; only lines along one axis are interleaved."""
+    levels = rb._sweep_edges((2, 3))
+    assert [lvl.tolist() for lvl in levels] == [
+        [[0, 3]], [[0, 1], [3, 4]], [[1, 2], [4, 5]]]
+    edges = [tuple(e) for e in np.concatenate(levels).tolist()]
+    assert sorted(edges) == sorted(SEQUENTIAL_EDGES_2x3)
+    for line in ([(0, 1), (1, 2)], [(3, 4), (4, 5)]):
+        assert [e for e in edges if e in line] == line
+
+
+def _sequential_transport(lift, substeps=2):
+    """The one-edge-at-a-time transport: one expm per sub-step and edge,
+    then projection and Gram-Schmidt of that edge's frame alone.  Returns
+    the fine frame and the Richardson estimate."""
+    from scipy.linalg import expm
+    dom = lift.F.domain
+    shape = tuple(dom.grid_shape)
+    pts = dom.grid_points().reshape(-1, dom.dim)
+    amb = lift.ambient
+    sig = amb.signature
+    ext = rb.fundamental_forms(lift.F, amb, pts)
+    fe = ext.frame_eps.astype(float)
+    P_grid = np.einsum("ma,maA,B,maB->mAB", fe, ext.frame, sig, ext.frame)
+    strides = [int(np.prod(shape[d + 1:])) for d in range(len(shape))]
+    done = np.zeros(len(pts), bool)
+    done[0] = True
+    edges = []
+    for axis in range(len(shape)):
+        for m in np.flatnonzero(done):
+            for k in range(1, shape[axis]):
+                edges.append((m + (k - 1) * strides[axis], m + k * strides[axis]))
+                done[m + k * strides[axis]] = True
+    D = 4 * substeps
+    eps = ext.frame_eps[0]
+
+    def gs(vectors):
+        out = []
+        for a, v in enumerate(vectors):
+            r = v.copy()
+            for u, e in zip(out, eps):
+                r = r - e * float(np.sum(sig * r * u)) * u
+            q = float(np.sum(sig * r * r))
+            assert q * eps[a] > 0
+            out.append(r / np.sqrt(abs(q)))
+        return np.array(out)
+
+    frames = []
+    for K in (substeps, 2 * substeps):
+        r = D // K
+        frame = np.zeros(ext.frame.shape)
+        frame[0] = ext.frame[0]
+        for m0, m1 in edges:
+            P_sub = normal_projectors(
+                lift.F, amb, pts[m0] + np.outer(np.arange(1, D) / D,
+                                                pts[m1] - pts[m0]))
+            cur, Pa = frame[m0], P_grid[m0]
+            for s in range(K):
+                Pm = P_sub[(2 * s + 1) * r // 2 - 1]
+                Pc = P_grid[m1] if s == K - 1 else P_sub[(s + 1) * r - 1]
+                cur = (expm((Pc - Pa) @ Pm - Pm @ (Pc - Pa)) @ cur.T).T
+                Pa = Pc
+            coef = np.einsum("a,vA,A,aA->va", fe[m1], cur, sig, ext.frame[m1])
+            frame[m1] = gs(coef @ ext.frame[m1])
+        frames.append(frame)
+    return frames[1], float(np.max(np.abs(frames[1] - frames[0]))) / 3.0
+
+
+@pytest.fixture(scope="module")
+def s3xs1_coarse_lift():
+    item = _resolve_item({"item": "s3xs1", "grid": [3, 3, 3, 3]})
+    model = build_cone_model(item.smooth_map.codomain_dim)
+    return flat_lift(item.smooth_map, item.conformal, model)
+
+
+def test_level_sweep_matches_sequential_transport(s3xs1_coarse_lift):
+    # the 3^4 grid is too coarse for the default frame_tol gate
+    grid = rb.build_lift_grid(s3xs1_coarse_lift, frame_tol=1.0)
+    frame, residual = _sequential_transport(s3xs1_coarse_lift)
+    assert np.max(np.abs(grid.frame - frame)) <= 1e-12
+    assert abs(grid.parallel_residual - residual) <= 1e-12
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_transport_makes_one_expm_per_substep(s3xs1_coarse_lift, monkeypatch,
+                                              substeps):
+    """Every edge's operator comes from batched exponentials: 3 * substeps
+    expm calls per grid, each on the stack of all M - 1 edges."""
+    stacks = []
+    original = rb.expm
+
+    def counting(a):
+        stacks.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(rb, "expm", counting)
+    grid = rb.build_lift_grid(s3xs1_coarse_lift, frame_tol=1.0,
+                              substeps=substeps)
+    assert len(stacks) == 3 * substeps
+    assert all(s == (grid.M - 1, grid.A, grid.A) for s in stacks)
+
+
+def test_frame_tolerance_gate_can_fail(s3xs1_lift):
+    """The Richardson estimate on the default 5^4 grid (about 1.2e-2) fails
+    a 1e-6 tolerance."""
+    with pytest.raises(FrameError, match="transported frame not parallel"):
+        rb.build_lift_grid(s3xs1_lift, frame_tol=1e-6)
+
+
+def test_pseudo_gs_names_the_point_of_a_causal_type_change():
+    sig = np.array([-1.0, 1.0, 1.0, 1.0])
+    e = np.eye(4)
+    frames = np.array([[e[1], e[0]], [e[1], e[2] + 0.1 * e[0]], [e[1], e[0]]])
+    points = np.array([[0.0, 0.0], [0.5, -0.25], [1.0, 1.0]])
+    eps = np.array([1, -1])
+    out = rb._pseudo_gs(sig, frames[[0, 2]], eps, points[[0, 2]])
+    assert np.allclose(out, frames[[0, 2]])
+    with pytest.raises(FrameError, match=re.escape(str(points[1]))):
+        rb._pseudo_gs(sig, frames, eps, points)
 
 
 # ---------------------------------------------------------------------------

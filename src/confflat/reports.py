@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -134,8 +135,10 @@ def load_scenario(source) -> dict:
         value = raw[key]
         if isinstance(value, bool) or not (isinstance(value, int) and value >= least):
             raise ConfigError(f"field '{key}': must be an integer >= {least}")
-    if not (isinstance(raw["tol_scale"], (int, float)) and raw["tol_scale"] > 0):
-        raise ConfigError("field 'tol_scale': must be positive")
+    ts = raw["tol_scale"]
+    if (isinstance(ts, bool) or not isinstance(ts, (int, float))
+            or not 0 < ts <= sys.float_info.max):
+        raise ConfigError("field 'tol_scale': must be a finite number > 0")
     grid = raw.get("grid")
     if grid is not None:
         if (not isinstance(grid, list) or
@@ -517,13 +520,6 @@ def run_pipeline(source, out_dir=None) -> Report:
             report.skipped.append({"anchor": anchor,
                                    "reason": "flatness filter rejected"})
             continue
-        if not rec.projected:
-            report.skipped.append({
-                "anchor": anchor,
-                "reason": f"retained with flat residual {rec.flat_residual:.3e}, "
-                          "but it has no closed-form map, so the projection "
-                          "checks were not run"})
-            continue
         report.checks.append(CheckResult(
             f"member {rec.name}: projection conformally flat",
             anchor + "/flatness", rec.cf_residual,
@@ -532,7 +528,7 @@ def run_pipeline(source, out_dir=None) -> Report:
             f"member {rec.name}: holonomic in the original chart",
             anchor + "/holonomic", rec.offdiag_residual,
             1e-6 * scenario["tol_scale"]).evaluate())
-        if out_dir is not None and rec.samples is not None:
+        if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             write_grid_samples(
                 os.path.join(out_dir, f"{rec.name}.grid"), rec.samples,

@@ -34,6 +34,7 @@ from .principal import offdiagonal_defects, principal_decomposition
 SINGULAR_TOL = 1e-8
 DEGENERATE_MARGIN = 1e-3
 RANK_MARGIN = 1e-8
+FLAT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,6 @@ class LiftGrid:
     eps: np.ndarray             # (p,)
     parallel_residual: float    # Richardson estimate of the transport error
     ext: ExtrinsicData          # pointwise data at the grid points, batched
-    fd_parallel_residual: float = 0.0
 
     @property
     def M(self):
@@ -189,8 +189,7 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     ambient pairing exactly.  The transport is run at step counts `substeps`
     and 2*`substeps` per edge; the Richardson difference between the two
     estimates the transport error, and a frame error is raised when it
-    exceeds frame_tol.  The coarser finite-difference parallelism residual
-    (floor O(h^2) from the difference stencils) is kept as a diagnostic.
+    exceeds frame_tol.
 
     All pointwise data comes from two batched passes before the sweep: the
     extrinsic data at the grid points, and the normal projectors at the
@@ -264,23 +263,11 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
             out[dst] = _pseudo_gs(sig, coef @ normals, eps, pts[dst])
     transport_error = float(np.max(np.abs(frame - coarse))) / 3.0
 
-    grid = LiftGrid(lift, shape, pts, spac, ext.jet.value, ext.tangent, ext.g,
-                    ext.g_inv, ext.alpha, frame, eps, transport_error, ext)
-
-    # diagnostic only: finite-difference parallelism residual, whose floor
-    # is the O(h^2) truncation of the stencils rather than transport error
-    scale = max(float(np.max(np.abs(ext.alpha))), 1e-12)
-    worst = 0.0
-    for axis in range(n):
-        d = grid.diff(frame.reshape(M, -1), axis).reshape(M, p, grid.A)
-        coeff = np.einsum("b,mbA,A,maA->mab", eps.astype(float), frame,
-                          grid.sig, d)
-        worst = max(worst, float(np.max(np.abs(coeff))))
-    grid.fd_parallel_residual = worst / scale
-    if grid.parallel_residual > frame_tol:
+    if transport_error > frame_tol:
         raise FrameError(
-            f"transported frame not parallel: residual {grid.parallel_residual:.3e}")
-    return grid
+            f"transported frame not parallel: residual {transport_error:.3e}")
+    return LiftGrid(lift, shape, pts, spac, ext.jet.value, ext.tangent, ext.g,
+                    ext.g_inv, ext.alpha, frame, eps, transport_error, ext)
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +356,15 @@ def analytic_family(grid: LiftGrid):
 
 @dataclass
 class NullspaceResult:
-    members: list               # of RibaucourData
     spectrum: np.ndarray
     threshold: float
     analytic_projections: np.ndarray   # fraction of each analytic member in the span
-    dimension: int = 0
-    basis: np.ndarray | None = None    # (dimension, M*(1+p)) orthonormal rows
+    dimension: int
+    basis: np.ndarray                  # (dimension, M*(1+p)) orthonormal rows
 
 
-def _degeneracy_guard(grid: LiftGrid, margin=DEGENERATE_MARGIN, samples=3):
-    idx = np.linspace(0, grid.M - 1, samples).astype(int)
+def _degeneracy_guard(grid: LiftGrid):
+    idx = np.linspace(0, grid.M - 1, 3).astype(int)
     for m in idx:
         dec = principal_decomposition(grid.ext.at(m))
         if dec.k < 2:
@@ -389,7 +375,7 @@ def _degeneracy_guard(grid: LiftGrid, margin=DEGENERATE_MARGIN, samples=3):
         for i in range(dec.k):
             for j in range(i + 1, dec.k):
                 gap = np.linalg.norm(dec.etas[i] - dec.etas[j]) / scale
-                if gap < margin:
+                if gap < DEGENERATE_MARGIN:
                     raise DegenerateInputError(
                         f"principal normals {i}, {j} too close (margin {gap:.3e})")
 
@@ -421,7 +407,7 @@ def _condition_operator(grid: LiftGrid):
                              shape=(n_rows, M * (1 + p))).tocsr()
 
 
-def _nullspace_threshold(spectrum, h, threshold=None):
+def _nullspace_threshold(spectrum, h):
     """Singular-value threshold of the numerical null space for a spectrum
     sorted descending (zero-padded to the column count) on a grid of largest
     spacing h: 100 h^2 smax, or on a coarse grid the geometric middle of the
@@ -429,23 +415,22 @@ def _nullspace_threshold(spectrum, h, threshold=None):
     no clear plateau separates the null space."""
     cols_total = len(spectrum)
     smax = float(spectrum[0])
-    if threshold is None:
-        threshold = 100.0 * h * h * smax
-        if threshold >= 0.1 * smax:
-            # the truncation-noise formula is vacuous on a coarse grid; fall
-            # back to the largest multiplicative gap in the small spectrum
-            small = np.sort(spectrum[(spectrum > 1e-13 * smax)
-                                     & (spectrum < 0.1 * smax)])
-            if small.size < 2:
-                raise DimensionAmbiguityError(
-                    "no resolvable small singular values", spectrum=spectrum)
-            ratios = small[1:] / small[:-1]
-            k = int(np.argmax(ratios))
-            if ratios[k] < 30.0:
-                raise DimensionAmbiguityError(
-                    f"no clear singular-value plateau (best gap ratio "
-                    f"{ratios[k]:.1f})", spectrum=spectrum)
-            threshold = float(np.sqrt(small[k] * small[k + 1]))
+    threshold = 100.0 * h * h * smax
+    if threshold >= 0.1 * smax:
+        # the truncation-noise formula is vacuous on a coarse grid; fall
+        # back to the largest multiplicative gap in the small spectrum
+        small = np.sort(spectrum[(spectrum > 1e-13 * smax)
+                                 & (spectrum < 0.1 * smax)])
+        if small.size < 2:
+            raise DimensionAmbiguityError(
+                "no resolvable small singular values", spectrum=spectrum)
+        ratios = small[1:] / small[:-1]
+        k = int(np.argmax(ratios))
+        if ratios[k] < 30.0:
+            raise DimensionAmbiguityError(
+                f"no clear singular-value plateau (best gap ratio "
+                f"{ratios[k]:.1f})", spectrum=spectrum)
+        threshold = float(np.sqrt(small[k] * small[k + 1]))
     threshold = min(threshold, 0.1 * smax)
     near = np.sum((spectrum >= threshold) & (spectrum < 3.0 * threshold))
     inside = np.sum((spectrum >= threshold / 3.0) & (spectrum < threshold))
@@ -456,8 +441,7 @@ def _nullspace_threshold(spectrum, h, threshold=None):
     return threshold
 
 
-def solve_condition_nullspace(grid: LiftGrid, threshold=None,
-                              max_members=24) -> NullspaceResult:
+def solve_condition_nullspace(grid: LiftGrid) -> NullspaceResult:
     """Assemble the condition as a sparse operator on the grid unknowns
     (phi, b_1..b_p per point; centered differences, equations at interior
     points) and return an orthonormal basis of its numerical null space.
@@ -471,7 +455,6 @@ def solve_condition_nullspace(grid: LiftGrid, threshold=None,
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
 
-    M, p = grid.M, grid.p
     op = _condition_operator(grid)
     rows_total, cols_total = op.shape
     _, labels = connected_components(
@@ -487,8 +470,7 @@ def solve_condition_nullspace(grid: LiftGrid, threshold=None,
 
     svals = np.sort(np.concatenate([s for _, s, _ in blocks]))[::-1]
     spectrum = np.concatenate([svals, np.zeros(cols_total - len(svals))])
-    threshold = _nullspace_threshold(spectrum, float(np.max(grid.spacings)),
-                                     threshold)
+    threshold = _nullspace_threshold(spectrum, float(np.max(grid.spacings)))
     null_count = int(np.sum(spectrum < threshold))
     # each block's trailing right singular vectors (below the threshold, or
     # beyond its row count), then one unit row per untouched column
@@ -500,31 +482,13 @@ def solve_condition_nullspace(grid: LiftGrid, threshold=None,
         row += len(null)
     basis[np.arange(row, null_count), untouched] = 1.0
 
-    # representative members: random orthonormal combinations of the basis
-    # (the raw basis mixes the solution family with unconstrained boundary
-    # values, which are pure gauge for the interior equations)
-    rng = np.random.default_rng(0)
-    k = min(null_count, max_members)
-    combo = basis
-    if null_count > max_members:
-        q, _ = np.linalg.qr(rng.standard_normal((null_count, k)))
-        combo = q.T @ basis
-    members = []
-    for vec in combo:
-        phi = vec[:M]
-        b = vec[M:].reshape(p, M).T
-        members.append(RibaucourData(
-            phi, b, float(np.mean(grid.cone_constant(phi, b))),
-            condition_residual(grid, phi, b), name="nullspace"))
-
     fam = analytic_family(grid)
     projections = np.zeros(len(fam))
     for k, data in enumerate(fam):
         vec = np.concatenate([data.phi, data.b.T.reshape(-1)])
         vec = vec / np.linalg.norm(vec)
         projections[k] = float(np.linalg.norm(basis @ vec))
-    return NullspaceResult(members, spectrum, threshold, projections,
-                           null_count, basis)
+    return NullspaceResult(spectrum, threshold, projections, null_count, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +533,13 @@ def _exact_transform_map(grid: LiftGrid, data: RibaucourData):
     return SmoothMap(F.domain, grid.A, refl_eval, F.name + "_reflected")
 
 
-def transform(grid: LiftGrid, data: RibaucourData,
-              singular_tol=SINGULAR_TOL, rank_tol=RANK_MARGIN) -> TransformResult:
+def transform(grid: LiftGrid, data: RibaucourData) -> TransformResult:
     """F~ = F - 2 nu_R phi calF with calF = F_* grad phi + beta and
     nu_R^{-1} = <<calF, calF>>."""
     n = grid.n
     if data.z is not None:
         zz = float(np.sum(grid.sig * data.z * data.z))
-        if abs(zz) < singular_tol * float(np.sum(data.z * data.z)):
+        if abs(zz) < SINGULAR_TOL * float(np.sum(data.z * data.z)):
             raise SingularTransformError(
                 f"<<z, z>> = {zz:.3e}: constant-vector direction is null")
     Dphi = np.stack([grid.diff(data.phi[:, None], i)[:, 0] for i in range(n)],
@@ -586,7 +549,7 @@ def transform(grid: LiftGrid, data: RibaucourData,
     calF = Fgrad + grid.beta_ambient(data.b)
     nu_inv = grid.lorentz_inner(calF, calF)
     scale = max(float(np.max(np.einsum("mA,mA->m", calF, calF))), 1e-300)
-    if float(np.min(np.abs(nu_inv))) < singular_tol * scale:
+    if float(np.min(np.abs(nu_inv))) < SINGULAR_TOL * scale:
         worst = int(np.argmin(np.abs(nu_inv)))
         raise SingularTransformError(
             f"<<calF, calF>> = {nu_inv[worst]:.3e} at grid point {worst}: "
@@ -596,7 +559,7 @@ def transform(grid: LiftGrid, data: RibaucourData,
     dF = np.stack([grid.diff(F_tilde, i) for i in range(n)], axis=1)  # (M,n,A)
     sv = np.linalg.svd(dF, compute_uv=False)                         # (M, n)
     rank_margin = float(np.min(sv[:, -1] / sv[:, 0]))
-    if rank_margin < rank_tol:
+    if rank_margin < RANK_MARGIN:
         raise DegenerateTransformError(
             f"transformed differential rank margin {rank_margin:.3e}")
     cone_defect = float(np.max(np.abs(grid.lorentz_inner(F_tilde, F_tilde))))
@@ -606,53 +569,24 @@ def transform(grid: LiftGrid, data: RibaucourData,
 
 @dataclass
 class ConePreservationReport:
-    measured: float             # max |<<F~, F~>>|
-    prediction_mismatch: float  # vs 4 nu_R phi (phi - <<F, beta>>)
-    c: float
-    preserved: bool
+    prediction_mismatch: float  # <<F~, F~>> vs 4 nu_R phi (phi - <<F, beta>>)
 
 
 def cone_preservation_check(grid: LiftGrid, data: RibaucourData,
-                            result: TransformResult, tol=1e-8) -> ConePreservationReport:
+                            result: TransformResult) -> ConePreservationReport:
     """<<F~, F~>> against the algebraic identity
     4 nu_R phi (phi - <<F, beta>>); zero exactly when c = 0."""
     measured = grid.lorentz_inner(result.F_tilde, result.F_tilde)
     FB = grid.lorentz_inner(grid.F_vals, grid.beta_ambient(data.b))
     predicted = 4.0 * data.phi * (data.phi - FB) / result.nu_inv
     scale = max(float(np.max(np.abs(predicted))), 1.0)
-    mismatch = float(np.max(np.abs(measured - predicted))) / scale
-    worst = float(np.max(np.abs(measured)))
-    preserved = worst <= tol * max(float(np.max(grid.F_vals ** 2)), 1.0)
-    return ConePreservationReport(worst, mismatch, data.c, preserved)
+    return ConePreservationReport(
+        float(np.max(np.abs(measured - predicted))) / scale)
 
 
 # ---------------------------------------------------------------------------
 # flatness filtering
 # ---------------------------------------------------------------------------
-
-def grid_curvature_residual(grid: LiftGrid, F_tilde):
-    """Normalized Riemann curvature of the induced metric of grid samples,
-    by finite differences; noise floor O(h^2)."""
-    n = grid.n
-    dF = np.stack([grid.diff(F_tilde, i) for i in range(n)], axis=1)
-    g = np.einsum("miA,A,mjA->mij", dF, grid.sig, dF)
-    g_inv = np.linalg.inv(g)
-    dg = np.stack([grid.diff(g.reshape(grid.M, -1), l).reshape(grid.M, n, n)
-                   for l in range(n)], axis=1)   # (M, l, i, j)
-    gam_low = 0.5 * (np.einsum("mijl->mlij", dg) + np.einsum("mjil->mlij", dg)
-                     - np.einsum("mlij->mlij", dg))
-    gam = np.einsum("mkl,mlij->mkij", g_inv, gam_low)
-    dgam = np.stack([grid.diff(gam.reshape(grid.M, -1), d)
-                     .reshape(grid.M, n, n, n) for d in range(n)], axis=1)
-    # R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma Gamma terms
-    R = (np.einsum("miljk->mlijk", dgam) - np.einsum("mjlik->mlijk", dgam)
-         + np.einsum("mlia,majk->mlijk", gam, gam)
-         - np.einsum("mlja,maik->mlijk", gam, gam))
-    inner = _interior_mask(grid.shape)
-    scale = max(float(np.max(np.abs(gam[inner])) ** 2),
-                float(np.max(np.abs(dgam[inner]))), 1e-12)
-    return float(np.max(np.abs(R[inner]))) / scale
-
 
 def exact_flatness_residual(grid: LiftGrid, F_map: SmoothMap, samples=3, seed=0):
     """Riemann residual of an exactly represented map via jets, relative per
@@ -675,47 +609,33 @@ class FilterRecord:
     result: TransformResult | None
     flat_residual: float | None
     retained: bool
-    exact: bool
     error: str | None = None
 
 
-def flatness_filter(grid: LiftGrid, candidates, tol=1e-8, numeric_tol=None):
-    """Retain the transforms whose induced metric stays flat.  Constant
-    vector data (ambient reflections) and the identity datum admit an exact
-    closed-form map and are tested through jets at tolerance `tol`; generic
-    grid candidates are tested by finite differences at `numeric_tol`.  The
-    default numeric tolerance is half the residual the same estimator
-    reports for the untransformed (exactly flat) F: a grid candidate is
-    retained only if it looks flatter than the flat reference, so on coarse
-    grids the numeric route is conservative and rejects what it cannot
-    resolve.  A grid candidate must also keep the light-cone constant
-    <<F, beta>> - phi constant over the grid, as every solution of the
-    condition does, up to the O(h^2) floor of the analytic-family check:
-    a generic null-space member, which carries free boundary values, does
-    not."""
-    if numeric_tol is None:
-        numeric_tol = 0.5 * grid_curvature_residual(grid, grid.F_vals)
-    h2 = float(np.max(grid.spacings)) ** 2
+def flatness_filter(grid: LiftGrid, candidates):
+    """Retain the transforms whose induced metric stays flat, decided by
+    the exact-jet Riemann residual of their closed-form map at FLAT_TOL.
+    Constant-vector data (ambient reflections) and the identity datum have
+    such a map.  A candidate without one is refused with an error: the
+    finite-difference curvature of grid samples cannot decide flatness on
+    the grids this package runs (on s3xs1 at 5^4 it reads 0.36 to 1.00 on
+    exactly flat reflection transforms)."""
     records = []
     for data in candidates:
         try:
             result = transform(grid, data)
         except (SingularTransformError, DegenerateTransformError) as err:
-            records.append(FilterRecord(data, None, None, False, False,
+            records.append(FilterRecord(data, None, None, False,
                                         f"{type(err).__name__}: {err}"))
             continue
-        if result.F_tilde_map is not None:
-            resid = exact_flatness_residual(grid, result.F_tilde_map)
-            records.append(FilterRecord(data, result, resid, resid <= tol, True))
-        else:
-            resid = grid_curvature_residual(grid, result.F_tilde)
-            scale = max(float(np.max(np.abs(data.phi))),
-                        float(np.max(np.abs(data.b))))
-            constant = (float(np.ptp(grid.cone_constant(data.phi, data.b)))
-                        <= 0.5 * h2 * scale)
-            records.append(FilterRecord(data, result, resid,
-                                        resid <= numeric_tol and constant,
-                                        False))
+        if result.F_tilde_map is None:
+            records.append(FilterRecord(
+                data, result, None, False,
+                "no closed-form map: flatness of a grid-only transform is "
+                "not decided"))
+            continue
+        resid = exact_flatness_residual(grid, result.F_tilde_map)
+        records.append(FilterRecord(data, result, resid, resid <= FLAT_TOL))
     return records
 
 
@@ -764,7 +684,6 @@ class MemberReport:
     cone_defect: float | None = None
     flat_residual: float | None = None
     retained: bool = False
-    projected: bool = False
     cf_residual: float | None = None
     offdiag_residual: float | None = None
     error: str | None = None
@@ -782,12 +701,12 @@ class FamilyResult:
 
 
 def _member_postchecks(grid: LiftGrid, rec: MemberReport, model: ConeModel,
-                       F_map: SmoothMap, sample_count=4, seed=0):
+                       F_map: SmoothMap, seed=0):
     proj = project_from_cone(F_map, model)
     rec.f_map = proj.f
     rec.omega_map = proj.omega
     rng = np.random.default_rng(seed)
-    pts = F_map.domain.sample_points(sample_count, rng)
+    pts = F_map.domain.sample_points(4, rng)
     # the quadruple test and the holonomic gate share one pass
     ext = fundamental_forms(proj.f, amb_mod.euclidean(model.N), pts)
     rec.cf_residual = conformal_flatness_test(ext, trials=20, seed=seed)
@@ -800,16 +719,16 @@ def _member_postchecks(grid: LiftGrid, rec: MemberReport, model: ConeModel,
     if keep.any():
         vals[keep] = evaluate_jet(proj.f, grid.points[keep], 0).value
     rec.samples = vals
-    rec.projected = True
 
 
 def conformally_flat_family(smooth_map: SmoothMap, conf, amb,
-                            count=3, seed=0, include_nullspace=1,
-                            flat_tol=1e-8) -> FamilyResult:
+                            count=3, seed=0) -> FamilyResult:
     """Full pipeline: lift an immersion with known conformal structure to
-    the cone, solve the compatibility condition, restrict to the cone-
-    preserving (c = 0) slice, transform, keep the flatness-preserving
-    members, and project each back to a new conformally flat immersion."""
+    the cone, solve the compatibility condition, transform by the identity
+    datum and `count` random ambient reflections (constant-vector data,
+    which sit on the cone-preserving c = 0 slice), keep the members whose
+    closed-form transform stays flat, and project each back to a new
+    conformally flat immersion."""
     if conf is None:
         raise NotApplicable("pipeline needs a conformal structure")
     if smooth_map.domain.dim < 4:
@@ -836,18 +755,12 @@ def conformally_flat_family(smooth_map: SmoothMap, conf, amb,
         data = constant_vector_data(grid, z, name=f"reflection-{made}")
         candidates.append(data)
         made += 1
-    for vec_data in ns.members[:include_nullspace]:
-        candidates.append(vec_data)
 
     members = []
     for data in candidates:
         rec = MemberReport(data.name, data.c, data.condition_residual)
         try:
-            if abs(data.c) > 1e-8 * max(float(np.max(np.abs(data.phi))), 1.0):
-                data = shift_data(grid, data, data.c)   # move onto the c = 0 slice
-                rec.c = data.c
-            recs = flatness_filter(grid, [data], tol=flat_tol)
-            frec = recs[0]
+            frec, = flatness_filter(grid, [data])
             if frec.error is not None:
                 rec.error = frec.error
                 members.append(rec)
@@ -855,7 +768,7 @@ def conformally_flat_family(smooth_map: SmoothMap, conf, amb,
             rec.flat_residual = frec.flat_residual
             rec.retained = frec.retained
             rec.cone_defect = frec.result.cone_defect
-            if frec.retained and frec.result.F_tilde_map is not None:
+            if frec.retained:
                 _member_postchecks(grid, rec, model, frec.result.F_tilde_map,
                                    seed=seed)
         except ConfflatError as err:   # isolate per-member failures

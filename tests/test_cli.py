@@ -33,6 +33,9 @@ def test_scenario_defaults():
     ({"schema": 1, "item": "s3xs1", "samples": "6"}, "samples"),
     ({"schema": 1, "item": "s3xs1", "count": -2}, "count"),
     ({"schema": 1, "item": "s3xs1", "count": "2"}, "count"),
+    ({"schema": 1, "item": "s3xs1", "tol_scale": float("inf")}, "tol_scale"),
+    ({"schema": 1, "item": "s3xs1", "tol_scale": float("nan")}, "tol_scale"),
+    ({"schema": 1, "item": "s3xs1", "tol_scale": True}, "tol_scale"),
 ])
 def test_scenario_rejections_name_the_field(raw, field):
     with pytest.raises(ConfigError) as err:
@@ -144,21 +147,6 @@ def _stub_family(monkeypatch, members):
     monkeypatch.setattr(rb, "conformally_flat_family", lambda *a, **k: fam)
 
 
-def test_pipeline_skips_retained_member_without_map(monkeypatch):
-    """A grid-level member kept by the flatness filter has no closed-form
-    map to project: it is reported as skipped, with its flat residual."""
-    from confflat.ribaucour import MemberReport
-    member = MemberReport("nullspace", 0.0, 1e-3, cone_defect=1e-3,
-                          flat_residual=0.26, retained=True)
-    _stub_family(monkeypatch, [member])
-    rep = run_pipeline({"schema": 1, "item": "s3xs1", "count": 0})
-    assert rep.skipped == [{
-        "anchor": "pipeline/member-nullspace",
-        "reason": "retained with flat residual 2.600e-01, but it has no "
-                  "closed-form map, so the projection checks were not run"}]
-    assert [c.anchor for c in rep.checks] == ["pipeline/nullspace-dimension"]
-
-
 def test_pipeline_grid_enters_scenario_and_hash(monkeypatch):
     _stub_family(monkeypatch, [])
     base = {"schema": 1, "item": "s3xs1", "count": 0}
@@ -215,6 +203,7 @@ def test_cli_usage_errors(capsys):
     ["verify", "--scenario", '{"schema":1,"item":"s3xs1","samples":"6"}'],
     ["pipeline", "--scenario", '{"schema":1,"item":"s3xs1","count":"2"}'],
     ["pipeline", "s3xs1", "--count", "-2"],
+    ["verify", "s3xs1", "--tol-scale", "inf"],
 ])
 def test_cli_refuses_bad_counts(argv, capsys):
     assert main(argv) == 2

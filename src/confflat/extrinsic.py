@@ -4,7 +4,7 @@ quantities (Riemann, Ricci, scalar, sectional).
 
 The normal frame is built by Gram-Schmidt (with signs, so it also handles
 Lorentzian ambient spaces) applied to the ambient basis projected to the
-normal space.  The same construction is run on jet scalars to obtain exact
+normal space.  The same construction is run on vector jets to obtain exact
 derivatives of the frame, which gives the normal connection and its
 curvature without finite differencing.
 """
@@ -20,34 +20,58 @@ from .jets import Jet, evaluate_jet, sqrt as jsqrt
 from .jets.maps import Jet3, SmoothMap
 
 RANK_TOL = 1e-8
+SPAN_TOL = 1e-12          # Gram-Schmidt breakdown, relative to the vector
+COMPLETE_TOL = 1e-10      # smallest residual a completing candidate may have
 
 
 # ---------------------------------------------------------------------------
-# generic vector algebra over floats, point-set arrays or jets
+# signed Gram-Schmidt over stacked ambient vectors
 # ---------------------------------------------------------------------------
+# An ambient vector is one object with the ambient axis first: an (A,) array
+# at a point, an (A, B) array over a point set, or a Jet whose batch shape is
+# (A,) or (A, B).  Inner products keep that axis with length 1, so that they
+# multiply vectors directly (jet products align on trailing axes).  Signs and
+# pivots are floats at a point and (B,) arrays over a point set, so sign
+# choices, pivots and breakdown checks are made per point.
 
-def _vdot(sig, u, v):
-    acc = sig[0] * (u[0] * v[0])
-    for s, a, b in zip(sig[1:], u[1:], v[1:]):
-        acc = acc + s * (a * b)
-    return acc
-
-
-def _axpy(c, u, v):
-    """v + c*u componentwise."""
-    return [b + c * a for a, b in zip(u, v)]
-
-
-def _scale(c, u):
-    return [c * a for a in u]
+_FIELDS = "vght"        # jet components: the ambient axis is at index k of the k-th
 
 
 def _val(x):
     return x.v if isinstance(x, Jet) else x
 
 
-# Scalars here are floats at one point and (B,) arrays over a point set, so
-# sign choices, pivots and breakdown checks are made per point.
+def _sig(sig, v):
+    """The signature shaped to broadcast against the stacked vector v."""
+    return np.asarray(sig, float).reshape((-1,) + (1,) * (_val(v).ndim - 1))
+
+
+def _vdot(sig, u, v):
+    w = sig * (u * v)
+    if isinstance(w, Jet):
+        return Jet(w.n, w.order, *(getattr(w, f).sum(axis=k, keepdims=True)
+                                   for k, f in enumerate(_FIELDS[:w.order + 1])))
+    return w.sum(axis=0, keepdims=True)
+
+
+def _stack(v):
+    """One ambient vector from a sequence of A scalars (all floats or (B,)
+    arrays, or all jets of one order)."""
+    if not isinstance(v[0], Jet):
+        return np.array(v, float)
+    order = v[0].order
+    return Jet(v[0].n, order, *(np.stack([getattr(c, f) for c in v], axis=k)
+                                for k, f in enumerate(_FIELDS[:order + 1])))
+
+
+def _unstack(u):
+    """The A scalars of one ambient vector."""
+    if not isinstance(u, Jet):
+        return list(u)
+    comps = [np.moveaxis(getattr(u, f), k, 0)
+             for k, f in enumerate(_FIELDS[:u.order + 1])]
+    return [Jet(u.n, u.order, *(c[a] for c in comps)) for a in range(len(u.v))]
+
 
 def _sign(q):
     if isinstance(q, np.ndarray):
@@ -61,10 +85,6 @@ def _pick(take, new, old):
     return new if take else old
 
 
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else float(np.sqrt(x))
-
-
 def _refuse(bad, message):
     """FrameError when `bad` holds, at the point or at any point of a batch
     (the first one is named)."""
@@ -75,85 +95,120 @@ def _refuse(bad, message):
         raise FrameError(message)
 
 
-def _unit(sig, r, q=None):
-    """r scaled to <u, u> = eps in {-1, +1}, given q = <r, r> when known;
-    returns (u, eps)."""
-    if q is None:
-        q = _vdot(sig, r, r)
-    e = _sign(_val(q))
+def _unit(sig, r, q):
+    """r scaled to <u, u> = eps in {-1, +1}, given q = <r, r>; returns
+    (u, eps)."""
+    e = _sign(_val(q)[0])
     if isinstance(q, Jet):
-        return _scale(jsqrt(q * e) ** -1.0, r), e
-    return _scale(1.0 / _sqrt(q * e), r), e
+        return jsqrt(q * e) ** -1.0 * r, e
+    return 1.0 / np.sqrt(q * e) * r, e
 
 
 def _project_out(sig, units, eps, r):
     for u, e in zip(units, eps):
-        r = _axpy(-e * _vdot(sig, r, u), u, r)
+        r = r + -e * _vdot(sig, r, u) * u
     return r
 
 
-def orthonormalize(sig, vectors, tol=1e-12):
-    """Gram-Schmidt with signs for a (possibly indefinite) diagonal metric.
-
-    Returns (units, eps) where each unit u satisfies <u,u> = eps in {-1,+1}.
-    Raises FrameError when a vector degenerates against the span built so far.
-    """
+def _orthonormalize(sig, vectors, tol):
     units, eps = [], []
     for v in vectors:
-        r = _project_out(sig, units, eps, list(v))
+        r = _project_out(sig, units, eps, v)
         q = _vdot(sig, r, r)
-        qv = _val(q)
-        scale = sum(_val(a) ** 2 for a in v)
-        scale = np.maximum(scale, 1.0) if isinstance(scale, np.ndarray) else max(scale, 1.0)
-        _refuse(abs(qv) < tol * scale, "Gram-Schmidt breakdown: degenerate residual")
+        scale = np.maximum(np.sum(_val(v) ** 2, axis=0), 1.0)
+        _refuse(abs(_val(q)[0]) < tol * scale,
+                "Gram-Schmidt breakdown: degenerate residual")
         u, e = _unit(sig, r, q)
         units.append(u)
         eps.append(e)
     return units, eps
 
 
-def complement_frame(sig, span_units, span_eps, count, pivot_order=None, tol=1e-10):
-    """Extend an orthonormalized spanning set to the full space by projecting
-    the ambient basis, pivoting on the largest residual self inner product
-    (per point over a batch: in candidate order, a candidate replaces the
-    best only when its residual is larger by more than 1e-15).  With a
-    `pivot_order` the candidates are taken in that order instead; over a
-    batch an entry may be a (B,) array of per-point pivots."""
-    dim = len(sig)
-    order = list(pivot_order) if pivot_order is not None else None
-    units = list(span_units)
-    eps = list(span_eps)
+def _complete(sig, units, eps, count, pivot_order, tol):
+    A = sig.shape[0]
+    units, eps = list(units), list(eps)
     frame, frame_eps, chosen = [], [], []
-
-    def residual(b):
-        r = [(b == c) * 1.0 for c in range(dim)]
-        r = _project_out(sig, units, eps, r)
-        return abs(_val(_vdot(sig, r, r))), r
-
-    for _ in range(count):
-        if order is not None:
-            b = order.pop(0)
-            q, r = residual(b)
-        else:
-            q, b, r = -np.inf, -1, [0.0] * dim
-            for c in range(dim):
-                free = True
-                for prev in chosen:
-                    free = free & (prev != c)
-                if free is False:       # taken already (at a single point)
-                    continue
-                qc, rc = residual(c)
-                take = free & (qc > q + 1e-15)
+    # residuals of all A candidates (axis 1), projected once per unit
+    R, done = np.eye(A).reshape((A,) + sig.shape), 0
+    for j in range(count):
+        if pivot_order is None:
+            R = _project_out(sig[:, None], [u[:, None] for u in units[done:]],
+                             eps[done:], R)
+            done = len(units)
+            Q = abs(_vdot(sig[:, None], R, R))[0]
+            if chosen:
+                np.put_along_axis(Q, np.array(chosen), -np.inf, axis=0)
+            q, b = -np.inf, -1
+            for c, qc in enumerate(Q):
+                take = qc > q + 1e-15
                 q, b = _pick(take, qc, q), _pick(take, c, b)
-                r = [_pick(take, x, y) for x, y in zip(rc, r)]
-        _refuse(q < tol, "cannot complete normal frame: residuals degenerate")
+            r = np.take_along_axis(R, np.asarray(b)[None, None], axis=1)[:, 0]
+        else:
+            b = pivot_order[j]
+            r = _project_out(sig, units, eps,
+                             (np.arange(A).reshape(sig.shape) == b) * 1.0)
+        q = _vdot(sig, r, r)
+        _refuse(abs(_val(q)[0]) < tol,
+                "cannot complete normal frame: residuals degenerate")
         chosen.append(b)
-        unit, e = _unit(sig, r)
+        unit, e = _unit(sig, r, q)
         units.append(unit)
         eps.append(e)
         frame.append(unit)
         frame_eps.append(e)
     return frame, frame_eps, chosen
+
+
+def _stacked_in(vectors):
+    """k vectors, given as a (..., k, A) array or as sequences of A scalars,
+    as stacked vectors.  They are C-contiguous, so that every sum over the
+    ambient axis adds in ambient order over a batch."""
+    if isinstance(vectors, np.ndarray):
+        return list(np.ascontiguousarray(np.moveaxis(vectors, (-2, -1), (0, 1))))
+    return [_stack(v) for v in vectors]
+
+
+def _batch_last(xs):
+    return np.moveaxis(np.array(xs), 0, -1)
+
+
+def orthonormalize(sig, vectors, tol=SPAN_TOL):
+    """Gram-Schmidt with signs for a (possibly indefinite) diagonal metric.
+
+    `vectors` is a (..., k, A) array, or k vectors each a sequence of A
+    scalars (floats, (B,) arrays over a point set, or jets).  Returns
+    (units, eps) in the same form, (..., k, A) and (..., k) arrays or lists,
+    where each unit u satisfies <u,u> = eps in {-1,+1}.  Raises FrameError
+    when a vector degenerates against the span built so far.
+    """
+    vecs = _stacked_in(vectors)
+    units, eps = _orthonormalize(_sig(sig, vecs[0]), vecs, tol)
+    if isinstance(vectors, np.ndarray):
+        return np.moveaxis(np.array(units), (0, 1), (-2, -1)), _batch_last(eps)
+    return [_unstack(u) for u in units], eps
+
+
+def complement_frame(sig, span_units, span_eps, count, pivot_order=None,
+                     tol=COMPLETE_TOL):
+    """Extend an orthonormalized spanning set, in either form orthonormalize
+    returns, to the full space by projecting the ambient basis, pivoting on
+    the largest residual self inner product (per point over a batch: in
+    candidate order, a candidate replaces the best only when its residual is
+    larger by more than 1e-15).  With a `pivot_order` the candidates are
+    taken in that order instead; over a batch an entry may be a (B,) array
+    of per-point pivots.  Without one the span must not be jets.  Returns
+    (frame, eps, pivots), as arrays (..., count, A), (..., count) and
+    (..., count) for an array span, else as lists."""
+    units = _stacked_in(span_units)
+    as_array = isinstance(span_units, np.ndarray)
+    if as_array:
+        span_eps = list(np.moveaxis(span_eps, -1, 0))
+    frame, eps, chosen = _complete(_sig(sig, units[0]), units, span_eps, count,
+                                   pivot_order, tol)
+    if as_array:
+        return (np.moveaxis(np.array(frame), (0, 1), (-2, -1)),
+                _batch_last(eps), _batch_last(chosen))
+    return [_unstack(u) for u in frame], eps, chosen
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +265,14 @@ class ExtrinsicData:
     def normal_project(self, v):
         """Projection of an ambient vector onto the normal space."""
         sig = self.ambient.signature
-        out = np.zeros_like(np.asarray(v, float))
-        for xi, e in zip(self.frame, self.frame_eps):
-            out = out + e * float(np.sum(sig * v * xi)) * xi
-        return out
+        return np.einsum("a,aA,A,aB->B", self.frame_eps, self.frame, sig * v,
+                         self.frame)
 
     def shape_operator(self, xi):
         """A_xi in the ONB for an arbitrary normal vector xi."""
         sig = self.ambient.signature
-        coeffs = np.array([e * float(np.sum(sig * xi * f))
-                           for f, e in zip(self.frame, self.frame_eps)])
-        return np.einsum("a,aij->ij", coeffs, self.S)
+        return np.einsum("a,aA,A,aij->ij", self.frame_eps, self.frame, sig * xi,
+                         self.S)
 
 
 def _net_is_orthogonal(g, rel=1e-8):
@@ -254,19 +306,6 @@ def _spanning_vectors(jet: Jet3, ambient: AmbientSpace):
     return np.concatenate([jet.d1, pos[..., None, :]], axis=-2)
 
 
-def _components(vectors):
-    """(..., k, A) vectors as k lists of A scalars: floats at one point,
-    (B,) arrays over a point set."""
-    if vectors.ndim == 2:
-        return vectors.tolist()
-    return [list(v) for v in np.moveaxis(vectors, 0, -1)]
-
-
-def _stacked(rows, batched):
-    out = np.array(rows, float)
-    return np.moveaxis(out, -1, 0) if batched else out
-
-
 def fundamental_forms(smooth_map: SmoothMap, ambient: AmbientSpace, points,
                       jet: Jet3 | None = None) -> ExtrinsicData:
     """Complete pointwise extrinsic data of an immersion, at one point (n,)
@@ -295,18 +334,10 @@ def fundamental_forms(smooth_map: SmoothMap, ambient: AmbientSpace, points,
             f"no normal directions: a {n}-dimensional map into the "
             f"{ambient.manifold_dim}-dimensional {ambient.kind} ambient "
             f"has codimension {p}")
-    sig_list = sig.tolist()
-    span_units, span_eps = orthonormalize(sig_list, _components(span))
-
-    frame_list, frame_eps, pivots = complement_frame(sig_list, span_units,
-                                                     span_eps, p)
-    frame = _stacked(frame_list, batched)            # (..., p, A)
-    frame_eps = _stacked(frame_eps, batched)         # (..., p)
-    pivots = _stacked(pivots, batched).astype(int)
+    su, se = orthonormalize(sig, span)               # (..., k, A), (..., k)
+    frame, frame_eps, pivots = complement_frame(sig, su, se, p)
 
     # second fundamental form: second derivatives minus their part in the span
-    su = _stacked(span_units, batched)               # (..., k, A)
-    se = _stacked(span_eps, batched)
     coeffs = se[..., None, None, :] * np.einsum("...kA,A,...ijA->...ijk",
                                                 su, sig, jet.d2)
     alpha = jet.d2 - np.einsum("...ijk,...kA->...ijA", coeffs, su)
@@ -396,20 +427,15 @@ class NormalBundleData:
     disagreement: float        # worst |frame - commutator| over all points
 
 
-def _jet_components(jet: Jet3):
-    """Ambient vectors of the map and its tangent basis as order-2 jet
-    scalars in the chart variables, with the batch axis last."""
-    n = jet.n
-    batched = jet.value.ndim == 2
+def _vector_jets(jet: Jet3):
+    """The map and its tangent basis as order-2 vector jets in the chart
+    variables, with the ambient axis before the batch axis."""
+    def last(x):        # C-contiguous, as in _stacked_in
+        return np.ascontiguousarray(np.moveaxis(x, 0, -1) if jet.value.ndim == 2 else x)
 
-    def last(x):
-        return np.moveaxis(x, 0, -1) if batched else x
-
-    value = [Jet(n, 2, last(jet.value[..., a]), last(jet.d1[..., a]),
-                 last(jet.d2[..., a])) for a in range(jet.codim)]
-    tangent = [[Jet(n, 2, last(jet.d1[..., i, a]), last(jet.d2[..., :, i, a]),
-                    last(jet.d3[..., :, :, i, a])) for a in range(jet.codim)]
-               for i in range(n)]
+    value = Jet(jet.n, 2, last(jet.value), last(jet.d1), last(jet.d2))
+    tangent = [Jet(jet.n, 2, last(jet.d1[..., i, :]), last(jet.d2[..., :, i, :]),
+                   last(jet.d3[..., :, :, i, :])) for i in range(jet.n)]
     return value, tangent
 
 
@@ -423,26 +449,25 @@ def normal_connection_and_curvature(ext: ExtrinsicData) -> NormalBundleData:
     sig = ambient.signature.astype(float)
     batch = ext.g.shape[:-2]
 
-    value, tangent = _jet_components(jet)
-    span = list(tangent)
+    value, span = _vector_jets(jet)
     if ambient.is_space_form:
-        span.append([c * (1.0 / ambient.radius) for c in value])
-    units, eps_span = orthonormalize(sig, span)
-    pivots = list(ext.pivots.T) if batch else ext.pivots.tolist()
-    frame, frame_eps, _ = complement_frame(sig, units, eps_span, p,
-                                           pivot_order=pivots)
-    # frame jets stacked (a, A, [derivative axes,] batch...)
-    V = np.array([[c.v for c in xi] for xi in frame])
-    G = np.array([[c.g for c in xi] for xi in frame])
-    Hs = np.array([[c.h for c in xi] for xi in frame])
-    eps = np.moveaxis(np.array(frame_eps, float), 0, -1)     # (..., p)
+        span.append(value * (1.0 / ambient.radius))
+    sig_v = _sig(sig, value)
+    units, eps_span = _orthonormalize(sig_v, span, SPAN_TOL)
+    frame, frame_eps, _ = _complete(sig_v, units, eps_span, p,
+                                    list(ext.pivots.T), COMPLETE_TOL)
+    # frame jets stacked (a, [derivative axes,] A, batch...)
+    V = np.array([xi.v for xi in frame])
+    G = np.array([xi.g for xi in frame])
+    Hs = np.array([xi.h for xi in frame])
+    eps = _batch_last(frame_eps)                     # (..., p)
 
     # Gamma_{i,a}^b = eps_b <d_i xi_a, xi_b> and its derivatives
     # dgamma[k, i] = d_k Gamma_i
-    gamma = eps[..., None, None, :] * np.einsum("aAi...,A,bA...->...iab", G, sig, V)
+    gamma = eps[..., None, None, :] * np.einsum("aiA...,A,bA...->...iab", G, sig, V)
     dgamma = eps[..., None, None, None, :] * (
-        np.einsum("aAik...,A,bA...->...kiab", Hs, sig, V)
-        + np.einsum("aAi...,A,bAk...->...kiab", G, sig, G))
+        np.einsum("aikA...,A,bA...->...kiab", Hs, sig, V)
+        + np.einsum("aiA...,A,bkA...->...kiab", G, sig, G))
     comm = (np.einsum("...jac,...icb->...ijab", gamma, gamma)
             - np.einsum("...iac,...jcb->...ijab", gamma, gamma))
     r_frame = dgamma - np.swapaxes(dgamma, -4, -3) + comm

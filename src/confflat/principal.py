@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import (DegenerateInputError, NonProperError, NotApplicable,
                      QuasiumbilicError)
-from .extrinsic import (ExtrinsicData, christoffels, codazzi_tensor,
-                        intrinsic_curvatures, orthonormalize)
+from .extrinsic import (ExtrinsicData, _project_out, _unit, _vdot, christoffels,
+                        codazzi_tensor, intrinsic_curvatures, orthonormalize)
 
 FLAT_NB_TOL = 1e-8
 CLUSTER_TOL = 1e-6
@@ -113,22 +113,17 @@ class PrincipalDecomposition:
     def reconstruction_residual(self, seed=0, trials=8):
         """max over random unit normals xi of |A_xi - sum_i <xi, eta_i> P_i|."""
         ext = self.ext
-        rng = np.random.default_rng(seed)
         sig = ext.ambient.signature
-        worst = 0.0
-        for _ in range(trials):
-            coeffs = rng.standard_normal(ext.p)
-            xi = np.einsum("a,aA->A", coeffs, ext.frame)
-            nrm = np.sqrt(abs(ext.ambient.inner(xi, xi)))
-            if nrm < 1e-12:
-                continue
-            xi = xi / nrm
-            A = ext.shape_operator(xi)
-            rec = np.zeros_like(A)
-            for eta, B in zip(self.etas, self.bases):
-                rec += float(np.sum(sig * xi * eta)) * (B @ B.T)
-            worst = max(worst, float(np.max(np.abs(A - rec))))
-        return worst
+        xi = np.random.default_rng(seed).standard_normal((trials, ext.p)) @ ext.frame
+        nrm = np.sqrt(np.abs(np.einsum("tA,A,tA->t", xi, sig, xi)))
+        xi = xi[nrm >= 1e-12] / nrm[nrm >= 1e-12, None]
+        # A_xi - sum_i <xi, eta_i> P_i with A_xi = sum_a eps_a <xi, xi_a> S_a:
+        # one weighted sum over the frame vectors and the principal normals
+        vecs = np.concatenate([ext.frame, self.etas])
+        weights = np.concatenate([ext.frame_eps, -np.ones(self.k)])
+        mats = np.concatenate([ext.S, [B @ B.T for B in self.bases]])
+        diff = np.einsum("tA,A,mA,m,mij->tij", xi, sig, vecs, weights, mats)
+        return float(np.max(np.abs(diff), initial=0.0))
 
 
 def _cluster_columns(vectors, gap):
@@ -453,24 +448,22 @@ def quasiumbilical_frame(dec: PrincipalDecomposition, tol=1e-8) -> QuasiumbilicF
         raise QuasiumbilicError(f"frame directions not orthogonal: defect {defect:.3e}")
 
     # complete with normal-space Gram-Schmidt against the frame of ext
-    sig = amb.signature
-    tang = [list(t) for t in ext.tangent]
+    sig = amb.signature.astype(float)
+    span = list(ext.tangent)
     if amb.is_space_form:
-        tang.append(list(amb.position_normal(ext.jet.value)))
-    units, eps = orthonormalize(sig, tang + [list(d) for d in dirs])
-    frame = [np.array(u, float) for u in units[len(tang):]]
+        span.append(amb.position_normal(ext.jet.value))
+    units, eps = map(list, orthonormalize(sig, np.array(span + dirs)))
+    frame = units[len(span):]
     for cand in ext.frame:
         if len(frame) == ext.p:
             break
-        r = np.array(cand, float)
-        for u, e in zip(units, eps):
-            r = r - e * float(np.sum(sig * r * np.array(u, float))) * np.array(u, float)
-        q = float(np.sum(sig * r * r))
-        if abs(q) < 1e-10:
+        r = _project_out(sig, units, eps, cand)
+        q = _vdot(sig, r, r)
+        if abs(q[0]) < 1e-10:
             continue
-        u = r / np.sqrt(abs(q))
-        units.append(list(u))
-        eps.append(1.0 if q > 0 else -1.0)
+        u, e = _unit(sig, r, q)
+        units.append(u)
+        eps.append(e)
         frame.append(u)
     frame = np.array(frame)
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from confflat import ambient as amb_mod
+from confflat import extrinsic
 from confflat.catalog import CatalogItem
+from confflat.errors import FrameError
 from confflat.extrinsic import (codazzi_tensor, complement_frame,
                                 fundamental_forms, intrinsic_curvatures,
                                 normal_connection_and_curvature, orthonormalize)
-from confflat.jets import ChartDomain, SmoothMap
+from confflat.jets import ChartDomain, Jet, SmoothMap, sqrt as jsqrt
 from confflat.reports import load_scenario, suite_extrinsic
 
 from conftest import interior_points, into_sphere
@@ -243,3 +245,215 @@ def test_codimension_zero_is_not_applicable():
     for pts in (np.array([0.1, 0.2]), np.array([[0.1, 0.2], [0.3, -0.4]])):
         with pytest.raises(NotApplicable, match="codimension 0"):
             fundamental_forms(chart, amb_mod.euclidean(2), pts)
+
+
+# ---------------------------------------------------------------------------
+# the list-based signed Gram-Schmidt the stacked one replaced, kept here as an
+# oracle only: an ambient vector is a list of A scalars (floats, (B,) arrays
+# or jets), and every inner product is a sequential sum over the components
+# ---------------------------------------------------------------------------
+
+def _list_vdot(sig, u, v):
+    acc = sig[0] * (u[0] * v[0])
+    for s, a, b in zip(sig[1:], u[1:], v[1:]):
+        acc = acc + s * (a * b)
+    return acc
+
+
+def _list_value(x):
+    return x.v if isinstance(x, Jet) else x
+
+
+def _list_sign(q):
+    if isinstance(q, np.ndarray):
+        return np.where(q > 0, 1.0, -1.0)
+    return 1.0 if q > 0 else -1.0
+
+
+def _list_pick(take, new, old):
+    if isinstance(take, np.ndarray):
+        return np.where(take, new, old)
+    return new if take else old
+
+
+def _list_unit(sig, r):
+    q = _list_vdot(sig, r, r)
+    e = _list_sign(_list_value(q))
+    if isinstance(q, Jet):
+        c = jsqrt(q * e) ** -1.0
+    else:
+        c = 1.0 / np.sqrt(q * e)
+    return [c * a for a in r], e
+
+
+def _list_project_out(sig, units, eps, r):
+    for u, e in zip(units, eps):
+        c = -e * _list_vdot(sig, r, u)
+        r = [b + c * a for a, b in zip(u, r)]
+    return r
+
+
+def _list_orthonormalize(sig, vectors):
+    units, eps = [], []
+    for v in vectors:
+        u, e = _list_unit(sig, _list_project_out(sig, units, eps, list(v)))
+        units.append(u)
+        eps.append(e)
+    return units, eps
+
+
+def _list_complement_frame(sig, units, eps, count, pivot_order=None):
+    dim = len(sig)
+    units, eps = list(units), list(eps)
+    order = list(pivot_order) if pivot_order is not None else None
+    frame, frame_eps, chosen = [], [], []
+
+    def residual(b):
+        r = _list_project_out(sig, units, eps, [(b == c) * 1.0 for c in range(dim)])
+        return abs(_list_value(_list_vdot(sig, r, r))), r
+
+    for _ in range(count):
+        if order is not None:
+            b = order.pop(0)
+            _, r = residual(b)
+        else:
+            q, b, r = -np.inf, -1, [0.0] * dim
+            for c in range(dim):
+                free = True
+                for prev in chosen:
+                    free = free & (prev != c)
+                if free is False:
+                    continue
+                qc, rc = residual(c)
+                take = free & (qc > q + 1e-15)
+                q, b = _list_pick(take, qc, q), _list_pick(take, c, b)
+                r = [_list_pick(take, x, y) for x, y in zip(rc, r)]
+        chosen.append(b)
+        unit, e = _list_unit(sig, r)
+        units.append(unit)
+        eps.append(e)
+        frame.append(unit)
+        frame_eps.append(e)
+    return frame, frame_eps, chosen
+
+
+def _list_jet_span(jet, ambient):
+    """Tangents (and the scaled position for space forms) as lists of order-2
+    jet scalars with the batch axis last."""
+    def last(x):
+        return np.moveaxis(x, 0, -1) if jet.value.ndim == 2 else x
+
+    span = [[Jet(jet.n, 2, last(jet.d1[..., i, a]), last(jet.d2[..., :, i, a]),
+                 last(jet.d3[..., :, :, i, a])) for a in range(jet.codim)]
+            for i in range(jet.n)]
+    if ambient.is_space_form:
+        span.append([Jet(jet.n, 2, last(jet.value[..., a]), last(jet.d1[..., a]),
+                         last(jet.d2[..., a])) * (1.0 / ambient.radius)
+                     for a in range(jet.codim)])
+    return span
+
+
+def _parity_cases(catalog, lift):
+    cases = [(item.smooth_map, item.ambient) for item in catalog.values()]
+    return cases + [(lift.F, lift.ambient)]
+
+
+def _assert_close(got, ref, what):
+    """Equal to 1e-15 of the reference's scale."""
+    ref = np.asarray(ref, float)
+    err = np.max(np.abs(np.asarray(got, float) - ref))
+    assert err <= 1e-15 * max(1.0, np.max(np.abs(ref))), (what, err)
+
+
+def test_pivots_match_the_list_oracle(catalog, s3xs1_lift):
+    """The stacked Gram-Schmidt picks the list oracle's pivots and signs
+    bit for bit, and its frames agree to 1e-15 of scale, on every catalog
+    item and the s3xs1 lift, at one point and over 6 points."""
+    for fmap, amb in _parity_cases(catalog, s3xs1_lift):
+        sig = amb.signature.tolist()
+        pts = fmap.domain.sample_points(6, np.random.default_rng(2))
+        for points in (pts[0], pts):
+            ext = fundamental_forms(fmap, amb, points)
+            span = extrinsic._spanning_vectors(ext.jet, amb)
+            if points.ndim == 2:            # A lists of (B,) arrays
+                span = np.moveaxis(span, 0, -1)
+            units, eps = _list_orthonormalize(sig, [list(v) for v in span])
+            frame, frame_eps, chosen = _list_complement_frame(sig, units, eps, ext.p)
+            # the oracle carries the batch axis last
+            frame, frame_eps, chosen = (
+                np.moveaxis(np.array(x), -1, 0) if points.ndim == 2 else np.array(x)
+                for x in (frame, frame_eps, chosen))
+            name = (fmap.name, points.ndim)
+            assert np.array_equal(ext.pivots, chosen), name
+            assert np.array_equal(ext.frame_eps, frame_eps), name
+            _assert_close(ext.frame, frame, name)
+
+
+def test_jet_frame_matches_the_list_oracle(catalog, s3xs1_lift, monkeypatch):
+    """The jet route of normal_connection_and_curvature, over 6 points,
+    completes its frame with the list oracle's signs, and its frame jets
+    agree with the oracle's to 1e-15 of scale."""
+    seen = []
+    complete = extrinsic._complete
+
+    def recording(*args):
+        seen.append(complete(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(extrinsic, "_complete", recording)
+    for fmap, amb in _parity_cases(catalog, s3xs1_lift):
+        ext = fundamental_forms(fmap, amb, fmap.domain.sample_points(
+            6, np.random.default_rng(2)))
+        seen.clear()
+        normal_connection_and_curvature(ext)
+        (frame, frame_eps, _), = seen
+        sig = amb.signature.tolist()
+        units, eps = _list_orthonormalize(sig, _list_jet_span(ext.jet, amb))
+        ref, ref_eps, _ = _list_complement_frame(
+            sig, units, eps, ext.p, pivot_order=list(ext.pivots.T))
+        assert np.array_equal(np.array(frame_eps), np.array(ref_eps)), fmap.name
+        for xi, ref_xi in zip(frame, ref):
+            for k, f in enumerate("vgh"):
+                _assert_close(np.moveaxis(getattr(xi, f), k, 0),
+                              [getattr(c, f) for c in ref_xi], (fmap.name, f))
+
+
+def _one_unit_span(u0, u1):
+    """A unit vector (u0, u1, z) of R^3, whose residuals leave e_0 and e_1
+    at 1 - u0^2 and 1 - u1^2."""
+    return [u0, u1, np.sqrt(1.0 - u0 * u0 - u1 * u1)]
+
+
+def test_complement_pivot_tie_break():
+    """A later candidate replaces an earlier one only when its residual is
+    larger by more than 1e-15: at a residual gap of about 5e-16 the earlier
+    index wins, at about 1e-14 the later one does, at one point and per
+    point over a batch."""
+    sig = np.ones(3)
+    near, far = 0.3 - 8.3e-16, 0.3 - 1.7e-14
+    for u1, expected in ((near, 0), (far, 1)):
+        units, eps = orthonormalize(sig, np.array([_one_unit_span(0.3, u1)]))
+        r0, r1 = 1.0 - units[0, :2] ** 2
+        assert 0.0 < r1 - r0 and (r1 - r0 < 1e-15) == (expected == 0)
+        _, _, chosen = complement_frame(sig, units, eps, 1)
+        assert chosen.tolist() == [expected]
+    batch = np.array([[_one_unit_span(0.3, near)], [_one_unit_span(0.3, far)],
+                      [_one_unit_span(0.3, near)]])
+    units, eps = orthonormalize(sig, batch)
+    _, _, chosen = complement_frame(sig, units, eps, 1)
+    assert chosen[:, 0].tolist() == [0, 1, 0]
+
+
+def test_batch_breakdown_names_the_point():
+    """A vector that degenerates at one point of a batch is refused and the
+    point is named, for array input and for jet input."""
+    x = np.array([0.1, 0.5, 0.9])         # the second vector dies at x = 0.5
+    vectors = np.zeros((3, 2, 3))
+    vectors[:, 0, 0] = vectors[:, 1, 0] = 1.0
+    vectors[:, 1, 1] = x - 0.5
+    with pytest.raises(FrameError, match=r"\(point 1 of the batch\)"):
+        orthonormalize(np.ones(3), vectors)
+    t = Jet.variable(x, 0, 1)
+    jets = [[1.0 + 0.0 * t, 0.0 * t, 0.0 * t], [1.0 + 0.0 * t, t - 0.5, 0.0 * t]]
+    with pytest.raises(FrameError, match=r"\(point 1 of the batch\)"):
+        orthonormalize(np.ones(3), jets)

@@ -9,7 +9,10 @@ All grid fields are stored flat in row-major order over the domain grid.
 Normal fields are expressed in a parallel pseudo-orthonormal normal frame
 obtained by transporting the base-point frame along grid lines (the normal
 bundle of a flat lift is flat, so the transport is path independent up to
-discretization error).
+discretization error); each transport step is a Pade [2/2] approximant of a
+commutator exponential, which preserves the ambient pairing exactly.  The
+null-space basis is a sparse matrix whose rows each live on one block of
+the condition operator.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
+from scipy import sparse
 
 from . import ambient as amb_mod
 from .conformal import conformal_flatness_test
@@ -179,28 +182,44 @@ def _sweep_edges(shape):
     return levels
 
 
+def _pade_step(X):
+    """The diagonal Pade [2/2] approximant of exp(X),
+    (I - X/2 + X^2/12)^{-1} (I + X/2 + X^2/12), for a stack (..., A, A) in
+    one batched solve.  Its local error is fifth order in X.  Being r(X) with
+    r(z) r(-z) = 1, it maps a matrix that is skew for a pairing G
+    (X^T G = -G X) to one that preserves it (S^T G S = G) exactly, as the
+    exponential does."""
+    half = 0.5 * X
+    sq = (X @ X) / 12.0
+    eye = np.eye(X.shape[-1])
+    return np.linalg.solve(eye - half + sq, eye + half + sq)
+
+
 def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
                     substeps=2) -> LiftGrid:
     """Sample the lift geometry on the domain grid and construct a parallel
     normal frame by second-order discrete transport of the base-point frame
-    along grid lines.  Each edge step applies the commutator exponential
-    exp([P1 - P0, P_mid]) built from normal-space projectors, which is a
-    midpoint discretization of the transport equation and preserves the
-    ambient pairing exactly.  The transport is run at step counts `substeps`
-    and 2*`substeps` per edge; the Richardson difference between the two
-    estimates the transport error, and a frame error is raised when it
-    exceeds frame_tol.
+    along grid lines.  Each edge step applies the Pade [2/2] approximant of
+    the commutator exponential exp([P1 - P0, P_mid]) built from normal-space
+    projectors (`_pade_step`), a midpoint discretization of the transport
+    equation.  The commutator of two projectors that are self-adjoint for
+    the ambient pairing is skew for it, and the diagonal Pade approximant
+    maps such a matrix into the pairing's group exactly, so each step
+    preserves the ambient pairing.  The transport is run at step counts
+    `substeps` and 2*`substeps` per edge; the Richardson difference between
+    the two estimates the transport error, and a frame error is raised when
+    it exceeds frame_tol.
 
     All pointwise data comes from two batched passes before the sweep: the
     extrinsic data at the grid points, and the normal projectors at the
     transport sub-step points of every edge (fractions k / (4 substeps),
     which the two step counts share).  A step depends on the projectors
     only, not on the frame it carries, so every edge's transport operator
-    is built up front, per resolution: one batched expm per sub-step over
-    all edges, multiplied into one (E, A, A) operator.  The sweep then runs
-    level by level (`_sweep_edges`): sum(N_i - 1) levels on a grid of shape
-    (N_1, ..., N_n), each one batched apply, projection onto the normal
-    space and pseudo-Gram-Schmidt over all of its edges."""
+    is built up front, per resolution: one batched Pade step per sub-step
+    over all edges, multiplied into one (E, A, A) operator.  The sweep then
+    runs level by level (`_sweep_edges`): sum(N_i - 1) levels on a grid of
+    shape (N_1, ..., N_n), each one batched apply, projection onto the
+    normal space and pseudo-Gram-Schmidt over all of its edges."""
     dom = lift.F.domain
     if dom.grid_shape is None:
         raise ValueError("lift domain carries no grid")
@@ -228,7 +247,7 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
         len(edges), D - 1, amb.flat_dim, amb.flat_dim)
 
     def operators(K):
-        """Every edge's transport in K commutator-exponential steps, as one
+        """Every edge's transport in K commutator Pade steps, as one
         (E, A, A) operator; step s uses the projectors at fractions s/K,
         (s + 1/2)/K and (s + 1)/K."""
         r = D // K
@@ -238,7 +257,7 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
             Pm = P_sub[:, (2 * s + 1) * r // 2 - 1]
             Pc = P_grid[edges[:, 1]] if s == K - 1 else P_sub[:, (s + 1) * r - 1]
             dP = Pc - Pa
-            step = expm(dP @ Pm - Pm @ dP)
+            step = _pade_step(dP @ Pm - Pm @ dP)
             T = step if T is None else step @ T
             Pa = Pc
         return np.swapaxes(T, -1, -2)    # acts on frame rows from the right
@@ -360,7 +379,8 @@ class NullspaceResult:
     threshold: float
     analytic_projections: np.ndarray   # fraction of each analytic member in the span
     dimension: int
-    basis: np.ndarray                  # (dimension, M*(1+p)) orthonormal rows
+    basis: sparse.csr_array            # (dimension, M*(1+p)) orthonormal rows,
+                                       # each on one block's columns only
 
 
 def _degeneracy_guard(grid: LiftGrid):
@@ -385,8 +405,6 @@ def _condition_operator(grid: LiftGrid):
     b_1..b_p per point, column blocks of M): one row per interior point m,
     direction i and frame index a, in that order, holding the centered
     differences of b_a and of phi (weighted by g^{ii} h_par) at m +- e_i."""
-    from scipy import sparse
-
     M, n, p = grid.M, grid.n, grid.p
     hpar = grid.h_parallel                      # (M, p, n)
     strides = np.array([int(np.prod(grid.shape[d + 1:])) for d in range(n)])
@@ -450,9 +468,9 @@ def solve_condition_nullspace(grid: LiftGrid) -> NullspaceResult:
     touches only m +- e_i, so the connected components of its row/column
     graph are independent blocks (columns no equation touches are blocks of
     their own).  The SVD of the operator is the union of the dense SVDs of
-    its blocks."""
+    its blocks, and the basis is sparse: each row lives on the columns of
+    one block."""
     _degeneracy_guard(grid)
-    from scipy import sparse
     from scipy.sparse.csgraph import connected_components
 
     op = _condition_operator(grid)
@@ -473,14 +491,21 @@ def solve_condition_nullspace(grid: LiftGrid) -> NullspaceResult:
     threshold = _nullspace_threshold(spectrum, float(np.max(grid.spacings)))
     null_count = int(np.sum(spectrum < threshold))
     # each block's trailing right singular vectors (below the threshold, or
-    # beyond its row count), then one unit row per untouched column
-    basis = np.zeros((null_count, cols_total))
-    row = 0
+    # beyond its row count) on that block's columns, then one unit row per
+    # untouched column
+    values, indices, row_nnz = [], [], []
     for c, s, vt in blocks:
         null = vt[int(np.sum(s >= threshold)):]
-        basis[row:row + len(null), c] = null
-        row += len(null)
-    basis[np.arange(row, null_count), untouched] = 1.0
+        values.append(null.reshape(-1))
+        indices.append(np.tile(c, len(null)))
+        row_nnz.append(np.full(len(null), len(c)))
+    values.append(np.ones(len(untouched)))
+    indices.append(untouched)
+    row_nnz.append(np.ones(len(untouched), int))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_nnz))])
+    basis = sparse.csr_array(
+        (np.concatenate(values), np.concatenate(indices), indptr),
+        shape=(null_count, cols_total))
 
     fam = analytic_family(grid)
     projections = np.zeros(len(fam))

@@ -17,7 +17,7 @@ from .conformal import ConformalStructure
 from .errors import CurveError, FrameError
 from .extrinsic import complement_frame, fundamental_forms, intrinsic_curvatures, orthonormalize
 from .jets import (ChartDomain, Jet, SmoothMap, apply_univariate, cos, cosh,
-                   evaluate_jet, exp, log, sin, sinh, sqrt)
+                   evaluate_jet, exp, log, sin, sinh, sqrt, stack, unstack)
 
 TWO_PI = 2.0 * np.pi
 
@@ -455,18 +455,18 @@ def build_example2(curve1=None, curve2=None, r1=0.8, r2=0.6,
     # freeze the complement pivot order at the chart center for smoothness
     c = dom.center()
     h0, span0 = span_at(c[0], c[1])
-    u0, e0 = orthonormalize(sig, span0)
+    u0, e0 = orthonormalize(sig, stack(span0))
     _, _, pivot = complement_frame(sig, u0, e0, 3)
 
     def phi(x):
         u, v, p, q = x
         h, span = span_at(u, v)
-        units, eps = orthonormalize(sig, span)
+        # one stacked span (3, 6) in, one stacked frame out
+        units, eps = orthonormalize(sig, stack(span))
         frame, _, _ = complement_frame(sig, units, eps, 3, pivot_order=pivot)
-        xi1, xi2, xi3 = frame
-        w = [cos(p) * a + sin(p) * cos(q) * b + sin(p) * sin(q) * cc
-             for a, b, cc in zip(xi1, xi2, xi3)]
-        return [hc + wc for hc, wc in zip(h, w)]
+        xi1, xi2, xi3 = unstack(frame)
+        w = cos(p) * xi1 + sin(p) * cos(q) * xi2 + sin(p) * sin(q) * xi3
+        return unstack(stack(h) + w)
 
     item = CatalogItem(
         name, SmoothMap(dom, 6, phi, name), amb_mod.euclidean(6), None,

@@ -16,7 +16,8 @@ import numpy as np
 
 from .ambient import QUADRIC_TOL, AmbientSpace
 from .errors import FrameError, ImmersionError, NotApplicable
-from .jets import Jet, evaluate_jet, sqrt as jsqrt
+from .jets import Jet, evaluate_jet, sqrt as jsqrt, stack, unstack
+from .jets.core import _jet
 from .jets.maps import Jet3, SmoothMap
 
 RANK_TOL = 1e-8
@@ -29,13 +30,11 @@ COMPLETE_TOL = 1e-10      # smallest residual a completing candidate may have
 # ---------------------------------------------------------------------------
 # An ambient vector is one object with the ambient axis first: an (A,) array
 # at a point, an (A, B) array over a point set, or a Jet whose batch shape is
-# (A,) or (A, B).  Inner products keep that axis with length 1, so that they
-# multiply vectors directly (jet products align on trailing axes).  Signs and
-# pivots are floats at a point and (B,) arrays over a point set, so sign
-# choices, pivots and breakdown checks are made per point.
-
-_FIELDS = "vght"        # jet components: the ambient axis is at index k of the k-th
-
+# (A,) or (A, B), so axis 1 of its coefficients.  Inner products keep that
+# axis with length 1, so that they multiply vectors directly (jet products
+# align on trailing axes).  Signs and pivots are floats at a point and (B,)
+# arrays over a point set, so sign choices, pivots and breakdown checks are
+# made per point.
 
 def _val(x):
     return x.v if isinstance(x, Jet) else x
@@ -49,28 +48,8 @@ def _sig(sig, v):
 def _vdot(sig, u, v):
     w = sig * (u * v)
     if isinstance(w, Jet):
-        return Jet(w.n, w.order, *(getattr(w, f).sum(axis=k, keepdims=True)
-                                   for k, f in enumerate(_FIELDS[:w.order + 1])))
+        return _jet(w.n, w.order, w.c.sum(axis=1, keepdims=True))
     return w.sum(axis=0, keepdims=True)
-
-
-def _stack(v):
-    """One ambient vector from a sequence of A scalars (all floats or (B,)
-    arrays, or all jets of one order)."""
-    if not isinstance(v[0], Jet):
-        return np.array(v, float)
-    order = v[0].order
-    return Jet(v[0].n, order, *(np.stack([getattr(c, f) for c in v], axis=k)
-                                for k, f in enumerate(_FIELDS[:order + 1])))
-
-
-def _unstack(u):
-    """The A scalars of one ambient vector."""
-    if not isinstance(u, Jet):
-        return list(u)
-    comps = [np.moveaxis(getattr(u, f), k, 0)
-             for k, f in enumerate(_FIELDS[:u.order + 1])]
-    return [Jet(u.n, u.order, *(c[a] for c in comps)) for a in range(len(u.v))]
 
 
 def _sign(q):
@@ -160,12 +139,24 @@ def _complete(sig, units, eps, count, pivot_order, tol):
 
 
 def _stacked_in(vectors):
-    """k vectors, given as a (..., k, A) array or as sequences of A scalars,
-    as stacked vectors.  They are C-contiguous, so that every sum over the
-    ambient axis adds in ambient order over a batch."""
+    """k vectors, given as a (..., k, A) array, as one jet of batch shape
+    (k, A[, B]) or as sequences of A scalars, as stacked vectors.  Arrays
+    come out C-contiguous, so that every sum over the ambient axis adds in
+    ambient order over a batch."""
     if isinstance(vectors, np.ndarray):
         return list(np.ascontiguousarray(np.moveaxis(vectors, (-2, -1), (0, 1))))
-    return [_stack(v) for v in vectors]
+    if isinstance(vectors, Jet):
+        return unstack(vectors)
+    return [stack(v) for v in vectors]
+
+
+def _stacked_out(vectors, like):
+    """Stacked vectors in the form of `like`, as _stacked_in takes it."""
+    if isinstance(like, np.ndarray):
+        return np.moveaxis(np.array(vectors), (0, 1), (-2, -1))
+    if isinstance(like, Jet):
+        return stack(vectors)
+    return [unstack(u) for u in vectors]
 
 
 def _batch_last(xs):
@@ -175,30 +166,31 @@ def _batch_last(xs):
 def orthonormalize(sig, vectors, tol=SPAN_TOL):
     """Gram-Schmidt with signs for a (possibly indefinite) diagonal metric.
 
-    `vectors` is a (..., k, A) array, or k vectors each a sequence of A
-    scalars (floats, (B,) arrays over a point set, or jets).  Returns
-    (units, eps) in the same form, (..., k, A) and (..., k) arrays or lists,
-    where each unit u satisfies <u,u> = eps in {-1,+1}.  Raises FrameError
-    when a vector degenerates against the span built so far.
+    `vectors` is a (..., k, A) array, one jet of batch shape (k, A) or
+    (k, A, B), or k vectors each a sequence of A scalars (floats, (B,)
+    arrays over a point set, or jets).  Returns (units, eps) with units in
+    the same form and eps a (..., k) array for an array, else a list, where
+    each unit u satisfies <u,u> = eps in {-1,+1}.  Raises FrameError when a
+    vector degenerates against the span built so far.
     """
     vecs = _stacked_in(vectors)
     units, eps = _orthonormalize(_sig(sig, vecs[0]), vecs, tol)
     if isinstance(vectors, np.ndarray):
-        return np.moveaxis(np.array(units), (0, 1), (-2, -1)), _batch_last(eps)
-    return [_unstack(u) for u in units], eps
+        eps = _batch_last(eps)
+    return _stacked_out(units, vectors), eps
 
 
 def complement_frame(sig, span_units, span_eps, count, pivot_order=None,
                      tol=COMPLETE_TOL):
-    """Extend an orthonormalized spanning set, in either form orthonormalize
+    """Extend an orthonormalized spanning set, in any form orthonormalize
     returns, to the full space by projecting the ambient basis, pivoting on
     the largest residual self inner product (per point over a batch: in
     candidate order, a candidate replaces the best only when its residual is
     larger by more than 1e-15).  With a `pivot_order` the candidates are
     taken in that order instead; over a batch an entry may be a (B,) array
     of per-point pivots.  Without one the span must not be jets.  Returns
-    (frame, eps, pivots), as arrays (..., count, A), (..., count) and
-    (..., count) for an array span, else as lists."""
+    (frame, eps, pivots), the frame in the span's form; eps and pivots are
+    (..., count) arrays for an array span, else lists."""
     units = _stacked_in(span_units)
     as_array = isinstance(span_units, np.ndarray)
     if as_array:
@@ -206,9 +198,8 @@ def complement_frame(sig, span_units, span_eps, count, pivot_order=None,
     frame, eps, chosen = _complete(_sig(sig, units[0]), units, span_eps, count,
                                    pivot_order, tol)
     if as_array:
-        return (np.moveaxis(np.array(frame), (0, 1), (-2, -1)),
-                _batch_last(eps), _batch_last(chosen))
-    return [_unstack(u) for u in frame], eps, chosen
+        eps, chosen = _batch_last(eps), _batch_last(chosen)
+    return _stacked_out(frame, span_units), eps, chosen
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +421,8 @@ class NormalBundleData:
 def _vector_jets(jet: Jet3):
     """The map and its tangent basis as order-2 vector jets in the chart
     variables, with the ambient axis before the batch axis."""
-    def last(x):        # C-contiguous, as in _stacked_in
-        return np.ascontiguousarray(np.moveaxis(x, 0, -1) if jet.value.ndim == 2 else x)
+    def last(x):
+        return np.moveaxis(x, 0, -1) if jet.value.ndim == 2 else x
 
     value = Jet(jet.n, 2, last(jet.value), last(jet.d1), last(jet.d2))
     tangent = [Jet(jet.n, 2, last(jet.d1[..., i, :]), last(jet.d2[..., :, i, :]),

@@ -5,21 +5,37 @@ Evaluators of smooth maps are written against the functions in this module
 (sin, cos, exp, ...), which accept plain floats and Jet instances alike, so
 a single evaluator yields both values and exact derivatives.
 
-A jet may stand for one point or for a batch of points.  Its components
-carry the batch shape last: v (...), g (n, ...), h (n, n, ...) and
-t (n, n, n, ...), so one kernel serves both; a single point is the empty
-batch, with v a float.  Batched order-3 Taylor propagation follows Griewank
-and Walther, *Evaluating Derivatives* (2nd ed., 2008), ch. 13.
+A jet packs its Taylor coefficients into one array `c` of shape
+(K, *batch).  Row r holds the coefficient f_alpha = d^alpha f / alpha! of
+the r-th monomial x^alpha of degree <= order in the n chart variables, in
+graded order: degree 0, then degree 1 (x_0 .. x_{n-1}), then each higher
+degree by its sorted index tuple (i <= j <= k), so that K = C(n + order,
+order) (35 for n = 4 at order 3) and truncating to a lower order is a
+prefix slice.  A single point is the empty batch.  Sums and scalar
+multiples are one array operation; a product is one gather-multiply-reduce
+over the pairs of monomials whose degrees add up to at most the order, and
+a univariate function is its truncated Taylor series in the nilpotent part
+of the argument.  The read-only properties v, g, h and t expand the
+coefficients to the value and the symmetric derivative tensors (n,)*k +
+batch.  Batched order-3 Taylor propagation follows Griewank and Walther,
+*Evaluating Derivatives* (2nd ed., 2008), ch. 13.
 """
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations_with_replacement
+from math import comb, factorial
+
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "Jet",
     "variable",
     "constant",
     "apply_univariate",
+    "stack",
+    "unstack",
     "sin",
     "cos",
     "exp",
@@ -37,39 +53,121 @@ def _scalar(x):
     return x if isinstance(x, np.ndarray) else float(x)
 
 
-def _times(x, s):
-    return None if x is None else x * s
+def _size(n, order):
+    """Number of monomials of degree <= order in n variables."""
+    return comb(n + order, order)
 
 
-def _jet(n, order, v, g, h, t):
-    """Jet from components already in shape, without checks."""
+@cache
+def _monomials(n, order):
+    """Sorted index tuples of the monomials in graded order."""
+    return [m for d in range(order + 1)
+            for m in combinations_with_replacement(range(n), d)]
+
+
+@cache
+def _pairs(n, order, low=0):
+    """Product table (I, J, S, first) over the pairs of monomials (I[q],
+    J[q]) whose degrees add up to at most the order: with the sparse 0/1
+    matrix S that sums each pair into the row of its product, S @ (a[I] *
+    b[J]) is rows first.. of the product of the coefficient arrays a and b
+    (a sparse sum costs the same per point at 6 points and at 2,401, where
+    a dense one or np.add.reduceat cost several times more).  low = 0 takes every
+    pair; low = 1 only pairs of degree >= 1 each (the square of a nilpotent
+    part); low = 2 only degree >= 2 times degree >= 1 (its cube)."""
+    mons = _monomials(n, order)
+    row = {m: r for r, m in enumerate(mons)}
+    low_b = min(low, 1)
+    pairs = sorted((row[tuple(sorted(a + b))], i, j)
+                   for i, a in enumerate(mons) if len(a) >= low
+                   for j, b in enumerate(mons) if len(b) >= low_b
+                   and len(a) + len(b) <= order)
+    out, I, J = (np.array(x, dtype=np.intp) for x in zip(*pairs))
+    first = int(out[0])
+    S = sparse.csr_array((np.ones(len(out)), (out - first, np.arange(len(out)))))
+    return I, J, S, first
+
+
+@cache
+def _expansion(n, order, degree):
+    """(rows, factors): the coefficient row of d^degree f / dx_i dx_j ... and
+    the multi-index factorial alpha! that turns it into the derivative, each
+    of shape (n,) * degree."""
+    rows = np.zeros((n,) * degree, dtype=np.intp)
+    fac = np.zeros((n,) * degree)
+    row = {m: r for r, m in enumerate(_monomials(n, order))}
+    for idx in np.ndindex(*rows.shape):
+        key = tuple(sorted(idx))
+        rows[idx] = row[key]
+        fac[idx] = np.prod([factorial(key.count(i)) for i in set(key)])
+    return rows, fac
+
+
+def _expand(c, n, order, degree):
+    """The degree-th derivative tensor, (n,)*degree + batch, of the packed
+    coefficients c (rows at least up to that degree)."""
+    rows, fac = _expansion(n, order, degree)
+    return c[rows] * fac.reshape(fac.shape + (1,) * (c.ndim - 1))
+
+
+def _jet(n, order, c):
+    """Jet from packed coefficients, without checks."""
     j = object.__new__(Jet)
-    j.n, j.order, j.v, j.g, j.h, j.t = n, order, v, g, h, t
+    j.n, j.order, j.c = n, order, c
     return j
+
+
+def _aligned(c, ndim):
+    """Coefficients c with the batch padded by leading unit axes to at least
+    ndim axes, so that batches broadcast aligned on their trailing axes."""
+    extra = ndim - c.ndim + 1
+    return c.reshape(c.shape[:1] + (1,) * extra + c.shape[1:]) if extra > 0 else c
+
+
+def _operands(a, b):
+    """(order, ca, cb): the coefficients of two jets truncated to the lower
+    order, with aligned batches."""
+    order = min(a.order, b.order)
+    ca, cb = a.c, b.c
+    if a.order != b.order:
+        K = _size(a.n, order)
+        ca, cb = ca[:K], cb[:K]
+    if ca.ndim != cb.ndim:
+        ca, cb = _aligned(ca, cb.ndim - 1), _aligned(cb, ca.ndim - 1)
+    return order, ca, cb
+
+
+def _product(n, order, a, b, low=0):
+    """Coefficients of the product of packed coefficient arrays a and b
+    (rows first.. of the result, see _pairs)."""
+    I, J, S, first = _pairs(n, order, low)
+    prod = a[I] * b[J]
+    return first, (S @ prod.reshape(len(I), -1)).reshape((-1,) + prod.shape[1:])
 
 
 class Jet:
     """Scalar, or batch of scalars, together with its partial derivatives up
-    to `order` in n chart variables.  Components above `order` are None."""
+    to `order` in n chart variables, packed as Taylor coefficients."""
 
-    __slots__ = ("n", "order", "v", "g", "h", "t")
+    __slots__ = ("n", "order", "c")
     # ndarray (op) Jet defers to the Jet's reflected method instead of
     # building an object array
     __array_ufunc__ = None
 
     def __init__(self, n, order, v, g=None, h=None, t=None):
-        if isinstance(v, np.ndarray) and v.ndim:
-            batch = v.shape
-        else:
-            v, batch = float(v), ()
-        comps = [g, h, t]
-        for k in range(3):
-            if k >= order:
-                comps[k] = None
-            elif comps[k] is None:
-                comps[k] = np.zeros((n,) * (k + 1) + batch)
-        self.n, self.order, self.v = n, order, v
-        self.g, self.h, self.t = comps
+        """Pack a value and derivative tensors ((n,)*k + batch each, missing
+        ones zero, ones above `order` ignored)."""
+        comps = [(k, np.asarray(x, float))
+                 for k, x in enumerate((g, h, t)[:order], start=1) if x is not None]
+        batch = np.broadcast_shapes(np.shape(v), *(x.shape[k:] for k, x in comps))
+        c = np.zeros((_size(n, order),) + batch)
+        c[0] = v
+        for k, x in comps:
+            _, fac = _expansion(n, order, k)
+            idx = tuple(np.array(list(combinations_with_replacement(range(n), k))).T)
+            first = _size(n, k - 1)
+            c[first:_size(n, k)] = x[idx] / fac[idx].reshape((-1,) + (1,) * len(batch))
+        self.n, self.order, self.c = n, order, c
 
     # -- construction ---------------------------------------------------
 
@@ -77,33 +175,60 @@ class Jet:
     def variable(value, index, n, order=3):
         """The chart coordinate `index` at `value` (a float, or an array of
         values for a batch of points)."""
-        g = None
+        c = np.zeros((_size(n, order),) + np.shape(value))
+        c[0] = value
         if order >= 1:
-            g = np.zeros((n,) + np.shape(value))
-            g[index] = 1.0
-        return Jet(n, order, value, g)
+            c[1 + index] = 1.0
+        return _jet(n, order, c)
 
     @staticmethod
     def constant(value, n, order=3):
-        return Jet(n, order, value)
+        c = np.zeros((_size(n, order),) + np.shape(value))
+        c[0] = value
+        return _jet(n, order, c)
+
+    # -- components --------------------------------------------------------
+
+    @property
+    def v(self):
+        """The value: a float at a point, an array over a batch."""
+        return self.c[0]
+
+    @property
+    def g(self):
+        """First derivatives, (n,) + batch; None above the order."""
+        return self.c[1:1 + self.n] if self.order >= 1 else None
+
+    @property
+    def h(self):
+        """Second derivatives, (n, n) + batch; None above the order."""
+        return _expand(self.c, self.n, self.order, 2) if self.order >= 2 else None
+
+    @property
+    def t(self):
+        """Third derivatives, (n, n, n) + batch; None above the order."""
+        return _expand(self.c, self.n, self.order, 3) if self.order >= 3 else None
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Jet):
-            return _jet(self.n, self.order, self.v + _scalar(other),
-                        self.g, self.h, self.t)
-        order = min(self.order, other.order)
-        return _jet(self.n, order, self.v + other.v,
-                    self.g + other.g if order >= 1 else None,
-                    self.h + other.h if order >= 2 else None,
-                    self.t + other.t if order >= 3 else None)
+        if isinstance(other, Jet):
+            order, a, b = _operands(self, other)
+            return _jet(self.n, order, a + b)
+        s = _scalar(other)
+        if isinstance(s, float):
+            c = self.c.copy()
+        else:
+            c = _aligned(self.c, s.ndim)
+            c = np.array(np.broadcast_to(
+                c, c.shape[:1] + np.broadcast_shapes(c.shape[1:], s.shape)))
+        c[0] += s
+        return _jet(self.n, self.order, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(self.n, self.order, -self.v, _times(self.g, -1.0),
-                    _times(self.h, -1.0), _times(self.t, -1.0))
+        return _jet(self.n, self.order, -self.c)
 
     def __sub__(self, other):
         return self.__add__(-other if isinstance(other, Jet) else -_scalar(other))
@@ -113,10 +238,11 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            return _mul(self, other)
+            order, a, b = _operands(self, other)
+            _, c = _product(self.n, order, a, b)
+            return _jet(self.n, order, c)
         s = _scalar(other)
-        return _jet(self.n, self.order, self.v * s, _times(self.g, s),
-                    _times(self.h, s), _times(self.t, s))
+        return _jet(self.n, self.order, _aligned(self.c, np.ndim(s)) * s)
 
     __rmul__ = __mul__
 
@@ -137,56 +263,77 @@ class Jet:
 
     def _compose(self, c0, c1, c2, c3):
         """Univariate chain rule: jet of f(self) from the Taylor
-        coefficients c_k = f^(k)(self.v)."""
-        order, g, h = self.order, self.g, self.h
-        rg = rh = rt = None
-        if order >= 1:
-            rg = c1 * g
+        coefficients c_k = f^(k)(self.v), as the truncated series
+        c0 + c1 N + c2/2 N^2 + c3/6 N^3 in the nilpotent part N."""
+        n, order = self.n, self.order
+        N = self.c.copy()
+        N[0] = 0.0
+        out = c1 * N
         if order >= 2:
-            gg = g[:, None] * g[None, :]
-            rh = c1 * h + c2 * gg
-        if order >= 3:
-            rt = c1 * self.t
-            rt = rt + c2 * (g[:, None, None] * h[None, :, :]
-                            + g[None, :, None] * h[:, None, :]
-                            + g[None, None, :] * h[:, :, None])
-            rt = rt + c3 * (gg[:, :, None] * g[None, None, :])
-        return _jet(self.n, order, _scalar(c0), rg, rh, rt)
+            first, N2 = _product(n, order, N, N, low=1)
+            out[first:] += (0.5 * c2) * N2
+            if order >= 3:
+                N[first:] = N2          # N^2 below its degree-1 rows
+                first, N3 = _product(n, order, N, self.c, low=2)
+                out[first:] += (c3 / 6.0) * N3
+        out[0] = c0
+        return _jet(n, order, out)
 
     def _reciprocal(self):
         u = self.v
         return self._compose(1.0 / u, -1.0 / u ** 2, 2.0 / u ** 3, -6.0 / u ** 4)
 
     def __float__(self):
-        return self.v
+        return float(self.v)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Jet(order={self.order}, v={self.v}, g={self.g})"
 
 
-def _mul(a, b):
-    """Product rule to the lower of the two orders."""
-    order = min(a.order, b.order)
-    v1, g1, h1 = a.v, a.g, a.h
-    v2, g2, h2 = b.v, b.g, b.h
-    g = h = t = None
-    if order >= 1:
-        g = g1 * v2 + v1 * g2
-    if order >= 2:
-        h = h1 * v2 + v1 * h2 + g1[:, None] * g2[None, :] + g2[:, None] * g1[None, :]
-    if order >= 3:
-        t = a.t * v2 + v1 * b.t
-        t = t + h1[:, :, None] * g2[None, None, :]
-        t = t + h1[:, None, :] * g2[None, :, None]
-        t = t + h1[None, :, :] * g2[:, None, None]
-        t = t + h2[:, :, None] * g1[None, None, :]
-        t = t + h2[:, None, :] * g1[None, :, None]
-        t = t + h2[None, :, :] * g1[:, None, None]
-    return _jet(a.n, order, v1 * v2, g, h, t)
-
-
 variable = Jet.variable
 constant = Jet.constant
+
+
+def stack(xs):
+    """One object from a nested sequence of scalars, with the sequence axes
+    as new leading batch axes: an array when no scalar is a jet, else one
+    jet (of the lowest order among them; floats become constants)."""
+    flat, shape = [], []
+
+    def walk(x, depth):
+        if not isinstance(x, (list, tuple)):
+            flat.append(x)
+            return
+        if depth == len(shape):
+            shape.append(len(x))
+        for y in x:
+            walk(y, depth + 1)
+
+    walk(xs, 0)
+    jets = [x for x in flat if isinstance(x, Jet)]
+    if not jets:
+        return np.array(xs, float)
+    ref = min(jets, key=lambda j: j.order)
+    K = ref.c.shape[0]
+    batch = ref.c.shape[1:]
+    cs = []
+    for x in flat:
+        if isinstance(x, Jet):
+            cs.append(x.c[:K])
+        else:
+            c = np.zeros((K,) + batch)
+            c[0] = x
+            cs.append(c)
+    c = np.stack(cs, axis=1).reshape((K,) + tuple(shape) + batch)
+    return _jet(ref.n, ref.order, c)
+
+
+def unstack(x):
+    """The scalars along the first batch axis of a jet (or the rows of an
+    array)."""
+    if not isinstance(x, Jet):
+        return list(x)
+    return [_jet(x.n, x.order, x.c[:, a]) for a in range(x.c.shape[1])]
 
 
 def apply_univariate(x, c0, c1, c2, c3):

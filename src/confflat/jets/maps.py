@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError
-from .core import Jet
+from .core import Jet, _expansion, stack
 
 _EPS = np.finfo(float).eps
 
@@ -132,19 +132,17 @@ def evaluate_jet(smooth_map: SmoothMap, points, order=3) -> Jet3:
         bad = points[np.argmin(inside)] if batch else points
         raise DomainError(f"point {bad} outside chart box {dom.box}")
     coords = np.ascontiguousarray(points.T)
-    out = smooth_map.evaluator([Jet.variable(coords[i], i, n, order)
-                                for i in range(n)])
+    xs = [Jet.variable(coords[i], i, n, order) for i in range(n)]
+    out = list(smooth_map.evaluator(xs))
     N = len(out)
-    value = np.zeros(batch + (N,))
-    derivs = [np.zeros(batch + (n,) * k + (N,)) for k in range(1, order + 1)]
-    for a, c in enumerate(out):
-        if not isinstance(c, Jet):
-            value[..., a] = c
-            continue
-        value[..., a] = c.v
-        for d, comp in zip(derivs, (c.g, c.h, c.t)):
-            # the jet keeps the batch axis last, Jet3 keeps it first
-            d[..., a] = np.moveaxis(comp, -1, 0) if batch else comp
+    # (*batch, K, N): the packed coefficients of the outputs, floats as
+    # constants (the chart variable stacked last fixes the order and batch)
+    C = np.moveaxis(stack(out + xs[:1]).c[:, :N], (0, 1), (-2, -1))
+    value = np.ascontiguousarray(C[..., 0, :])
+    derivs = [np.ascontiguousarray(C[..., 1:1 + n, :])][:order]
+    for k in range(2, order + 1):
+        rows, fac = _expansion(n, order, k)
+        derivs.append(C[..., rows, :] * fac[..., None])
     finite = np.isfinite(value).all(axis=-1)
     for d in derivs:
         finite &= np.isfinite(d).reshape(batch + (-1,)).all(axis=-1)

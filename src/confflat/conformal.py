@@ -180,7 +180,10 @@ def conformal_flatness_test(ext: ExtrinsicData, trials=50, seed=0):
 
     def sectional(a, b):
         x, y = X[..., a], X[..., b]
-        num = np.einsum("pijkl,pti,ptj,ptk,ptl->pt", R, x, y, y, x)
+        # R_ijkl x_i x_l by two matmuls, (P, T, n, n), then y_j y_k
+        Rx = (x @ R.reshape(len(R), n, -1)).reshape(x.shape[:2] + (n * n, n))
+        M = (Rx @ x[..., None]).reshape(x.shape[:2] + (n, n))
+        num = (y[..., None, :] @ M @ y[..., None])[..., 0, 0]
         xx, yy, xy = (np.sum(u * v, axis=-1) for u, v in ((x, x), (y, y), (x, y)))
         return num / (xx * yy - xy ** 2)
 
@@ -212,38 +215,39 @@ def lemma_q_suite(ext: ExtrinsicData, conf: ConformalStructure,
         raise NotApplicable("no conformal structure attached")
     decs = principal_decompositions(ext, cluster_tol=cluster_tol, seed=seed)
     W, GW, HW = conf.omega_flat_jets(ext.point)
-    _, JS = conf.flat_frame(ext.point)
-    off = 0.0
-    high = None
-    dual = 0.0
-    for dec, w, gw, Hw, J in zip(decs, W, GW, HW, JS):
-        Q = Hw - np.outer(gw, gw)
-        dual = max(dual, QPack(w, gw, Q, float(gw @ gw)).duality_residual())
-        qscale = max(float(np.max(np.abs(Q))), 1.0)
+    _, J = conf.flat_frame(ext.point)
+    Q = HW - GW[..., :, None] * GW[..., None, :]                  # (B, n, n)
+    gw2 = np.sum(GW * GW, axis=-1)
+    dual = QPack(W, GW, Q, gw2).duality_residual()
+    qscale = np.maximum(np.max(np.abs(Q), axis=(-2, -1)), 1.0)
 
-        # push the eigendistribution bases to flat coordinates
-        flat_bases = [J @ dec.chart_basis(i) for i in range(dec.k)]
-        for i, B in enumerate(flat_bases):
-            for col in range(B.shape[1]):
-                X = B[:, col]
-                # flat-orthogonal complement of X spans the admissible Z
-                basis = np.linalg.svd(np.outer(X, X) / (X @ X))[0][:, 1:]
-                for z in basis.T:
-                    off = max(off, abs(X @ Q @ z)
-                              / (np.linalg.norm(X) * np.linalg.norm(z) * qscale))
-        if dec.multiplicities[0] >= 2:
-            eta1 = dec.etas[0]
-            # gradient in the flat metric, its norm in the curved one:
-            # e^{-4w} |grad_0 w|^2_curved = e^{-2w} |grad_0 w|^2_flat
-            target = -0.5 * (ext.ambient.inner(eta1, eta1)
-                             + np.exp(-2.0 * w) * float(gw @ gw))
-            B = flat_bases[0]
-            Bc = dec.chart_basis(0)
-            r = 0.0
-            for col in range(B.shape[1]):
-                # unit with respect to the induced metric of the immersion
-                nrm = np.sqrt(Bc[:, col] @ dec.ext.g @ Bc[:, col])
-                Z = B[:, col] / nrm
-                r = max(r, abs(Z @ Q @ Z - target) / max(abs(target), 1.0))
-            high = r if high is None else max(high, r)
+    # the eigendistribution bases, cluster after cluster, in chart and in
+    # flat coordinates: one column per direction X
+    chart = ext.onb @ np.array([np.concatenate(d.bases, axis=1) for d in decs])
+    flat = J @ chart                                              # (B, n, n)
+    X = np.swapaxes(flat, -1, -2)                                 # (B, n, n) rows
+    # flat-orthogonal complement of each X spans the admissible Z: one
+    # batched SVD of the projectors onto X
+    P = X[..., :, None] * X[..., None, :] / np.sum(X * X, axis=-1)[..., None, None]
+    Z = np.linalg.svd(P)[0][..., 1:]                              # (B, n, n, n-1)
+    XQZ = np.abs((X[..., None, :] @ Q[:, None] @ Z)[..., 0, :])   # (B, n, n-1)
+    denom = (np.linalg.norm(X, axis=-1)[..., None] * np.linalg.norm(Z, axis=-2)
+             * qscale[:, None, None])
+    off = float(np.max(XQZ / denom))
+
+    high = None
+    first = np.array([d.multiplicities[0] for d in decs])
+    if np.any(first >= 2):
+        etas = np.array([d.etas[0] for d in decs])
+        # gradient in the flat metric, its norm in the curved one:
+        # e^{-4w} |grad_0 w|^2_curved = e^{-2w} |grad_0 w|^2_flat
+        target = -0.5 * (np.sum(ext.ambient.signature * etas * etas, axis=-1)
+                         + np.exp(-2.0 * W) * gw2)
+        # unit with respect to the induced metric of the immersion
+        nrm = np.sqrt(np.einsum("bic,bij,bjc->bc", chart, ext.g, chart))
+        Zc = flat / nrm[:, None, :]
+        r = (np.abs(np.einsum("bic,bij,bjc->bc", Zc, Q, Zc) - target[:, None])
+             / np.maximum(np.abs(target), 1.0)[:, None])
+        cols = (np.arange(ext.n) < first[:, None]) & (first[:, None] >= 2)
+        high = float(np.max(r[cols]))
     return QSuiteReport(off, high, dual, ext.point)

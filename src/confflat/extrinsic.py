@@ -239,10 +239,14 @@ class ExtrinsicData:
         return self.frame.shape[-2]
 
     def at(self, m):
-        """The data at point m of a point set."""
-        lame = None
-        if self.lame is not None and not np.isnan(self.lame[m]).any():
-            lame = self.lame[m]
+        """The data at point m of a point set, or at the points of an index
+        array m as a point set."""
+        lame = self.lame
+        if np.ndim(m) == 0:
+            lame = None if self.lame is None or np.isnan(self.lame[m]).any() \
+                else self.lame[m]
+        elif lame is not None:
+            lame = lame[m]
         return ExtrinsicData(self.point[m], self.ambient, self.jet.at(m),
                              self.tangent[m], self.g[m], self.g_inv[m], lame,
                              self.frame[m], self.frame_eps[m], self.alpha[m],

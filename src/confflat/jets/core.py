@@ -84,7 +84,10 @@ def _pairs(n, order, low=0):
                    and len(a) + len(b) <= order)
     out, I, J = (np.array(x, dtype=np.intp) for x in zip(*pairs))
     first = int(out[0])
-    S = sparse.csr_array((np.ones(len(out)), (out - first, np.arange(len(out)))))
+    # rows of S in CSR form: row r sums the run of pairs whose product is r
+    indptr = np.r_[0, np.cumsum(np.bincount(out - first))]
+    S = sparse.csr_array((np.ones(len(out)), np.arange(len(out)), indptr),
+                         shape=(len(indptr) - 1, len(out)))
     return I, J, S, first
 
 

@@ -28,7 +28,7 @@ from .errors import (ConformalStructureError, DomainError,
 from .extrinsic import ExtrinsicData, fundamental_forms
 from .jets import (ChartDomain, Jet, SmoothMap, evaluate_jet, exp as jexp,
                    log as jlog, norm_sq)
-from .principal import offdiagonal_defects, principal_decomposition
+from .principal import FLAT_NB_TOL, _principal_pass, offdiagonal_defects
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -349,16 +349,13 @@ def lift_correspondence_check(extF: ExtrinsicData, extf: ExtrinsicData,
     set: the lift is holonomic with respect to the same coordinates (its net
     orthogonal and its second fundamental form diagonal), and the principal
     normals of f and of the lift correspond one to one."""
-    off_F = 0.0
-    k_f = k_F = None
-    match = True
-    for m in range(len(extF.point)):
-        off_F = max(off_F, *offdiagonal_defects(extF.at(m)))
-        dec_f = principal_decomposition(extf.at(m), cluster_tol=cluster_tol,
-                                        seed=seed)
-        dec_F = principal_decomposition(extF.at(m), cluster_tol=cluster_tol,
-                                        seed=seed)
-        k_f, k_F = dec_f.k, dec_F.k
-        match = match and (sorted(dec_f.multiplicities)
-                           == sorted(dec_F.multiplicities))
-    return LiftCorrespondenceReport(off_F, k_f, k_F, match)
+    decs_f, fail_f = _principal_pass(extf, cluster_tol, FLAT_NB_TOL, seed)
+    decs_F, fail_F = _principal_pass(extF, cluster_tol, FLAT_NB_TOL, seed)
+    # the refusal at the first point, the immersion's before the lift's
+    fails = [f for f in (fail_f, fail_F) if f is not None]
+    if fails:
+        raise min(fails, key=lambda f: f[0])[1]
+    match = all(sorted(a.multiplicities) == sorted(b.multiplicities)
+                for a, b in zip(decs_f, decs_F))
+    off_F = float(max(np.max(x) for x in offdiagonal_defects(extF)))
+    return LiftCorrespondenceReport(off_F, decs_f[-1].k, decs_F[-1].k, match)

@@ -5,7 +5,7 @@ the span / quasiumbilical / nullity structure built on top of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations, permutations
 
@@ -15,6 +15,7 @@ from .errors import (DegenerateInputError, NonProperError, NotApplicable,
                      QuasiumbilicError)
 from .extrinsic import (ExtrinsicData, _project_out, _unit, _vdot, christoffels,
                         codazzi_tensor, intrinsic_curvatures, orthonormalize)
+from .jets import Jet3
 
 FLAT_NB_TOL = 1e-8
 CLUSTER_TOL = 1e-6
@@ -26,33 +27,24 @@ JACOBI_TOL = 1e-13
 # ---------------------------------------------------------------------------
 
 def _offdiag_energy(mats):
-    e = 0.0
-    for m in mats:
-        e += float(np.sum(m ** 2)) - float(np.sum(np.diag(m) ** 2))
-    return e
+    """Summed squared off-diagonal entries of stacks of matrices (..., p, n,
+    n), per stack."""
+    d = np.diagonal(mats, axis1=-2, axis2=-1)
+    return (np.sum(mats ** 2, axis=(-3, -2, -1)) - np.sum(d ** 2, axis=(-2, -1)))
 
 
-def joint_diagonalize(mats, seed=0, max_sweeps=60, tol=JACOBI_TOL):
-    """Orthogonal V (columns) jointly diagonalizing a stack of commuting
-    symmetric matrices: random-combination eigendecomposition followed by
-    Jacobi refinement sweeps.  Deterministic for a fixed seed."""
-    mats = np.array(mats, float)
-    p, n, _ = mats.shape
-    scale = max(float(np.max(np.abs(mats))), 1e-300)
-    rng = np.random.default_rng(seed)
-    combo = np.einsum("a,aij->ij", rng.standard_normal(p), mats)
-    _, V = np.linalg.eigh(0.5 * (combo + combo.T))
-    work = np.einsum("ki,akl,lj->aij", V, mats, V)
-    thresh = tol * scale ** 2 * n
+def _jacobi_sweeps(work, V, thresh, max_sweeps):
+    """Jacobi refinement of one point's rotated stack `work` (p, n, n) and
+    basis V, until the off-diagonal energy is at most `thresh`."""
+    n = V.shape[0]
     for _ in range(max_sweeps):
         if _offdiag_energy(work) <= thresh:
             break
         for i in range(n - 1):
             for j in range(i + 1, n):
                 # closed-form rotation minimizing the summed (i, j) off-diagonals
-                h = np.array([[m[i, i] - m[j, j], 2.0 * m[i, j]] for m in work])
-                G = h.T @ h
-                w, U = np.linalg.eigh(G)
+                h = np.stack([work[:, i, i] - work[:, j, j], 2.0 * work[:, i, j]], 1)
+                _, U = np.linalg.eigh(h.T @ h)
                 x, y = U[:, -1]
                 if x < 0:
                     x, y = -x, -y
@@ -68,9 +60,58 @@ def joint_diagonalize(mats, seed=0, max_sweeps=60, tol=JACOBI_TOL):
     return V
 
 
+def _joint_bases(mats, seed, max_sweeps, tol, skip=None):
+    """Orthogonal V (B, n, n) jointly diagonalizing each stack of commuting
+    symmetric matrices in mats (B, p, n, n): one random combination (the
+    same draw at every point) diagonalized by one stacked eigh, then Jacobi
+    sweeps at the points whose off-diagonal energy exceeds its threshold
+    (not at the points flagged in `skip`)."""
+    B, p, n, _ = mats.shape
+    scale = np.maximum(np.max(np.abs(mats), axis=(-3, -2, -1)), 1e-300)
+    combo = np.einsum("a,baij->bij", np.random.default_rng(seed).standard_normal(p),
+                      mats)
+    _, V = np.linalg.eigh(0.5 * (combo + np.swapaxes(combo, -1, -2)))
+    work = np.einsum("bki,bakl,blj->baij", V, mats, V)
+    thresh = tol * scale ** 2 * n
+    rough = _offdiag_energy(work) > thresh
+    if skip is not None:
+        rough &= ~skip
+    for m in np.flatnonzero(rough):
+        V[m] = _jacobi_sweeps(work[m], V[m], thresh[m], max_sweeps)
+    return V
+
+
+def joint_diagonalize(mats, seed=0, max_sweeps=60, tol=JACOBI_TOL):
+    """Orthogonal V (columns) jointly diagonalizing a stack of commuting
+    symmetric matrices: random-combination eigendecomposition followed by
+    Jacobi refinement sweeps.  Deterministic for a fixed seed."""
+    return _joint_bases(np.array(mats, float)[None], seed, max_sweeps, tol)[0]
+
+
 # ---------------------------------------------------------------------------
-# principal decomposition at a point
+# principal decomposition over a point set
 # ---------------------------------------------------------------------------
+
+class _PointSet:
+    """Batched extrinsic data shared by the decompositions of one point set,
+    with its Levi-Civita and Codazzi tensors computed once for all points."""
+
+    def __init__(self, ext):
+        self.ext = ext
+
+    @cached_property
+    def christoffels(self):
+        return christoffels(self.ext)
+
+    @cached_property
+    def codazzi(self):
+        return codazzi_tensor(self.ext)
+
+    @cached_property
+    def defects(self):
+        """(B, 2): offdiagonal_defects at each point."""
+        return np.stack(offdiagonal_defects(self.ext), axis=-1)
+
 
 @dataclass
 class PrincipalDecomposition:
@@ -79,7 +120,8 @@ class PrincipalDecomposition:
     etas[i] is the i-th distinct principal normal (ambient vector); columns
     of bases[i] span its eigendistribution E_i in the orthonormal tangent
     basis of `ext`.  Entries are sorted by descending multiplicity, ties by
-    the principal normal components.
+    the principal normal components.  `point_set` and `index` locate the
+    point in the batched data it was decided with.
     """
 
     ext: ExtrinsicData
@@ -87,6 +129,8 @@ class PrincipalDecomposition:
     bases: list           # k arrays (n, m_i), ONB tangent coordinates
     eigen_onb: np.ndarray  # (n, n) the full joint eigenbasis
     kappa: np.ndarray     # (p, n) per-axis eigenvalues of each shape operator
+    point_set: _PointSet | None = field(default=None, repr=False)
+    index: int = 0
 
     @property
     def k(self):
@@ -106,30 +150,74 @@ class PrincipalDecomposition:
         (nabla_{d_i} alpha), from the Codazzi tensor.  eta_c is the mean of
         alpha(e_s, e_s) over an orthonormal frame e_s of E_c, and the frame
         terms alpha(nabla e_s, e_s) = <nabla e_s, e_s> eta_c vanish."""
-        T = codazzi_tensor(self.ext)
-        return np.array([np.einsum("js,ks,ijkA->iA", B, B, T) / B.shape[1]
-                         for B in map(self.chart_basis, range(self.k))])
+        return _eta_derivatives([self])[0]
 
     def reconstruction_residual(self, seed=0, trials=8):
         """max over random unit normals xi of |A_xi - sum_i <xi, eta_i> P_i|."""
-        ext = self.ext
-        sig = ext.ambient.signature
-        xi = np.random.default_rng(seed).standard_normal((trials, ext.p)) @ ext.frame
-        nrm = np.sqrt(np.abs(np.einsum("tA,A,tA->t", xi, sig, xi)))
-        xi = xi[nrm >= 1e-12] / nrm[nrm >= 1e-12, None]
-        # A_xi - sum_i <xi, eta_i> P_i with A_xi = sum_a eps_a <xi, xi_a> S_a:
-        # one weighted sum over the frame vectors and the principal normals
-        vecs = np.concatenate([ext.frame, self.etas])
-        weights = np.concatenate([ext.frame_eps, -np.ones(self.k)])
-        mats = np.concatenate([ext.S, [B @ B.T for B in self.bases]])
-        diff = np.einsum("tA,A,mA,m,mij->tij", xi, sig, vecs, weights, mats)
-        return float(np.max(np.abs(diff), initial=0.0))
+        return float(_reconstruction_residuals([self], seed, trials)[0])
 
 
-def _cluster_columns(vectors, gap):
-    """Single-linkage clustering of a list of vectors at threshold `gap`.
-    Returns a list of index lists and the tightest inter-cluster distance."""
-    m = len(vectors)
+def _point_set(dec):
+    if dec.point_set is None:
+        dec.point_set, dec.index = _PointSet(_batch_of_one(dec.ext)), 0
+    return dec.point_set
+
+
+def _gathered(decs, get):
+    """get(point set) (a batched array) at the points of the decompositions:
+    one take when they share a point set, else stacked row by row."""
+    sets = [_point_set(d) for d in decs]
+    if all(ps is sets[0] for ps in sets):
+        return get(sets[0])[[d.index for d in decs]]
+    return np.array([get(ps)[d.index] for ps, d in zip(sets, decs)])
+
+
+def _stacked(decs, name):
+    """A field of the extrinsic data at the points of the decompositions."""
+    return _gathered(decs, lambda ps: getattr(ps.ext, name))
+
+
+def _reconstruction_residuals(decs, seed, trials):
+    """Per decomposition (all with the same k): max over `trials` random
+    unit normals xi (one draw for every point) of |A_xi - sum_i <xi, eta_i>
+    P_i|, with A_xi = sum_a eps_a <xi, xi_a> S_a."""
+    ext0 = decs[0].ext
+    sig = ext0.ambient.signature
+    frame = _stacked(decs, "frame")
+    xi = np.random.default_rng(seed).standard_normal((trials, ext0.p)) @ frame
+    nrm = np.sqrt(np.abs(np.einsum("btA,A,btA->bt", xi, sig, xi)))
+    keep = nrm >= 1e-12
+    xi = xi / np.where(keep, nrm, 1.0)[..., None]
+    # one weighted sum over the frame vectors and the principal normals
+    vecs = np.concatenate([frame, np.array([d.etas for d in decs])], axis=1)
+    weights = np.concatenate([_stacked(decs, "frame_eps"),
+                              -np.ones((len(decs), decs[0].k))], axis=1)
+    mats = np.concatenate([_stacked(decs, "S"),
+                           np.array([[B @ B.T for B in d.bases] for d in decs])], axis=1)
+    coef = np.einsum("btA,A,bmA->btm", xi, sig, vecs) * weights[:, None, :]
+    diff = np.abs(coef @ mats.reshape(mats.shape[:2] + (-1,)))
+    return np.max(np.where(keep[..., None], diff, 0.0), axis=(-2, -1))
+
+
+def _batch_of_one(ext):
+    """Single-point extrinsic data as a point set of one point."""
+    one = {f.name: getattr(ext, f.name) for f in fields(ext)}
+    for name, val in one.items():
+        if isinstance(val, np.ndarray):
+            one[name] = val[None]
+    if ext.lame is None:
+        one["lame"] = np.full((1, ext.n), np.nan)
+    jet = ext.jet
+    one["jet"] = Jet3(*(None if x is None else x[None]
+                        for x in (jet.value, jet.d1, jet.d2, jet.d3)), jet.order)
+    return ExtrinsicData(**one)
+
+
+def _cluster_columns(dist, gap):
+    """Single-linkage clustering of m items with pairwise distances `dist`
+    (m, m) at threshold `gap`.  Returns a list of index lists and the
+    tightest inter-cluster distance."""
+    m = len(dist)
     parent = list(range(m))
 
     def find(a):
@@ -138,10 +226,8 @@ def _cluster_columns(vectors, gap):
             a = parent[a]
         return a
 
-    dist = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            dist[i, j] = dist[j, i] = float(np.linalg.norm(vectors[i] - vectors[j]))
             if dist[i, j] <= gap:
                 parent[find(i)] = find(j)
     groups = {}
@@ -150,56 +236,78 @@ def _cluster_columns(vectors, gap):
     clusters = list(groups.values())
     inter = np.inf
     for a, b in combinations(range(len(clusters)), 2):
-        for i in clusters[a]:
-            for j in clusters[b]:
-                inter = min(inter, dist[i, j])
+        inter = min(inter, float(np.min(dist[np.ix_(clusters[a], clusters[b])])))
     return clusters, inter
 
 
-def principal_decomposition(ext: ExtrinsicData, cluster_tol=CLUSTER_TOL,
-                            flat_tol=FLAT_NB_TOL, seed=0) -> PrincipalDecomposition:
-    """Diagonalize all shape operators simultaneously and group the common
-    eigendirections by their principal normal."""
+def _principal_pass(ext, cluster_tol, flat_tol, seed):
+    """Decide every point of batched extrinsic data in one pass.  Returns
+    (decs, failure): the decompositions of the points before the first one
+    refused, and None or (that point's index, its DegenerateInputError)."""
     S = ext.S
-    p, n = S.shape[0], ext.n
-    scale = max(float(np.max(np.abs(S))), 1e-300)
-    for a in range(p):
-        for b in range(a + 1, p):
-            comm = S[a] @ S[b] - S[b] @ S[a]
-            if np.max(np.abs(comm)) > flat_tol * scale ** 2 * n:
-                raise DegenerateInputError(
-                    f"shape operators do not commute: |[A_{a}, A_{b}]| = "
-                    f"{np.max(np.abs(comm)):.3e} at {ext.point}")
+    B, p, n, _ = S.shape
+    scale = np.maximum(np.max(np.abs(S), axis=(-3, -2, -1)), 1e-300)
+    SS = S[:, :, None] @ S[:, None]                          # (B, p, p, n, n)
+    comm = np.max(np.abs(SS - np.swapaxes(SS, 1, 2)), axis=(-2, -1))
+    upper = np.triu(np.ones((p, p), bool), 1)
+    noncommuting = (comm > (flat_tol * scale ** 2 * n)[:, None, None]) & upper
 
-    V = joint_diagonalize(S, seed=seed)
-    kappa = np.einsum("ij,aik,kj->aj", V, S, V)
+    V = _joint_bases(S, seed, 60, JACOBI_TOL, skip=noncommuting.any(axis=(1, 2)))
+    kappa = np.einsum("bij,baik,bkj->baj", V, S, V)
     # eta_j = sum_a eps_a kappa_{a j} xi_a
-    etas_cols = np.einsum("a,aj,aA->jA", ext.frame_eps.astype(float), kappa, ext.frame)
+    etas_cols = np.einsum("ba,baj,baA->bjA", ext.frame_eps.astype(float), kappa,
+                          ext.frame)
+    dist = np.linalg.norm(etas_cols[:, :, None] - etas_cols[:, None], axis=-1)
+    gaps = cluster_tol * np.maximum(scale, 1e-12)
 
-    gap = cluster_tol * max(scale, 1e-12)
-    clusters, inter = _cluster_columns(list(etas_cols), gap)
-    if inter < 2.0 * gap:
-        raise DegenerateInputError(
-            f"principal normal gap {inter:.3e} too close to the clustering "
-            f"threshold {gap:.3e} to resolve")
+    point_set = _PointSet(ext)
+    decs = []
+    for m in range(B):
+        if noncommuting[m].any():
+            a, b = np.argwhere(noncommuting[m])[0]
+            return decs, (m, DegenerateInputError(
+                f"shape operators do not commute: |[A_{a}, A_{b}]| = "
+                f"{comm[m, a, b]:.3e} at {ext.point[m]}"))
+        clusters, inter = _cluster_columns(dist[m], gaps[m])
+        if inter < 2.0 * gaps[m]:
+            return decs, (m, DegenerateInputError(
+                f"principal normal gap {inter:.3e} too close to the clustering "
+                f"threshold {gaps[m]:.3e} to resolve"))
+        entries = []
+        for idx in clusters:
+            eta = etas_cols[m, idx].mean(axis=0)
+            entries.append((len(idx), tuple(np.round(-eta, 9)), eta, V[m][:, idx]))
+        entries.sort(key=lambda e: (-e[0], e[1]))
+        decs.append(PrincipalDecomposition(
+            ext.at(m), [e[2] for e in entries], [e[3] for e in entries],
+            V[m], kappa[m], point_set, m))
+    return decs, None
 
-    entries = []
-    for idx in clusters:
-        eta = etas_cols[idx].mean(axis=0)
-        B = V[:, idx]
-        entries.append((len(idx), tuple(np.round(-eta, 9)), eta, B))
-    entries.sort(key=lambda e: (-e[0], e[1]))
-    etas = [e[2] for e in entries]
-    bases = [e[3] for e in entries]
-    assert sum(b.shape[1] for b in bases) == n
-    return PrincipalDecomposition(ext, etas, bases, V, kappa)
+
+def _decide(ext, cluster_tol, flat_tol, seed):
+    decs, failure = _principal_pass(ext, cluster_tol, flat_tol, seed)
+    if failure is not None:
+        raise failure[1]
+    return decs
 
 
 def principal_decompositions(ext: ExtrinsicData, cluster_tol=CLUSTER_TOL,
                              seed=0):
-    """One decomposition per point of batched extrinsic data."""
-    return [principal_decomposition(ext.at(m), cluster_tol=cluster_tol, seed=seed)
-            for m in range(len(ext.point))]
+    """One decomposition per point of batched extrinsic data, decided in one
+    pass: diagonalize all shape operators simultaneously and group the
+    common eigendirections by their principal normal.  Raises
+    DegenerateInputError naming the first point whose shape operators do not
+    commute or whose principal normals are too close to resolve."""
+    return _decide(ext, cluster_tol, FLAT_NB_TOL, seed)
+
+
+def principal_decomposition(ext: ExtrinsicData, cluster_tol=CLUSTER_TOL,
+                            flat_tol=FLAT_NB_TOL, seed=0) -> PrincipalDecomposition:
+    """The decomposition at one point: the one-pass decision on a point set
+    of one."""
+    dec, = _decide(_batch_of_one(ext), cluster_tol, flat_tol, seed)
+    dec.ext = ext
+    return dec
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +324,24 @@ class CensusReport:
     single_high_multiplicity: bool
 
 
-def _match_eta(target, etas):
-    d = [float(np.linalg.norm(target - e)) for e in etas]
-    return int(np.argmin(d))
+def _eta_derivatives(decs):
+    """(B, k, n, A): eta_derivatives of each decomposition (all with the
+    same multiplicities), from the Codazzi tensor of their point sets; each
+    decomposition keeps its own."""
+    groups = {}
+    for d in decs:
+        if "eta_derivatives" not in d.__dict__:
+            groups.setdefault(d.multiplicities, []).append(d)
+    for mults, todo in groups.items():
+        T = _gathered(todo, lambda ps: ps.codazzi)
+        onb = _stacked(todo, "onb")
+        D = []
+        for i, m in enumerate(mults):
+            C = onb @ np.array([d.bases[i] for d in todo])         # (B, n, m)
+            D.append(np.einsum("bjs,bks,bijkA->biA", C, C, T) / m)
+        for d, Dd in zip(todo, np.stack(D, axis=1)):
+            d.__dict__["eta_derivatives"] = Dd
+    return np.array([d.eta_derivatives for d in decs])
 
 
 def properness_and_census(decs, seed=0) -> CensusReport:
@@ -238,19 +361,17 @@ def properness_and_census(decs, seed=0) -> CensusReport:
     if any(d.multiplicities != mults for d in decs):
         raise NonProperError("multiplicity pattern varies across samples")
 
+    rec = float(np.max(_reconstruction_residuals(decs, seed, 8)))
     # Dupin check: nabla-perp eta_i along the unit basis vectors of E_i
     dupin = {}
-    rec = 0.0
-    for dec in decs:
-        rec = max(rec, dec.reconstruction_residual(seed=seed))
-        for i, m in enumerate(dec.multiplicities):
-            if m < 2:
-                continue
-            along = dec.chart_basis(i).T @ dec.eta_derivatives[i]
-            dupin[i] = max(dupin.get(i, 0.0),
-                           float(np.max(np.linalg.norm(along, axis=1))))
-    high = sum(1 for m in mults if m >= 2)
-    return CensusReport(ks[0], mults, points, dupin, rec, high <= 1)
+    high_idx = [i for i, m in enumerate(mults) if m >= 2]
+    if high_idx:
+        D = _eta_derivatives(decs)
+        for i in high_idx:
+            C = np.array([d.chart_basis(i) for d in decs])       # (B, n, m)
+            along = np.swapaxes(C, -1, -2) @ D[:, i]
+            dupin[i] = float(np.max(np.linalg.norm(along, axis=-1)))
+    return CensusReport(ks[0], mults, points, dupin, rec, len(high_idx) <= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +408,32 @@ class HolonomicityReport:
 
 
 def offdiagonal_defects(ext: ExtrinsicData):
-    """(net, alpha): how far the chart coordinates at one point are from
-    principal coordinates.  `net` is the largest off-diagonal metric entry
-    over the largest diagonal one; `alpha` is the largest |alpha(d_i, d_j)|,
-    i != j, over unit coordinate vectors, relative to the largest entry of
-    the second fundamental form in an orthonormal basis."""
+    """(net, alpha): how far the chart coordinates are from principal
+    coordinates, at a point (floats) or at each point of a point set ((B,)
+    arrays).  `net` is the largest off-diagonal metric entry over the
+    largest diagonal one; `alpha` is the largest |alpha(d_i, d_j)|, i != j,
+    over unit coordinate vectors, relative to the largest entry of the
+    second fundamental form in an orthonormal basis."""
     g = ext.g
-    d = np.sqrt(np.diag(g))
-    off = g - np.diag(np.diag(g))
-    net = float(np.max(np.abs(off))) / float(np.max(d) ** 2)
-    ascale = max(float(np.max(np.abs(ext.alpha_onb()))), 1e-300)
-    alpha = 0.0
-    for i in range(ext.n):
-        for j in range(i + 1, ext.n):
-            a = float(np.linalg.norm(ext.alpha[i, j])) / (d[i] * d[j])
-            alpha = max(alpha, a / ascale)
-    return net, float(alpha)
+    n = ext.n
+    d = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
+    off = g - np.diagonal(g, axis1=-2, axis2=-1)[..., None] * np.eye(n)
+    net = np.max(np.abs(off), axis=(-2, -1)) / np.max(d, axis=-1) ** 2
+    ascale = np.maximum(np.max(np.abs(ext.alpha_onb()), axis=(-3, -2, -1)), 1e-300)
+    iu = np.triu_indices(n, 1)
+    a = (np.linalg.norm(ext.alpha, axis=-1) / (d[..., :, None] * d[..., None, :]))
+    alpha = np.max(a[..., iu[0], iu[1]], axis=-1, initial=0.0) / ascale
+    if g.ndim == 2:
+        return float(net), float(alpha)
+    return net, alpha
+
+
+def _padded(rows, width, fill):
+    """Rows of different lengths as one array, padded with `fill`."""
+    out = np.full((len(rows), width) + rows[0].shape[1:], fill)
+    for r, x in enumerate(rows):
+        out[r, :len(x)] = x
+    return out
 
 
 def holonomicity_check(decs, net_tol=1e-8) -> HolonomicityReport:
@@ -310,48 +441,57 @@ def holonomicity_check(decs, net_tol=1e-8) -> HolonomicityReport:
     coordinates follow the curvature directions: the net must be orthogonal,
     the second fundamental form diagonal, and the principal normals must
     satisfy the two derivation rules that characterize a holonomic
-    curvature net."""
-    net_off = alpha_off = c1 = c2 = 0.0
-    for dec in decs:
-        ext = dec.ext
-        net, alpha = offdiagonal_defects(ext)
-        if net > net_tol:
+    curvature net.  All points are checked in one pass; a refusal names the
+    first point that fails."""
+    points = _stacked(decs, "point")
+    lames = [d.ext.lame for d in decs]
+    net, alpha = _gathered(decs, lambda ps: ps.defects).T
+    for m, dec in enumerate(decs):
+        if net[m] > net_tol:
             raise DegenerateInputError(
-                f"coordinate net not orthogonal: defect {net:.3e} at {ext.point}")
-        if ext.lame is None:
+                f"coordinate net not orthogonal: defect {net[m]:.3e} at {dec.ext.point}")
+        if lames[m] is None:
             raise DegenerateInputError("no Lame functions: net not orthogonal")
-        net_off = max(net_off, net)
-        alpha_off = max(alpha_off, alpha)
-        h = ext.lame
-        n = ext.n
+    h = np.array(lames)                                       # (B, n)
+    n = h.shape[1]
+    kmax = max(d.k for d in decs)
+    etas = _padded([np.array(d.etas) for d in decs], kmax, np.inf)   # (B, k, A)
+    d_eta = _padded([d.eta_derivatives for d in decs], kmax, 0.0)    # (B, k, n, A)
+    Gam = _gathered(decs, lambda ps: ps.christoffels)                # (B, n, n, n)
+    alpha_f = _stacked(decs, "alpha")
+    rows = np.arange(len(decs))[:, None]
 
-        # cluster index of each coordinate direction, by its normal curvature
-        eta_coord = [ext.alpha[i, i] / h[i] ** 2 for i in range(n)]
-        assign = [_match_eta(eta_coord[i], dec.etas) for i in range(n)]
-        Gam = christoffels(ext)
-        d_eta = dec.eta_derivatives
+    # cluster index of each coordinate direction, by its normal curvature
+    idx = np.arange(n)
+    eta_coord = alpha_f[:, idx, idx] / h[..., None] ** 2                # (B, n, A)
+    assign = np.argmin(np.linalg.norm(eta_coord[:, :, None] - etas[:, None], axis=-1),
+                       axis=-1)                                       # (B, n)
+    E = etas[rows, assign]                                            # (B, n, A)
+    eta_scale = np.maximum(np.max(np.linalg.norm(np.where(
+        np.isinf(etas), 0.0, etas), axis=-1), axis=-1), 1e-300)[:, None, None]
+    apart = assign[:, :, None] != assign[:, None, :]                  # (B, i, j)
 
-        eta_scale = max(max(float(np.linalg.norm(e)) for e in dec.etas), 1e-300)
-        for i in range(n):
-            for j in range(n):
-                if assign[i] == assign[j]:
-                    continue
-                # <X_i, X_i> nabla-perp_{X_j} eta_i = <nabla_{X_i} X_i, X_j>(eta_i - eta_j)
-                # with the unit vectors X = d / h
-                coef = Gam[j, i, i] / (h[i] ** 2 * h[j])
-                res = (d_eta[assign[i], j] / h[j]
-                       - coef * (dec.etas[assign[i]] - dec.etas[assign[j]]))
-                c1 = max(c1, float(np.linalg.norm(res)) / eta_scale)
-                for l in range(n):
-                    if assign[l] in (assign[i], assign[j]):
-                        continue
-                    lhs = (Gam[j, i, l] / (h[i] * h[l] * h[j])
-                           * (dec.etas[assign[j]] - dec.etas[assign[l]]))
-                    rhs = (Gam[j, l, i] / (h[i] * h[l] * h[j])
-                           * (dec.etas[assign[j]] - dec.etas[assign[i]]))
-                    c2 = max(c2, float(np.linalg.norm(lhs - rhs)) / eta_scale)
-    return HolonomicityReport(net_off, alpha_off, c1, c2,
-                              np.array([d.ext.point for d in decs]))
+    # <X_i, X_i> nabla-perp_{X_j} eta_i = <nabla_{X_i} X_i, X_j>(eta_i - eta_j)
+    # with the unit vectors X = d / h
+    hi, hj = h[:, :, None], h[:, None, :]
+    coef = Gam[:, idx[None, :], idx[:, None], idx[:, None]] / (hi ** 2 * hj)
+    D = d_eta[rows[..., None], assign[:, :, None], idx[None, None, :]]  # (B, i, j, A)
+    res = D / hj[..., None] - coef[..., None] * (E[:, :, None] - E[:, None])
+    c1 = np.max(np.where(apart, np.linalg.norm(res, axis=-1), 0.0) / eta_scale,
+                initial=0.0)
+
+    # Gam[j, i, l] (eta_j - eta_l) = Gam[j, l, i] (eta_j - eta_i) over h_i h_l h_j
+    # for three distinct clusters
+    Gt = np.transpose(Gam, (0, 2, 1, 3))                              # [i, j, l]
+    hil = h[:, :, None, None] * h[:, None, None, :] * h[:, None, :, None]
+    lhs = (Gt / hil)[..., None] * (E[:, None, :, None] - E[:, None, None, :])
+    rhs = (np.transpose(Gam, (0, 3, 1, 2)) / hil)[..., None] * (
+        E[:, None, :, None] - E[:, :, None, None])
+    three = apart[:, :, :, None] & apart[:, :, None, :] & apart[:, None, :, :]
+    c2 = np.max(np.where(three, np.linalg.norm(lhs - rhs, axis=-1), 0.0)
+                / eta_scale[..., None], initial=0.0)
+    return HolonomicityReport(float(np.max(net)), float(np.max(alpha)),
+                              float(c1), float(c2), points)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +612,7 @@ def quasiumbilical_frame(dec: PrincipalDecomposition, tol=1e-8) -> QuasiumbilicF
         A = dec.ext.shape_operator(xi)
         w = np.linalg.eigvalsh(A)
         scale = max(float(np.max(np.abs(w))), 1e-12)
-        clusters, _ = _cluster_columns([np.array([x]) for x in w], 1e-6 * scale)
+        clusters, _ = _cluster_columns(np.abs(w[:, None] - w[None, :]), 1e-6 * scale)
         mult_list.append(max(len(c) for c in clusters))
     if any(m < n - 1 for m in mult_list):
         raise QuasiumbilicError(

@@ -32,7 +32,8 @@ from .extrinsic import (ExtrinsicData, christoffels, fundamental_forms,
 from .jets import SmoothMap, evaluate_jet
 from .lightcone import (ConeModel, LiftedImmersion, build_cone_model,
                         flat_lift, project_from_cone)
-from .principal import offdiagonal_defects, principal_decomposition
+from .principal import (CLUSTER_TOL, FLAT_NB_TOL, _principal_pass,
+                        offdiagonal_defects)
 
 SINGULAR_TOL = 1e-8
 DEGENERATE_MARGIN = 1e-3
@@ -384,20 +385,25 @@ class NullspaceResult:
 
 
 def _degeneracy_guard(grid: LiftGrid):
+    """Refuse, at three grid points decided in one pass, a single principal
+    normal or two principal normals too close to tell apart."""
     idx = np.linspace(0, grid.M - 1, 3).astype(int)
-    for m in idx:
-        dec = principal_decomposition(grid.ext.at(m))
+    decs, failure = _principal_pass(grid.ext.at(idx), CLUSTER_TOL, FLAT_NB_TOL, 0)
+    for dec in decs:
         if dec.k < 2:
             raise DegenerateInputError(
                 "input has a single principal normal: the condition loses "
                 "rigidity and its null space is infinite dimensional")
-        scale = max(np.linalg.norm(e) for e in dec.etas)
-        for i in range(dec.k):
-            for j in range(i + 1, dec.k):
-                gap = np.linalg.norm(dec.etas[i] - dec.etas[j]) / scale
-                if gap < DEGENERATE_MARGIN:
-                    raise DegenerateInputError(
-                        f"principal normals {i}, {j} too close (margin {gap:.3e})")
+        etas = np.array(dec.etas)
+        scale = np.max(np.linalg.norm(etas, axis=-1))
+        gaps = np.linalg.norm(etas[:, None] - etas[None], axis=-1) / scale
+        close = np.argwhere(np.triu(gaps < DEGENERATE_MARGIN, 1))
+        if len(close):
+            i, j = close[0]
+            raise DegenerateInputError(
+                f"principal normals {i}, {j} too close (margin {gaps[i, j]:.3e})")
+    if failure is not None:
+        raise failure[1]
 
 
 def _condition_operator(grid: LiftGrid):
@@ -735,8 +741,7 @@ def _member_postchecks(grid: LiftGrid, rec: MemberReport, model: ConeModel,
     # the quadruple test and the holonomic gate share one pass
     ext = fundamental_forms(proj.f, amb_mod.euclidean(model.N), pts)
     rec.cf_residual = conformal_flatness_test(ext, trials=20, seed=seed)
-    rec.offdiag_residual = max(max(offdiagonal_defects(ext.at(m)))
-                               for m in range(len(pts)))
+    rec.offdiag_residual = float(max(np.max(x) for x in offdiagonal_defects(ext)))
     # grid samples, NaN at the points under the pole guard
     vals = np.full((grid.M, model.N), np.nan)
     rho = evaluate_jet(F_map, grid.points, 0).value @ (grid.sig * model.w)

@@ -16,7 +16,7 @@ the condition operator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -94,6 +94,14 @@ class LiftGrid:
     eps: np.ndarray             # (p,)
     parallel_residual: float    # Richardson estimate of the transport error
     ext: ExtrinsicData          # pointwise data at the grid points, batched
+
+    @cached_property
+    def _analytic_data(self):
+        """The analytic family's data, without residuals, built once."""
+        fam = [_constant_vector(self, e, f"basis-{a}")
+               for a, e in enumerate(np.eye(self.A))]
+        return fam + [RibaucourData(np.ones(self.M), np.zeros((self.M, self.p)),
+                                    -1.0, None, z=None, name="shift")]
 
     @property
     def M(self):
@@ -303,7 +311,7 @@ class RibaucourData:
     phi: np.ndarray             # (M,)
     b: np.ndarray               # (M, p)
     c: float
-    condition_residual: float
+    condition_residual: float | None   # None where no check reads it
     z: np.ndarray | None = None  # set when the datum comes from a constant vector
     name: str = ""
 
@@ -338,16 +346,22 @@ def condition_residual(grid: LiftGrid, phi, b, interior=True):
     return float(np.max(np.abs(res))) / scale
 
 
-def constant_vector_data(grid: LiftGrid, z, name="") -> RibaucourData:
-    """The analytic compatibility solution generated by a constant ambient
-    vector z: phi = <<F, z>>, beta = normal part of z."""
+def _constant_vector(grid: LiftGrid, z, name):
+    """constant_vector_data without its condition residual."""
     z = np.asarray(z, float)
     phi = np.einsum("mA,A,A->m", grid.F_vals, grid.sig, z)
     b = np.einsum("a,maA,A,A->ma", grid.eps.astype(float), grid.frame,
                   grid.sig, z)
     c = float(np.mean(grid.cone_constant(phi, b)))
-    return RibaucourData(phi, b, c, condition_residual(grid, phi, b), z=z,
-                         name=name or "constant-vector")
+    return RibaucourData(phi, b, c, None, z=z, name=name)
+
+
+def constant_vector_data(grid: LiftGrid, z, name="") -> RibaucourData:
+    """The analytic compatibility solution generated by a constant ambient
+    vector z: phi = <<F, z>>, beta = normal part of z."""
+    data = _constant_vector(grid, z, name or "constant-vector")
+    data.condition_residual = condition_residual(grid, data.phi, data.b)
+    return data
 
 
 def shift_data(grid: LiftGrid, data: RibaucourData, delta) -> RibaucourData:
@@ -359,15 +373,11 @@ def shift_data(grid: LiftGrid, data: RibaucourData, delta) -> RibaucourData:
 
 
 def analytic_family(grid: LiftGrid):
-    """The known compatibility solutions: one per ambient basis vector plus
-    the constant-shift datum (phi = 1, beta = 0)."""
-    fam = [constant_vector_data(grid, e, name=f"basis-{a}")
-           for a, e in enumerate(np.eye(grid.A))]
-    one = RibaucourData(np.ones(grid.M), np.zeros((grid.M, grid.p)), -1.0,
-                        0.0, z=None, name="shift")
-    one.condition_residual = condition_residual(grid, one.phi, one.b)
-    fam.append(one)
-    return fam
+    """The known compatibility solutions, with their condition residuals:
+    one per ambient basis vector plus the constant-shift datum (phi = 1,
+    beta = 0)."""
+    return [replace(d, condition_residual=condition_residual(grid, d.phi, d.b))
+            for d in grid._analytic_data]
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +523,7 @@ def solve_condition_nullspace(grid: LiftGrid) -> NullspaceResult:
         (np.concatenate(values), np.concatenate(indices), indptr),
         shape=(null_count, cols_total))
 
-    fam = analytic_family(grid)
+    fam = grid._analytic_data
     projections = np.zeros(len(fam))
     for k, data in enumerate(fam):
         vec = np.concatenate([data.phi, data.b.T.reshape(-1)])

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from confflat import extrinsic
+from confflat import extrinsic, principal
 from confflat.ambient import sphere_form
 from confflat.catalog import default_catalog
 from confflat.extrinsic import fundamental_forms
@@ -57,6 +57,26 @@ def fundamental_forms_calls(monkeypatch):
         if (getattr(module, "__name__", "").startswith("confflat")
                 and getattr(module, "fundamental_forms", None) is original):
             monkeypatch.setattr(module, "fundamental_forms", counting)
+    return calls
+
+
+@pytest.fixture
+def principal_passes(monkeypatch):
+    """A list that gets the extrinsic data of every one-pass principal
+    decision (principal_decompositions, principal_decomposition and the
+    lift correspondence) made through a confflat module while the test
+    runs."""
+    original = principal._principal_pass
+    calls = []
+
+    def counting(ext, *args):
+        calls.append(ext)
+        return original(ext, *args)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("confflat")
+                and getattr(module, "_principal_pass", None) is original):
+            monkeypatch.setattr(module, "_principal_pass", counting)
     return calls
 
 

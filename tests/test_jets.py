@@ -1,5 +1,7 @@
 """Jet arithmetic against the central-difference oracle and algebraic
 identities that exact derivatives must satisfy."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,3 +168,130 @@ def test_batched_domain_guard_names_the_point():
     m = SmoothMap(dom, 1, lambda x: [x[0]], "id")
     with pytest.raises(DomainError, match=r"\[2\.5\]"):
         evaluate_jet(m, np.array([[0.5], [2.5], [0.7]]))
+
+
+# ---------------------------------------------------------------------------
+# the full-tensor jet kernels the packed Taylor coefficients replaced, kept
+# here as an oracle only: a jet is (v, g, h, t) with the derivative tensors
+# (n,)*k + batch, and components above the order are None
+# ---------------------------------------------------------------------------
+
+def _tensor_mul(a, b, order):
+    """Product rule on full derivative tensors."""
+    v1, g1, h1, t1 = a
+    v2, g2, h2, t2 = b
+    g = h = t = None
+    if order >= 1:
+        g = g1 * v2 + v1 * g2
+    if order >= 2:
+        h = h1 * v2 + v1 * h2 + g1[:, None] * g2[None, :] + g2[:, None] * g1[None, :]
+    if order >= 3:
+        t = t1 * v2 + v1 * t2
+        t = t + h1[:, :, None] * g2[None, None, :]
+        t = t + h1[:, None, :] * g2[None, :, None]
+        t = t + h1[None, :, :] * g2[:, None, None]
+        t = t + h2[:, :, None] * g1[None, None, :]
+        t = t + h2[:, None, :] * g1[None, :, None]
+        t = t + h2[None, :, :] * g1[:, None, None]
+    return v1 * v2, g, h, t
+
+
+def _tensor_compose(a, order, c0, c1, c2, c3):
+    """Univariate chain rule on full derivative tensors, from the Taylor
+    coefficients c_k = f^(k)(v)."""
+    _, g, h, t = a
+    rg = rh = rt = None
+    if order >= 1:
+        rg = c1 * g
+    if order >= 2:
+        gg = g[:, None] * g[None, :]
+        rh = c1 * h + c2 * gg
+    if order >= 3:
+        rt = c1 * t
+        rt = rt + c2 * (g[:, None, None] * h[None, :, :]
+                        + g[None, :, None] * h[:, None, :]
+                        + g[None, None, :] * h[:, :, None])
+        rt = rt + c3 * (gg[:, :, None] * g[None, None, :])
+    return c0, rg, rh, rt
+
+
+def _symmetric(rng, n, k, batch):
+    """A random tensor (n,)*k + batch, symmetric in its first k axes."""
+    x = rng.standard_normal((n,) * k + batch)
+    perms = list(itertools.permutations(range(k)))
+    return sum(np.transpose(x, p + tuple(range(k, k + len(batch))))
+               for p in perms) / len(perms)
+
+
+def _random_jet(rng, n, order, batch):
+    """(packed jet, oracle tuple) of one random jet with value in [1, 2]."""
+    comps = [rng.uniform(1.0, 2.0, batch)]
+    comps += [_symmetric(rng, n, k, batch) for k in range(1, order + 1)]
+    comps += [None] * (3 - order)
+    jet = Jet(n, order, *comps)
+    # the oracle starts from what the jet holds (t is rounded once by 1/6)
+    return jet, (jet.v, jet.g, jet.h, jet.t)
+
+
+def _assert_matches(jet, ref, order):
+    for name, got, want in zip("vght", (jet.v, jet.g, jet.h, jet.t), ref):
+        if want is None:
+            assert got is None, name
+            continue
+        want = np.asarray(want)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale, (name, order)
+
+
+_SHAPES = [((), ()), ((5,), (5,)), ((1, 4), (3, 4))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_packed_product_matches_the_tensor_oracle(n, order):
+    """The packed product agrees with the full-tensor product rule to 1e-14
+    of scale, at a point, over a batch, and on the (1, B) x (A, B) broadcast
+    that stacked inner products make."""
+    rng = np.random.default_rng(n * 10 + order)
+    for sa, sb in _SHAPES:
+        a, ra = _random_jet(rng, n, order, sa)
+        b, rb = _random_jet(rng, n, order, sb)
+        _assert_matches(a * b, _tensor_mul(ra, rb, order), order)
+        _assert_matches(b * a, _tensor_mul(rb, ra, order), order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_packed_chain_rule_matches_the_tensor_oracle(n, order):
+    """sin, exp, log, sqrt, powers and reciprocals of packed jets agree with
+    the full-tensor chain rule to 1e-14 of scale, at a point and over a
+    batch."""
+    rng = np.random.default_rng(n * 10 + order)
+    for batch in ((), (5,)):
+        a, ra = _random_jet(rng, n, order, batch)
+        u = ra[0]
+        s, c = np.sin(u), np.cos(u)
+        e = np.exp(u)
+        cases = [(sin(a), (s, c, -s, -c)), (exp(a), (e, e, e, e)),
+                 (log(a), (np.log(u), 1 / u, -1 / u ** 2, 2 / u ** 3)),
+                 (sqrt(a), (np.sqrt(u), 0.5 / np.sqrt(u), -0.25 / (np.sqrt(u) * u),
+                            0.375 / (np.sqrt(u) * u * u))),
+                 (a ** 2.5, (u ** 2.5, 2.5 * u ** 1.5, 3.75 * u ** 0.5,
+                             1.875 * u ** -0.5)),
+                 (1.0 / a, (1 / u, -1 / u ** 2, 2 / u ** 3, -6 / u ** 4))]
+        for jet, coeffs in cases:
+            _assert_matches(jet, _tensor_compose(ra, order, *coeffs), order)
+
+
+def test_packed_order_truncation_and_sums():
+    """Mixing orders truncates to the lower one by a prefix of the
+    coefficients; sums, differences and scalar multiples act on every
+    coefficient."""
+    rng = np.random.default_rng(3)
+    a, ra = _random_jet(rng, 4, 3, (2,))
+    b, rb = _random_jet(rng, 4, 2, (2,))
+    _assert_matches(a * b, _tensor_mul(ra, rb, 2), 2)
+    s = a + b
+    assert s.order == 2 and np.allclose(s.h, ra[2] + rb[2])
+    d = 2.0 * a - a
+    assert np.max(np.abs(d.c - a.c)) <= 1e-15 * np.max(np.abs(a.c))

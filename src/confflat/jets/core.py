@@ -297,22 +297,24 @@ variable = Jet.variable
 constant = Jet.constant
 
 
+def _flatten(x, depth, flat, shape):
+    """Append the scalars of a nested sequence to `flat` and its lengths per
+    depth to `shape`."""
+    if not isinstance(x, (list, tuple)):
+        flat.append(x)
+        return
+    if depth == len(shape):
+        shape.append(len(x))
+    for y in x:
+        _flatten(y, depth + 1, flat, shape)
+
+
 def stack(xs):
     """One object from a nested sequence of scalars, with the sequence axes
     as new leading batch axes: an array when no scalar is a jet, else one
     jet (of the lowest order among them; floats become constants)."""
     flat, shape = [], []
-
-    def walk(x, depth):
-        if not isinstance(x, (list, tuple)):
-            flat.append(x)
-            return
-        if depth == len(shape):
-            shape.append(len(x))
-        for y in x:
-            walk(y, depth + 1)
-
-    walk(xs, 0)
+    _flatten(xs, 0, flat, shape)
     jets = [x for x in flat if isinstance(x, Jet)]
     if not jets:
         return np.array(xs, float)

@@ -142,7 +142,9 @@ def evaluate_jet(smooth_map: SmoothMap, points, order=3) -> Jet3:
     derivs = [np.ascontiguousarray(C[..., 1:1 + n, :])][:order]
     for k in range(2, order + 1):
         rows, fac = _expansion(n, order, k)
-        derivs.append(C[..., rows, :] * fac[..., None])
+        d = C[..., rows, :]
+        d *= fac[..., None]
+        derivs.append(d)
     finite = np.isfinite(value).all(axis=-1)
     for d in derivs:
         finite &= np.isfinite(d).reshape(batch + (-1,)).all(axis=-1)

@@ -129,8 +129,8 @@ class PrincipalDecomposition:
     bases: list           # k arrays (n, m_i), ONB tangent coordinates
     eigen_onb: np.ndarray  # (n, n) the full joint eigenbasis
     kappa: np.ndarray     # (p, n) per-axis eigenvalues of each shape operator
-    point_set: _PointSet | None = field(default=None, repr=False)
-    index: int = 0
+    point_set: _PointSet = field(repr=False)
+    index: int
 
     @property
     def k(self):
@@ -157,16 +157,10 @@ class PrincipalDecomposition:
         return float(_reconstruction_residuals([self], seed, trials)[0])
 
 
-def _point_set(dec):
-    if dec.point_set is None:
-        dec.point_set, dec.index = _PointSet(_batch_of_one(dec.ext)), 0
-    return dec.point_set
-
-
 def _gathered(decs, get):
     """get(point set) (a batched array) at the points of the decompositions:
     one take when they share a point set, else stacked row by row."""
-    sets = [_point_set(d) for d in decs]
+    sets = [d.point_set for d in decs]
     if all(ps is sets[0] for ps in sets):
         return get(sets[0])[[d.index for d in decs]]
     return np.array([get(ps)[d.index] for ps, d in zip(sets, decs)])

@@ -175,8 +175,23 @@ def conformal_flatness_test(ext: ExtrinsicData, trials=50, seed=0):
     if n < 4:
         raise NotApplicable("quadruple test needs n >= 4")
     R = R.reshape((-1,) + (n,) * 4)
+    worst, kmax = _quadruple_defects(R, _quadruples(len(R), trials, n, seed))
+    return float(np.max(worst)) / max(float(np.max(kmax)), 1e-12)
+
+
+def _quadruples(points, trials, n, seed):
+    """The test's draw: `trials` orthonormal quadruples per point, as the
+    columns of (points, trials, n, 4)."""
     rng = np.random.default_rng(seed)
-    X, _ = np.linalg.qr(rng.standard_normal((len(R), trials, n, 4)))
+    X, _ = np.linalg.qr(rng.standard_normal((points, trials, n, 4)))
+    return X
+
+
+def _quadruple_defects(R, X):
+    """Per point of the Riemann tensors R (P, n, n, n, n) and quadruples X
+    (P, T, n, 4): the largest |K(X1,X2) + K(X3,X4) - K(X1,X3) - K(X2,X4)|
+    and the largest sectional curvature magnitude over its trials."""
+    n = R.shape[-1]
 
     def sectional(a, b):
         x, y = X[..., a], X[..., b]
@@ -188,9 +203,8 @@ def conformal_flatness_test(ext: ExtrinsicData, trials=50, seed=0):
         return num / (xx * yy - xy ** 2)
 
     K01, K23, K02, K13 = (sectional(a, b) for a, b in ((0, 1), (2, 3), (0, 2), (1, 3)))
-    kmax = max(float(np.max(np.abs(K))) for K in (K01, K23, K02, K13))
-    worst = float(np.max(np.abs(K01 + K23 - K02 - K13)))
-    return worst / max(kmax, 1e-12)
+    kmax = np.max(np.abs(np.stack([K01, K23, K02, K13])), axis=(0, 2))
+    return np.max(np.abs(K01 + K23 - K02 - K13), axis=1), kmax
 
 
 # ---------------------------------------------------------------------------

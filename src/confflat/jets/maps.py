@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError
-from .core import Jet, _expansion, stack
+from .core import Jet, _expansion, _jet, stack
 
 _EPS = np.finfo(float).eps
 
@@ -124,20 +124,36 @@ def evaluate_jet(smooth_map: SmoothMap, points, order=3) -> Jet3:
     """Exact jets of the evaluator via truncated Taylor propagation, at one
     point (n,) or, in one batched pass, at a point set (B, n)."""
     points = np.asarray(points, float)
+    return _jet3(_packed_jet(smooth_map, points, order), points)
+
+
+def _packed_jet(smooth_map: SmoothMap, points, order) -> Jet:
+    """The evaluator's outputs at a point (n,) or a point set (B, n) as one
+    jet with the output axis first: coefficients (K, N, *batch), floats as
+    constants.  The evaluator's own jets are released on return."""
     dom = smooth_map.domain
     n = dom.dim
-    batch = points.shape[:-1]
     inside = dom.contains(points)
     if not np.all(inside):
-        bad = points[np.argmin(inside)] if batch else points
+        bad = points[np.argmin(inside)] if points.ndim > 1 else points
         raise DomainError(f"point {bad} outside chart box {dom.box}")
     coords = np.ascontiguousarray(points.T)
     xs = [Jet.variable(coords[i], i, n, order) for i in range(n)]
     out = list(smooth_map.evaluator(xs))
-    N = len(out)
-    # (*batch, K, N): the packed coefficients of the outputs, floats as
-    # constants (the chart variable stacked last fixes the order and batch)
-    C = np.moveaxis(stack(out + xs[:1]).c[:, :N], (0, 1), (-2, -1))
+    # the first chart variable, stacked last, fixes the order and the batch
+    del xs[1:]
+    packed = stack(out + xs)
+    return _jet(n, order, packed.c[:, :len(out)])
+
+
+def _jet3(jet: Jet, points) -> Jet3:
+    """Value and derivative tensors of a packed jet with the output axis
+    first and a batch of at most one axis (the rows of `points`, or a
+    single point); raises DomainError naming the first point whose jet is
+    not finite."""
+    n, order = jet.n, jet.order
+    C = np.moveaxis(jet.c, (0, 1), (-2, -1))       # (*batch, K, N)
+    batch = C.shape[:-2]
     value = np.ascontiguousarray(C[..., 0, :])
     derivs = [np.ascontiguousarray(C[..., 1:1 + n, :])][:order]
     for k in range(2, order + 1):

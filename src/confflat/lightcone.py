@@ -27,7 +27,8 @@ from .errors import (ConformalStructureError, DomainError,
                      ModelMembershipError, NotApplicable)
 from .extrinsic import ExtrinsicData, fundamental_forms
 from .jets import (ChartDomain, Jet, SmoothMap, evaluate_jet, exp as jexp,
-                   log as jlog, norm_sq)
+                   log as jlog, norm_sq, stack, unstack)
+from .jets.core import _jet
 from .principal import FLAT_NB_TOL, _principal_pass, offdiagonal_defects
 
 MEMBERSHIP_TOL = 1e-8
@@ -155,10 +156,11 @@ def flat_lift(f: SmoothMap, conf: ConformalStructure, model: ConeModel,
     f_eval = f.evaluator
 
     def F_eval(x):
-        wv = omega_eval(list(x))[0]
-        scale = jexp(-1.0 * wv)
         psi = psi_components(model, f_eval(list(x)))
-        return [scale * c for c in psi]
+        scale = jexp(-1.0 * omega_eval(list(x))[0])
+        for a, c in enumerate(psi):     # each unscaled component freed in turn
+            psi[a] = scale * c
+        return psi
 
     F = SmoothMap(f.domain, model.N + 2, F_eval, f.name + "_lift")
     lift = LiftedImmersion(F, f, conf, model)
@@ -258,6 +260,30 @@ class ConeProjection:
     eps_pole: float     # pole guard on |<<F,w>>|
 
 
+def _w_pairing(model: ConeModel, V):
+    """<<V, w>> of a stacked ambient vector or jet V: the ambient axis is
+    axis 0 of an array (A, *batch) and axis 1 of a jet's coefficients, and
+    it is summed out."""
+    sw = model.ambient.signature * model.w
+    if isinstance(V, Jet):
+        return _jet(V.n, V.order, np.einsum("KA...,A->K...", V.c, sw))
+    return np.einsum("A...,A->...", V, sw)
+
+
+def _slice_coordinates(model: ConeModel, V, rho):
+    """A^T S V / rho for a stacked ambient vector or jet V (as in
+    `_w_pairing`) and rho = <<V, w>>: the point of R^N whose embedding is
+    V / <<V, w>>, with the ambient axis replaced by the N coordinates.
+    Shared by the projected map's evaluator and the family's batched
+    member pass."""
+    P = (model.ambient.signature[:, None] * model.A).T          # (N, A)
+    if isinstance(V, Jet):
+        num = _jet(V.n, V.order, np.einsum("NA,KA...->KN...", P, V.c))
+    else:
+        num = np.einsum("NA,A...->N...", P, V)
+    return num * (1.0 / rho)
+
+
 def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
                       tol=1e-8) -> ConeProjection:
     """Invert the lift: f with Psi o f = F / <<F,w>>, plus the conformal
@@ -268,18 +294,14 @@ def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
     widths = [hi - lo for lo, hi in F.domain.box]
     eps_pole = 1e-6 * float(np.sqrt(sum(w * w for w in widths)))
     sig = model.ambient.signature
-    sw = sig * model.w
     F_eval = F.evaluator
 
     def guarded(x):
-        """(F, <<F,w>>, sign of <<F,w>>) at x, or at each point of a batch;
-        DomainError under the pole guard, naming the first such point of a
-        batch."""
-        vals = F_eval(list(x))
-        rho = sw[0] * vals[0]
-        for s, c in zip(sw[1:], vals[1:]):
-            if s != 0.0:
-                rho = rho + s * c
+        """(F stacked, <<F,w>>, sign of <<F,w>>) at x, or at each point of a
+        batch; DomainError under the pole guard, naming the first such point
+        of a batch."""
+        V = stack(list(F_eval(list(x))))
+        rho = _w_pairing(model, V)
         r = np.asarray(rho.v if isinstance(rho, Jet) else rho)
         bad = np.abs(r) < eps_pole
         if bad.any():
@@ -287,20 +309,11 @@ def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
             where = f" (point {m} of the batch)" if r.ndim else ""
             raise DomainError(f"<<F,w>> = {r.flat[m]:.3e} under the pole guard "
                               f"{eps_pole:.3e}{where}")
-        return vals, rho, np.where(r > 0, 1.0, -1.0)
+        return V, rho, np.where(r > 0, 1.0, -1.0)
 
     def f_eval(x):
-        vals, rho, _ = guarded(x)
-        unit = [c / rho for c in vals]
-        out = []
-        for b in range(model.N):
-            col = sig * model.A[:, b]
-            acc = col[0] * unit[0]
-            for s, c in zip(col[1:], unit[1:]):
-                if s != 0.0:
-                    acc = acc + s * c
-            out.append(acc)
-        return out
+        V, rho, _ = guarded(x)
+        return unstack(_slice_coordinates(model, V, rho))
 
     def omega_eval(x):
         _, rho, sign = guarded(x)
@@ -313,7 +326,7 @@ def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
         # metrics only: one batched order-1 jet each of F and f
         pts = np.asarray(points, float)
         jF = evaluate_jet(F, pts, 1)
-        rho = jF.value @ sw
+        rho = jF.value @ (sig * model.w)
         keep = np.abs(rho) >= eps_pole
         if keep.any():
             pts = pts[keep]

@@ -23,15 +23,18 @@ import numpy as np
 from scipy import sparse
 
 from . import ambient as amb_mod
-from .conformal import conformal_flatness_test
+from .conformal import _quadruple_defects, _quadruples
 from .errors import (ConfflatError, DegenerateInputError,
                      DegenerateTransformError, DimensionAmbiguityError,
-                     FrameError, NotApplicable, SingularTransformError)
+                     DomainError, FrameError, NotApplicable,
+                     SingularTransformError)
 from .extrinsic import (ExtrinsicData, christoffels, fundamental_forms,
                         intrinsic_curvatures, normal_projectors)
-from .jets import SmoothMap, evaluate_jet
-from .lightcone import (ConeModel, LiftedImmersion, build_cone_model,
-                        flat_lift, project_from_cone)
+from .jets import Jet, SmoothMap, stack, unstack
+from .jets.core import _jet
+from .jets.maps import _jet3, _packed_jet
+from .lightcone import (LiftedImmersion, _slice_coordinates, _w_pairing,
+                        build_cone_model, flat_lift, project_from_cone)
 from .principal import (CLUSTER_TOL, FLAT_NB_TOL, _principal_pass,
                         offdiagonal_defects)
 
@@ -545,67 +548,137 @@ class TransformResult:
     cone_defect: float
     data: RibaucourData
     F_tilde_map: SmoothMap | None = None   # exact map when available
+    R: np.ndarray | None = None            # (A, A), F~ = R F, with the map
 
 
-def _exact_transform_map(grid: LiftGrid, data: RibaucourData):
-    """Closed-form transformed map when the datum comes from a constant
-    vector (an ambient reflection) or is the identity datum phi = 0."""
-    F = grid.lift.F
+def _member_matrix(grid: LiftGrid, data: RibaucourData):
+    """The constant matrix R with F~ = R F when the datum has a closed-form
+    transform: I for the identity datum phi = 0, and the Lorentz reflection
+    I - (2 / <<z, z>>) z (S z)^T, S = diag(sig), for a constant vector z off
+    the null cone.  None otherwise."""
     if float(np.max(np.abs(data.phi))) == 0.0:
-        return F
+        return np.eye(grid.A)
     if data.z is None:
         return None
     z = data.z
     zz = float(np.sum(grid.sig * z * z))
     if abs(zz) < SINGULAR_TOL:
         return None
-    sig = grid.sig
+    return np.eye(grid.A) - (2.0 / zz) * np.outer(z, grid.sig * z)
+
+
+def _exact_transform_map(grid: LiftGrid, R):
+    """The closed-form transformed map R F: the lift itself for R = I,
+    else an evaluator that applies R to the lift's stacked outputs."""
+    F = grid.lift.F
+    if R is None:
+        return None
+    if np.array_equal(R, np.eye(grid.A)):
+        return F
     F_eval = F.evaluator
 
     def refl_eval(x):
-        vals = F_eval(list(x))
-        acc = sig[0] * z[0] * vals[0]
-        for s, zc, c in zip(sig[1:], z[1:], vals[1:]):
-            if zc != 0.0:
-                acc = acc + (s * zc) * c
-        fac = 2.0 / zz
-        return [c - (fac * z[a]) * acc for a, c in enumerate(vals)]
+        V = stack(list(F_eval(list(x))))
+        if isinstance(V, Jet):
+            return unstack(_jet(V.n, V.order, np.einsum("BA,KA...->KB...", R, V.c)))
+        return list(R @ V)
 
     return SmoothMap(F.domain, grid.A, refl_eval, F.name + "_reflected")
 
 
-def transform(grid: LiftGrid, data: RibaucourData) -> TransformResult:
-    """F~ = F - 2 nu_R phi calF with calF = F_* grad phi + beta and
-    nu_R^{-1} = <<calF, calF>>."""
-    n = grid.n
+def _refuse_null_z(grid: LiftGrid, data: RibaucourData):
     if data.z is not None:
         zz = float(np.sum(grid.sig * data.z * data.z))
         if abs(zz) < SINGULAR_TOL * float(np.sum(data.z * data.z)):
             raise SingularTransformError(
                 f"<<z, z>> = {zz:.3e}: constant-vector direction is null")
-    Dphi = np.stack([grid.diff(data.phi[:, None], i)[:, 0] for i in range(n)],
-                    axis=1)                       # (M, n)
-    gradphi = np.einsum("mij,mj->mi", grid.g_inv, Dphi)
-    Fgrad = np.einsum("mi,miA->mA", gradphi, grid.tangents)
-    calF = Fgrad + grid.beta_ambient(data.b)
-    nu_inv = grid.lorentz_inner(calF, calF)
-    scale = max(float(np.max(np.einsum("mA,mA->m", calF, calF))), 1e-300)
+
+
+def _refuse_null_calF(nu_inv, scale):
     if float(np.min(np.abs(nu_inv))) < SINGULAR_TOL * scale:
         worst = int(np.argmin(np.abs(nu_inv)))
         raise SingularTransformError(
             f"<<calF, calF>> = {nu_inv[worst]:.3e} at grid point {worst}: "
             "transform direction is null")
-    F_tilde = grid.F_vals - 2.0 * (data.phi / nu_inv)[:, None] * calF
 
-    dF = np.stack([grid.diff(F_tilde, i) for i in range(n)], axis=1)  # (M,n,A)
-    sv = np.linalg.svd(dF, compute_uv=False)                         # (M, n)
-    rank_margin = float(np.min(sv[:, -1] / sv[:, 0]))
-    if rank_margin < RANK_MARGIN:
+
+def _refuse_rank(margin):
+    if margin < RANK_MARGIN:
         raise DegenerateTransformError(
-            f"transformed differential rank margin {rank_margin:.3e}")
-    cone_defect = float(np.max(np.abs(grid.lorentz_inner(F_tilde, F_tilde))))
-    return TransformResult(F_tilde, nu_inv, calF, rank_margin, cone_defect,
-                           data, _exact_transform_map(grid, data))
+            f"transformed differential rank margin {margin:.3e}")
+
+
+def _passing(check, out, members, *fields):
+    """Run check(*per-member fields) for each member index in `members`;
+    a member whose check raises its toolkit error gets it in `out`.
+    Returns the positions (into `members`) of the members that pass."""
+    kept = []
+    for j, k in enumerate(members):
+        try:
+            check(*(f[j] for f in fields))
+            kept.append(j)
+        except ConfflatError as err:
+            out[k] = err
+    return np.array(kept, dtype=int)
+
+
+def _transforms(grid: LiftGrid, candidates):
+    """The transform of every candidate in one pass over a leading member
+    axis: one np.gradient per axis for grad phi and for F~, one stacked SVD
+    for the rank margins.  Returns, per candidate, its TransformResult or
+    the SingularTransformError / DegenerateTransformError it meets; a
+    candidate that fails a check leaves the pass there."""
+    n, shape = grid.n, grid.shape
+    out = [None] * len(candidates)
+    live = np.arange(len(candidates))
+    live = live[_passing(lambda d: _refuse_null_z(grid, d), out, live,
+                         candidates)]
+    if not len(live):
+        return out
+
+    def diff(values, axis):
+        """_grid_diff along `axis` of fields stacked as (m, M, ...)."""
+        full = values.reshape((len(values),) + shape + values.shape[2:])
+        return np.gradient(full, grid.spacings[axis], axis=axis + 1,
+                           edge_order=2).reshape(values.shape)
+
+    phi = np.stack([candidates[k].phi for k in live])              # (m, M)
+    b = np.stack([candidates[k].b for k in live])                  # (m, M, p)
+    Dphi = np.stack([diff(phi, i) for i in range(n)], axis=-1)     # (m, M, n)
+    gradphi = np.einsum("Mij,mMj->mMi", grid.g_inv, Dphi)
+    calF = (np.einsum("mMi,MiA->mMA", gradphi, grid.tangents)
+            + np.einsum("mMa,MaA->mMA", b, grid.frame))
+    nu_inv = np.einsum("mMA,A,mMA->mM", calF, grid.sig, calF)
+    scale = np.maximum(np.max(np.einsum("mMA,mMA->mM", calF, calF), axis=1),
+                       1e-300)
+    keep = _passing(_refuse_null_calF, out, live, nu_inv, scale)
+    if not len(keep):
+        return out
+    live, phi, calF, nu_inv = live[keep], phi[keep], calF[keep], nu_inv[keep]
+    F_tilde = grid.F_vals - 2.0 * (phi / nu_inv)[..., None] * calF  # (m, M, A)
+
+    dF = np.stack([diff(F_tilde, i) for i in range(n)], axis=2)    # (m, M, n, A)
+    sv = np.linalg.svd(dF.reshape(-1, n, grid.A), compute_uv=False)
+    sv = sv.reshape(len(live), grid.M, n)
+    margins = np.min(sv[..., -1] / sv[..., 0], axis=1)
+    cone = np.max(np.abs(np.einsum("mMA,A,mMA->mM", F_tilde, grid.sig, F_tilde)),
+                  axis=1)
+    for j in _passing(_refuse_rank, out, live, margins):
+        k = live[j]
+        R = _member_matrix(grid, candidates[k])
+        out[k] = TransformResult(F_tilde[j], nu_inv[j], calF[j],
+                                 float(margins[j]), float(cone[j]),
+                                 candidates[k], _exact_transform_map(grid, R), R)
+    return out
+
+
+def transform(grid: LiftGrid, data: RibaucourData) -> TransformResult:
+    """F~ = F - 2 nu_R phi calF with calF = F_* grad phi + beta and
+    nu_R^{-1} = <<calF, calF>>: the batched pass on one datum."""
+    result, = _transforms(grid, [data])
+    if isinstance(result, ConfflatError):
+        raise result
+    return result
 
 
 @dataclass
@@ -629,6 +702,17 @@ def cone_preservation_check(grid: LiftGrid, data: RibaucourData,
 # flatness filtering
 # ---------------------------------------------------------------------------
 
+def _flatness_ratios(ext: ExtrinsicData):
+    """Per point: the largest Riemann component over the scale of the
+    second fundamental form."""
+    riemann = intrinsic_curvatures(ext).riemann
+    aon = ext.alpha_onb()
+    scale = np.maximum(np.max(np.abs(np.einsum(
+        "...ijA,A,...klA->...ijkl", aon, ext.ambient.signature.astype(float),
+        aon)), axis=(-4, -3, -2, -1)), 1e-12)
+    return np.max(np.abs(riemann), axis=(-4, -3, -2, -1)) / scale
+
+
 def exact_flatness_residual(grid: LiftGrid, F_map: SmoothMap, samples=3, seed=0):
     """Riemann residual of an exactly represented map via jets, relative per
     point to the scale of its second fundamental form, from one batched
@@ -636,12 +720,47 @@ def exact_flatness_residual(grid: LiftGrid, F_map: SmoothMap, samples=3, seed=0)
     rng = np.random.default_rng(seed)
     pts = F_map.domain.sample_points(samples, rng)
     ext = fundamental_forms(F_map, grid.lift.ambient, pts)
-    riemann = intrinsic_curvatures(ext).riemann
-    aon = ext.alpha_onb()
-    scale = np.maximum(np.max(np.abs(np.einsum(
-        "mijA,A,mklA->mijkl", aon, grid.sig.astype(float), aon)),
-        axis=(1, 2, 3, 4)), 1e-12)
-    return float(np.max(np.max(np.abs(riemann), axis=(1, 2, 3, 4)) / scale))
+    return float(np.max(_flatness_ratios(ext)))
+
+
+def _member_jets(Rs, lift_jet):
+    """The packed jets R F of the members with matrices Rs (m, A, A), from
+    the lift's packed jet at P points: coefficients (K, A, m, P)."""
+    return _jet(lift_jet.n, lift_jet.order,
+                np.einsum("mBA,KAP->KBmP", Rs, lift_jet.c))
+
+
+def _flattened(jet, pts):
+    """Jet3 of member jets (K, N, m, P) over the point set of m copies of
+    the P points `pts`, member after member."""
+    K, N, m, P = jet.c.shape
+    tiled = np.tile(pts, (m, 1))
+    return _jet3(_jet(jet.n, jet.order, jet.c.reshape(K, N, m * P)), tiled), tiled
+
+
+def _flat_residuals(grid: LiftGrid, Rs, pts, lift_jet):
+    """exact_flatness_residual of each map R F, R in Rs (m, A, A), at the
+    points `pts`, from the lift's packed jet there and one pass of extrinsic
+    data over all members' points."""
+    jet, tiled = _flattened(_member_jets(Rs, lift_jet), pts)
+    ext = fundamental_forms(grid.lift.F, grid.lift.ambient, tiled, jet=jet)
+    return list(np.max(_flatness_ratios(ext).reshape(len(Rs), -1), axis=1))
+
+
+def _per_member(run, items):
+    """run(items) -> one entry per item, in one batched pass.  When the pass
+    raises a toolkit error, the same pass runs on each item alone, and an
+    item whose pass raises gets its error in place of its entry."""
+    try:
+        return run(items)
+    except ConfflatError:
+        out = []
+        for item in items:
+            try:
+                out.extend(run([item]))
+            except ConfflatError as err:
+                out.append(err)
+        return out
 
 
 @dataclass
@@ -653,30 +772,53 @@ class FilterRecord:
     error: str | None = None
 
 
+def _error_text(err):
+    return f"{type(err).__name__}: {err}"
+
+
 def flatness_filter(grid: LiftGrid, candidates):
     """Retain the transforms whose induced metric stays flat, decided by
     the exact-jet Riemann residual of their closed-form map at FLAT_TOL.
     Constant-vector data (ambient reflections) and the identity datum have
-    such a map.  A candidate without one is refused with an error: the
-    finite-difference curvature of grid samples cannot decide flatness on
-    the grids this package runs (on s3xs1 at 5^4 it reads 0.36 to 1.00 on
-    exactly flat reflection transforms)."""
+    such a map, R F with a constant matrix R.  A candidate without one is
+    refused with an error: the finite-difference curvature of grid samples
+    cannot decide flatness on the grids this package runs (on s3xs1 at 5^4
+    it reads 0.36 to 1.00 on exactly flat reflection transforms).
+
+    All candidates go through one transform pass (`_transforms`); the
+    members with a map share one jet of the lift at the sample points of
+    exact_flatness_residual, each member's jet is R applied to its
+    coefficients, and one pass of extrinsic data over all members' points
+    gives their residuals."""
     records = []
-    for data in candidates:
-        try:
-            result = transform(grid, data)
-        except (SingularTransformError, DegenerateTransformError) as err:
+    for data, result in zip(candidates, _transforms(grid, candidates)):
+        if isinstance(result, ConfflatError):
             records.append(FilterRecord(data, None, None, False,
-                                        f"{type(err).__name__}: {err}"))
-            continue
-        if result.F_tilde_map is None:
+                                        _error_text(result)))
+        elif result.F_tilde_map is None:
             records.append(FilterRecord(
                 data, result, None, False,
                 "no closed-form map: flatness of a grid-only transform is "
                 "not decided"))
-            continue
-        resid = exact_flatness_residual(grid, result.F_tilde_map)
-        records.append(FilterRecord(data, result, resid, resid <= FLAT_TOL))
+        else:
+            records.append(FilterRecord(data, result, None, False))
+    exact = [rec for rec in records if rec.error is None]
+    if not exact:
+        return records
+    F = grid.lift.F
+    pts = F.domain.sample_points(3, np.random.default_rng(0))
+    lift_jet = _packed_jet(F, pts, 3)
+
+    def residuals(recs):
+        return _flat_residuals(grid, np.stack([r.result.R for r in recs]),
+                               pts, lift_jet)
+
+    for rec, resid in zip(exact, _per_member(residuals, exact)):
+        if isinstance(resid, ConfflatError):
+            rec.error = _error_text(resid)
+        else:
+            rec.flat_residual = float(resid)
+            rec.retained = rec.flat_residual <= FLAT_TOL
     return records
 
 
@@ -729,7 +871,6 @@ class MemberReport:
     offdiag_residual: float | None = None
     error: str | None = None
     f_map: SmoothMap | None = None
-    omega_map: SmoothMap | None = None
     samples: np.ndarray | None = None
 
 
@@ -741,24 +882,98 @@ class FamilyResult:
     members: list
 
 
-def _member_postchecks(grid: LiftGrid, rec: MemberReport, model: ConeModel,
-                       F_map: SmoothMap, seed=0):
-    proj = project_from_cone(F_map, model)
-    rec.f_map = proj.f
-    rec.omega_map = proj.omega
-    rng = np.random.default_rng(seed)
-    pts = F_map.domain.sample_points(4, rng)
-    # the quadruple test and the holonomic gate share one pass
-    ext = fundamental_forms(proj.f, amb_mod.euclidean(model.N), pts)
-    rec.cf_residual = conformal_flatness_test(ext, trials=20, seed=seed)
-    rec.offdiag_residual = float(max(np.max(x) for x in offdiagonal_defects(ext)))
-    # grid samples, NaN at the points under the pole guard
-    vals = np.full((grid.M, model.N), np.nan)
-    rho = evaluate_jet(F_map, grid.points, 0).value @ (grid.sig * model.w)
-    keep = np.abs(rho) >= proj.eps_pole
-    if keep.any():
-        vals[keep] = evaluate_jet(proj.f, grid.points[keep], 0).value
-    rec.samples = vals
+def _refuse_pole(rho, eps_pole):
+    """The pole guard of project_from_cone on one member's <<F~, w>> at its
+    sample points."""
+    under = np.abs(rho) < eps_pole
+    if under.any():
+        q = int(np.argmax(under))
+        raise DomainError(f"<<F,w>> = {rho[q]:.3e} under the pole guard "
+                          f"{eps_pole:.3e} (point {q} of the batch)")
+
+
+def _member_postchecks(grid: LiftGrid, members, seed=0):
+    """Postchecks of the retained members, given as (MemberReport,
+    TransformResult) pairs, in one batched pass: the projection f of each
+    member R F to R^N, its quadruple test and holonomic gate from one pass
+    of extrinsic data over all members' sample points (f's jets come from
+    one jet of the lift by R and the cone projection), and its grid
+    samples, NaN at the points under the pole guard, from the lift's grid
+    values.  A member under the pole guard at a sample point gets that
+    DomainError as its error."""
+    model = grid.lift.model
+    F = grid.lift.F
+    for rec, result in members:
+        proj = project_from_cone(result.F_tilde_map, model)
+        rec.f_map = proj.f
+    eps_pole = proj.eps_pole        # set by the chart box: one for all members
+    pts = F.domain.sample_points(4, np.random.default_rng(seed))
+    lift_jet = _packed_jet(F, pts, 3)
+    X = _quadruples(len(pts), 20, grid.n, seed)
+    euclid = amb_mod.euclidean(model.N)
+
+    def residuals(items):
+        V = _member_jets(np.stack([result.R for _, result in items]), lift_jet)
+        rho = _w_pairing(model, V)                              # (K, m, P)
+        out = [None] * len(items)
+        ok = _passing(lambda r: _refuse_pole(r, eps_pole), out,
+                      range(len(items)), rho.v)
+        if not len(ok):
+            return out
+        f = _slice_coordinates(model, _jet(V.n, V.order, V.c[:, :, ok]),
+                               _jet(V.n, V.order, rho.c[:, ok]))
+        jet, tiled = _flattened(f, pts)
+        # the quadruple test and the holonomic gate share one pass
+        ext = fundamental_forms(F, euclid, tiled, jet=jet)
+        riemann = intrinsic_curvatures(ext).riemann
+        worst, kmax = _quadruple_defects(riemann, np.tile(X, (len(ok), 1, 1, 1)))
+        worst, kmax, net, alpha = (np.max(x.reshape(len(ok), -1), axis=1)
+                                   for x in (worst, kmax) + offdiagonal_defects(ext))
+        cf = worst / np.maximum(kmax, 1e-12)
+        for j, c, o in zip(ok, cf, np.maximum(net, alpha)):
+            out[j] = (float(c), float(o))
+        return out
+
+    checked = []
+    for (rec, result), res in zip(members, _per_member(residuals, members)):
+        if isinstance(res, ConfflatError):
+            rec.error = _error_text(res)
+        else:
+            rec.cf_residual, rec.offdiag_residual = res
+            checked.append((rec, result))
+    if not checked:
+        return
+    # grid samples: R F at the grid values of the lift, projected where
+    # |<<R F, w>>| clears the pole guard
+    Rs = np.stack([result.R for _, result in checked])
+    V = np.einsum("mBA,PA->BmP", Rs, grid.F_vals)                  # (A, m, M)
+    rho = _w_pairing(model, V)
+    keep = np.abs(rho) >= eps_pole
+    samples = np.full((model.N,) + rho.shape, np.nan)
+    samples[:, keep] = _slice_coordinates(model, V[:, keep], rho[keep])
+    for (rec, _), vals in zip(checked, np.moveaxis(samples, 0, -1)):
+        rec.samples = vals
+
+
+def _family_members(grid: LiftGrid, candidates, seed=0):
+    """The member layer over all candidates at once: one flatness filter
+    pass, then one postcheck pass over the retained members.  A candidate
+    that fails a check gets its error; the others are unaffected."""
+    members = [MemberReport(d.name, d.c, d.condition_residual)
+               for d in candidates]
+    retained = []
+    for rec, frec in zip(members, flatness_filter(grid, candidates)):
+        if frec.error is not None:
+            rec.error = frec.error
+            continue
+        rec.flat_residual = frec.flat_residual
+        rec.retained = frec.retained
+        rec.cone_defect = frec.result.cone_defect
+        if frec.retained:
+            retained.append((rec, frec.result))
+    if retained:
+        _member_postchecks(grid, retained, seed=seed)
+    return members
 
 
 def conformally_flat_family(smooth_map: SmoothMap, conf, amb,
@@ -795,23 +1010,4 @@ def conformally_flat_family(smooth_map: SmoothMap, conf, amb,
         data = constant_vector_data(grid, z, name=f"reflection-{made}")
         candidates.append(data)
         made += 1
-
-    members = []
-    for data in candidates:
-        rec = MemberReport(data.name, data.c, data.condition_residual)
-        try:
-            frec, = flatness_filter(grid, [data])
-            if frec.error is not None:
-                rec.error = frec.error
-                members.append(rec)
-                continue
-            rec.flat_residual = frec.flat_residual
-            rec.retained = frec.retained
-            rec.cone_defect = frec.result.cone_defect
-            if frec.retained:
-                _member_postchecks(grid, rec, model, frec.result.F_tilde_map,
-                                   seed=seed)
-        except ConfflatError as err:   # isolate per-member failures
-            rec.error = f"{type(err).__name__}: {err}"
-        members.append(rec)
-    return FamilyResult(lift, grid, ns, members)
+    return FamilyResult(lift, grid, ns, _family_members(grid, candidates, seed))

@@ -1,6 +1,7 @@
 """Jet arithmetic against the central-difference oracle and algebraic
 identities that exact derivatives must satisfy."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,25 @@ def test_batched_jets_match_finite_differences(catalog):
             approx = finite_difference_jet(item.smooth_map, pt, h=1e-3)
             assert np.allclose(batch.d1[k], approx.d1, atol=1e-5), item.name
             assert np.allclose(batch.d2[k], approx.d2, atol=1e-4), item.name
+
+
+def test_large_order1_jet_peak_memory(s3xs1_lift):
+    """An order-1 pass of the s3xs1 lift at 4,368 points (the transport
+    sub-step points of a 5^4 grid) releases the evaluator's output jets
+    before the value and d1 are copied out: traced allocations peak under
+    4.0 MB for 1.4 MB of results (5.4 MB when the outputs stayed alive)."""
+    F = s3xs1_lift.F
+    pts = F.domain.sample_points(4368, np.random.default_rng(0))
+    evaluate_jet(F, pts, 1)                   # warm the cached tables
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        jet = evaluate_jet(F, pts, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jet.value.nbytes + jet.d1.nbytes == 4368 * 5 * F.codomain_dim * 8
+    assert peak < 4.0e6
 
 
 def test_batched_domain_guard_names_the_point():

@@ -1,6 +1,7 @@
 """Sphere-congruence transforms of the lifted grid: compatibility condition,
 numerical null space, exact reflections, and the full family pipeline."""
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -491,20 +492,198 @@ def test_member_postcheck_errors_propagate(s3xs1, monkeypatch):
                                    s3xs1.ambient, count=1, seed=0)
 
 
-def test_member_postchecks_make_one_fundamental_forms_pass(
-        s3xs1_grid, fundamental_forms_calls):
-    """A retained member's quadruple test and holonomic gate share one
-    batched pass of extrinsic data of its projection, and the exact
-    flatness residual of a transform is one pass too."""
+def test_member_layer_passes_do_not_grow_with_the_family(
+        s3xs1, fundamental_forms_calls, monkeypatch):
+    """The member layer makes one batched pass per stage whatever the
+    number of members: with 1 and with 3 reflections the pipeline makes
+    the same 4 fundamental_forms passes (lift check, grid, flatness,
+    postchecks) and the same jet evaluations, of which two are of the lift
+    in the member layer, and none at the grid points after build_lift_grid.
+    Every jet evaluation, evaluate_jet's and the member layer's, goes
+    through the packed step, which is counted here."""
+    from confflat.jets import maps
+    original = maps._packed_jet
+    calls, grid_built = [], []
+
+    def counting(smooth_map, points, order):
+        calls.append((smooth_map.name, np.shape(points)))
+        return original(smooth_map, points, order)
+
+    build = rb.build_lift_grid
+
+    def building(*args, **kwargs):
+        grid = build(*args, **kwargs)
+        grid_built.append(len(calls))
+        return grid
+
+    monkeypatch.setattr(maps, "_packed_jet", counting)
+    monkeypatch.setattr(rb, "_packed_jet", counting)
+    monkeypatch.setattr(rb, "build_lift_grid", building)
+    seen = {}
+    for count in (1, 3):
+        calls.clear()
+        fundamental_forms_calls.clear()
+        grid_built.clear()
+        fam = rb.conformally_flat_family(s3xs1.smooth_map, s3xs1.conformal,
+                                         s3xs1.ambient, count=count, seed=0)
+        assert all(m.retained and m.error is None for m in fam.members)
+        assert len(fam.members) == count + 1
+        after = calls[grid_built[0]:]
+        assert all(shape[0] != fam.grid.M for _, shape in after)
+        assert [name for name, _ in after if name == fam.lift.F.name] == \
+            [fam.lift.F.name] * 2
+        seen[count] = (len(fundamental_forms_calls), list(calls))
+    assert seen[1] == seen[3]
+    assert seen[1][0] == 4
+
+
+def _member_candidates(grid, seeds=(7, 11, 13)):
+    identity = rb.RibaucourData(np.zeros(grid.M),
+                                np.tile(np.eye(grid.p)[0], (grid.M, 1)),
+                                0.0, 0.0, name="identity")
+    reflections = []
+    for seed in seeds:
+        data = _reflection_data(grid, seed=seed)
+        data.name = f"reflection-{seed}"
+        reflections.append(data)
+    return [identity] + reflections
+
+
+def _member_oracle(grid, F_map, seed):
+    """(flat, cf, offdiag, samples) of one member R F, each from its own
+    pass through the public functions: the exact flatness residual, the
+    quadruple test and holonomic gate of the projection's extrinsic data at
+    the postcheck points, and the projection at the grid points (NaN under
+    the pole guard)."""
+    from confflat.ambient import euclidean
+    from confflat.conformal import conformal_flatness_test
+    from confflat.extrinsic import fundamental_forms
+    from confflat.jets import evaluate_jet
+    from confflat.lightcone import project_from_cone
+    from confflat.principal import offdiagonal_defects
+
+    model = grid.lift.model
+    pts = F_map.domain.sample_points(4, np.random.default_rng(seed))
+    proj = project_from_cone(F_map, model)
+    ext = fundamental_forms(proj.f, euclidean(model.N), pts)
+    cf = conformal_flatness_test(ext, trials=20, seed=seed)
+    off = float(max(np.max(x) for x in offdiagonal_defects(ext)))
+    samples = np.full((grid.M, model.N), np.nan)
+    rho = evaluate_jet(F_map, grid.points, 0).value @ (grid.sig * model.w)
+    keep = np.abs(rho) >= proj.eps_pole
+    samples[keep] = evaluate_jet(proj.f, grid.points[keep], 0).value
+    return rb.exact_flatness_residual(grid, F_map), cf, off, samples
+
+
+def _assert_samples_match(samples, oracle, name):
+    assert np.array_equal(np.isnan(samples), np.isnan(oracle)), name
+    assert np.nanmax(np.abs(samples - oracle)) <= 1e-14 * max(
+        1.0, float(np.nanmax(np.abs(oracle)))), name
+
+
+def test_batched_members_match_the_per_member_oracle(s3xs1_grid):
+    """Each member of the batched layer against its own pass through the
+    public functions (`_member_oracle`): residuals to 1e-12, samples to
+    1e-14 of scale with the same NaN points, and the identity member
+    exactly."""
     g = s3xs1_grid
-    data = _reflection_data(g)
-    result = rb.transform(g, data)
-    fundamental_forms_calls.clear()
-    rec = rb.MemberReport(data.name, data.c, data.condition_residual)
-    rb._member_postchecks(g, rec, g.lift.model, result.F_tilde_map)
-    assert len(fundamental_forms_calls) == 1
-    assert np.ndim(fundamental_forms_calls[0]) == 2
-    assert rec.cf_residual < 1e-6 and rec.offdiag_residual < 1e-6
-    fundamental_forms_calls.clear()
-    assert rb.exact_flatness_residual(g, result.F_tilde_map) < 1e-8
-    assert len(fundamental_forms_calls) == 1
+    seed = 1
+    candidates = _member_candidates(g)
+    for data, m in zip(candidates, rb._family_members(g, candidates, seed=seed)):
+        assert m.error is None and m.retained, m.name
+        flat, cf, off, samples = _member_oracle(
+            g, rb.transform(g, data).F_tilde_map, seed)
+        assert abs(m.flat_residual - flat) <= 1e-12, m.name
+        assert abs(m.cf_residual - cf) <= 1e-12, m.name
+        assert abs(m.offdiag_residual - off) <= 1e-12, m.name
+        _assert_samples_match(m.samples, samples, m.name)
+        if m.name == "identity":
+            assert (m.flat_residual, m.cf_residual, m.offdiag_residual) == (
+                flat, cf, off)
+
+
+def test_batched_passes_match_the_oracle_on_generic_images(s3xs1_grid):
+    """The batched flatness and postcheck passes on generic linear images
+    R F (R = I + 0.05 X), which are neither flat nor conformally flat, so
+    that every point, member and quadruple shows in the residuals: each
+    matches `_member_oracle` to 1e-12 relative."""
+    g = s3xs1_grid
+    seed = 1
+    F = g.lift.F
+    Rs = np.eye(g.A) + 0.05 * np.random.default_rng(5).standard_normal(
+        (3, g.A, g.A))
+    pts = F.domain.sample_points(3, np.random.default_rng(0))
+    flat = rb._flat_residuals(g, Rs, pts, rb._packed_jet(F, pts, 3))
+    pairs = [(rb.MemberReport(f"generic-{k}", 0.0, 0.0),
+              SimpleNamespace(R=R, F_tilde_map=rb._exact_transform_map(g, R)))
+             for k, R in enumerate(Rs)]
+    rb._member_postchecks(g, pairs, seed=seed)
+    for (rec, result), resid in zip(pairs, flat):
+        assert rec.error is None, rec.name
+        ref = _member_oracle(g, result.F_tilde_map, seed)
+        for got, want in zip((resid, rec.cf_residual, rec.offdiag_residual),
+                             ref[:3]):
+            assert want > 1e-4, rec.name
+            assert abs(got - want) <= 1e-12 * want, rec.name
+        _assert_samples_match(rec.samples, ref[3], rec.name)
+
+
+def _pole_reflection(grid, point):
+    """Constant-vector data whose reflection maps the lift at `point` onto
+    the pole direction w: z = F(point) + w."""
+    w = grid.lift.model.w
+    z = grid.lift.F.value(point) + w
+    return rb.constant_vector_data(grid, z / np.linalg.norm(z), name="pole")
+
+
+def test_member_errors_stay_with_their_member(s3xs1_grid, monkeypatch):
+    """Members that fail inside a batched pass get their own errors: a
+    null-direction reflection (z = w) in the transform pass, a reflection
+    that maps a postcheck point onto the pole in the pole guard, and a
+    member whose postcheck extrinsic pass raises a toolkit error (injected
+    here), attributed by rerunning the pass member by member.  The other
+    members' results are those of a run without them.  A programming error
+    inside a batched pass still ends the run."""
+    from confflat.errors import FrameError
+
+    g = s3xs1_grid
+    seed = 1
+    candidates = _member_candidates(g)
+    before = rb._family_members(g, candidates, seed=seed)
+    pts = g.lift.F.domain.sample_points(4, np.random.default_rng(seed))
+    null = rb.constant_vector_data(g, g.lift.model.w, name="null-direction")
+    pole = _pole_reflection(g, pts[0])
+    broken = _reflection_data(g, seed=17)
+    broken.name = "broken"
+    marker = rb.project_from_cone(rb.transform(g, broken).F_tilde_map,
+                                  g.lift.model).f.value(pts[0])
+    original = rb.fundamental_forms
+
+    def injecting(smooth_map, ambient, points, jet=None):
+        if (ambient.flat_dim == marker.size and jet is not None and np.any(
+                np.all(np.abs(jet.value - marker) <= 1e-12, axis=-1))):
+            raise FrameError("injected postcheck failure")
+        return original(smooth_map, ambient, points, jet=jet)
+
+    monkeypatch.setattr(rb, "fundamental_forms", injecting)
+    after = rb._family_members(g, [null] + candidates + [pole, broken],
+                               seed=seed)
+    assert after[0].error.startswith("SingularTransformError: <<z, z>>")
+    assert after[-2].error.startswith("DomainError: <<F,w>>")
+    assert "under the pole guard" in after[-2].error
+    assert after[-1].error == "FrameError: injected postcheck failure"
+    for m in (after[0], after[-2], after[-1]):
+        assert m.cf_residual is None and m.samples is None, m.name
+    for b, a in zip(before, after[1:-2]):
+        assert a.error is None, a.name
+        for field in ("flat_residual", "cone_defect", "cf_residual",
+                      "offdiag_residual"):
+            assert getattr(a, field) == getattr(b, field), (a.name, field)
+        assert np.array_equal(a.samples, b.samples, equal_nan=True), a.name
+
+    def mistyped(*args, **kwargs):
+        raise TypeError("broken extrinsic pass")
+
+    monkeypatch.setattr(rb, "fundamental_forms", mistyped)
+    with pytest.raises(TypeError, match="broken extrinsic pass"):
+        rb._family_members(g, candidates, seed=seed)

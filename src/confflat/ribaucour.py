@@ -630,9 +630,8 @@ def _transforms(grid: LiftGrid, candidates):
     candidate that fails a check leaves the pass there."""
     n, shape = grid.n, grid.shape
     out = [None] * len(candidates)
-    live = np.arange(len(candidates))
-    live = live[_passing(lambda d: _refuse_null_z(grid, d), out, live,
-                         candidates)]
+    live = _passing(lambda d: _refuse_null_z(grid, d), out,
+                    range(len(candidates)), candidates)
     if not len(live):
         return out
 

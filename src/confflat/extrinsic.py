@@ -306,7 +306,11 @@ def fundamental_forms(smooth_map: SmoothMap, ambient: AmbientSpace, points,
     """Complete pointwise extrinsic data of an immersion, at one point (n,)
     or at each point of a point set (B, n), where every field comes back
     stacked along a leading batch axis.  Frames, pivots and the FrameError
-    and ImmersionError checks are decided per point."""
+    and ImmersionError checks are decided per point.  Without `jet` the
+    map's order-3 jet at the points is evaluated.  A caller's `jet` may be
+    of lower order: every field here needs order 2 only, and the readers
+    of third derivatives (`codazzi_tensor`, `normal_connection_and_curvature`)
+    then refuse the data."""
     points = np.asarray(points, float)
     batched = points.ndim == 2
     if jet is None:
@@ -388,6 +392,13 @@ def christoffels(ext: ExtrinsicData):
                   - dg)
 
 
+def _require_order3(ext: ExtrinsicData, reader):
+    if ext.jet.order < 3:
+        raise ValueError(f"{reader} reads third derivatives: it needs "
+                         f"extrinsic data from an order-3 jet, not order "
+                         f"{ext.jet.order}")
+
+
 def codazzi_tensor(ext: ExtrinsicData):
     """T[..., i, j, k, :] = (nabla_{d_i} alpha)(d_j, d_k) from the order-3 jet,
     at a point or at each point of a point set:
@@ -395,6 +406,7 @@ def codazzi_tensor(ext: ExtrinsicData):
     The first two terms are nabla-perp_{d_i} alpha_jk; in a space form the
     position normal of alpha_jk = F_jk - Gamma^l_jk F_l + c g_jk F differentiates
     into tangent and position terms, which the projection drops."""
+    _require_order3(ext, "codazzi_tensor")
     sig = ext.ambient.signature.astype(float)
     perp = np.einsum("...a,...aA,...aB->...AB", ext.frame_eps, ext.frame,
                      ext.frame * sig)
@@ -440,6 +452,7 @@ def normal_connection_and_curvature(ext: ExtrinsicData) -> NormalBundleData:
     Gram-Schmidt frame through jets, (b) shape-operator commutators (Ricci
     equation).  The jet frame is completed from the pivots of `ext`, so its
     value is `ext.frame` at every point."""
+    _require_order3(ext, "normal_connection_and_curvature")
     jet, ambient, p = ext.jet, ext.ambient, ext.p
     sig = ambient.signature.astype(float)
     batch = ext.g.shape[:-2]

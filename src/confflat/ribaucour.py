@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from . import ambient as amb_mod
 from .conformal import _quadruple_defects, _quadruples
@@ -30,7 +32,7 @@ from .errors import (ConfflatError, DegenerateInputError,
                      SingularTransformError)
 from .extrinsic import (ExtrinsicData, christoffels, fundamental_forms,
                         intrinsic_curvatures, normal_projectors)
-from .jets import Jet, SmoothMap, stack, unstack
+from .jets import Jet, SmoothMap, evaluate_jet, stack, unstack
 from .jets.core import _jet
 from .jets.maps import _jet3, _packed_jet
 from .lightcone import (LiftedImmersion, _slice_coordinates, _w_pairing,
@@ -96,7 +98,8 @@ class LiftGrid:
     frame: np.ndarray           # (M, p, A) parallel normal frame
     eps: np.ndarray             # (p,)
     parallel_residual: float    # Richardson estimate of the transport error
-    ext: ExtrinsicData          # pointwise data at the grid points, batched
+    ext: ExtrinsicData          # pointwise data at the grid points, batched,
+                                # from order-2 jets (no Codazzi tensor)
 
     @cached_property
     def _analytic_data(self):
@@ -223,9 +226,10 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     it exceeds frame_tol.
 
     All pointwise data comes from two batched passes before the sweep: the
-    extrinsic data at the grid points, and the normal projectors at the
-    transport sub-step points of every edge (fractions k / (4 substeps),
-    which the two step counts share).  A step depends on the projectors
+    extrinsic data at the grid points, from order-2 jets (the metric, the
+    second fundamental form and the normal frame need no more), and the
+    normal projectors at the transport sub-step points of every edge
+    (fractions k / (4 substeps), which the two step counts share).  A step depends on the projectors
     only, not on the frame it carries, so every edge's transport operator
     is built up front, per resolution: one batched Pade step per sub-step
     over all edges, multiplied into one (E, A, A) operator.  The sweep then
@@ -243,7 +247,7 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     M = pts.shape[0]
     sig = amb.signature
 
-    ext = fundamental_forms(lift.F, amb, pts)
+    ext = fundamental_forms(lift.F, amb, pts, jet=evaluate_jet(lift.F, pts, 2))
     p = ext.p
     fe = ext.frame_eps.astype(float)
     P_grid = np.einsum("ma,maA,B,maB->mAB", fe, ext.frame, sig, ext.frame)
@@ -444,13 +448,47 @@ def _condition_operator(grid: LiftGrid):
                              shape=(n_rows, M * (1 + p))).tocsr()
 
 
-def _nullspace_threshold(spectrum, h):
-    """Singular-value threshold of the numerical null space for a spectrum
-    sorted descending (zero-padded to the column count) on a grid of largest
-    spacing h: 100 h^2 smax, or on a coarse grid the geometric middle of the
-    largest gap in the small spectrum.  Raises DimensionAmbiguityError when
-    no clear plateau separates the null space."""
-    cols_total = len(spectrum)
+def _condition_blocks(grid: LiftGrid):
+    """The condition operator split into its independent blocks, after the
+    degeneracy guard.  An equation at m touches only m +- e_i, so the
+    connected components of the operator's row/column graph are
+    independent blocks; columns that no equation touches are blocks of
+    their own.  Returns (blocks, untouched, cols): per block its columns
+    and its dense matrix (rows and columns in ascending order, filled from
+    the operator's COO triplets at block-local positions), the untouched
+    columns, and the operator's column count."""
+    _degeneracy_guard(grid)
+    op = _condition_operator(grid)
+    rows_total, cols_total = op.shape
+    _, labels = connected_components(
+        sparse.bmat([[None, op], [op.T, None]]), directed=False)
+    row_labels, col_labels = labels[:rows_total], labels[rows_total:]
+    coo = op.tocoo()
+    entry_labels = row_labels[coo.row]
+    blocks = []
+    for label in np.unique(row_labels):
+        r = np.flatnonzero(row_labels == label)
+        c = np.flatnonzero(col_labels == label)
+        take = entry_labels == label
+        dense = np.zeros((len(r), len(c)))
+        dense[np.searchsorted(r, coo.row[take]),
+              np.searchsorted(c, coo.col[take])] = coo.data[take]
+        blocks.append((c, dense))
+    untouched = np.flatnonzero(~np.isin(col_labels, row_labels))
+    return blocks, untouched, cols_total
+
+
+def _nullspace_threshold(svals, cols_total, h):
+    """The null-space decision from the singular values of the blocks (a
+    list of arrays) on a grid of largest spacing h.  The spectrum is their
+    union sorted descending, zero-padded to the column count.  Its
+    threshold is 100 h^2 smax, or on a coarse grid the geometric middle of
+    the largest gap in the small spectrum; the dimension is the count of
+    the spectrum below it.  Returns (spectrum, threshold, dimension).
+    Raises DimensionAmbiguityError when no clear plateau separates the null
+    space."""
+    svals = np.sort(np.concatenate(svals))[::-1]
+    spectrum = np.concatenate([svals, np.zeros(cols_total - len(svals))])
     smax = float(spectrum[0])
     threshold = 100.0 * h * h * smax
     if threshold >= 0.1 * smax:
@@ -475,45 +513,44 @@ def _nullspace_threshold(spectrum, h):
         raise DimensionAmbiguityError(
             f"no clear singular-value plateau around {threshold:.3e}",
             spectrum=spectrum)
-    return threshold
+    return spectrum, threshold, int(np.sum(spectrum < threshold))
+
+
+class ConditionSpectrum(NamedTuple):
+    spectrum: np.ndarray    # singular values, descending, zero-padded
+    threshold: float
+    dimension: int
+
+
+def condition_spectrum(grid: LiftGrid) -> ConditionSpectrum:
+    """The spectrum of the condition operator with its null-space threshold
+    and dimension, from the blocks' singular values alone (no singular
+    vectors, no basis): the count solve_condition_nullspace reports, by the
+    same decision.  Returns (spectrum, threshold, dimension)."""
+    blocks, _, cols_total = _condition_blocks(grid)
+    svals = [np.linalg.svd(dense, compute_uv=False) for _, dense in blocks]
+    return ConditionSpectrum(*_nullspace_threshold(
+        svals, cols_total, float(np.max(grid.spacings))))
 
 
 def solve_condition_nullspace(grid: LiftGrid) -> NullspaceResult:
     """Assemble the condition as a sparse operator on the grid unknowns
     (phi, b_1..b_p per point; centered differences, equations at interior
-    points) and return an orthonormal basis of its numerical null space.
+    points) and return an orthonormal basis of its numerical null space,
+    with the analytic family's projections onto it.
 
-    The operator is block diagonal up to a permutation: an equation at m
-    touches only m +- e_i, so the connected components of its row/column
-    graph are independent blocks (columns no equation touches are blocks of
-    their own).  The SVD of the operator is the union of the dense SVDs of
-    its blocks, and the basis is sparse: each row lives on the columns of
-    one block."""
-    _degeneracy_guard(grid)
-    from scipy.sparse.csgraph import connected_components
-
-    op = _condition_operator(grid)
-    rows_total, cols_total = op.shape
-    _, labels = connected_components(
-        sparse.bmat([[None, op], [op.T, None]]), directed=False)
-    row_labels, col_labels = labels[:rows_total], labels[rows_total:]
-    blocks = []                                 # (columns, svals, vt)
-    for label in np.unique(row_labels):
-        r = np.flatnonzero(row_labels == label)
-        c = np.flatnonzero(col_labels == label)
-        _, s, vt = np.linalg.svd(op[r][:, c].toarray(), full_matrices=True)
-        blocks.append((c, s, vt))
-    untouched = np.flatnonzero(~np.isin(col_labels, row_labels))
-
-    svals = np.sort(np.concatenate([s for _, s, _ in blocks]))[::-1]
-    spectrum = np.concatenate([svals, np.zeros(cols_total - len(svals))])
-    threshold = _nullspace_threshold(spectrum, float(np.max(grid.spacings)))
-    null_count = int(np.sum(spectrum < threshold))
+    The operator is block diagonal up to a permutation (`_condition_blocks`).
+    Its SVD is the union of the dense SVDs of its blocks, and the basis is
+    sparse: each row lives on the columns of one block."""
+    blocks, untouched, cols_total = _condition_blocks(grid)
+    svds = [np.linalg.svd(dense, full_matrices=True) for _, dense in blocks]
+    spectrum, threshold, null_count = _nullspace_threshold(
+        [s for _, s, _ in svds], cols_total, float(np.max(grid.spacings)))
     # each block's trailing right singular vectors (below the threshold, or
     # beyond its row count) on that block's columns, then one unit row per
     # untouched column
     values, indices, row_nnz = [], [], []
-    for c, s, vt in blocks:
+    for (c, _), (_, s, vt) in zip(blocks, svds):
         null = vt[int(np.sum(s >= threshold)):]
         values.append(null.reshape(-1))
         indices.append(np.tile(c, len(null)))
@@ -806,7 +843,7 @@ def flatness_filter(grid: LiftGrid, candidates):
         return records
     F = grid.lift.F
     pts = F.domain.sample_points(3, np.random.default_rng(0))
-    lift_jet = _packed_jet(F, pts, 3)
+    lift_jet = _packed_jet(F, pts, 2)       # Riemann by the Gauss equation
 
     def residuals(recs):
         return _flat_residuals(grid, np.stack([r.result.R for r in recs]),
@@ -875,10 +912,14 @@ class MemberReport:
 
 @dataclass
 class FamilyResult:
+    """The pipeline's output.  `nullspace` is the condition's spectrum with
+    its null-space threshold and dimension (`condition_spectrum`): the
+    pipeline reports the count and builds no basis."""
+
     lift: LiftedImmersion
     grid: LiftGrid
-    nullspace: NullspaceResult | None
-    members: list
+    nullspace: ConditionSpectrum
+    members: list                   # one MemberReport per candidate
 
 
 def _refuse_pole(rho, eps_pole):
@@ -907,7 +948,7 @@ def _member_postchecks(grid: LiftGrid, members, seed=0):
         rec.f_map = proj.f
     eps_pole = proj.eps_pole        # set by the chart box: one for all members
     pts = F.domain.sample_points(4, np.random.default_rng(seed))
-    lift_jet = _packed_jet(F, pts, 3)
+    lift_jet = _packed_jet(F, pts, 2)       # Riemann and the holonomic gate
     X = _quadruples(len(pts), 20, grid.n, seed)
     euclid = amb_mod.euclidean(model.N)
 
@@ -982,7 +1023,8 @@ def conformally_flat_family(smooth_map: SmoothMap, conf, amb,
     datum and `count` random ambient reflections (constant-vector data,
     which sit on the cone-preserving c = 0 slice), keep the members whose
     closed-form transform stays flat, and project each back to a new
-    conformally flat immersion."""
+    conformally flat immersion.  The null space enters as its dimension
+    only (`condition_spectrum`): no member is drawn from its basis."""
     if conf is None:
         raise NotApplicable("pipeline needs a conformal structure")
     if smooth_map.domain.dim < 4:
@@ -991,7 +1033,7 @@ def conformally_flat_family(smooth_map: SmoothMap, conf, amb,
     model = build_cone_model(N)
     lift = flat_lift(smooth_map, conf, model)
     grid = build_lift_grid(lift)
-    ns = solve_condition_nullspace(grid)
+    ns = condition_spectrum(grid)
 
     rng = np.random.default_rng(seed)
     candidates = []

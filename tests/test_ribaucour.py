@@ -8,8 +8,8 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
-from confflat.errors import (DegenerateInputError, FrameError,
-                             SingularTransformError)
+from confflat.errors import (DegenerateInputError, DimensionAmbiguityError,
+                             FrameError, SingularTransformError)
 from confflat.extrinsic import normal_projectors
 from confflat.lightcone import build_cone_model, flat_lift
 from confflat import ribaucour as rb
@@ -193,6 +193,33 @@ def test_pade_step_preserves_the_lorentz_form(rng):
     assert np.all(gaps[0] >= 20.0 * gaps[1])
 
 
+def test_grid_from_order2_jets_is_exact(s3xs1_grid, s3xs1_lift, monkeypatch):
+    """The grid's extrinsic pass uses order-2 jets, and every field of the
+    grid is bitwise that of a grid built from the default order-3 pass:
+    truncating a jet drops only its highest coefficient rows."""
+    from confflat.jets import maps
+    assert s3xs1_grid.ext.jet.order == 2
+    monkeypatch.setattr(rb, "evaluate_jet",
+                        lambda F, pts, order: maps.evaluate_jet(F, pts, 3))
+    oracle = rb.build_lift_grid(s3xs1_lift)
+    assert oracle.ext.jet.order == 3
+    for name in ("F_vals", "tangents", "g", "g_inv", "alpha", "frame", "eps"):
+        assert np.array_equal(getattr(s3xs1_grid, name), getattr(oracle, name)), name
+    assert s3xs1_grid.parallel_residual == oracle.parallel_residual
+
+
+def test_order3_readers_refuse_the_grid_data(s3xs1_grid):
+    """The grid's extrinsic data holds no third derivatives; the Codazzi
+    tensor and the frame-derivative route of the normal connection say so
+    instead of failing inside numpy."""
+    from confflat.extrinsic import (codazzi_tensor,
+                                    normal_connection_and_curvature)
+    with pytest.raises(ValueError, match="order 2"):
+        codazzi_tensor(s3xs1_grid.ext)
+    with pytest.raises(ValueError, match="order 2"):
+        normal_connection_and_curvature(s3xs1_grid.ext.at(np.arange(3)))
+
+
 def test_frame_tolerance_gate_can_fail(s3xs1_lift):
     """The Richardson estimate on the default 5^4 grid (about 1.2e-2) fails
     a 1e-6 tolerance."""
@@ -278,25 +305,29 @@ def s3xs1_refined_grid():
 def test_block_nullspace_matches_dense_svd(grid_name, request):
     """The union of the block SVDs is the SVD of the whole operator: the
     same spectrum, threshold, dimension, null space and analytic
-    projections as one dense SVD of the densified operator.  The dense null
-    space is the orthogonal complement of the right singular vectors above
-    the threshold (`above`), so for orthonormal bases of equal dimension
-    ||B_ref - B_ref B^T B|| = ||above B^T||, and the projection of a unit
-    vector onto it is sqrt(1 - ||above vec||^2); the thin SVD holds
-    `above`."""
+    projections as one dense SVD of the densified operator, and the same
+    spectrum, threshold and dimension from the blocks' singular values
+    alone (condition_spectrum).  The dense null space is the orthogonal
+    complement of the right singular vectors above the threshold (`above`),
+    so for orthonormal bases of equal dimension ||B_ref - B_ref B^T B|| =
+    ||above B^T||, and the projection of a unit vector onto it is
+    sqrt(1 - ||above vec||^2); the thin SVD holds `above`."""
     g = request.getfixturevalue(grid_name)
     ns = rb.solve_condition_nullspace(g)
+    cs = rb.condition_spectrum(g)
     dense = rb._condition_operator(g).toarray()
     _, svals, vt = np.linalg.svd(dense, full_matrices=False)
     smax = float(svals[0])
     cols = dense.shape[1]
     spectrum = np.concatenate([svals, np.zeros(cols - len(svals))])
     assert np.max(np.abs(ns.spectrum - spectrum)) <= 1e-12 * smax
+    assert np.max(np.abs(cs.spectrum - spectrum)) <= 1e-12 * smax
     h = float(np.max(g.spacings))
-    assert rb._nullspace_threshold(spectrum, h) == pytest.approx(
-        ns.threshold, rel=1e-9)
-    dimension = int(np.sum(spectrum < ns.threshold))
-    assert ns.dimension == dimension
+    _, threshold, dimension = rb._nullspace_threshold([svals], cols, h)
+    assert threshold == pytest.approx(ns.threshold, rel=1e-9)
+    assert threshold == pytest.approx(cs.threshold, rel=1e-9)
+    assert dimension == int(np.sum(spectrum < ns.threshold))
+    assert ns.dimension == cs.dimension == dimension
     assert ns.basis.shape == (dimension, cols)
     B = ns.basis
     assert np.max(np.abs(B @ B.T - np.eye(dimension))) <= 1e-12
@@ -318,6 +349,43 @@ def test_degenerate_input_guard(catalog):
     grid = rb.build_lift_grid(lift)
     with pytest.raises(DegenerateInputError):
         rb.solve_condition_nullspace(grid)
+    with pytest.raises(DegenerateInputError):
+        rb.condition_spectrum(grid)
+
+
+def test_count_and_basis_refuse_alike(catalog):
+    """cone_t3 has no clear singular-value plateau at the default grid:
+    the count alone and the basis refuse with the same message, because
+    one decision (_nullspace_threshold) serves both."""
+    item = catalog["cone_t3"]
+    model = build_cone_model(item.smooth_map.codomain_dim)
+    grid = rb.build_lift_grid(flat_lift(item.smooth_map, item.conformal, model))
+    with pytest.raises(DimensionAmbiguityError, match="gap ratio 1.1") as basis:
+        rb.solve_condition_nullspace(grid)
+    with pytest.raises(DimensionAmbiguityError) as count:
+        rb.condition_spectrum(grid)
+    assert str(count.value) == str(basis.value)
+
+
+def test_pipeline_reads_the_count_from_singular_values_alone(s3xs1, monkeypatch):
+    """The family needs the null-space dimension only: it never builds the
+    basis, and every SVD it runs skips the singular vectors."""
+    def no_basis(grid):
+        raise AssertionError("the pipeline built the null-space basis")
+
+    svd = np.linalg.svd
+    kinds = []
+
+    def recording(a, *args, **kwargs):
+        kinds.append(kwargs.get("compute_uv", args[1] if len(args) > 1 else True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(rb, "solve_condition_nullspace", no_basis)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    fam = rb.conformally_flat_family(s3xs1.smooth_map, s3xs1.conformal,
+                                     s3xs1.ambient, count=1, seed=0)
+    assert fam.nullspace.dimension >= fam.grid.A + 1
+    assert kinds and not any(kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +567,23 @@ def test_member_layer_passes_do_not_grow_with_the_family(
     the same 4 fundamental_forms passes (lift check, grid, flatness,
     postchecks) and the same jet evaluations, of which two are of the lift
     in the member layer, and none at the grid points after build_lift_grid.
-    Every jet evaluation, evaluate_jet's and the member layer's, goes
-    through the packed step, which is counted here."""
+    From the grid on every jet is of order 2 (the metric, the second
+    fundamental form and Riemann by the Gauss equation need no more), and
+    the normal projectors' of order 1.  Every jet evaluation, evaluate_jet's
+    and the member layer's, goes through the packed step, which is counted
+    here."""
     from confflat.jets import maps
     original = maps._packed_jet
-    calls, grid_built = [], []
+    calls, grid_built, grid_started = [], [], []
 
     def counting(smooth_map, points, order):
-        calls.append((smooth_map.name, np.shape(points)))
+        calls.append((smooth_map.name, np.shape(points), order))
         return original(smooth_map, points, order)
 
     build = rb.build_lift_grid
 
     def building(*args, **kwargs):
+        grid_started.append(len(calls))
         grid = build(*args, **kwargs)
         grid_built.append(len(calls))
         return grid
@@ -524,14 +596,19 @@ def test_member_layer_passes_do_not_grow_with_the_family(
         calls.clear()
         fundamental_forms_calls.clear()
         grid_built.clear()
+        grid_started.clear()
         fam = rb.conformally_flat_family(s3xs1.smooth_map, s3xs1.conformal,
                                          s3xs1.ambient, count=count, seed=0)
         assert all(m.retained and m.error is None for m in fam.members)
         assert len(fam.members) == count + 1
+        # the extrinsic pass at the grid points, then the projectors
+        in_grid = calls[grid_started[0]:grid_built[0]]
+        assert [order for _, _, order in in_grid] == [2, 1]
+        assert in_grid[0][1][0] == fam.grid.M
         after = calls[grid_built[0]:]
-        assert all(shape[0] != fam.grid.M for _, shape in after)
-        assert [name for name, _ in after if name == fam.lift.F.name] == \
-            [fam.lift.F.name] * 2
+        assert all(shape[0] != fam.grid.M for _, shape, _ in after)
+        assert [(name, order) for name, _, order in after
+                if name == fam.lift.F.name] == [(fam.lift.F.name, 2)] * 2
         seen[count] = (len(fundamental_forms_calls), list(calls))
     assert seen[1] == seen[3]
     assert seen[1][0] == 4

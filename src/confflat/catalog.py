@@ -9,14 +9,13 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import ambient as amb_mod
 from .ambient import AmbientSpace
 from .conformal import ConformalStructure
 from .errors import CurveError, FrameError
 from .extrinsic import complement_frame, fundamental_forms, intrinsic_curvatures, orthonormalize
-from .jets import (ChartDomain, Jet, SmoothMap, apply_univariate, cos, cosh,
+from .jets import (ChartDomain, Jet, SmoothMap, cos, cosh,
                    evaluate_jet, exp, log, sin, sinh, sqrt, stack, unstack)
 
 TWO_PI = 2.0 * np.pi
@@ -92,59 +91,6 @@ class SphericalCircle:
     def deriv(self, u):
         s = u / self.rho
         return [-sin(s), cos(s), 0.0 * u]
-
-
-class WobblySphericalCurve:
-    """Unit-speed curve on the 2-sphere of radius `r` with oscillating
-    colatitude theta(t) = colat + amp sin(freq t); the longitude is the
-    arc-length integral, carried to jets through its closed-form
-    derivatives."""
-
-    dim = 2
-
-    def __init__(self, r, colat, amp, freq):
-        self.r = r
-        self.colat = colat
-        self.amp = amp
-        self.freq = freq
-        tmax = abs(amp * freq)
-        if tmax >= 1.0 / r:
-            raise CurveError("colatitude oscillation too fast for unit speed")
-
-    def _theta(self, t):
-        return self.colat + self.amp * sin(self.freq * t)
-
-    def _speed(self, t):
-        """d psi / dt enforcing unit speed."""
-        dth = self.amp * self.freq * cos(self.freq * t)
-        return sqrt(1.0 / self.r ** 2 - dth * dth) / sin(self._theta(t))
-
-    def _psi(self, t):
-        """Longitude at t (a float, or a jet of one point or of a batch):
-        the speed integrated by quadrature once per point, carried to jets
-        through the speed's own derivatives."""
-        t0 = t.v if isinstance(t, Jet) else t
-        ends = np.ravel(t0)
-        val = np.array([quad(lambda s: float(self._speed(s)), 0.0, e,
-                             limit=200)[0] for e in ends])
-        if np.ndim(t0) == 0:
-            val = float(val[0])
-        s = Jet.variable(t0, 0, 1, 3)
-        F = self._speed(s)
-        return apply_univariate(t, val, F.v, F.g[0], F.h[0, 0])
-
-    def value(self, t):
-        th, ps = self._theta(t), self._psi(t)
-        return [self.r * sin(th) * cos(ps), self.r * sin(th) * sin(ps),
-                self.r * cos(th)]
-
-    def deriv(self, t):
-        th, ps = self._theta(t), self._psi(t)
-        dth = self.amp * self.freq * cos(self.freq * t)
-        dps = self._speed(t)
-        return [self.r * (dth * cos(th) * cos(ps) - dps * sin(th) * sin(ps)),
-                self.r * (dth * cos(th) * sin(ps) + dps * sin(th) * cos(ps)),
-                -self.r * dth * sin(th)]
 
 
 def validate_unit_speed(curve, box, samples=7, tol=1e-8):

@@ -1,5 +1,5 @@
-from .core import (Jet, apply_univariate, constant, cos, cosh, dot, exp, log,
-                   norm_sq, sin, sinh, sqrt, stack, unstack, variable)
+from .core import (Jet, constant, cos, cosh, dot, exp, log, norm_sq, sin,
+                   sinh, sqrt, stack, unstack, variable)
 from .maps import ChartDomain, Jet3, SmoothMap, evaluate_jet, finite_difference_jet
 
 # the one jet implementation: numpy kernels batched over points
@@ -9,7 +9,6 @@ __all__ = [
     "BACKEND",
     "Jet",
     "constant",
-    "apply_univariate",
     "stack",
     "unstack",
     "variable",

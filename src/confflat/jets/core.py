@@ -12,28 +12,26 @@ graded order: degree 0, then degree 1 (x_0 .. x_{n-1}), then each higher
 degree by its sorted index tuple (i <= j <= k), so that K = C(n + order,
 order) (35 for n = 4 at order 3) and truncating to a lower order is a
 prefix slice.  A single point is the empty batch.  Sums and scalar
-multiples are one array operation; a product is one gather-multiply-reduce
-over the pairs of monomials whose degrees add up to at most the order, and
-a univariate function is its truncated Taylor series in the nilpotent part
-of the argument.  The read-only properties v, g, h and t expand the
-coefficients to the value and the symmetric derivative tensors (n,)*k +
-batch.  Batched order-3 Taylor propagation follows Griewank and Walther,
+multiples are one array operation; a product is one gather-multiply over
+the pairs of monomials whose degrees add up to at most the order, summed
+into each row in pair order, and a univariate function is its truncated
+Taylor series in the nilpotent part of the argument.  The read-only
+properties v, g, h and t expand the coefficients to the value and the
+symmetric derivative tensors (n,)*k + batch.  Batched order-3 Taylor propagation follows Griewank and Walther,
 *Evaluating Derivatives* (2nd ed., 2008), ch. 13.
 """
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb, factorial
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "Jet",
     "variable",
     "constant",
-    "apply_univariate",
     "stack",
     "unstack",
     "sin",
@@ -67,29 +65,38 @@ def _monomials(n, order):
 
 @cache
 def _pairs(n, order, low=0):
-    """Product table (I, J, S, first) over the pairs of monomials (I[q],
-    J[q]) whose degrees add up to at most the order: with the sparse 0/1
-    matrix S that sums each pair into the row of its product, S @ (a[I] *
-    b[J]) is rows first.. of the product of the coefficient arrays a and b.
-    (At n = 4, order 3, the sparse sum costs about what a dense S or
-    np.add.reduceat costs at 6 points, and a half to a fifth of it at 625
-    and 2,401.)  low = 0 takes every pair; low = 1 only pairs of degree >= 1
-    each (the square of a nilpotent part); low = 2 only degree >= 2 times
-    degree >= 1 (its cube)."""
+    """Product table (I, J, steps, back, first) over the pairs of monomials
+    (I[q], J[q]) whose degrees add up to at most the order.  Each row r of
+    the product of coefficient arrays a and b is the sum of a[I[q]] * b[J[q]]
+    over the run of pairs whose product monomial is r, taken in (I, J)
+    order.  The pairs are laid out column by column: column l holds the l-th
+    pair of every row with a run longer than l, the rows sorted by
+    decreasing run length, so that the rows column l adds into are a prefix.
+    Column 0 is the first K - first entries (one per row); `steps` holds
+    (count, start) of each further column, and `back` takes the sorted rows
+    back to graded order, rows first.. of the product.  low = 0 takes every
+    pair; low = 1 only pairs of degree >= 1 each (the square of a nilpotent
+    part); low = 2 only degree >= 2 times degree >= 1 (its cube).  At n = 4,
+    order 3 the runs are 1, 2, 3, 4, 6 or 8 pairs long."""
     mons = _monomials(n, order)
     row = {m: r for r, m in enumerate(mons)}
     low_b = min(low, 1)
-    pairs = sorted((row[tuple(sorted(a + b))], i, j)
-                   for i, a in enumerate(mons) if len(a) >= low
-                   for j, b in enumerate(mons) if len(b) >= low_b
-                   and len(a) + len(b) <= order)
-    out, I, J = (np.array(x, dtype=np.intp) for x in zip(*pairs))
-    first = int(out[0])
-    # rows of S in CSR form: row r sums the run of pairs whose product is r
-    indptr = np.r_[0, np.cumsum(np.bincount(out - first))]
-    S = sparse.csr_array((np.ones(len(out)), np.arange(len(out)), indptr),
-                         shape=(len(indptr) - 1, len(out)))
-    return I, J, S, first
+    runs = {}
+    for i, a in enumerate(mons):
+        if len(a) < low:
+            continue
+        for j, b in enumerate(mons):
+            if len(b) >= low_b and len(a) + len(b) <= order:
+                runs.setdefault(row[tuple(sorted(a + b))], []).append((i, j))
+    rows = sorted(runs, key=lambda r: (-len(runs[r]), r))
+    cols = [[runs[r][l] for r in rows if len(runs[r]) > l]
+            for l in range(len(runs[rows[0]]))]
+    I, J = (np.array(x, dtype=np.intp) for x in zip(*chain.from_iterable(cols)))
+    starts = np.cumsum([len(col) for col in cols])
+    steps = tuple((len(col), int(s)) for col, s in zip(cols[1:], starts))
+    first = min(rows)
+    back = np.argsort(np.array(rows) - first)
+    return I, J, steps, back, first
 
 
 @cache
@@ -143,10 +150,22 @@ def _operands(a, b):
 
 def _product(n, order, a, b, low=0):
     """Coefficients of the product of packed coefficient arrays a and b
-    (rows first.. of the result, see _pairs)."""
-    I, J, S, first = _pairs(n, order, low)
-    prod = a[I] * b[J]
-    return first, (S @ prod.reshape(len(I), -1)).reshape((-1,) + prod.shape[1:])
+    (rows first.. of the result, see _pairs).  Each row is summed in pair
+    order, one column add at a time, and the closing + 0.0 turns a -0.0 sum
+    into +0.0, so every row is bitwise the sequential sum 0 + p_1 + p_2 +
+    ... of its pair products.  That sum does not depend on the order or the
+    batch shape, as a matrix product's rounding would: a jet truncated to a
+    lower order is bitwise the jet computed at that order, and a point's
+    product alone is bitwise its product inside a batch.  At n = 4, order
+    3, one product takes about 9 us at 1 point, 11 us at 6, 0.8 ms at 625
+    and 4.6 ms at 4,368 points on one core of a 2-core Xeon."""
+    I, J, steps, back, first = _pairs(n, order, low)
+    p = a.take(I, 0) * b.take(J, 0)
+    for count, start in steps:
+        p[:count] += p[start:start + count]
+    c = p.take(back, 0)
+    c += 0.0
+    return first, c
 
 
 class Jet:
@@ -342,14 +361,6 @@ def unstack(x):
     if not isinstance(x, Jet):
         return list(x)
     return [_jet(x.n, x.order, x.c[:, a]) for a in range(x.c.shape[1])]
-
-
-def apply_univariate(x, c0, c1, c2, c3):
-    """Compose a jet (or float) with a univariate function given by its
-    value and first three derivatives at x's value."""
-    if isinstance(x, Jet):
-        return x._compose(c0, c1, c2, c3)
-    return c0
 
 
 def sin(x):

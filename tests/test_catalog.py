@@ -3,9 +3,8 @@ and the constructed inputs satisfy the constraints they advertise."""
 import numpy as np
 import pytest
 
-from confflat.catalog import (SphericalCircle, WobblySphericalCurve,
-                              default_catalog, space_form_exp,
-                              validate_unit_speed)
+from confflat.catalog import (SphericalCircle, default_catalog,
+                              space_form_exp, validate_unit_speed)
 from confflat import ambient as amb_mod
 from confflat.jets import evaluate_jet, finite_difference_jet
 
@@ -54,7 +53,6 @@ def test_space_form_exp_stays_on_quadric(rng):
 def test_unit_speed_curves():
     box = (0.1, 2.0)
     validate_unit_speed(SphericalCircle(0.8, 1.1), box)
-    validate_unit_speed(WobblySphericalCurve(0.8, 1.2, 0.2, 1.5), box)
 
 
 def test_unit_speed_rejects_bad_curve():

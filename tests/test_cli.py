@@ -1,6 +1,10 @@
 """Scenario validation, report determinism, the grid-sample format, and the
-command line entry point with its exit-code contract."""
+command line entry point with its exit-code contract, and the modules a
+process loads at start-up."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -278,3 +282,39 @@ def test_cli_determinism(tmp_path, capsys):
     capsys.readouterr()
     a, b = json.loads(f1.read_text()), json.loads(f2.read_text())
     assert a["hash"] == b["hash"]
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+_STARTUP_SCRIPT = """
+import json, sys, tempfile
+import confflat.cli
+from confflat.catalog import default_catalog
+from confflat.reports import run_pipeline, run_scenario
+default_catalog()
+passed = [run_scenario({"schema": 1, "item": "s3xs1", "suite": suite,
+                        "seed": 0}).overall_pass
+          for suite in ("extrinsic", "principal", "conformal", "lightcone")]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+with tempfile.TemporaryDirectory() as out:
+    pipeline = run_pipeline({"schema": 1, "item": "s3xs1", "count": 3,
+                             "seed": 0}, out_dir=out).overall_pass
+print(json.dumps({"passed": passed, "loaded": loaded, "pipeline": pipeline}))
+"""
+
+
+def test_pointwise_layers_load_no_scipy():
+    """In a fresh interpreter, importing the command line, building the
+    catalog and running the four pointwise suites on s3xs1 load no scipy
+    module; the pipeline, which does load it, still passes afterwards."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["passed"] == [True] * 4
+    assert result["loaded"] == []
+    assert result["pipeline"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confflat.jets import core
 from confflat.jets import (ChartDomain, Jet, SmoothMap, cos, cosh, dot,
                            evaluate_jet, exp, finite_difference_jet, log,
                            norm_sq, sin, sinh, sqrt, variable)
@@ -278,6 +279,43 @@ def test_packed_product_matches_the_tensor_oracle(n, order):
         b, rb = _random_jet(rng, n, order, sb)
         _assert_matches(a * b, _tensor_mul(ra, rb, order), order)
         _assert_matches(b * a, _tensor_mul(rb, ra, order), order)
+
+
+def _loop_product(n, order, a, b, low):
+    """Reference product sum: every pair of monomials whose degrees add up
+    to at most the order (degree >= low on the left, >= min(low, 1) on the
+    right) adds a[i] * b[j] into the row of its product, in (i, j) order,
+    starting from zero."""
+    mons = core._monomials(n, order)
+    row = {m: r for r, m in enumerate(mons)}
+    out = np.zeros((len(mons),) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for i, x in enumerate(mons):
+        for j, y in enumerate(mons):
+            if (len(x) >= low and len(y) >= min(low, 1)
+                    and len(x) + len(y) <= order):
+                out[row[tuple(sorted(x + y))]] += a[i] * b[j]
+    return out
+
+
+@pytest.mark.parametrize("order,low", [(1, 0), (2, 0), (3, 0), (2, 1),
+                                       (3, 1), (3, 2)])
+@pytest.mark.parametrize("sa,sb", [((), ()), ((6,), (6,)), ((625,), (625,)),
+                                   ((1, 5), (3, 5))])
+def test_packed_product_sum_is_the_sequential_sum(order, low, sa, sb):
+    """At n = 4 every row of the packed product is bitwise the sum of its
+    pair products in pair order, starting from +0.0, so no row is -0.0;
+    zero and negative coefficients make signed-zero products."""
+    rng = np.random.default_rng(order * 10 + low)
+    K = core._size(4, order)
+    a = rng.standard_normal((K,) + sa)
+    b = rng.standard_normal((K,) + sb)
+    a[rng.random(a.shape) < 0.3] = 0.0
+    b[rng.random(b.shape) < 0.3] = -0.0
+    first, got = core._product(4, order, a, b, low)
+    want = _loop_product(4, order, a, b, low)
+    assert not want[:first].any()
+    assert np.array_equal(got, want[first:])
+    assert np.array_equal(np.signbit(got), np.signbit(want[first:]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])

@@ -83,10 +83,8 @@ def _pairs(n, order, low=0):
     low_b = min(low, 1)
     runs = {}
     for i, a in enumerate(mons):
-        if len(a) < low:
-            continue
         for j, b in enumerate(mons):
-            if len(b) >= low_b and len(a) + len(b) <= order:
+            if len(a) >= low and len(b) >= low_b and len(a) + len(b) <= order:
                 runs.setdefault(row[tuple(sorted(a + b))], []).append((i, j))
     rows = sorted(runs, key=lambda r: (-len(runs[r]), r))
     cols = [[runs[r][l] for r in rows if len(runs[r]) > l]

@@ -11,8 +11,12 @@ obtained by transporting the base-point frame along grid lines (the normal
 bundle of a flat lift is flat, so the transport is path independent up to
 discretization error); each transport step is a Pade [2/2] approximant of a
 commutator exponential, which preserves the ambient pairing exactly.  The
-null-space basis is a sparse matrix whose rows each live on one block of
-the condition operator.
+condition operator is held as its nonzeros, four per row, and split into
+its independent blocks by labelling the connected components of its
+row/column graph in numpy.  The null-space basis is a sparse matrix whose
+rows each live on one block of the condition operator; it is the only
+sparse matrix here, and solve_condition_nullspace alone loads the sparse
+module that builds it.
 """
 from __future__ import annotations
 
@@ -21,8 +25,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from . import ambient as amb_mod
 from .conformal import _quadruple_defects, _quadruples
@@ -397,8 +399,9 @@ class NullspaceResult:
     threshold: float
     analytic_projections: np.ndarray   # fraction of each analytic member in the span
     dimension: int
-    basis: sparse.csr_array            # (dimension, M*(1+p)) orthonormal rows,
-                                       # each on one block's columns only
+    basis: object                      # sparse CSR array (dimension, M*(1+p)):
+                                       # orthonormal rows, each on one block's
+                                       # columns only
 
 
 def _degeneracy_guard(grid: LiftGrid):
@@ -424,10 +427,13 @@ def _degeneracy_guard(grid: LiftGrid):
 
 
 def _condition_operator(grid: LiftGrid):
-    """The condition as a sparse CSR operator on the grid unknowns (phi,
-    b_1..b_p per point, column blocks of M): one row per interior point m,
-    direction i and frame index a, in that order, holding the centered
-    differences of b_a and of phi (weighted by g^{ii} h_par) at m +- e_i."""
+    """The condition as an operator on the grid unknowns (phi, b_1..b_p per
+    point, column blocks of M): one row per interior point m, direction i
+    and frame index a, in that order, holding the centered differences of
+    b_a and of phi (weighted by g^{ii} h_par) at m +- e_i.  Every row has
+    exactly four nonzeros, in four distinct columns, so the operator is
+    returned as (cols, vals, shape): the column indices and values, each of
+    shape (rows, 4), and the operator's (rows, columns)."""
     M, n, p = grid.M, grid.n, grid.p
     hpar = grid.h_parallel                      # (M, p, n)
     strides = np.array([int(np.prod(grid.shape[d + 1:])) for d in range(n)])
@@ -443,39 +449,55 @@ def _condition_operator(grid: LiftGrid):
     w = coef[:, :, None] * hpar[interior].transpose(0, 2, 1) * inv2h
     cols = np.stack([b_off + m_plus, b_off + m_minus, m_plus, m_minus], -1)
     vals = np.stack([inv2h, -inv2h, w, -w], -1)
-    rows = np.repeat(np.arange(n_rows), 4)
-    return sparse.coo_matrix((vals.reshape(-1), (rows, cols.reshape(-1))),
-                             shape=(n_rows, M * (1 + p))).tocsr()
+    return cols.reshape(-1, 4), vals.reshape(-1, 4), (n_rows, M * (1 + p))
+
+
+def _components(cols, n_cols):
+    """Connected components of the bipartite graph that joins row r to the
+    columns cols[r] (an integer array of shape (rows, k)), by min-label
+    propagation with pointer jumping.  Each pass gives every column the
+    least label of its rows and every row the least label of its columns,
+    then jumps each row to its label's label; labels only fall, and a pass
+    that moves none leaves every row labelled by the smallest row of its
+    component.  Returns (row_labels, col_labels): a column gets its rows'
+    label, and a column no row touches gets `rows`."""
+    rows, k = cols.shape
+    label = np.arange(rows)
+    while True:
+        col_label = np.full(n_cols, rows)
+        np.minimum.at(col_label, cols.reshape(-1), np.repeat(label, k))
+        new = col_label[cols].min(axis=1)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label, col_label
+        label = new
 
 
 def _condition_blocks(grid: LiftGrid):
     """The condition operator split into its independent blocks, after the
     degeneracy guard.  An equation at m touches only m +- e_i, so the
-    connected components of the operator's row/column graph are
-    independent blocks; columns that no equation touches are blocks of
-    their own.  Returns (blocks, untouched, cols): per block its columns
-    and its dense matrix (rows and columns in ascending order, filled from
-    the operator's COO triplets at block-local positions), the untouched
-    columns, and the operator's column count."""
+    connected components of the operator's row/column graph
+    (`_components`) are independent blocks; columns that no equation
+    touches are blocks of their own.  Returns (blocks, untouched, cols):
+    an iterator over the blocks in the order of their smallest row, each
+    as its columns and its dense matrix (rows and columns in ascending
+    order, filled from the operator's nonzeros at block-local positions)
+    and built only when it is reached, the untouched columns, and the
+    operator's column count."""
     _degeneracy_guard(grid)
-    op = _condition_operator(grid)
-    rows_total, cols_total = op.shape
-    _, labels = connected_components(
-        sparse.bmat([[None, op], [op.T, None]]), directed=False)
-    row_labels, col_labels = labels[:rows_total], labels[rows_total:]
-    coo = op.tocoo()
-    entry_labels = row_labels[coo.row]
-    blocks = []
-    for label in np.unique(row_labels):
-        r = np.flatnonzero(row_labels == label)
-        c = np.flatnonzero(col_labels == label)
-        take = entry_labels == label
-        dense = np.zeros((len(r), len(c)))
-        dense[np.searchsorted(r, coo.row[take]),
-              np.searchsorted(c, coo.col[take])] = coo.data[take]
-        blocks.append((c, dense))
-    untouched = np.flatnonzero(~np.isin(col_labels, row_labels))
-    return blocks, untouched, cols_total
+    cols, vals, (rows_total, cols_total) = _condition_operator(grid)
+    row_labels, col_labels = _components(cols, cols_total)
+
+    def blocks():
+        for label in np.unique(row_labels):
+            r = np.flatnonzero(row_labels == label)
+            c = np.flatnonzero(col_labels == label)
+            dense = np.zeros((len(r), len(c)))
+            dense[np.arange(len(r))[:, None],
+                  np.searchsorted(c, cols[r])] = vals[r]
+            yield c, dense
+
+    return blocks(), np.flatnonzero(col_labels == rows_total), cols_total
 
 
 def _nullspace_threshold(svals, cols_total, h):
@@ -541,16 +563,20 @@ def solve_condition_nullspace(grid: LiftGrid) -> NullspaceResult:
 
     The operator is block diagonal up to a permutation (`_condition_blocks`).
     Its SVD is the union of the dense SVDs of its blocks, and the basis is
-    sparse: each row lives on the columns of one block."""
+    sparse: each row lives on the columns of one block.  Only each block's
+    columns, singular values and right singular vectors outlive its SVD;
+    the dense block and its left singular vectors are dropped at once."""
+    from scipy import sparse     # the basis only; the pipeline needs none
     blocks, untouched, cols_total = _condition_blocks(grid)
-    svds = [np.linalg.svd(dense, full_matrices=True) for _, dense in blocks]
+    svds = [(c, *np.linalg.svd(dense, full_matrices=True)[1:])
+            for c, dense in blocks]
     spectrum, threshold, null_count = _nullspace_threshold(
         [s for _, s, _ in svds], cols_total, float(np.max(grid.spacings)))
     # each block's trailing right singular vectors (below the threshold, or
     # beyond its row count) on that block's columns, then one unit row per
     # untouched column
     values, indices, row_nnz = [], [], []
-    for (c, _), (_, s, vt) in zip(blocks, svds):
+    for c, s, vt in svds:
         null = vt[int(np.sum(s >= threshold)):]
         values.append(null.reshape(-1))
         indices.append(np.tile(c, len(null)))

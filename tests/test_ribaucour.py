@@ -293,6 +293,58 @@ def test_nullspace_basis_is_sparse(s3xs1_grid):
     assert ns.basis.nnz <= 0.05 * dimension * cols
 
 
+def test_components_label_by_smallest_row():
+    """Min-label propagation on a hand-made bipartite graph of 8 rows and 11
+    columns, two columns per row.  Rows 7, 6, 5, 4, 3 form a chain from
+    row 0 (each pair shares one column), so row 0's label needs several
+    passes to reach row 3; rows 1 and 2 share column 6 and form a second
+    component; column 9 is touched by no row."""
+    cols = np.array([[0, 10], [6, 7], [8, 6], [4, 5],
+                     [3, 4], [2, 3], [1, 2], [0, 1]])
+    row_labels, col_labels = rb._components(cols, 11)
+    np.testing.assert_array_equal(row_labels, [0, 1, 1, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(col_labels, [0, 0, 0, 0, 0, 0, 1, 1, 1, 8, 0])
+
+
+@pytest.mark.parametrize("grid_name", ["s3xs1_grid", "s3xs1_refined_grid"])
+def test_condition_blocks_match_connected_components(grid_name, request):
+    """The numpy labelling splits the condition operator exactly as scipy's
+    connected_components on its row/column graph does: the same blocks in
+    the same order (by smallest row), the same columns, bitwise the same
+    dense blocks filled from the COO triplets, and the same untouched
+    columns."""
+    from scipy.sparse.csgraph import connected_components
+    g = request.getfixturevalue(grid_name)
+    cols, vals, shape = rb._condition_operator(g)
+    rows_total = shape[0]
+    rows = np.repeat(np.arange(rows_total), 4)
+    op = sparse.coo_matrix((vals.reshape(-1), (rows, cols.reshape(-1))),
+                           shape=shape).tocsr()
+    _, labels = connected_components(
+        sparse.bmat([[None, op], [op.T, None]]), directed=False)
+    row_labels, col_labels = labels[:rows_total], labels[rows_total:]
+    coo = op.tocoo()
+    expected = []
+    for label in np.unique(row_labels):
+        r = np.flatnonzero(row_labels == label)
+        c = np.flatnonzero(col_labels == label)
+        take = row_labels[coo.row] == label
+        dense = np.zeros((len(r), len(c)))
+        dense[np.searchsorted(r, coo.row[take]),
+              np.searchsorted(c, coo.col[take])] = coo.data[take]
+        expected.append((c, dense))
+    blocks, untouched, cols_total = rb._condition_blocks(g)
+    blocks = list(blocks)
+    assert cols_total == shape[1]
+    assert len(blocks) == len(expected) > 1
+    for (c, dense), (c_ref, dense_ref) in zip(blocks, expected):
+        np.testing.assert_array_equal(c, c_ref)
+        assert dense.shape == dense_ref.shape
+        assert dense.tobytes() == dense_ref.tobytes()
+    np.testing.assert_array_equal(
+        untouched, np.flatnonzero(~np.isin(col_labels, row_labels)))
+
+
 @pytest.fixture(scope="module")
 def s3xs1_refined_grid():
     item = _resolve_item({"item": "s3xs1", "grid": [5, 5, 5, 6]})
@@ -315,7 +367,9 @@ def test_block_nullspace_matches_dense_svd(grid_name, request):
     g = request.getfixturevalue(grid_name)
     ns = rb.solve_condition_nullspace(g)
     cs = rb.condition_spectrum(g)
-    dense = rb._condition_operator(g).toarray()
+    op_cols, op_vals, shape = rb._condition_operator(g)
+    dense = np.zeros(shape)
+    dense[np.arange(shape[0])[:, None], op_cols] = op_vals
     _, svals, vt = np.linalg.svd(dense, full_matrices=False)
     smax = float(svals[0])
     cols = dense.shape[1]

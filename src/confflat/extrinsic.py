@@ -255,19 +255,34 @@ class ExtrinsicData:
 
     def alpha_onb(self):
         """Second fundamental form over the orthonormal tangent basis."""
-        return np.einsum("...ki,...lj,...klA->...ijA", self.onb, self.onb, self.alpha)
+        return _congruent(self.onb, self.alpha)
+
+    def normal_projector(self):
+        """Matrix P (..., A, A) of the projection onto the normal space,
+        P v = sum_a eps_a <xi_a, v> xi_a."""
+        frame = self.frame
+        return np.swapaxes(frame, -1, -2) @ (
+            self.frame_eps[..., None] * frame * self.ambient.signature)
 
     def normal_project(self, v):
         """Projection of an ambient vector onto the normal space."""
-        sig = self.ambient.signature
-        return np.einsum("a,aA,A,aB->B", self.frame_eps, self.frame, sig * v,
-                         self.frame)
+        return self.normal_projector() @ v
 
     def shape_operator(self, xi):
         """A_xi in the ONB for an arbitrary normal vector xi."""
         sig = self.ambient.signature
         return np.einsum("a,aA,A,aij->ij", self.frame_eps, self.frame, sig * xi,
                          self.S)
+
+
+def _congruent(B, form):
+    """sum_kl B[k, i] B[l, j] form[k, l, :]: a vector-valued bilinear form
+    (..., n, n, A) over the basis given by the columns of B (..., n, n),
+    as two matmuls."""
+    Bt = np.swapaxes(B, -1, -2)
+    half = Bt[..., None, :, :] @ form                       # second slot
+    flat = half.reshape(half.shape[:-2] + (-1,))
+    return (Bt @ flat).reshape(half.shape)                  # first slot
 
 
 def _net_is_orthogonal(g, rel=1e-8):
@@ -280,10 +295,24 @@ def _net_is_orthogonal(g, rel=1e-8):
 
 def _immersion_metric(jet: Jet3, sig, points):
     """Induced metric of the jet's tangents; raises ImmersionError naming the
-    first point where the differential is rank deficient."""
+    first point where the differential is rank deficient, that is where
+    lambda_min(g) <= RANK_TOL max(lambda_max(g), 1).
+
+    A Cholesky factorization of g - tau I, tau = 2 RANK_TOL max(tr g, 1),
+    proves the common case: it succeeds only where lambda_min(g) > tau, up
+    to a backward error of about 1e-15 tr g, seven orders below tau, and
+    lambda_max(g) <= tr g for a positive definite g.  A stack it does not
+    factor into finite numbers is decided by eigvalsh."""
     T = jet.d1
     g = T @ (sig[:, None] * np.swapaxes(T, -1, -2))
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    tau = 2.0 * RANK_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 1.0)
+    shifted = g - tau[..., None, None] * np.eye(g.shape[-1])
+    try:
+        if np.isfinite(np.linalg.cholesky(shifted)).all():
+            return g
+    except np.linalg.LinAlgError:
+        pass
     evals = np.linalg.eigvalsh(g)
     bad = evals[..., 0] <= RANK_TOL * np.maximum(evals[..., -1], 1.0)
     if np.any(bad):
@@ -336,19 +365,22 @@ def fundamental_forms(smooth_map: SmoothMap, ambient: AmbientSpace, points,
     su, se = orthonormalize(sig, span)               # (..., k, A), (..., k)
     frame, frame_eps, pivots = complement_frame(sig, su, se, p)
 
-    # second fundamental form: second derivatives minus their part in the span
-    coeffs = se[..., None, None, :] * np.einsum("...kA,A,...ijA->...ijk",
-                                                su, sig, jet.d2)
-    alpha = jet.d2 - np.einsum("...ijk,...kA->...ijA", coeffs, su)
+    # second fundamental form: second derivatives minus their part in the
+    # span, with the two derivative axes as one axis of n * n rows
+    d2 = jet.d2.reshape(jet.d2.shape[:-3] + (n * n, A))
+    coeffs = (d2 @ np.swapaxes(su * sig, -1, -2)) * se[..., None, :]
+    alpha = d2 - coeffs @ su                         # (..., n * n, A)
 
     g_inv = np.linalg.inv(g)
-    h_comp = np.einsum("...ijA,A,...aA->...aij", alpha, sig, frame)
-    shape_ops = np.einsum("...ij,...ajk->...aik", g_inv, h_comp)
-    H = np.einsum("...ij,...ijA->...A", g_inv, alpha) / n
+    h_comp = ((frame * sig) @ np.swapaxes(alpha, -1, -2)).reshape(
+        frame.shape[:-1] + (n, n))                   # (..., p, n, n)
+    shape_ops = g_inv[..., None, :, :] @ h_comp
+    H = (g_inv.reshape(g.shape[:-2] + (1, n * n)) @ alpha)[..., 0, :] / n
+    alpha = alpha.reshape(jet.d2.shape)
 
     L = np.linalg.cholesky(g)
     B = np.swapaxes(np.linalg.inv(L), -1, -2)        # columns: ONB in coordinates
-    S = np.einsum("...ki,...akl,...lj->...aij", B, h_comp, B)
+    S = np.swapaxes(B, -1, -2)[..., None, :, :] @ h_comp @ B[..., None, :, :]
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
 
     lame = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
@@ -407,9 +439,7 @@ def codazzi_tensor(ext: ExtrinsicData):
     position normal of alpha_jk = F_jk - Gamma^l_jk F_l + c g_jk F differentiates
     into tangent and position terms, which the projection drops."""
     _require_order3(ext, "codazzi_tensor")
-    sig = ext.ambient.signature.astype(float)
-    perp = np.einsum("...a,...aA,...aB->...AB", ext.frame_eps, ext.frame,
-                     ext.frame * sig)
+    perp = ext.normal_projector()
     gam = np.einsum("...lm,...mij->...lij", ext.g_inv, christoffels(ext))
     alpha = ext.alpha
     return (np.einsum("...AB,...ijkB->...ijkA", perp, ext.jet.d3)

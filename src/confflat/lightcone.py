@@ -25,7 +25,7 @@ from .ambient import AmbientSpace
 from .conformal import ConformalStructure
 from .errors import (ConformalStructureError, DomainError,
                      ModelMembershipError, NotApplicable)
-from .extrinsic import ExtrinsicData, fundamental_forms
+from .extrinsic import ExtrinsicData, _congruent, fundamental_forms
 from .jets import (ChartDomain, Jet, SmoothMap, evaluate_jet, exp as jexp,
                    log as jlog, norm_sq, stack, unstack)
 from .jets.core import _jet
@@ -227,8 +227,8 @@ def lift_second_fundamental_form(lift: LiftedImmersion, extF: ExtrinsicData,
     Jinv = np.linalg.inv(J)
 
     # second fundamental forms are tensorial: move the slots to flat coords
-    aF = np.einsum("...ia,...jb,...ijA->...abA", Jinv, Jinv, extF.alpha)
-    af = np.einsum("...ia,...jb,...ijA->...abA", Jinv, Jinv, extf.alpha)
+    aF = _congruent(Jinv, extF.alpha)
+    af = _congruent(Jinv, extf.alpha)
     df_flat = np.swapaxes(Jinv, -1, -2) @ extf.jet.d1   # rows: f_* of flat frame
     push_grad = np.einsum("...a,...aN->...N", gw, df_flat)  # f_* grad_0 omega
 

@@ -71,7 +71,7 @@ def _joint_bases(mats, seed, max_sweeps, tol, skip=None):
     combo = np.einsum("a,baij->bij", np.random.default_rng(seed).standard_normal(p),
                       mats)
     _, V = np.linalg.eigh(0.5 * (combo + np.swapaxes(combo, -1, -2)))
-    work = np.einsum("bki,bakl,blj->baij", V, mats, V)
+    work = np.swapaxes(V, -1, -2)[:, None] @ mats @ V[:, None]
     thresh = tol * scale ** 2 * n
     rough = _offdiag_energy(work) > thresh
     if skip is not None:
@@ -247,10 +247,9 @@ def _principal_pass(ext, cluster_tol, flat_tol, seed):
     noncommuting = (comm > (flat_tol * scale ** 2 * n)[:, None, None]) & upper
 
     V = _joint_bases(S, seed, 60, JACOBI_TOL, skip=noncommuting.any(axis=(1, 2)))
-    kappa = np.einsum("bij,baik,bkj->baj", V, S, V)
+    kappa = np.sum(V[:, None] * (S @ V[:, None]), axis=-2)    # diag(V^T S V)
     # eta_j = sum_a eps_a kappa_{a j} xi_a
-    etas_cols = np.einsum("ba,baj,baA->bjA", ext.frame_eps.astype(float), kappa,
-                          ext.frame)
+    etas_cols = np.swapaxes(ext.frame_eps[..., None] * kappa, -1, -2) @ ext.frame
     dist = np.linalg.norm(etas_cols[:, :, None] - etas_cols[:, None], axis=-1)
     gaps = cluster_tol * np.maximum(scale, 1e-12)
 
@@ -328,11 +327,13 @@ def _eta_derivatives(decs):
             groups.setdefault(d.multiplicities, []).append(d)
     for mults, todo in groups.items():
         T = _gathered(todo, lambda ps: ps.codazzi)
+        T = T.reshape(T.shape[:2] + (-1, T.shape[-1]))            # (B, n, n n, A)
         onb = _stacked(todo, "onb")
         D = []
         for i, m in enumerate(mults):
             C = onb @ np.array([d.bases[i] for d in todo])         # (B, n, m)
-            D.append(np.einsum("bjs,bks,bijkA->biA", C, C, T) / m)
+            proj = (C @ np.swapaxes(C, -1, -2)).reshape(len(todo), 1, 1, -1)
+            D.append((proj @ T)[:, :, 0] / m)
         for d, Dd in zip(todo, np.stack(D, axis=1)):
             d.__dict__["eta_derivatives"] = Dd
     return np.array([d.eta_derivatives for d in decs])

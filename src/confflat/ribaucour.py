@@ -45,6 +45,7 @@ from .principal import (CLUSTER_TOL, FLAT_NB_TOL, _principal_pass,
 SINGULAR_TOL = 1e-8
 DEGENERATE_MARGIN = 1e-3
 RANK_MARGIN = 1e-8
+GRAM_RATIO = 1e-4    # rank margins below this come from singular values
 FLAT_TOL = 1e-8
 
 
@@ -151,9 +152,8 @@ class LiftGrid:
     def h_parallel(self):
         """eps_a <<alpha(d_i, d_i), psi_a>>, shape (M, p, n); computed once
         per grid."""
-        diag = np.einsum("miiA->miA", self.alpha)
-        return np.einsum("a,maA,A,miA->mai", self.eps.astype(float),
-                         self.frame, self.sig, diag)
+        diag = np.diagonal(self.alpha, axis1=1, axis2=2)     # (M, A, n)
+        return self.eps[:, None] * ((self.frame * self.sig) @ diag)
 
 
 def _pseudo_gs(sig, vectors, eps_expected, points):
@@ -251,8 +251,8 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
 
     ext = fundamental_forms(lift.F, amb, pts, jet=evaluate_jet(lift.F, pts, 2))
     p = ext.p
-    fe = ext.frame_eps.astype(float)
-    P_grid = np.einsum("ma,maA,B,maB->mAB", fe, ext.frame, sig, ext.frame)
+    fe = ext.frame_eps
+    P_grid = ext.normal_projector()
 
     levels = _sweep_edges(shape)
     edges = np.concatenate(levels)
@@ -295,7 +295,7 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
         for out, T in runs:
             moved = out[src] @ T[ops]
             # clean residual out-of-bundle drift, keep pseudo-orthonormality
-            coef = np.einsum("epA,A,eaA->epa", moved, sig, normals)
+            coef = moved @ np.swapaxes(normals * sig, -1, -2)
             coef *= fe[dst][:, None]
             out[dst] = _pseudo_gs(sig, coef @ normals, eps, pts[dst])
     transport_error = float(np.max(np.abs(frame - coarse))) / 3.0
@@ -358,9 +358,9 @@ def condition_residual(grid: LiftGrid, phi, b, interior=True):
 def _constant_vector(grid: LiftGrid, z, name):
     """constant_vector_data without its condition residual."""
     z = np.asarray(z, float)
-    phi = np.einsum("mA,A,A->m", grid.F_vals, grid.sig, z)
-    b = np.einsum("a,maA,A,A->ma", grid.eps.astype(float), grid.frame,
-                  grid.sig, z)
+    sz = grid.sig * z
+    phi = grid.F_vals @ sz
+    b = grid.eps * (grid.frame @ sz)
     c = float(np.mean(grid.cone_constant(phi, b)))
     return RibaucourData(phi, b, c, None, z=z, name=name)
 
@@ -665,8 +665,24 @@ def _refuse_null_calF(nu_inv, scale):
             "transform direction is null")
 
 
+def _rank_margins(dF):
+    """sigma_min / sigma_max of each matrix of a stack (..., n, A), n <= A.
+    The extreme eigenvalues of the n x n Gram dF dF^T give the ratio with a
+    relative error of about eps / ratio^2, so within 1e-8 of it wherever it
+    is at least GRAM_RATIO; below that, or where it is not finite (a
+    vanishing differential), it is recomputed from the singular values."""
+    lam = np.linalg.eigvalsh(dF @ np.swapaxes(dF, -1, -2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sqrt(lam[..., 0] / lam[..., -1])
+        redo = ~(ratio >= GRAM_RATIO)
+        if np.any(redo):
+            sv = np.linalg.svd(dF[redo], compute_uv=False)
+            ratio[redo] = sv[..., -1] / sv[..., 0]
+    return ratio
+
+
 def _refuse_rank(margin):
-    if margin < RANK_MARGIN:
+    if not np.isfinite(margin) or margin < RANK_MARGIN:
         raise DegenerateTransformError(
             f"transformed differential rank margin {margin:.3e}")
 
@@ -687,10 +703,11 @@ def _passing(check, out, members, *fields):
 
 def _transforms(grid: LiftGrid, candidates):
     """The transform of every candidate in one pass over a leading member
-    axis: one np.gradient per axis for grad phi and for F~, one stacked SVD
-    for the rank margins.  Returns, per candidate, its TransformResult or
-    the SingularTransformError / DegenerateTransformError it meets; a
-    candidate that fails a check leaves the pass there."""
+    axis: one np.gradient per axis for grad phi and for F~, and the rank
+    margins of every point from one stacked Gram eigensolve
+    (`_rank_margins`).  Returns, per candidate, its TransformResult or the
+    SingularTransformError / DegenerateTransformError it meets; a candidate
+    that fails a check leaves the pass there."""
     n, shape = grid.n, grid.shape
     out = [None] * len(candidates)
     live = _passing(lambda d: _refuse_null_z(grid, d), out,
@@ -720,9 +737,7 @@ def _transforms(grid: LiftGrid, candidates):
     F_tilde = grid.F_vals - 2.0 * (phi / nu_inv)[..., None] * calF  # (m, M, A)
 
     dF = np.stack([diff(F_tilde, i) for i in range(n)], axis=2)    # (m, M, n, A)
-    sv = np.linalg.svd(dF.reshape(-1, n, grid.A), compute_uv=False)
-    sv = sv.reshape(len(live), grid.M, n)
-    margins = np.min(sv[..., -1] / sv[..., 0], axis=1)
+    margins = np.min(_rank_margins(dF), axis=1)
     cone = np.max(np.abs(np.einsum("mMA,A,mMA->mM", F_tilde, grid.sig, F_tilde)),
                   axis=1)
     for j in _passing(_refuse_rank, out, live, margins):

@@ -1,12 +1,15 @@
 """Pointwise extrinsic data: Gauss equation, frame orthonormality, flat
 normal bundle detection, and the intrinsic curvature cross-checks."""
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from confflat import ambient as amb_mod
 from confflat import extrinsic
 from confflat.catalog import CatalogItem
-from confflat.errors import FrameError
+from confflat.errors import FrameError, ImmersionError
 from confflat.extrinsic import (codazzi_tensor, complement_frame,
                                 fundamental_forms, intrinsic_curvatures,
                                 normal_connection_and_curvature, orthonormalize)
@@ -245,6 +248,136 @@ def test_codimension_zero_is_not_applicable():
     for pts in (np.array([0.1, 0.2]), np.array([[0.1, 0.2], [0.3, -0.4]])):
         with pytest.raises(NotApplicable, match="codimension 0"):
             fundamental_forms(chart, amb_mod.euclidean(2), pts)
+
+
+# ---------------------------------------------------------------------------
+# the einsum contractions the matmuls replaced, kept here as an oracle only
+# ---------------------------------------------------------------------------
+
+def _einsum_oracle(ext):
+    """alpha, h_comp, shape_ops, H, S, alpha_onb and the normal projector of
+    `ext` recomputed from its jet, frame, metric and ONB by the einsum
+    formulas fundamental_forms used before."""
+    jet, amb = ext.jet, ext.ambient
+    sig = amb.signature.astype(float)
+    su, se = orthonormalize(sig, extrinsic._spanning_vectors(jet, amb))
+    coeffs = se[..., None, None, :] * np.einsum("...kA,A,...ijA->...ijk",
+                                                su, sig, jet.d2)
+    alpha = jet.d2 - np.einsum("...ijk,...kA->...ijA", coeffs, su)
+    h_comp = np.einsum("...ijA,A,...aA->...aij", alpha, sig, ext.frame)
+    S = np.einsum("...ki,...akl,...lj->...aij", ext.onb, h_comp, ext.onb)
+    return {
+        "alpha": alpha,
+        "h_comp": h_comp,
+        "shape_ops": np.einsum("...ij,...ajk->...aik", ext.g_inv, h_comp),
+        "H": np.einsum("...ij,...ijA->...A", ext.g_inv, alpha) / ext.n,
+        "S": 0.5 * (S + np.swapaxes(S, -1, -2)),
+        "alpha_onb": np.einsum("...ki,...lj,...klA->...ijA", ext.onb, ext.onb,
+                               alpha),
+        "normal_projector": np.einsum("...a,...aA,B,...aB->...AB",
+                                      ext.frame_eps, ext.frame, sig, ext.frame),
+    }
+
+
+def _assert_matches_oracle(ext, label):
+    got = {"alpha": ext.alpha, "h_comp": ext.h_comp, "shape_ops": ext.shape_ops,
+           "H": ext.H, "S": ext.S, "alpha_onb": ext.alpha_onb(),
+           "normal_projector": ext.normal_projector()}
+    for field, ref in _einsum_oracle(ext).items():
+        assert got[field].shape == ref.shape, (label, field)
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert np.max(np.abs(got[field] - ref)) <= 1e-13 * scale, (label, field)
+
+
+def test_contractions_match_the_einsum_oracle(catalog, s3xs1_lift):
+    """The matmul contractions of fundamental_forms, alpha_onb and the
+    normal projector equal the einsum formulas to 1e-13 of each array's
+    scale, at a single point and over a point set, on every catalog item,
+    on a Lorentzian lift and on a graph in non-orthogonal coordinates (the
+    catalog's charts are principal, so their ONB is diagonal and would not
+    tell B from its transpose)."""
+    cases = [(item.smooth_map, item.ambient) for item in catalog.values()]
+    cases.append((s3xs1_lift.F, s3xs1_lift.ambient))
+    graph = SmoothMap(ChartDomain(2, ((-1.0, 1.0), (-1.0, 1.0))), 4,
+                      lambda x: [x[0], x[1], x[0] * x[1] + x[0] * x[0],
+                                 x[1] * x[1] * x[1] - x[0] * x[1]], "graph")
+    cases.append((graph, amb_mod.euclidean(4)))
+    for fmap, amb in cases:
+        pts = fmap.domain.sample_points(5, np.random.default_rng(3))
+        _assert_matches_oracle(fundamental_forms(fmap, amb, pts[0]), fmap.name)
+        _assert_matches_oracle(fundamental_forms(fmap, amb, pts), fmap.name)
+
+
+def _metric_jet(eigenvalues, seed=0, A=6):
+    """A stand-in jet whose tangents (rows of d1, shape (B, n, A)) have the
+    Euclidean metric Q diag(eigenvalues) Q^T per row of `eigenvalues`."""
+    lam = np.atleast_2d(np.asarray(eigenvalues, float))
+    B, n = lam.shape
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((B, n, n)))[0]
+    W = np.linalg.qr(rng.standard_normal((B, A, A)))[0][:, :n]   # orthonormal rows
+    return SimpleNamespace(d1=(Q * np.sqrt(lam)[:, None, :]) @ W)
+
+
+def _decides_as_eigvalsh(jet, sig, points):
+    """Assert that _immersion_metric makes the rank decision of eigvalsh, as
+    the gate made it before the Cholesky test: it refuses the stack exactly
+    when some point has lambda_min <= RANK_TOL max(lambda_max, 1), and
+    names the first such point.  Returns that point's index in the stack
+    (0 for a single point), or None when the gate passes."""
+    T = jet.d1
+    g = T @ (sig[:, None] * np.swapaxes(T, -1, -2))
+    evals = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2)))
+    bad = evals[..., 0] <= extrinsic.RANK_TOL * np.maximum(evals[..., -1], 1.0)
+    if not bad.any():
+        extrinsic._immersion_metric(jet, sig, points)
+        return None
+    first = int(np.argmax(bad))
+    where = points[first] if bad.ndim else points
+    with pytest.raises(ImmersionError, match=re.escape(str(where))):
+        extrinsic._immersion_metric(jet, sig, points)
+    return first
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 3.0, 10.0])
+@pytest.mark.parametrize("top", [2.5, 0.5])
+def test_rank_gate_decides_as_eigvalsh(factor, top):
+    """lambda_min at 0.5x, 0.99x, 1.01x, 3x and 10x the threshold
+    RANK_TOL max(lambda_max, 1), with lambda_max above and below 1: the
+    Cholesky-first gate refuses exactly where eigvalsh does, and names the
+    same point of the stack (at 10x the factorization alone passes it)."""
+    thresh = extrinsic.RANK_TOL * max(top, 1.0)
+    good = [top, 0.3, 0.2, 0.1]
+    jet = _metric_jet([good, good, [top, 0.3, 0.2, factor * thresh], good])
+    bad = _decides_as_eigvalsh(jet, np.ones(6), np.arange(8.0).reshape(4, 2))
+    assert bad == (None if factor > 1.0 else 2)
+
+
+def test_rank_gate_refuses_an_indefinite_metric():
+    """A metric with a negative eigenvalue (tangents timelike in a
+    Lorentzian pairing) fails the factorization and is refused by eigvalsh,
+    naming the first such point, in a stack and at a single point."""
+    sig = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    spacelike = np.eye(4, 6, k=1)                  # g = I
+    mixed = np.eye(4, 6)                           # g = diag(-1, 1, 1, 1)
+    points = np.arange(6.0).reshape(3, 2)
+    stack = SimpleNamespace(d1=np.array([spacelike, mixed, mixed]))
+    assert _decides_as_eigvalsh(stack, sig, points) == 1
+    assert _decides_as_eigvalsh(SimpleNamespace(d1=spacelike), sig,
+                                points[0]) is None
+    assert _decides_as_eigvalsh(SimpleNamespace(d1=mixed), sig, points[2]) == 0
+
+
+def test_rank_gate_does_not_pass_a_nan_metric():
+    """Cholesky factors a NaN metric into NaNs without an error; such a
+    stack still goes to eigvalsh, which refuses it or raises, as before the
+    Cholesky test, instead of passing it."""
+    d1 = np.array([np.eye(4, 6, k=1)] * 3)
+    d1[1, 0, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+            (ImmersionError, np.linalg.LinAlgError)):
+        extrinsic._immersion_metric(SimpleNamespace(d1=d1), np.ones(6),
+                                    np.arange(6.0).reshape(3, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
-from confflat.errors import (DegenerateInputError, DimensionAmbiguityError,
-                             FrameError, SingularTransformError)
+from confflat import extrinsic
+from confflat.errors import (DegenerateInputError, DegenerateTransformError,
+                             DimensionAmbiguityError, FrameError,
+                             SingularTransformError)
 from confflat.extrinsic import normal_projectors
 from confflat.lightcone import build_cone_model, flat_lift
 from confflat import ribaucour as rb
@@ -524,6 +526,62 @@ def test_null_direction_rejected(s3xs1_grid):
         rb.transform(g, data)
 
 
+def _svd_ratios(dF):
+    sv = np.linalg.svd(dF, compute_uv=False)
+    return sv[..., -1] / sv[..., 0]
+
+
+def test_rank_margins_match_the_svd(s3xs1_grid, monkeypatch):
+    """The Gram-eigenvalue rank margins equal sigma_min / sigma_max from the
+    SVD to 1e-8 relative, point by point: on the differentials of four
+    reflections of the s3xs1 grid (and each transform's margin is their
+    minimum), and on crafted matrices with ratios from 1 down to 1e-9,
+    where exactly the ones below GRAM_RATIO go to the SVD.  The 1e-9
+    matrix fails the rank gate."""
+    g = s3xs1_grid
+    for seed in (7, 11, 13, 17):
+        result = rb.transform(g, _reflection_data(g, seed=seed))
+        dF = np.stack([g.diff(result.F_tilde, i) for i in range(g.n)], axis=1)
+        ref = _svd_ratios(dF)
+        assert np.all(np.abs(rb._rank_margins(dF) - ref) <= 1e-8 * ref), seed
+        assert abs(result.rank_margin - ref.min()) <= 1e-8 * ref.min(), seed
+
+    rng = np.random.default_rng(0)
+    ratios = np.logspace(0, -9, 7)
+    U = np.linalg.qr(rng.standard_normal((7, 4, 4)))[0]
+    W = np.linalg.qr(rng.standard_normal((7, 8, 4)))[0]       # (7, 8, 4)
+    s = 3.0 * np.geomspace(np.ones(7), ratios, 4, axis=1)     # (7, 4)
+    J = (U * s[:, None, :]) @ np.swapaxes(W, -1, -2)          # (7, 4, 8)
+    ref = _svd_ratios(J)
+    sent = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        sent.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    margins = rb._rank_margins(J)
+    assert np.all(np.abs(margins - ref) <= 1e-8 * ref)
+    assert np.array_equal(np.concatenate(sent), J[ratios < rb.GRAM_RATIO])
+    with pytest.raises(DegenerateTransformError, match="rank margin"):
+        rb._refuse_rank(np.min(margins))
+
+
+def test_rank_gate_refuses_a_vanishing_differential():
+    """Where dF~ vanishes the rank margin is 0 / 0: the margin code gives
+    NaN there and for the minimum over the stack, and the gate refuses a
+    margin that is not finite instead of passing a rank-0 transform."""
+    dF = np.random.default_rng(1).standard_normal((3, 4, 8))
+    dF[1] = 0.0
+    margins = rb._rank_margins(dF)
+    assert np.isnan(margins[1]) and np.isfinite(margins[[0, 2]]).all()
+    for margin in (np.min(margins), np.nan):
+        with pytest.raises(DegenerateTransformError, match="rank margin nan"):
+            rb._refuse_rank(margin)
+    rb._refuse_rank(np.min(margins[[0, 2]]))
+
+
 def test_flatness_filter(s3xs1_grid):
     """Flatness is decided through exact jets of a closed-form map only.  A
     reflection datum with its constant vector z is retained; every candidate
@@ -600,6 +658,49 @@ def test_grid_projectors_match_frame_projectors(s3xs1_grid):
                            g.sig, g.ext.frame)
     direct = normal_projectors(g.lift.F, g.lift.ambient, g.points)
     assert np.max(np.abs(direct - from_frame)) <= 1e-12
+
+
+def test_grid_contractions_match_the_einsum_oracle(s3xs1_grid):
+    """h_parallel, the grid-point normal projectors and the constant-vector
+    data equal their einsum formulas to 1e-13 of each array's scale."""
+    g = s3xs1_grid
+    z = _reflection_data(g).z
+    diag = np.einsum("miiA->miA", g.alpha)
+    data = rb._constant_vector(g, z, "z")
+    pairs = [
+        (g.h_parallel,
+         np.einsum("a,maA,A,miA->mai", g.eps, g.frame, g.sig, diag)),
+        (g.ext.normal_projector(),
+         np.einsum("ma,maA,B,maB->mAB", g.ext.frame_eps, g.ext.frame, g.sig,
+                   g.ext.frame)),
+        (data.phi, np.einsum("mA,A,A->m", g.F_vals, g.sig, z)),
+        (data.b, np.einsum("a,maA,A,A->ma", g.eps, g.frame, g.sig, z)),
+    ]
+    for k, (got, ref) in enumerate(pairs):
+        assert got.shape == ref.shape, k
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), k
+
+
+def test_lift_grid_rank_checks_need_no_eigvalsh(s3xs1_lift, monkeypatch):
+    """Building the s3xs1 lift grid decides every rank check by the
+    Cholesky test: _immersion_metric sees the 625 grid points and the
+    4,368 transport sub-step points and calls eigvalsh on none of them."""
+    sizes, eig_calls = [], []
+    gate, eigvalsh = extrinsic._immersion_metric, np.linalg.eigvalsh
+
+    def counting_gate(jet, sig, points):
+        sizes.append(len(points))
+        return gate(jet, sig, points)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        eig_calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(extrinsic, "_immersion_metric", counting_gate)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    rb.build_lift_grid(s3xs1_lift)
+    assert sorted(sizes) == [625, 4368]
+    assert eig_calls == []
 
 
 def test_member_postcheck_errors_propagate(s3xs1, monkeypatch):

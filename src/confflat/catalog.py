@@ -258,7 +258,7 @@ def build_products(r1=0.8, r2=0.6):
         amb_mod.euclidean(6), None,
         {"conformally_flat": False, "k": 2, "multiplicities": (2, 2),
          "nullity": 0},
-        "S^2 x S^2 negative control for the quadruple test")
+        "S^2 x S^2 negative control for the Weyl test")
     return items
 
 
@@ -368,7 +368,7 @@ def build_example2(curve1=None, curve2=None, r1=0.8, r2=0.6,
     phi(w) = h + w with w ranging over the unit vectors normal to the surface
     in R^{n+2} that are orthogonal to the reflected position zeta = (g1, -g2).
     That fiber sphere, not the one tangent to S^{n+1}, is what makes the
-    quadruple curvature identity hold: with great circles the induced metric
+    Weyl tensor vanish: with great circles the induced metric
     is (1 + (r2/r1) cos a)^2 du^2 + (1 + (r1/r2) cos a)^2 dv^2 + da^2
     + sin^2 a db^2, whose Weyl tensor vanishes identically, while the
     sphere-tangent fiber flips the second sign and leaves a Weyl residual of

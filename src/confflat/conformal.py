@@ -1,6 +1,7 @@
 """Conformal calculus: conformal changes of metric, the Q tensors, the
-quadruple curvature test for conformal flatness, and the residual suite for
-the Q identities on proper submanifolds with flat normal bundle.
+Schouten and Weyl tensors (a vanishing Weyl tensor decides conformal
+flatness for n >= 4), and the residual suite for the Q identities on proper
+submanifolds with flat normal bundle.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .ambient import AmbientSpace
 from .errors import ConformalStructureError, NotApplicable
-from .extrinsic import ExtrinsicData, intrinsic_curvatures
+from .extrinsic import CurvaturePack, ExtrinsicData, intrinsic_curvatures
 from .jets import SmoothMap, evaluate_jet
 from .principal import principal_decompositions
 
@@ -83,19 +84,13 @@ class ConformalStructure:
 
 @dataclass
 class QPack:
-    """Q(X,Y) = Hess omega(X,Y) - X(omega) Y(omega) and its metric dual Q0,
-    both with respect to the base (flat) metric."""
+    """Q(X,Y) = Hess omega(X,Y) - X(omega) Y(omega) with respect to the base
+    (flat) metric."""
 
     omega: float
     grad: np.ndarray          # (n,)
     Q: np.ndarray             # (n, n)
     grad_norm_sq: float
-
-    def q0(self):
-        return self.Q          # flat metric: index raising is the identity
-
-    def duality_residual(self):
-        return float(np.max(np.abs(self.q0() - self.Q)))
 
     def T(self):
         """T[l, i, j, k]: components of T(d_i, d_j) d_k on the d_l basis."""
@@ -160,51 +155,41 @@ def conformal_change(omega_map: SmoothMap, point) -> ConformalChangeResult:
 
 
 # ---------------------------------------------------------------------------
-# conformal flatness: quadruple sectional-curvature test
+# conformal flatness: the Weyl tensor
 # ---------------------------------------------------------------------------
 
-def conformal_flatness_test(ext: ExtrinsicData, trials=50, seed=0):
-    """max over the points of `ext` and Haar-random orthonormal quadruples
-    (X1..X4) of |K(X1,X2) + K(X3,X4) - K(X1,X3) - K(X2,X4)|, normalized by
-    the largest sectional curvature magnitude encountered.  Zero (to
-    tolerance) iff the metric is conformally flat, for n >= 4.  All
-    quadruples come from one draw, in the order of a loop over points and
-    then trials."""
-    R = intrinsic_curvatures(ext).riemann
-    n = R.shape[-1]
+def schouten(pack: CurvaturePack):
+    """P = (Ric - tau g / (2(n-1))) / (n-2) over the orthonormal basis of
+    `pack`, at a point or at each point of a point set."""
+    n = pack.n
+    tau = np.asarray(pack.tau)[..., None, None]
+    return (pack.ricci - tau * np.eye(n) / (2 * (n - 1))) / (n - 2)
+
+
+def weyl_defects(pack: CurvaturePack):
+    """(max|W|, max|R|) at each point of `pack`, with W = R - P (.) g the
+    Weyl tensor: the Riemann tensor less the Kulkarni-Nomizu product of the
+    Schouten tensor with g = I.  W = 0 iff the metric is conformally flat,
+    for n >= 4; in dimension 3 it vanishes identically."""
+    n = pack.n
     if n < 4:
-        raise NotApplicable("quadruple test needs n >= 4")
-    R = R.reshape((-1,) + (n,) * 4)
-    worst, kmax = _quadruple_defects(R, _quadruples(len(R), trials, n, seed))
-    return float(np.max(worst)) / max(float(np.max(kmax)), 1e-12)
+        raise NotApplicable("the Weyl tensor decides conformal flatness "
+                            "only for n >= 4")
+    P = schouten(pack)
+    # T[i, j, k, l] = P_il delta_jk; (P (.) g)_ijkl = T + T_jilk - (k <-> l)
+    T = P[..., :, None, None, :] * np.eye(n)[:, :, None]
+    S = T + np.swapaxes(np.swapaxes(T, -4, -3), -2, -1)
+    W = pack.riemann - (S - np.swapaxes(S, -2, -1))
+    axes = (-4, -3, -2, -1)
+    return np.max(np.abs(W), axis=axes), np.max(np.abs(pack.riemann), axis=axes)
 
 
-def _quadruples(points, trials, n, seed):
-    """The test's draw: `trials` orthonormal quadruples per point, as the
-    columns of (points, trials, n, 4)."""
-    rng = np.random.default_rng(seed)
-    X, _ = np.linalg.qr(rng.standard_normal((points, trials, n, 4)))
-    return X
-
-
-def _quadruple_defects(R, X):
-    """Per point of the Riemann tensors R (P, n, n, n, n) and quadruples X
-    (P, T, n, 4): the largest |K(X1,X2) + K(X3,X4) - K(X1,X3) - K(X2,X4)|
-    and the largest sectional curvature magnitude over its trials."""
-    n = R.shape[-1]
-
-    def sectional(a, b):
-        x, y = X[..., a], X[..., b]
-        # R_ijkl x_i x_l by two matmuls, (P, T, n, n), then y_j y_k
-        Rx = (x @ R.reshape(len(R), n, -1)).reshape(x.shape[:2] + (n * n, n))
-        M = (Rx @ x[..., None]).reshape(x.shape[:2] + (n, n))
-        num = (y[..., None, :] @ M @ y[..., None])[..., 0, 0]
-        xx, yy, xy = (np.sum(u * v, axis=-1) for u, v in ((x, x), (y, y), (x, y)))
-        return num / (xx * yy - xy ** 2)
-
-    K01, K23, K02, K13 = (sectional(a, b) for a, b in ((0, 1), (2, 3), (0, 2), (1, 3)))
-    kmax = np.max(np.abs(np.stack([K01, K23, K02, K13])), axis=(0, 2))
-    return np.max(np.abs(K01 + K23 - K02 - K13), axis=1), kmax
+def conformal_flatness_test(ext: ExtrinsicData):
+    """max|W| / max|R| over the points of `ext` (the largest Riemann
+    component at least 1e-12): zero to rounding iff the induced metric is
+    conformally flat, for n >= 4."""
+    weyl, riemann = weyl_defects(intrinsic_curvatures(ext))
+    return float(np.max(weyl)) / max(float(np.max(riemann)), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +200,7 @@ def _quadruple_defects(R, X):
 class QSuiteReport:
     offblock_residual: float         # Q(X, Z) = 0 for X in E_i, Z orthogonal to X
     high_mult_residual: float | None  # Q(Z,Z) + (|eta_1|^2 + e^{-4w}|grad w|^2)/2
-    duality_residual: float
+    schouten_residual: float         # P = -(Q + |grad w|^2 g0 / 2), g0 flat
     points: np.ndarray
 
 
@@ -224,7 +209,9 @@ def lemma_q_suite(ext: ExtrinsicData, conf: ConformalStructure,
     """Residuals of the two pointwise Q identities that hold for any proper
     isometric immersion with flat normal bundle of a globally conformally
     flat manifold, with Q and gradients taken in the flat chart metric, over
-    the points of batched extrinsic data."""
+    the points of batched extrinsic data; and of the Schouten tensor of
+    e^{2w} g0 against -(Q + |dw|^2_0 g0 / 2) over the orthonormal basis,
+    relative to max(|P|, 1)."""
     if conf is None:
         raise NotApplicable("no conformal structure attached")
     decs = principal_decompositions(ext, cluster_tol=cluster_tol, seed=seed)
@@ -232,7 +219,13 @@ def lemma_q_suite(ext: ExtrinsicData, conf: ConformalStructure,
     _, J = conf.flat_frame(ext.point)
     Q = HW - GW[..., :, None] * GW[..., None, :]                  # (B, n, n)
     gw2 = np.sum(GW * GW, axis=-1)
-    dual = QPack(W, GW, Q, gw2).duality_residual()
+    # the Schouten tensor against -(Q + |dw|^2 g0 / 2), both over the
+    # orthonormal basis E (in flat coordinates)
+    E = J @ ext.onb
+    P = schouten(intrinsic_curvatures(ext))
+    P0 = -(Q + 0.5 * gw2[..., None, None] * np.eye(ext.n))
+    dP = np.max(np.abs(P - np.swapaxes(E, -1, -2) @ P0 @ E), axis=(-2, -1))
+    sch = float(np.max(dP / np.maximum(np.max(np.abs(P), axis=(-2, -1)), 1.0)))
     qscale = np.maximum(np.max(np.abs(Q), axis=(-2, -1)), 1.0)
 
     # the eigendistribution bases, cluster after cluster, in chart and in
@@ -264,4 +257,4 @@ def lemma_q_suite(ext: ExtrinsicData, conf: ConformalStructure,
              / np.maximum(np.abs(target), 1.0)[:, None])
         cols = (np.arange(ext.n) < first[:, None]) & (first[:, None] >= 2)
         high = float(np.max(r[cols]))
-    return QSuiteReport(off, high, dual, ext.point)
+    return QSuiteReport(off, high, sch, ext.point)

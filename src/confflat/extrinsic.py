@@ -532,7 +532,7 @@ def normal_connection_and_curvature(ext: ExtrinsicData) -> NormalBundleData:
 class CurvaturePack:
     """Curvature quantities over an orthonormal tangent basis, at a point or
     at each point of a point set (then every array has a leading batch
-    axis; `sectional` takes one point).
+    axis).
 
     Convention: riemann[i, j, k, l] = R(e_i, e_j, e_k, e_l)
     = <alpha(e_i, e_l), alpha(e_j, e_k)> - <alpha(e_i, e_k), alpha(e_j, e_l)>
@@ -548,12 +548,6 @@ class CurvaturePack:
     @property
     def n(self):
         return self.ricci.shape[-1]
-
-    def sectional(self, X, Y):
-        """Sectional curvature of the plane spanned by X, Y (ONB coords)."""
-        num = np.einsum("ijkl,i,j,k,l->", self.riemann, X, Y, Y, X)
-        den = (X @ X) * (Y @ Y) - (X @ Y) ** 2
-        return float(num / den)
 
 
 def intrinsic_curvatures(ext: ExtrinsicData) -> CurvaturePack:

@@ -270,7 +270,7 @@ def suite_conformal(item, scenario):
     pts = _sample(item, scenario)
     checks, skipped = [], []
     ext = fundamental_forms(item.smooth_map, item.ambient, pts)
-    resid = conformal_flatness_test(ext, trials=20, seed=scenario["seed"])
+    resid = conformal_flatness_test(ext)
     expect_flat = item.expected.get("conformally_flat", True)
     if expect_flat:
         checks.append(CheckResult("curvature satisfies the conformal flatness "
@@ -295,9 +295,9 @@ def suite_conformal(item, scenario):
                     "Q on the high-multiplicity distribution",
                     "conformal/q-high-multiplicity",
                     q.high_mult_residual, 1e-7 * ts).evaluate())
-            checks.append(CheckResult("Q metric duality",
+            checks.append(CheckResult("Schouten tensor is -(Q + |dw|^2 g0 / 2)",
                                       "conformal/q-duality",
-                                      q.duality_residual, 1e-7 * ts).evaluate())
+                                      q.schouten_residual, 1e-7 * ts).evaluate())
         except NotApplicable as exc:
             skipped.append({"anchor": "conformal/q-suite", "reason": str(exc)})
     else:
@@ -408,8 +408,7 @@ def suite_ribaucour(item, scenario):
                               mpres, 1e-9 * ts).evaluate())
     proj = project_from_cone(result.F_tilde_map, model, points=pts)
     cf = conformal_flatness_test(
-        fundamental_forms(proj.f, amb_mod.euclidean(model.N), pts),
-        trials=20, seed=scenario["seed"])
+        fundamental_forms(proj.f, amb_mod.euclidean(model.N), pts))
     checks.append(CheckResult("projected reflection is conformally flat",
                               "ribaucour/reflection-projection-flatness",
                               cf, 1e-6 * ts).evaluate())

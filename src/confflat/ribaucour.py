@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ambient as amb_mod
-from .conformal import _quadruple_defects, _quadruples
+from .conformal import weyl_defects
 from .errors import (ConfflatError, DegenerateInputError,
                      DegenerateTransformError, DimensionAmbiguityError,
                      DomainError, FrameError, NotApplicable,
@@ -976,7 +976,7 @@ def _refuse_pole(rho, eps_pole):
 def _member_postchecks(grid: LiftGrid, members, seed=0):
     """Postchecks of the retained members, given as (MemberReport,
     TransformResult) pairs, in one batched pass: the projection f of each
-    member R F to R^N, its quadruple test and holonomic gate from one pass
+    member R F to R^N, its Weyl residual and holonomic gate from one pass
     of extrinsic data over all members' sample points (f's jets come from
     one jet of the lift by R and the cone projection), and its grid
     samples, NaN at the points under the pole guard, from the lift's grid
@@ -990,7 +990,6 @@ def _member_postchecks(grid: LiftGrid, members, seed=0):
     eps_pole = proj.eps_pole        # set by the chart box: one for all members
     pts = F.domain.sample_points(4, np.random.default_rng(seed))
     lift_jet = _packed_jet(F, pts, 2)       # Riemann and the holonomic gate
-    X = _quadruples(len(pts), 20, grid.n, seed)
     euclid = amb_mod.euclidean(model.N)
 
     def residuals(items):
@@ -1004,12 +1003,11 @@ def _member_postchecks(grid: LiftGrid, members, seed=0):
         f = _slice_coordinates(model, _jet(V.n, V.order, V.c[:, :, ok]),
                                _jet(V.n, V.order, rho.c[:, ok]))
         jet, tiled = _flattened(f, pts)
-        # the quadruple test and the holonomic gate share one pass
+        # the Weyl residual and the holonomic gate share one pass
         ext = fundamental_forms(F, euclid, tiled, jet=jet)
-        riemann = intrinsic_curvatures(ext).riemann
-        worst, kmax = _quadruple_defects(riemann, np.tile(X, (len(ok), 1, 1, 1)))
+        defects = weyl_defects(intrinsic_curvatures(ext)) + offdiagonal_defects(ext)
         worst, kmax, net, alpha = (np.max(x.reshape(len(ok), -1), axis=1)
-                                   for x in (worst, kmax) + offdiagonal_defects(ext))
+                                   for x in defects)
         cf = worst / np.maximum(kmax, 1e-12)
         for j, c, o in zip(ok, cf, np.maximum(net, alpha)):
             out[j] = (float(c), float(o))

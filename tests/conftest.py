@@ -85,6 +85,15 @@ def interior_points(item, count, seed=0):
     return item.smooth_map.domain.sample_points(count, rng)
 
 
+def sectional(riemann, X, Y):
+    """Sectional curvature of the plane spanned by X, Y, for one Riemann
+    tensor over an orthonormal basis (riemann[i, j, j, i] is the sectional
+    curvature of the (e_i, e_j) plane)."""
+    num = np.einsum("ijkl,i,j,k,l->", riemann, X, Y, Y, X)
+    den = (X @ X) * (Y @ Y) - (X @ Y) ** 2
+    return float(num / den)
+
+
 def decompositions(item, points, seed=0):
     """Principal decompositions at `points`, from one batched pass of
     fundamental_forms."""

@@ -125,7 +125,7 @@ def test_criterion_4_conformal_identities(catalog):
         pts = interior_points(item, 4)
         ext = fundamental_forms(item.smooth_map, item.ambient, pts)
         q = lemma_q_suite(ext, item.conformal)
-        ok &= q.offblock_residual <= 1e-7 and q.duality_residual <= 1e-7
+        ok &= q.offblock_residual <= 1e-7 and q.schouten_residual <= 1e-7
         if q.high_mult_residual is not None:
             ok &= q.high_mult_residual <= 1e-7
         model = build_cone_model(item.smooth_map.codomain_dim)
@@ -172,9 +172,8 @@ def test_criterion_5_transform_suite(s3xs1_grid, s3xs1):
     model = g.lift.model
     proj = project_from_cone(result.F_tilde_map, model,
                              points=interior_points(s3xs1, 3))
-    ok &= conformal_flatness_test(
-        fundamental_forms(proj.f, euclidean(model.N), interior_points(s3xs1, 3)),
-        trials=20) <= 1e-6
+    ok &= conformal_flatness_test(fundamental_forms(
+        proj.f, euclidean(model.N), interior_points(s3xs1, 3))) <= 1e-6
     shifted = rb.shift_data(g, data, 0.8)
     rep = rb.cone_preservation_check(g, shifted, rb.transform(g, shifted))
     ok &= rep.prediction_mismatch <= 1e-8

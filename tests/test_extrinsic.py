@@ -16,7 +16,7 @@ from confflat.extrinsic import (codazzi_tensor, complement_frame,
 from confflat.jets import ChartDomain, Jet, SmoothMap, sqrt as jsqrt
 from confflat.reports import load_scenario, suite_extrinsic
 
-from conftest import interior_points, into_sphere
+from conftest import interior_points, into_sphere, sectional
 
 
 def _ext(item, pt):
@@ -138,7 +138,7 @@ def test_sphere_curvature_constant(catalog):
         pack = intrinsic_curvatures(_ext(item, pt))
         for _ in range(5):
             q, _ = np.linalg.qr(rng.standard_normal((pack.riemann.shape[0], 2)))
-            assert abs(pack.sectional(q[:, 0], q[:, 1]) - c) < 1e-8
+            assert abs(sectional(pack.riemann, q[:, 0], q[:, 1]) - c) < 1e-8
 
 
 def test_flat_items_have_zero_curvature(catalog):

@@ -10,7 +10,7 @@ Exit codes: 0 all checks passed (or negative control confirmed), 1 at least
 one check failed, 2 usage or configuration error, 3 the input was refused:
 any other toolkit error (a numerical degeneracy, a map that is not an
 immersion, a conformal structure that does not hold, ...), with its class
-name and message on stderr.
+name and message on stderr; a refusing suite leaves the others' checks.
 """
 from __future__ import annotations
 
@@ -25,6 +25,9 @@ from .reports import SUITES, run_pipeline, run_scenario
 
 def _print_report(report_dict, full=False, stream=None):
     stream = stream or sys.stdout
+    for r in report_dict.get("refused", []):
+        print(f"numerical degeneracy: {r['anchor']}: {r['error']}: "
+              f"{r['message']}", file=sys.stderr)
     if full:
         print(json.dumps(report_dict, indent=2, sort_keys=True), file=stream)
         return
@@ -82,6 +85,8 @@ def cmd_verify(args):
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(body, fh, indent=2, sort_keys=True)
+    if report.refused:
+        return 3
     if report.overall_pass:
         negatives = [c for c in report.checks
                      if c.note == "negative control confirmed"]
@@ -111,6 +116,8 @@ def cmd_report(args):
         if key not in body:
             raise ConfigError(f"field '{key}': missing from report file")
     _print_report(body, full=args.full)
+    if body.get("refused"):
+        return 3
     return 0 if body["overall_pass"] else 1
 
 

@@ -9,11 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientSpace
-from .errors import ConformalStructureError, NotApplicable
-from .extrinsic import CurvaturePack, ExtrinsicData, intrinsic_curvatures
+from .errors import NotApplicable
+from .extrinsic import CurvaturePack, ExtrinsicData
 from .jets import SmoothMap, evaluate_jet
-from .principal import principal_decompositions
 
 
 # ---------------------------------------------------------------------------
@@ -57,25 +55,15 @@ class ConformalStructure:
         Hx = JinvT @ (Hu - corr) @ np.swapaxes(JinvT, -1, -2)
         return w, gx, 0.5 * (Hx + np.swapaxes(Hx, -1, -2))
 
-    def metric_residual(self, smooth_map: SmoothMap, amb: AmbientSpace, points,
-                        tol=None):
-        """Worst relative defect of f*<,> = e^{2 omega} (flat chart metric)
-        over a point set, from one batched order-1 jet each of the map, of
-        omega and of the flat chart."""
-        points = np.asarray(points, float)
-        d1 = evaluate_jet(smooth_map, points, 1).d1
-        g = np.einsum("...iA,A,...jA->...ij", d1, amb.signature.astype(float), d1)
-        _, J = self.flat_frame(points)
-        w = evaluate_jet(self.omega, points, 0).value[..., 0]
+    def metric_residual(self, ext: ExtrinsicData):
+        """Worst relative defect of the induced metric `ext.g` against
+        e^{2 omega} (flat chart metric) over the points of `ext`."""
+        _, J = self.flat_frame(ext.point)
+        w = evaluate_jet(self.omega, ext.point, 0).value[..., 0]
         target = np.exp(2.0 * w)[..., None, None] * (np.swapaxes(J, -1, -2) @ J)
-        r = (np.max(np.abs(g - target), axis=(-2, -1))
-             / np.max(np.abs(g), axis=(-2, -1)))
-        worst = float(np.max(r))
-        if tol is not None and worst > tol:
-            raise ConformalStructureError(
-                f"induced metric differs from e^(2 omega) x flat by {worst:.3e} "
-                f"at {points[np.argmax(r)]}")
-        return worst
+        r = (np.max(np.abs(ext.g - target), axis=(-2, -1))
+             / np.max(np.abs(ext.g), axis=(-2, -1)))
+        return float(np.max(r))
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +172,11 @@ def weyl_defects(pack: CurvaturePack):
     return np.max(np.abs(W), axis=axes), np.max(np.abs(pack.riemann), axis=axes)
 
 
-def conformal_flatness_test(ext: ExtrinsicData):
-    """max|W| / max|R| over the points of `ext` (the largest Riemann
-    component at least 1e-12): zero to rounding iff the induced metric is
+def conformal_flatness_test(pack: CurvaturePack):
+    """max|W| / max|R| over the points of `pack` (the largest Riemann
+    component at least 1e-12): zero to rounding iff the metric is
     conformally flat, for n >= 4."""
-    weyl, riemann = weyl_defects(intrinsic_curvatures(ext))
+    weyl, riemann = weyl_defects(pack)
     return float(np.max(weyl)) / max(float(np.max(riemann)), 1e-12)
 
 
@@ -201,20 +189,17 @@ class QSuiteReport:
     offblock_residual: float         # Q(X, Z) = 0 for X in E_i, Z orthogonal to X
     high_mult_residual: float | None  # Q(Z,Z) + (|eta_1|^2 + e^{-4w}|grad w|^2)/2
     schouten_residual: float         # P = -(Q + |grad w|^2 g0 / 2), g0 flat
-    points: np.ndarray
 
 
-def lemma_q_suite(ext: ExtrinsicData, conf: ConformalStructure,
-                  cluster_tol=1e-6, seed=0) -> QSuiteReport:
+def lemma_q_suite(ext: ExtrinsicData, conf: ConformalStructure, decs,
+                  pack: CurvaturePack) -> QSuiteReport:
     """Residuals of the two pointwise Q identities that hold for any proper
     isometric immersion with flat normal bundle of a globally conformally
     flat manifold, with Q and gradients taken in the flat chart metric, over
-    the points of batched extrinsic data; and of the Schouten tensor of
-    e^{2w} g0 against -(Q + |dw|^2_0 g0 / 2) over the orthonormal basis,
-    relative to max(|P|, 1)."""
-    if conf is None:
-        raise NotApplicable("no conformal structure attached")
-    decs = principal_decompositions(ext, cluster_tol=cluster_tol, seed=seed)
+    the points of batched extrinsic data `ext` with their principal
+    decompositions `decs`; and of the Schouten tensor of e^{2w} g0 (from the
+    curvatures `pack` of `ext`) against -(Q + |dw|^2_0 g0 / 2) over the
+    orthonormal basis, relative to max(|P|, 1)."""
     W, GW, HW = conf.omega_flat_jets(ext.point)
     _, J = conf.flat_frame(ext.point)
     Q = HW - GW[..., :, None] * GW[..., None, :]                  # (B, n, n)
@@ -222,7 +207,7 @@ def lemma_q_suite(ext: ExtrinsicData, conf: ConformalStructure,
     # the Schouten tensor against -(Q + |dw|^2 g0 / 2), both over the
     # orthonormal basis E (in flat coordinates)
     E = J @ ext.onb
-    P = schouten(intrinsic_curvatures(ext))
+    P = schouten(pack)
     P0 = -(Q + 0.5 * gw2[..., None, None] * np.eye(ext.n))
     dP = np.max(np.abs(P - np.swapaxes(E, -1, -2) @ P0 @ E), axis=(-2, -1))
     sch = float(np.max(dP / np.maximum(np.max(np.abs(P), axis=(-2, -1)), 1.0)))
@@ -257,4 +242,4 @@ def lemma_q_suite(ext: ExtrinsicData, conf: ConformalStructure,
              / np.maximum(np.abs(target), 1.0)[:, None])
         cols = (np.arange(ext.n) < first[:, None]) & (first[:, None] >= 2)
         high = float(np.max(r[cols]))
-    return QSuiteReport(off, high, sch, ext.point)
+    return QSuiteReport(off, high, sch)

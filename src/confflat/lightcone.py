@@ -24,12 +24,12 @@ from . import ambient as amb_mod
 from .ambient import AmbientSpace
 from .conformal import ConformalStructure
 from .errors import (ConformalStructureError, DomainError,
-                     ModelMembershipError, NotApplicable)
+                     ModelMembershipError)
 from .extrinsic import ExtrinsicData, _congruent, fundamental_forms
 from .jets import (ChartDomain, Jet, SmoothMap, evaluate_jet, exp as jexp,
                    log as jlog, norm_sq, stack, unstack)
 from .jets.core import _jet
-from .principal import FLAT_NB_TOL, _principal_pass, offdiagonal_defects
+from .principal import offdiagonal_defects, principal_decompositions
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -134,15 +134,9 @@ class LiftedImmersion:
     def ambient(self) -> AmbientSpace:
         return self.model.ambient
 
-    def flat_metric(self, points):
-        """The flat chart metric g0 = J^T J at a chart point, or at each
-        point of a point set."""
-        _, J = self.conformal.flat_frame(points)
-        return np.swapaxes(J, -1, -2) @ J
-
 
 def flat_lift(f: SmoothMap, conf: ConformalStructure, model: ConeModel,
-              check_points=None, tol=1e-8) -> LiftedImmersion:
+              check_points, tol=1e-8) -> LiftedImmersion:
     """Flat lift of an immersion f whose induced metric is e^{2 omega} times
     the flat chart metric.  Verifies at the check points, from one batched
     pass of extrinsic data, that the lift is an isometric immersion of the
@@ -150,8 +144,6 @@ def flat_lift(f: SmoothMap, conf: ConformalStructure, model: ConeModel,
     <<alpha_F(X,Y), F>> = -<X,Y>_0, and that the position field is parallel
     in the normal connection.  The first point (in order) that breaks one of
     the last three is named; the metric is judged by its worst point."""
-    if conf is None:
-        raise NotApplicable("flat lift needs a conformal structure")
     omega_eval = conf.omega.evaluator
     f_eval = f.evaluator
 
@@ -165,14 +157,12 @@ def flat_lift(f: SmoothMap, conf: ConformalStructure, model: ConeModel,
     F = SmoothMap(f.domain, model.N + 2, F_eval, f.name + "_lift")
     lift = LiftedImmersion(F, f, conf, model)
 
-    if check_points is None:
-        rng = np.random.default_rng(0)
-        check_points = f.domain.sample_points(5, rng)
     pts = np.asarray(check_points, float)
     amb = model.ambient
     sig = amb.signature.astype(float)
     ext = fundamental_forms(F, amb, pts)
-    g0 = lift.flat_metric(pts)
+    _, J = conf.flat_frame(pts)
+    g0 = np.swapaxes(J, -1, -2) @ J
     g0_scale = np.max(np.abs(g0), axis=(-2, -1))
     metric = np.max(np.abs(ext.g - g0), axis=(-2, -1)) / g0_scale
 
@@ -355,19 +345,15 @@ class LiftCorrespondenceReport:
     multiplicities_match: bool
 
 
-def lift_correspondence_check(extF: ExtrinsicData, extf: ExtrinsicData,
-                              cluster_tol=1e-6, seed=0) -> LiftCorrespondenceReport:
+def lift_correspondence_check(extF: ExtrinsicData, decs_f,
+                              seed=0) -> LiftCorrespondenceReport:
     """For an immersion with orthogonal (principal) chart net, from the
-    extrinsic data of the flat lift and of the immersion at the same point
-    set: the lift is holonomic with respect to the same coordinates (its net
-    orthogonal and its second fundamental form diagonal), and the principal
-    normals of f and of the lift correspond one to one."""
-    decs_f, fail_f = _principal_pass(extf, cluster_tol, FLAT_NB_TOL, seed)
-    decs_F, fail_F = _principal_pass(extF, cluster_tol, FLAT_NB_TOL, seed)
-    # the refusal at the first point, the immersion's before the lift's
-    fails = [f for f in (fail_f, fail_F) if f is not None]
-    if fails:
-        raise min(fails, key=lambda f: f[0])[1]
+    extrinsic data of the flat lift and the immersion's principal
+    decompositions at the same points: the lift is holonomic with respect to
+    the same coordinates (its net orthogonal and its second fundamental form
+    diagonal), and the principal normals of f and of the lift correspond
+    one to one."""
+    decs_F = principal_decompositions(extF, seed=seed)
     match = all(sorted(a.multiplicities) == sorted(b.multiplicities)
                 for a, b in zip(decs_f, decs_F))
     off_F = float(max(np.max(x) for x in offdiagonal_defects(extF)))

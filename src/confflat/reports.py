@@ -2,7 +2,8 @@
 
 A scenario selects a catalog item and a suite; running it produces a Report
 whose checks each carry a stable anchor string, the measured residual, the
-tolerance, and the direction of the comparison.  Reports serialize to
+tolerance, and the direction of the comparison; a suite that refuses its
+input is listed under `refused` instead.  Reports serialize to
 canonical JSON so that identical scenario + seed gives byte-identical
 hash-relevant output (timings and environment are excluded from the hash).
 """
@@ -13,16 +14,18 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import ambient as amb_mod
 from .catalog import default_catalog
 from .conformal import conformal_flatness_test, lemma_q_suite
-from .errors import ConfigError, NotApplicable
-from .extrinsic import fundamental_forms, normal_connection_and_curvature
-from .jets import ChartDomain, SmoothMap, evaluate_jet
+from .errors import ConfflatError, ConfigError, NotApplicable
+from .extrinsic import (fundamental_forms, intrinsic_curvatures,
+                        normal_connection_and_curvature)
+from .jets import evaluate_jet
 from .lightcone import (build_cone_model, flat_lift, lift_correspondence_check,
                         lift_second_fundamental_form, project_from_cone,
                         psi_second_fundamental_residual)
@@ -65,17 +68,20 @@ class Report:
     scenario: dict
     checks: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
+    refused: list = field(default_factory=list)   # one entry per refusing suite
     environment: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
     @property
     def overall_pass(self):
-        return all(c.passed for c in self.checks)
+        return not self.refused and all(c.passed for c in self.checks)
 
     def hash_section(self):
         payload = {"scenario": self.scenario,
                    "checks": [c.as_dict() for c in self.checks],
                    "skipped": self.skipped}
+        if self.refused:
+            payload["refused"] = self.refused
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def as_dict(self):
@@ -84,6 +90,7 @@ class Report:
                 "scenario": self.scenario,
                 "checks": [c.as_dict() for c in self.checks],
                 "skipped": self.skipped,
+                "refused": self.refused,
                 "overall_pass": self.overall_pass,
                 "hash": hashlib.sha256(section.encode()).hexdigest(),
                 "environment": self.environment,
@@ -157,24 +164,19 @@ def _resolve_item(scenario):
     item = cat[name]
     grid = scenario.get("grid")
     if grid is not None:
-        from dataclasses import replace
         base = item.smooth_map.domain
         if len(grid) != base.dim:
             raise ConfigError(f"field 'grid': needs {base.dim} entries")
-        dom = ChartDomain(base.dim, base.box, tuple(grid))
-        fmap = SmoothMap(dom, item.smooth_map.codomain_dim,
-                         item.smooth_map.evaluator, item.smooth_map.name)
+        dom = replace(base, grid_shape=tuple(grid))
+
+        def on(fmap):
+            return None if fmap is None else replace(fmap, domain=dom)
+
         conf = item.conformal
         if conf is not None:
-            from .conformal import ConformalStructure
-            omega = SmoothMap(dom, 1, conf.omega.evaluator, conf.omega.name)
-            chart = None
-            if conf.flat_chart is not None:
-                chart = SmoothMap(dom, conf.flat_chart.codomain_dim,
-                                  conf.flat_chart.evaluator,
-                                  conf.flat_chart.name)
-            conf = ConformalStructure(omega, chart)
-        item = replace(item, smooth_map=fmap, conformal=conf)
+            conf = replace(conf, omega=on(conf.omega),
+                           flat_chart=on(conf.flat_chart))
+        item = replace(item, smooth_map=on(item.smooth_map), conformal=conf)
     return item
 
 
@@ -182,17 +184,48 @@ def _resolve_item(scenario):
 # suites
 # ---------------------------------------------------------------------------
 
-def _sample(item, scenario):
-    rng = np.random.default_rng(scenario["seed"])
-    return item.smooth_map.domain.sample_points(scenario["samples"], rng)
+@dataclass
+class Run:
+    """One scenario's pass through the chain of layers on its item: the
+    sample points, the order-3 extrinsic data there, its principal
+    decompositions and intrinsic curvatures, and the flat lift checked at
+    the same points, each computed once, when a suite first reads it."""
+
+    item: object
+    scenario: dict
+
+    @cached_property
+    def points(self):
+        rng = np.random.default_rng(self.scenario["seed"])
+        return self.item.smooth_map.domain.sample_points(
+            self.scenario["samples"], rng)
+
+    @cached_property
+    def ext(self):
+        return fundamental_forms(self.item.smooth_map, self.item.ambient,
+                                 self.points)
+
+    @cached_property
+    def decs(self):
+        return principal_decompositions(self.ext, seed=self.scenario["seed"])
+
+    @cached_property
+    def curvatures(self):
+        return intrinsic_curvatures(self.ext)
+
+    @cached_property
+    def lift(self):
+        conf = self.item.conformal
+        if conf is None or conf.flat_chart is None:
+            raise NotApplicable("needs a conformal structure with flat chart")
+        model = build_cone_model(self.item.smooth_map.codomain_dim)
+        return flat_lift(self.item.smooth_map, conf, model, self.points)
 
 
-def suite_extrinsic(item, scenario):
-    ts = scenario["tol_scale"]
-    pts = _sample(item, scenario)
+def suite_extrinsic(run):
+    item, ts = run.item, run.scenario["tol_scale"]
     checks, skipped = [], []
-    nb = normal_connection_and_curvature(
-        fundamental_forms(item.smooth_map, item.ambient, pts))
+    nb = normal_connection_and_curvature(run.ext)
     checks.append(CheckResult("normal curvature vanishes",
                               "extrinsic/flat-normal-bundle",
                               float(np.max(np.abs(nb.r_perp_frame))),
@@ -201,7 +234,7 @@ def suite_extrinsic(item, scenario):
                               "extrinsic/ricci-agreement", nb.disagreement,
                               1e-8 * ts).evaluate())
     if item.conformal is not None:
-        resid = item.conformal.metric_residual(item.smooth_map, item.ambient, pts)
+        resid = item.conformal.metric_residual(run.ext)
         checks.append(CheckResult("induced metric is e^(2w) x flat chart metric",
                                   "extrinsic/conformal-metric", resid,
                                   1e-8 * ts).evaluate())
@@ -211,14 +244,10 @@ def suite_extrinsic(item, scenario):
     return checks, skipped
 
 
-def suite_principal(item, scenario):
-    ts = scenario["tol_scale"]
-    seed = scenario["seed"]
-    pts = _sample(item, scenario)
+def suite_principal(run):
+    item, ts = run.item, run.scenario["tol_scale"]
     checks, skipped = [], []
-    decs = principal_decompositions(
-        fundamental_forms(item.smooth_map, item.ambient, pts), seed=seed)
-    census = properness_and_census(decs, seed=seed)
+    census = properness_and_census(run.decs, seed=run.scenario["seed"])
     expected_k = item.expected.get("k")
     if expected_k is not None:
         checks.append(CheckResult("number of principal normals",
@@ -246,7 +275,7 @@ def suite_principal(item, scenario):
                               census.reconstruction_residual,
                               1e-7 * ts).evaluate())
     try:
-        rep = holonomicity_check(decs)
+        rep = holonomicity_check(run.decs)
         checks.append(CheckResult("coordinate net follows curvature directions",
                                   "principal/holonomic-offdiag",
                                   max(rep.net_offdiag, rep.alpha_offdiag),
@@ -257,7 +286,7 @@ def suite_principal(item, scenario):
     if census.k >= 3:
         checks.append(CheckResult("principal normals pairwise separated",
                                   "principal/separation",
-                                  separation_check(decs[0]), 0.0,
+                                  separation_check(run.decs[0]), 0.0,
                                   kind="min").evaluate())
     else:
         skipped.append({"anchor": "principal/separation",
@@ -265,12 +294,10 @@ def suite_principal(item, scenario):
     return checks, skipped
 
 
-def suite_conformal(item, scenario):
-    ts = scenario["tol_scale"]
-    pts = _sample(item, scenario)
+def suite_conformal(run):
+    item, ts = run.item, run.scenario["tol_scale"]
     checks, skipped = [], []
-    ext = fundamental_forms(item.smooth_map, item.ambient, pts)
-    resid = conformal_flatness_test(ext)
+    resid = conformal_flatness_test(run.curvatures)
     expect_flat = item.expected.get("conformally_flat", True)
     if expect_flat:
         checks.append(CheckResult("curvature satisfies the conformal flatness "
@@ -285,51 +312,44 @@ def suite_conformal(item, scenario):
             chk.note = "negative control confirmed"
         checks.append(chk)
     if item.conformal is not None:
-        try:
-            q = lemma_q_suite(ext, item.conformal, seed=scenario["seed"])
-            checks.append(CheckResult("Q vanishes between eigendistributions",
-                                      "conformal/q-offblock",
-                                      q.offblock_residual, 1e-7 * ts).evaluate())
-            if q.high_mult_residual is not None:
-                checks.append(CheckResult(
-                    "Q on the high-multiplicity distribution",
-                    "conformal/q-high-multiplicity",
-                    q.high_mult_residual, 1e-7 * ts).evaluate())
-            checks.append(CheckResult("Schouten tensor is -(Q + |dw|^2 g0 / 2)",
-                                      "conformal/q-duality",
-                                      q.schouten_residual, 1e-7 * ts).evaluate())
-        except NotApplicable as exc:
-            skipped.append({"anchor": "conformal/q-suite", "reason": str(exc)})
+        q = lemma_q_suite(run.ext, item.conformal, run.decs, run.curvatures)
+        checks.append(CheckResult("Q vanishes between eigendistributions",
+                                  "conformal/q-offblock",
+                                  q.offblock_residual, 1e-7 * ts).evaluate())
+        if q.high_mult_residual is not None:
+            checks.append(CheckResult(
+                "Q on the high-multiplicity distribution",
+                "conformal/q-high-multiplicity",
+                q.high_mult_residual, 1e-7 * ts).evaluate())
+        checks.append(CheckResult("Schouten tensor is -(Q + |dw|^2 g0 / 2)",
+                                  "conformal/q-duality",
+                                  q.schouten_residual, 1e-7 * ts).evaluate())
     else:
         skipped.append({"anchor": "conformal/q-suite",
                         "reason": "no conformal structure attached"})
     return checks, skipped
 
 
-def suite_lightcone(item, scenario):
-    ts = scenario["tol_scale"]
+def suite_lightcone(run):
+    ts = run.scenario["tol_scale"]
     checks, skipped = [], []
-    if item.conformal is None or item.conformal.flat_chart is None:
-        skipped.append({"anchor": "lightcone/suite",
-                        "reason": "needs a conformal structure with flat chart"})
-        return checks, skipped
-    pts = _sample(item, scenario)
-    model = build_cone_model(item.smooth_map.codomain_dim)
-    rng = np.random.default_rng(scenario["seed"] + 1)
+    lift = run.lift
+    if run.item.ambient.kind != "euclidean":
+        raise NotApplicable("compares the lift with Euclidean extrinsic data")
+    model, extF = lift.model, lift.checked
+    pts, extf = run.points, run.ext
+    rng = np.random.default_rng(run.scenario["seed"] + 1)
     psi_pts = rng.uniform(-0.7, 0.7, size=(3, model.N))
     checks.append(CheckResult("model surface is totally geodesic in the cone",
                               "lightcone/model-second-fundamental",
                               psi_second_fundamental_residual(model, psi_pts),
                               1e-9 * ts).evaluate())
-    lift = flat_lift(item.smooth_map, item.conformal, model, check_points=pts)
-    extF = lift.checked
     cone = float(np.max(np.abs(np.einsum("mA,A,mA->m", extF.jet.value,
                                          model.ambient.signature,
                                          extF.jet.value))))
     checks.append(CheckResult("lift lies on the cone",
                               "lightcone/cone-membership", cone,
                               1e-8 * ts).evaluate())
-    extf = fundamental_forms(item.smooth_map, amb_mod.euclidean(model.N), pts)
     proj = project_from_cone(lift.F, model, points=pts)
     rt = float(np.max(np.abs(evaluate_jet(proj.f, pts, 0).value
                              - extf.jet.value)))
@@ -339,7 +359,7 @@ def suite_lightcone(item, scenario):
     checks.append(CheckResult("closed form of the lifted second fundamental form",
                               "lightcone/lift-second-fundamental", lemma,
                               1e-7 * ts).evaluate())
-    rep = lift_correspondence_check(extF, extf, seed=scenario["seed"])
+    rep = lift_correspondence_check(extF, run.decs, seed=run.scenario["seed"])
     checks.append(CheckResult("lift stays holonomic in the same chart",
                               "lightcone/lift-holonomic",
                               rep.offdiag_F, 1e-7 * ts).evaluate())
@@ -349,23 +369,19 @@ def suite_lightcone(item, scenario):
     return checks, skipped
 
 
-def suite_ribaucour(item, scenario):
+def suite_ribaucour(run):
     from . import ribaucour as rb
-    ts = scenario["tol_scale"]
+    ts = run.scenario["tol_scale"]
     checks, skipped = [], []
-    if item.conformal is None or item.conformal.flat_chart is None:
-        skipped.append({"anchor": "ribaucour/suite",
-                        "reason": "needs a conformal structure with flat chart"})
-        return checks, skipped
-    shape = item.smooth_map.domain.grid_shape
+    lift = run.lift
+    shape = lift.F.domain.grid_shape
     if shape is None or min(shape) < 5:
         skipped.append({"anchor": "ribaucour/suite",
                         "reason": "centered differences with interior "
                                   "equations need >= 5 points per axis"})
         return checks, skipped
-    rng = np.random.default_rng(scenario["seed"])
-    model = build_cone_model(item.smooth_map.codomain_dim)
-    lift = flat_lift(item.smooth_map, item.conformal, model)
+    rng = np.random.default_rng(run.scenario["seed"])
+    model = lift.model
     grid = rb.build_lift_grid(lift)
     h2 = float(np.max(grid.spacings)) ** 2
     checks.append(CheckResult("parallel frame transport converged",
@@ -395,9 +411,9 @@ def suite_ribaucour(item, scenario):
     result = rb.transform(grid, data)
     checks.append(CheckResult("reflection transform stays on the cone",
                               "ribaucour/reflection-cone-defect",
-                              result.cone_defect, 1e-10 * ts).evaluate())
-    pts = _sample(item, scenario)
-    dF = evaluate_jet(lift.F, pts, 1).d1
+                              result.cone_defect, 1e-12 * ts).evaluate())
+    pts = run.points
+    dF = lift.checked.jet.d1
     dT = evaluate_jet(result.F_tilde_map, pts, 1).d1
     gF = np.einsum("miA,A,mjA->mij", dF, grid.sig, dF)
     gT = np.einsum("miA,A,mjA->mij", dT, grid.sig, dT)
@@ -407,8 +423,8 @@ def suite_ribaucour(item, scenario):
                               "ribaucour/reflection-metric",
                               mpres, 1e-9 * ts).evaluate())
     proj = project_from_cone(result.F_tilde_map, model, points=pts)
-    cf = conformal_flatness_test(
-        fundamental_forms(proj.f, amb_mod.euclidean(model.N), pts))
+    cf = conformal_flatness_test(intrinsic_curvatures(
+        fundamental_forms(proj.f, amb_mod.euclidean(model.N), pts)))
     checks.append(CheckResult("projected reflection is conformally flat",
                               "ribaucour/reflection-projection-flatness",
                               cf, 1e-6 * ts).evaluate())
@@ -422,7 +438,8 @@ def suite_ribaucour(item, scenario):
     scaled = rb.RibaucourData(t * data.phi, t * data.b, t * data.c,
                               data.condition_residual, name="scaled")
     res3 = rb.transform(grid, scaled)
-    inv = float(np.max(np.abs(res3.F_tilde - result.F_tilde)))
+    inv = (float(np.max(np.abs(res3.F_tilde - result.F_tilde)))
+           / max(1.0, float(np.max(np.abs(result.F_tilde)))) ** 2)
     checks.append(CheckResult("transform invariant under data scaling",
                               "ribaucour/scaling-invariance",
                               inv, 1e-12 * ts).evaluate())
@@ -434,22 +451,32 @@ _SUITE_FUNCS = {"extrinsic": suite_extrinsic, "principal": suite_principal,
                 "ribaucour": suite_ribaucour}
 
 
+def _new_report(scenario, keys):
+    """An empty report of the scenario's schema, item, seed, tol_scale and
+    `keys`, and of its grid when one is given."""
+    keys = ("schema", "item", "seed", "tol_scale") + keys + ("grid",)
+    return Report({k: scenario[k] for k in keys if scenario.get(k) is not None},
+                  environment=_environment())
+
+
 def run_scenario(source) -> Report:
     scenario = load_scenario(source)
-    item = _resolve_item(scenario)
-    hashable = {k: scenario[k] for k in
-                ("schema", "item", "suite", "seed", "tol_scale", "samples")}
-    if scenario.get("grid") is not None:
-        hashable["grid"] = scenario["grid"]
-    report = Report(hashable, environment=_environment())
+    run = Run(_resolve_item(scenario), scenario)
+    report = _new_report(scenario, ("suite", "samples"))
     names = SUITES if scenario["suite"] == "all" else (scenario["suite"],)
     for name in names:
         t0 = time.perf_counter()
+        checks, skipped = [], []
         try:
-            checks, skipped = _SUITE_FUNCS[name](item, scenario)
+            checks, skipped = _SUITE_FUNCS[name](run)
         except NotApplicable as exc:
-            checks, skipped = [], [{"anchor": f"{name}/suite",
-                                    "reason": str(exc)}]
+            skipped = [{"anchor": f"{name}/suite", "reason": str(exc)}]
+        except ConfigError:
+            raise
+        except ConfflatError as exc:
+            report.refused.append({"anchor": f"{name}/suite",
+                                   "error": type(exc).__name__,
+                                   "message": str(exc)})
         report.checks.extend(checks)
         report.skipped.extend(skipped)
         report.timings[name] = round(time.perf_counter() - t0, 3)
@@ -495,14 +522,10 @@ def run_pipeline(source, out_dir=None) -> Report:
     if shape is None or min(shape) < 5:
         raise ConfigError("field 'grid': pipeline needs >= 5 points per axis "
                           "(centered differences with interior equations)")
-    hashable = {k: scenario[k] for k in
-                ("schema", "item", "seed", "tol_scale", "count")}
-    if scenario.get("grid") is not None:
-        hashable["grid"] = scenario["grid"]
-    report = Report(hashable, environment=_environment())
+    report = _new_report(scenario, ("count",))
     t0 = time.perf_counter()
-    fam = rb.conformally_flat_family(item.smooth_map, item.conformal,
-                                     item.ambient, count=scenario["count"],
+    fam = rb.conformally_flat_family(Run(item, scenario).lift,
+                                     count=scenario["count"],
                                      seed=scenario["seed"])
     report.timings["pipeline"] = round(time.perf_counter() - t0, 3)
     N = fam.grid.lift.model.N

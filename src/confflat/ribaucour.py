@@ -38,7 +38,7 @@ from .jets import Jet, SmoothMap, evaluate_jet, stack, unstack
 from .jets.core import _jet
 from .jets.maps import _jet3, _packed_jet
 from .lightcone import (LiftedImmersion, _slice_coordinates, _w_pairing,
-                        build_cone_model, flat_lift, project_from_cone)
+                        project_from_cone)
 from .principal import (CLUSTER_TOL, FLAT_NB_TOL, _principal_pass,
                         offdiagonal_defects)
 
@@ -608,7 +608,7 @@ class TransformResult:
     nu_inv: np.ndarray          # (M,) <<calF, calF>>
     calF: np.ndarray            # (M, A)
     rank_margin: float
-    cone_defect: float
+    cone_defect: float          # max |<<F~, F~>>| / max(1, |F~|^2)
     data: RibaucourData
     F_tilde_map: SmoothMap | None = None   # exact map when available
     R: np.ndarray | None = None            # (A, A), F~ = R F, with the map
@@ -738,7 +738,9 @@ def _transforms(grid: LiftGrid, candidates):
 
     dF = np.stack([diff(F_tilde, i) for i in range(n)], axis=2)    # (m, M, n, A)
     margins = np.min(_rank_margins(dF), axis=1)
-    cone = np.max(np.abs(np.einsum("mMA,A,mMA->mM", F_tilde, grid.sig, F_tilde)),
+    # near a pole <<calF, calF>> cancels: the rounding floor is eps |F~|^2
+    cone = np.max(np.abs(np.einsum("mMA,A,mMA->mM", F_tilde, grid.sig, F_tilde))
+                  / np.maximum(np.einsum("mMA,mMA->mM", F_tilde, F_tilde), 1.0),
                   axis=1)
     for j in _passing(_refuse_rank, out, live, margins):
         k = live[j]
@@ -1055,22 +1057,17 @@ def _family_members(grid: LiftGrid, candidates, seed=0):
     return members
 
 
-def conformally_flat_family(smooth_map: SmoothMap, conf, amb,
-                            count=3, seed=0) -> FamilyResult:
-    """Full pipeline: lift an immersion with known conformal structure to
-    the cone, solve the compatibility condition, transform by the identity
-    datum and `count` random ambient reflections (constant-vector data,
-    which sit on the cone-preserving c = 0 slice), keep the members whose
-    closed-form transform stays flat, and project each back to a new
-    conformally flat immersion.  The null space enters as its dimension
-    only (`condition_spectrum`): no member is drawn from its basis."""
-    if conf is None:
-        raise NotApplicable("pipeline needs a conformal structure")
-    if smooth_map.domain.dim < 4:
+def conformally_flat_family(lift: LiftedImmersion, count=3,
+                            seed=0) -> FamilyResult:
+    """Full pipeline from the flat lift of an immersion: solve the
+    compatibility condition, transform by the identity datum and `count`
+    random ambient reflections (constant-vector data, which sit on the
+    cone-preserving c = 0 slice), keep the members whose closed-form
+    transform stays flat, and project each back to a new conformally flat
+    immersion.  The null space enters as its dimension only
+    (`condition_spectrum`): no member is drawn from its basis."""
+    if lift.F.domain.dim < 4:
         raise NotApplicable("pipeline needs n >= 4")
-    N = amb.flat_dim
-    model = build_cone_model(N)
-    lift = flat_lift(smooth_map, conf, model)
     grid = build_lift_grid(lift)
     ns = condition_spectrum(grid)
 
@@ -1083,7 +1080,7 @@ def conformally_flat_family(smooth_map: SmoothMap, conf, amb,
     candidates.append(identity)
     made = 0
     while made < count:
-        z = rng.standard_normal(N + 2)
+        z = rng.standard_normal(grid.A)
         z /= np.linalg.norm(z)
         if abs(float(np.sum(grid.sig * z * z))) < 0.3:
             continue

@@ -27,7 +27,8 @@ def s3xs1(catalog):
 @pytest.fixture(scope="session")
 def s3xs1_lift(s3xs1):
     model = build_cone_model(s3xs1.smooth_map.codomain_dim)
-    return flat_lift(s3xs1.smooth_map, s3xs1.conformal, model)
+    return flat_lift(s3xs1.smooth_map, s3xs1.conformal, model,
+                     interior_points(s3xs1, 5))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,8 @@ from confflat.lightcone import (build_cone_model, flat_lift,
                                 psi_second_fundamental_residual)
 from confflat.principal import (holonomicity_check,
                                 nullity_and_leaf_invariants,
-                                principal_decomposition, properness_and_census,
+                                principal_decomposition,
+                                principal_decompositions, properness_and_census,
                                 quasiumbilical_frame, separation_check)
 from confflat import ribaucour as rb
 from confflat.errors import QuasiumbilicError
@@ -76,8 +77,8 @@ def test_criterion_2_quasiumbilical(catalog):
         ok = False
     except QuasiumbilicError:
         pass
-    ok &= conformal_flatness_test(fundamental_forms(
-        control.smooth_map, control.ambient, interior_points(control, 4))) > 0.05
+    ok &= conformal_flatness_test(intrinsic_curvatures(fundamental_forms(
+        control.smooth_map, control.ambient, interior_points(control, 4)))) > 0.05
     _verdict(2, "quasiumbilical frames with negative control", ok)
 
 
@@ -124,7 +125,8 @@ def test_criterion_4_conformal_identities(catalog):
         item = catalog[name]
         pts = interior_points(item, 4)
         ext = fundamental_forms(item.smooth_map, item.ambient, pts)
-        q = lemma_q_suite(ext, item.conformal)
+        q = lemma_q_suite(ext, item.conformal, principal_decompositions(ext),
+                          intrinsic_curvatures(ext))
         ok &= q.offblock_residual <= 1e-7 and q.schouten_residual <= 1e-7
         if q.high_mult_residual is not None:
             ok &= q.high_mult_residual <= 1e-7
@@ -172,8 +174,8 @@ def test_criterion_5_transform_suite(s3xs1_grid, s3xs1):
     model = g.lift.model
     proj = project_from_cone(result.F_tilde_map, model,
                              points=interior_points(s3xs1, 3))
-    ok &= conformal_flatness_test(fundamental_forms(
-        proj.f, euclidean(model.N), interior_points(s3xs1, 3))) <= 1e-6
+    ok &= conformal_flatness_test(intrinsic_curvatures(fundamental_forms(
+        proj.f, euclidean(model.N), interior_points(s3xs1, 3)))) <= 1e-6
     shifted = rb.shift_data(g, data, 0.8)
     rep = rb.cone_preservation_check(g, shifted, rb.transform(g, shifted))
     ok &= rep.prediction_mismatch <= 1e-8

@@ -6,6 +6,7 @@ import pytest
 from confflat.catalog import (SphericalCircle, default_catalog,
                               space_form_exp, validate_unit_speed)
 from confflat import ambient as amb_mod
+from confflat.extrinsic import fundamental_forms
 from confflat.jets import evaluate_jet, finite_difference_jet
 
 from conftest import interior_points
@@ -74,4 +75,4 @@ def test_liftable_items_have_valid_conformal(catalog):
         item = catalog[name]
         pts = interior_points(item, 3)
         assert item.conformal.metric_residual(
-            item.smooth_map, item.ambient, pts) < 1e-8
+            fundamental_forms(item.smooth_map, item.ambient, pts)) < 1e-8

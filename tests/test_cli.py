@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from confflat.cli import main
-from confflat.errors import ConfigError
-from confflat.reports import (_SUITE_FUNCS, load_scenario, read_grid_samples,
-                              run_pipeline, run_scenario, write_grid_samples)
+from confflat.errors import ConfigError, NotApplicable
+from confflat.reports import (_SUITE_FUNCS, Run, load_scenario,
+                              read_grid_samples, run_pipeline, run_scenario,
+                              write_grid_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +102,71 @@ def test_pointwise_suites_make_one_fundamental_forms_pass(
                                 ("conformal", 1),
                                 ("lightcone", 3 if liftable else 0)):
             fundamental_forms_calls.clear()
-            _SUITE_FUNCS[suite](item, load_scenario(
-                {"schema": 1, "item": name, "suite": suite}))
+            try:
+                _SUITE_FUNCS[suite](Run(item, load_scenario(
+                    {"schema": 1, "item": name, "suite": suite})))
+            except NotApplicable:         # the run records it as a skip
+                assert suite == "lightcone" and not liftable, (name, suite)
             assert len(fundamental_forms_calls) == expected, (name, suite)
             assert all(np.ndim(p) == 2 for p in fundamental_forms_calls)
+
+
+def _record_calls(monkeypatch, module, name):
+    """A list that gets (args, result) of every call of `module.name` made
+    through a confflat module while the test runs."""
+    original = getattr(module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("confflat")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    from confflat import extrinsic, lightcone, principal
+    return {name: _record_calls(monkeypatch, module, name) for module, name in
+            ((extrinsic, "fundamental_forms"), (principal, "_principal_pass"),
+             (extrinsic, "intrinsic_curvatures"), (lightcone, "flat_lift"))}
+
+
+def test_one_run_makes_one_pass_per_layer(catalog, layer_calls, monkeypatch):
+    """One run of the four pointwise suites makes one order-3
+    fundamental_forms pass of the item, one principal pass and one
+    intrinsic_curvatures of those data, and at most one flat lift."""
+    from confflat import reports
+    monkeypatch.setattr(reports, "SUITES", reports.SUITES[:4])
+    for name, item in sorted(catalog.items()):
+        for calls in layer_calls.values():
+            calls.clear()
+        report = run_scenario({"schema": 1, "item": name, "seed": 0})
+        assert list(report.timings) == list(reports.SUITES), name
+        exts = [res for args, res in layer_calls["fundamental_forms"]
+                if args[0].name == item.smooth_map.name]
+        assert len(exts) == 1, name
+        for layer in ("_principal_pass", "intrinsic_curvatures"):
+            of_item = [args for args, _ in layer_calls[layer]
+                       if args[0] is exts[0]]
+            assert len(of_item) == 1, (name, layer)
+        assert len(layer_calls["intrinsic_curvatures"]) == 1, name
+        assert len(layer_calls["flat_lift"]) <= 1, name
+
+
+def test_extrinsic_suite_makes_no_principal_pass_and_no_lift(layer_calls):
+    """The run context computes a layer when a suite first reads it: the
+    extrinsic suite alone makes one pass of the item and nothing else."""
+    run_scenario({"schema": 1, "item": "s3xs1", "suite": "extrinsic"})
+    assert len(layer_calls["fundamental_forms"]) == 1
+    assert layer_calls["_principal_pass"] == []
+    assert layer_calls["intrinsic_curvatures"] == []
+    assert layer_calls["flat_lift"] == []
 
 
 def test_negative_control_report():
@@ -229,6 +291,50 @@ def test_cli_degeneracy_exit_code(monkeypatch, capsys, error):
     assert main(["verify", "s3xs1"]) == 3
     err = capsys.readouterr().err
     assert "numerical degeneracy" in err and error in err
+
+
+def test_cli_refused_suite_keeps_the_other_suites(tmp_path, capsys):
+    """cone_t3's ribaucour suite refuses its input: the report keeps the
+    four pointwise suites' checks, which pass, holds the refusal with its
+    class and message, and the run exits 3; so does re-printing the stored
+    report."""
+    out_file = tmp_path / "rep.json"
+    assert main(["verify", "cone_t3", "--out", str(out_file)]) == 3
+    out, err = capsys.readouterr()
+    passed = {line.split()[1].split("/")[0] for line in out.splitlines()
+              if line.startswith("[PASS]")}
+    assert passed == {"extrinsic", "principal", "conformal", "lightcone"}
+    assert "[FAIL]" not in out and "overall: FAIL" in out
+    assert "numerical degeneracy: ribaucour/suite: DimensionAmbiguityError" in err
+    body = json.loads(out_file.read_text())
+    assert body["refused"] == [{"anchor": "ribaucour/suite",
+                                "error": "DimensionAmbiguityError",
+                                "message": body["refused"][0]["message"]}]
+    assert not body["overall_pass"]
+    assert main(["report", str(out_file)]) == 3
+    assert "DimensionAmbiguityError" in capsys.readouterr().err
+
+
+def test_refusals_enter_the_hash_only_when_present():
+    """A report without a refusal hashes as before refusals were kept."""
+    rep = run_scenario({"schema": 1, "item": "s3xs1", "suite": "extrinsic"})
+    assert "refused" not in json.loads(rep.hash_section())
+    rep.refused.append({"anchor": "principal/suite", "error": "X",
+                        "message": "m"})
+    assert "refused" in json.loads(rep.hash_section())
+    assert not rep.overall_pass
+
+
+def test_programming_error_in_a_suite_propagates(monkeypatch):
+    """Only toolkit errors become a suite's refusal; a bug ends the run."""
+    from confflat import reports
+
+    def broken(run):
+        raise RuntimeError("bug in a suite")
+
+    monkeypatch.setitem(reports._SUITE_FUNCS, "principal", broken)
+    with pytest.raises(RuntimeError, match="bug in a suite"):
+        run_scenario({"schema": 1, "item": "s3xs1", "suite": "principal"})
 
 
 def test_cli_programming_errors_propagate(monkeypatch):

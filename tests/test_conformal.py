@@ -12,6 +12,7 @@ from confflat.errors import NotApplicable
 from confflat.extrinsic import (CurvaturePack, fundamental_forms,
                                 intrinsic_curvatures)
 from confflat.jets import ChartDomain, SmoothMap, cos, exp, norm_sq, sin
+from confflat.principal import principal_decompositions
 
 from conftest import interior_points, sectional
 
@@ -63,13 +64,13 @@ def test_flatness_identity_positive(catalog):
     for name in ("s3xs1", "s2xpseudosphere", "cone_t3", "example2"):
         item = catalog[name]
         ext = _ext(item, interior_points(item, 4))
-        assert conformal_flatness_test(ext) < 1e-6
+        assert conformal_flatness_test(intrinsic_curvatures(ext)) < 1e-6
 
 
 def test_flatness_identity_negative_control(catalog):
     item = catalog["s2xs2_control"]
     ext = _ext(item, interior_points(item, 4))
-    assert conformal_flatness_test(ext) > 0.05
+    assert conformal_flatness_test(intrinsic_curvatures(ext)) > 0.05
 
 
 def test_quadruple_test_on_a_point_set(catalog):
@@ -79,9 +80,9 @@ def test_quadruple_test_on_a_point_set(catalog):
     for name, item in sorted(catalog.items()):
         for seed in (0, 1):
             ext = _ext(item, interior_points(item, 5, seed=seed))
-            ref = _quadruple_loop(intrinsic_curvatures(ext).riemann,
-                                  trials=20, seed=seed)
-            got = conformal_flatness_test(ext)
+            pack = intrinsic_curvatures(ext)
+            ref = _quadruple_loop(pack.riemann, trials=20, seed=seed)
+            got = conformal_flatness_test(pack)
             if item.expected.get("conformally_flat", True):
                 assert max(got, ref) <= 1e-13, (name, seed, got, ref)
             else:
@@ -128,9 +129,9 @@ def test_weyl_test_fails_a_generic_graph_hypersurface():
     smap = SmoothMap(GRAPH_DOM, 5, _graph, "graph")
     pts = GRAPH_DOM.sample_points(6, np.random.default_rng(0))
     ext = fundamental_forms(smap, euclidean(5), pts)
-    assert conformal_flatness_test(ext) > 1e-2
-    assert _quadruple_loop(intrinsic_curvatures(ext).riemann,
-                           trials=20, seed=0) > 1e-2
+    pack = intrinsic_curvatures(ext)
+    assert conformal_flatness_test(pack) > 1e-2
+    assert _quadruple_loop(pack.riemann, trials=20, seed=0) > 1e-2
 
 
 def test_weyl_test_is_not_applicable_in_dimension_3():
@@ -142,14 +143,15 @@ def test_weyl_test_is_not_applicable_in_dimension_3():
     ext = fundamental_forms(smap, euclidean(4),
                             dom.sample_points(3, np.random.default_rng(0)))
     with pytest.raises(NotApplicable):
-        conformal_flatness_test(ext)
+        conformal_flatness_test(intrinsic_curvatures(ext))
 
 
 def test_q_suite(catalog):
     for name in ("s3xs1", "cone_t3", "cylinder_r1xs3"):
         item = catalog[name]
-        rep = lemma_q_suite(_ext(item, interior_points(item, 4)),
-                            item.conformal)
+        ext = _ext(item, interior_points(item, 4))
+        rep = lemma_q_suite(ext, item.conformal, principal_decompositions(ext),
+                            intrinsic_curvatures(ext))
         assert rep.offblock_residual < 1e-7
         assert rep.schouten_residual < 1e-7
         if rep.high_mult_residual is not None:
@@ -170,9 +172,10 @@ def test_schouten_identity_fails_on_a_wrong_factor(catalog):
     item = catalog["s3xs1"]
     conf = item.conformal
     ext = _ext(item, interior_points(item, 6))
-    assert lemma_q_suite(ext, conf).schouten_residual <= 1e-12
+    decs, pack = principal_decompositions(ext), intrinsic_curvatures(ext)
+    assert lemma_q_suite(ext, conf, decs, pack).schouten_residual <= 1e-12
     wrong = ConformalStructure(_scaled(conf.omega, 1.1), conf.flat_chart)
-    assert lemma_q_suite(ext, wrong).schouten_residual > 1e-7
+    assert lemma_q_suite(ext, wrong, decs, pack).schouten_residual > 1e-7
 
     _, grad, hess = conf.omega_flat_jets(ext.point)
     _, J = conf.flat_frame(ext.point)

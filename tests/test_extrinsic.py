@@ -14,7 +14,7 @@ from confflat.extrinsic import (codazzi_tensor, complement_frame,
                                 fundamental_forms, intrinsic_curvatures,
                                 normal_connection_and_curvature, orthonormalize)
 from confflat.jets import ChartDomain, Jet, SmoothMap, sqrt as jsqrt
-from confflat.reports import load_scenario, suite_extrinsic
+from confflat.reports import Run, load_scenario, suite_extrinsic
 
 from conftest import interior_points, into_sphere, sectional
 
@@ -112,8 +112,8 @@ def test_normal_curvature_gate_can_fail():
     assert np.max(np.abs(nb.r_perp_frame)) > 1.0
     assert nb.disagreement <= 1e-12
     for item in (holo, quad):
-        checks, _ = suite_extrinsic(item, load_scenario(
-            {"schema": 1, "item": item.name, "suite": "extrinsic"}))
+        checks, _ = suite_extrinsic(Run(item, load_scenario(
+            {"schema": 1, "item": item.name, "suite": "extrinsic"})))
         verdicts = {c.anchor: c.passed for c in checks}
         assert verdicts == {"extrinsic/flat-normal-bundle": False,
                             "extrinsic/ricci-agreement": True}, item.name
@@ -172,7 +172,7 @@ def test_conformal_metric_residual(catalog):
     for name in ("s3xs1", "cone_t3", "cylinder_r1xs3"):
         item = catalog[name]
         pts = interior_points(item, 4)
-        resid = item.conformal.metric_residual(item.smooth_map, item.ambient, pts)
+        resid = item.conformal.metric_residual(_ext(item, pts))
         assert resid < 1e-8
 
 

@@ -15,6 +15,8 @@ from confflat.lightcone import (build_cone_model, flat_lift,
                                 psi_embed, psi_invert,
                                 psi_second_fundamental_residual)
 
+from confflat.principal import principal_decompositions
+
 from conftest import interior_points
 
 LIFTABLE = ["s3xs1", "cone_t3", "cylinder_r1xs3"]
@@ -66,7 +68,8 @@ def test_lift_is_isometric_to_flat_chart(catalog, name):
     """The lift induces exactly the metric of the flat representative."""
     item = catalog[name]
     model = build_cone_model(item.smooth_map.codomain_dim)
-    lift = flat_lift(item.smooth_map, item.conformal, model)
+    lift = flat_lift(item.smooth_map, item.conformal, model,
+                     interior_points(item, 5))
     sig = model.ambient.signature
     for pt in interior_points(item, 3):
         jF = lift.F.jet(pt, order=1)
@@ -105,7 +108,8 @@ def test_lift_second_fundamental_closed_form(catalog):
 def test_projection_roundtrip(catalog, name):
     item = catalog[name]
     model = build_cone_model(item.smooth_map.codomain_dim)
-    lift = flat_lift(item.smooth_map, item.conformal, model)
+    lift = flat_lift(item.smooth_map, item.conformal, model,
+                     interior_points(item, 5))
     pts = interior_points(item, 4)
     proj = project_from_cone(lift.F, model, points=pts)
     for pt in pts:
@@ -121,7 +125,8 @@ def test_lift_correspondence(catalog):
     model = build_cone_model(6)
     pts = interior_points(item, 4)
     lift = flat_lift(item.smooth_map, item.conformal, model, check_points=pts)
-    rep = lift_correspondence_check(lift.checked, _parent_ext(item, pts))
+    rep = lift_correspondence_check(
+        lift.checked, principal_decompositions(_parent_ext(item, pts)))
     assert rep.offdiag_F < 1e-7
     assert rep.k_F == rep.k_f
     assert rep.multiplicities_match

@@ -1,6 +1,7 @@
 """Sphere-congruence transforms of the lifted grid: compatibility condition,
 numerical null space, exact reflections, and the full family pipeline."""
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from confflat.errors import (DegenerateInputError, DegenerateTransformError,
 from confflat.extrinsic import normal_projectors
 from confflat.lightcone import build_cone_model, flat_lift
 from confflat import ribaucour as rb
-from confflat.reports import _resolve_item
+from confflat.reports import _resolve_item, run_scenario
 
 from conftest import interior_points
 
@@ -144,7 +145,8 @@ def _sequential_transport(lift, step, substeps=2):
 def s3xs1_coarse_lift():
     item = _resolve_item({"item": "s3xs1", "grid": [3, 3, 3, 3]})
     model = build_cone_model(item.smooth_map.codomain_dim)
-    return flat_lift(item.smooth_map, item.conformal, model)
+    return flat_lift(item.smooth_map, item.conformal, model,
+                     interior_points(item, 5))
 
 
 def test_level_sweep_matches_sequential_transport(s3xs1_coarse_lift):
@@ -351,7 +353,8 @@ def test_condition_blocks_match_connected_components(grid_name, request):
 def s3xs1_refined_grid():
     item = _resolve_item({"item": "s3xs1", "grid": [5, 5, 5, 6]})
     model = build_cone_model(item.smooth_map.codomain_dim)
-    lift = flat_lift(item.smooth_map, item.conformal, model)
+    lift = flat_lift(item.smooth_map, item.conformal, model,
+                     interior_points(item, 5))
     return rb.build_lift_grid(lift)
 
 
@@ -401,7 +404,8 @@ def test_degenerate_input_guard(catalog):
     rigidity; the solver must refuse instead of reporting a dimension."""
     item = catalog["mobius_flat"]
     model = build_cone_model(item.smooth_map.codomain_dim)
-    lift = flat_lift(item.smooth_map, item.conformal, model)
+    lift = flat_lift(item.smooth_map, item.conformal, model,
+                     interior_points(item, 5))
     grid = rb.build_lift_grid(lift)
     with pytest.raises(DegenerateInputError):
         rb.solve_condition_nullspace(grid)
@@ -415,7 +419,8 @@ def test_count_and_basis_refuse_alike(catalog):
     one decision (_nullspace_threshold) serves both."""
     item = catalog["cone_t3"]
     model = build_cone_model(item.smooth_map.codomain_dim)
-    grid = rb.build_lift_grid(flat_lift(item.smooth_map, item.conformal, model))
+    grid = rb.build_lift_grid(flat_lift(item.smooth_map, item.conformal, model,
+                                        interior_points(item, 5)))
     with pytest.raises(DimensionAmbiguityError, match="gap ratio 1.1") as basis:
         rb.solve_condition_nullspace(grid)
     with pytest.raises(DimensionAmbiguityError) as count:
@@ -423,7 +428,8 @@ def test_count_and_basis_refuse_alike(catalog):
     assert str(count.value) == str(basis.value)
 
 
-def test_pipeline_reads_the_count_from_singular_values_alone(s3xs1, monkeypatch):
+def test_pipeline_reads_the_count_from_singular_values_alone(s3xs1_lift,
+                                                            monkeypatch):
     """The family needs the null-space dimension only: it never builds the
     basis, and every SVD it runs skips the singular vectors."""
     def no_basis(grid):
@@ -438,8 +444,7 @@ def test_pipeline_reads_the_count_from_singular_values_alone(s3xs1, monkeypatch)
 
     monkeypatch.setattr(rb, "solve_condition_nullspace", no_basis)
     monkeypatch.setattr(np.linalg, "svd", recording)
-    fam = rb.conformally_flat_family(s3xs1.smooth_map, s3xs1.conformal,
-                                     s3xs1.ambient, count=1, seed=0)
+    fam = rb.conformally_flat_family(s3xs1_lift, count=1, seed=0)
     assert fam.nullspace.dimension >= fam.grid.A + 1
     assert kinds and not any(kinds)
 
@@ -507,6 +512,51 @@ def test_scaling_invariance(s3xs1_grid):
                               data.condition_residual)
     again = rb.transform(s3xs1_grid, scaled)
     assert np.max(np.abs(again.F_tilde - base.F_tilde)) < 1e-12
+
+
+def _suite_verdicts(item, seed):
+    report = run_scenario({"schema": 1, "item": item, "suite": "ribaucour",
+                           "seed": seed})
+    return {c.anchor: c.passed for c in report.checks}
+
+
+@pytest.mark.parametrize("seed", [3, 37])
+def test_cone_and_scaling_checks_pass_near_a_pole(seed):
+    """At these seeds the reflection of cylinder_r1xs3 passes near a pole,
+    where <<calF, calF>> cancels and max|F~| reaches about 1e4: the cone
+    defect and the scaling residual, taken relative to |F~|^2, stay at
+    rounding level, and every check of the suite passes."""
+    verdicts = _suite_verdicts("cylinder_r1xs3", seed)
+    assert verdicts["ribaucour/reflection-cone-defect"]
+    assert verdicts["ribaucour/scaling-invariance"]
+    assert all(verdicts.values()), verdicts
+
+
+def test_cone_defect_check_fails_off_the_cone(monkeypatch):
+    """The reflection's datum shifted by 1 (light-cone constant c = -1)
+    leaves the cone: `ribaucour/reflection-cone-defect` FAILs."""
+    real = rb.constant_vector_data
+
+    def shifted(grid, z, name=""):
+        data = real(grid, z, name=name)
+        return replace(rb.shift_data(grid, data, 1.0), z=data.z)
+
+    monkeypatch.setattr(rb, "constant_vector_data", shifted)
+    assert not _suite_verdicts("s3xs1", 0)["ribaucour/reflection-cone-defect"]
+
+
+def test_scaling_check_fails_when_phi_alone_is_scaled(monkeypatch):
+    """Scaling phi by 2.5 without b and c is a different datum, with a
+    different transform: `ribaucour/scaling-invariance` FAILs."""
+    real = rb.RibaucourData
+
+    def phi_alone(phi, b, c, *args, name="", **kwargs):
+        if name == "scaled":                  # the suite's 2.5-scaled datum
+            b, c = b / 2.5, c / 2.5
+        return real(phi, b, c, *args, name=name, **kwargs)
+
+    monkeypatch.setattr(rb, "RibaucourData", phi_alone)
+    assert not _suite_verdicts("s3xs1", 0)["ribaucour/scaling-invariance"]
 
 
 def test_identity_datum_returns_lift(s3xs1_grid):
@@ -617,9 +667,8 @@ def test_flatness_filter(s3xs1_grid):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def family(s3xs1):
-    return rb.conformally_flat_family(s3xs1.smooth_map, s3xs1.conformal,
-                                      s3xs1.ambient, count=2, seed=0)
+def family(s3xs1_lift):
+    return rb.conformally_flat_family(s3xs1_lift, count=2, seed=0)
 
 
 def test_family_nullspace(family):
@@ -703,7 +752,7 @@ def test_lift_grid_rank_checks_need_no_eigvalsh(s3xs1_lift, monkeypatch):
     assert eig_calls == []
 
 
-def test_member_postcheck_errors_propagate(s3xs1, monkeypatch):
+def test_member_postcheck_errors_propagate(s3xs1_lift, monkeypatch):
     """A programming error in a member's postchecks ends the run; it is not
     reported as a skipped member."""
     def broken(*args, **kwargs):
@@ -711,16 +760,15 @@ def test_member_postcheck_errors_propagate(s3xs1, monkeypatch):
 
     monkeypatch.setattr(rb, "_member_postchecks", broken)
     with pytest.raises(TypeError, match="broken postcheck"):
-        rb.conformally_flat_family(s3xs1.smooth_map, s3xs1.conformal,
-                                   s3xs1.ambient, count=1, seed=0)
+        rb.conformally_flat_family(s3xs1_lift, count=1, seed=0)
 
 
 def test_member_layer_passes_do_not_grow_with_the_family(
         s3xs1, fundamental_forms_calls, monkeypatch):
     """The member layer makes one batched pass per stage whatever the
     number of members: with 1 and with 3 reflections the pipeline makes
-    the same 4 fundamental_forms passes (lift check, grid, flatness,
-    postchecks) and the same jet evaluations, of which two are of the lift
+    the same 4 fundamental_forms passes (the lift check of its caller, grid,
+    flatness, postchecks) and the same jet evaluations, of which two are of the lift
     in the member layer, and none at the grid points after build_lift_grid.
     From the grid on every jet is of order 2 (the metric, the second
     fundamental form and Riemann by the Gauss equation need no more), and
@@ -752,8 +800,10 @@ def test_member_layer_passes_do_not_grow_with_the_family(
         fundamental_forms_calls.clear()
         grid_built.clear()
         grid_started.clear()
-        fam = rb.conformally_flat_family(s3xs1.smooth_map, s3xs1.conformal,
-                                         s3xs1.ambient, count=count, seed=0)
+        lift = flat_lift(s3xs1.smooth_map, s3xs1.conformal,
+                         build_cone_model(s3xs1.smooth_map.codomain_dim),
+                         interior_points(s3xs1, 5))
+        fam = rb.conformally_flat_family(lift, count=count, seed=0)
         assert all(m.retained and m.error is None for m in fam.members)
         assert len(fam.members) == count + 1
         # the extrinsic pass at the grid points, then the projectors
@@ -789,7 +839,7 @@ def _member_oracle(grid, F_map, seed):
     the pole guard)."""
     from confflat.ambient import euclidean
     from confflat.conformal import conformal_flatness_test
-    from confflat.extrinsic import fundamental_forms
+    from confflat.extrinsic import fundamental_forms, intrinsic_curvatures
     from confflat.jets import evaluate_jet
     from confflat.lightcone import project_from_cone
     from confflat.principal import offdiagonal_defects
@@ -798,7 +848,7 @@ def _member_oracle(grid, F_map, seed):
     pts = F_map.domain.sample_points(4, np.random.default_rng(seed))
     proj = project_from_cone(F_map, model)
     ext = fundamental_forms(proj.f, euclidean(model.N), pts)
-    cf = conformal_flatness_test(ext)
+    cf = conformal_flatness_test(intrinsic_curvatures(ext))
     off = float(max(np.max(x) for x in offdiagonal_defects(ext)))
     samples = np.full((grid.M, model.N), np.nan)
     rho = evaluate_jet(F_map, grid.points, 0).value @ (grid.sig * model.w)

@@ -206,10 +206,56 @@ def _pade_step(X):
     r(z) r(-z) = 1, it maps a matrix that is skew for a pairing G
     (X^T G = -G X) to one that preserves it (S^T G S = G) exactly, as the
     exponential does."""
+    sq = X @ X
+    sq /= 12.0
     half = 0.5 * X
-    sq = (X @ X) / 12.0
     eye = np.eye(X.shape[-1])
-    return np.linalg.solve(eye - half + sq, eye + half + sq)
+    lhs = eye - half
+    lhs += sq
+    half += eye
+    half += sq
+    del sq    # before the solve allocates its result
+    return np.linalg.solve(lhs, half)
+
+
+def _commutator_step(Pa, Pm, Pc, T):
+    """One Pade step of exp([Pc - Pa, Pm]) over a stack of edges, composed
+    after the product T of the earlier steps (None before the first)."""
+    dP = Pc - Pa
+    X = dP @ Pm
+    X -= Pm @ dP
+    del dP    # before the Pade step allocates its operands
+    S = _pade_step(X)
+    return S if T is None else S @ T
+
+
+def _transport_operators(lift: LiftedImmersion, pts, edges, P_grid, substeps):
+    """Every edge's transport in `substeps` and in 2*`substeps` commutator
+    Pade steps, as two (E, A, A) operators acting on frame rows from the
+    right.  Both step counts read the normal projectors at fractions k / D,
+    D = 4 substeps, of every edge.  They are evaluated one coarse step at a
+    time: coarse step s spans fractions 4s/D to (4s + 4)/D and takes one
+    step through its midpoint, the fine run two through its quarter points,
+    and only the end projector is kept, as the start of the next step, so
+    the projectors held at once are those of one step, not of all of them."""
+    D = 4 * substeps
+    u0 = pts[edges[:, 0]]
+    du = pts[edges[:, 1]] - u0
+
+    def projectors(k):
+        return normal_projectors(lift.F, lift.ambient, u0 + du * (k / D))
+
+    Pa = P_grid[edges[:, 0]]
+    T_coarse = T_fine = None
+    for s in range(substeps):
+        P1, P2, P3 = (projectors(4 * s + j) for j in (1, 2, 3))
+        Pc = P_grid[edges[:, 1]] if s == substeps - 1 else projectors(4 * s + 4)
+        T_fine = _commutator_step(Pa, P1, P2, T_fine)
+        T_fine = _commutator_step(P2, P3, Pc, T_fine)
+        T_coarse = _commutator_step(Pa, P2, Pc, T_coarse)
+        Pa = Pc
+        del P1, P2, P3    # only the end projector outlives its step
+    return np.swapaxes(T_coarse, -1, -2), np.swapaxes(T_fine, -1, -2)
 
 
 def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
@@ -227,17 +273,21 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     the two estimates the transport error, and a frame error is raised when
     it exceeds frame_tol.
 
-    All pointwise data comes from two batched passes before the sweep: the
-    extrinsic data at the grid points, from order-2 jets (the metric, the
-    second fundamental form and the normal frame need no more), and the
-    normal projectors at the transport sub-step points of every edge
-    (fractions k / (4 substeps), which the two step counts share).  A step depends on the projectors
-    only, not on the frame it carries, so every edge's transport operator
-    is built up front, per resolution: one batched Pade step per sub-step
-    over all edges, multiplied into one (E, A, A) operator.  The sweep then
-    runs level by level (`_sweep_edges`): sum(N_i - 1) levels on a grid of
-    shape (N_1, ..., N_n), each one batched apply, projection onto the
-    normal space and pseudo-Gram-Schmidt over all of its edges."""
+    The extrinsic data at the grid points comes from one batched pass of
+    order-2 jets (the metric, the second fundamental form and the normal
+    frame need no more).  A step depends on the projectors only, not on the
+    frame it carries, so every edge's transport operator is built before
+    the sweep, per resolution: one batched Pade step per sub-step over all
+    edges, multiplied into one (E, A, A) operator (`_transport_operators`).
+    The normal projectors at the sub-step points (fractions k / (4
+    substeps) of every edge, which the two step counts share) are evaluated
+    one coarse step at a time, 4 substeps - 1 batched passes of M - 1
+    points each, and dropped once the step is taken, so that the build's
+    memory peak grows with one step's projectors, not with all of them.
+    The sweep then runs level by level (`_sweep_edges`): sum(N_i - 1)
+    levels on a grid of shape (N_1, ..., N_n), each one batched apply,
+    projection onto the normal space and pseudo-Gram-Schmidt over all of
+    its edges."""
     dom = lift.F.domain
     if dom.grid_shape is None:
         raise ValueError("lift domain carries no grid")
@@ -245,7 +295,6 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     pts = dom.grid_points().reshape(-1, dom.dim)
     spac = dom.spacings()
     amb = lift.ambient
-    n = dom.dim
     M = pts.shape[0]
     sig = amb.signature
 
@@ -256,36 +305,14 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
 
     levels = _sweep_edges(shape)
     edges = np.concatenate(levels)
-    D = 4 * substeps
-    fracs = np.arange(1, D) / D
-    u0 = pts[edges[:, 0]]
-    u1 = pts[edges[:, 1]]
-    sub = u0[:, None, :] + (u1 - u0)[:, None, :] * fracs[None, :, None]
-    P_sub = normal_projectors(lift.F, amb, sub.reshape(-1, n)).reshape(
-        len(edges), D - 1, amb.flat_dim, amb.flat_dim)
-
-    def operators(K):
-        """Every edge's transport in K commutator Pade steps, as one
-        (E, A, A) operator; step s uses the projectors at fractions s/K,
-        (s + 1/2)/K and (s + 1)/K."""
-        r = D // K
-        Pa = P_grid[edges[:, 0]]
-        T = None
-        for s in range(K):
-            Pm = P_sub[:, (2 * s + 1) * r // 2 - 1]
-            Pc = P_grid[edges[:, 1]] if s == K - 1 else P_sub[:, (s + 1) * r - 1]
-            dP = Pc - Pa
-            step = _pade_step(dP @ Pm - Pm @ dP)
-            T = step if T is None else step @ T
-            Pa = Pc
-        return np.swapaxes(T, -1, -2)    # acts on frame rows from the right
+    T_coarse, T_fine = _transport_operators(lift, pts, edges, P_grid, substeps)
 
     # two resolutions of the same transport for a Richardson error estimate
     coarse = np.zeros((M, p, amb.flat_dim))
     frame = np.zeros_like(coarse)
     coarse[0] = frame[0] = ext.frame[0]
     eps = ext.frame_eps[0].copy()
-    runs = ((coarse, operators(substeps)), (frame, operators(2 * substeps)))
+    runs = ((coarse, T_coarse), (frame, T_fine))
     start = 0
     for level in levels:
         src, dst = level.T

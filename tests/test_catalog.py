@@ -1,5 +1,7 @@
 """Catalog integrity: every item evaluates cleanly, metadata is coherent,
 and the constructed inputs satisfy the constraints they advertise."""
+import re
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,40 @@ def test_liftable_items_have_valid_conformal(catalog):
         pts = interior_points(item, 3)
         assert item.conformal.metric_residual(
             fundamental_forms(item.smooth_map, item.ambient, pts)) < 1e-8
+
+
+def test_tractroid_check_refuses_a_wrong_curvature(monkeypatch):
+    """The build-time check of the pseudosphere patch can fail: scaled by
+    2, the patch has curvature -1/4, and building the products raises."""
+    from confflat import catalog
+    original = catalog._tractroid
+    monkeypatch.setattr(catalog, "_tractroid",
+                        lambda u, v: [2.0 * c for c in original(u, v)])
+    with pytest.raises(ValueError, match="pseudosphere patch curvature"):
+        catalog.build_products()
+
+
+def test_example2_guard_names_the_degenerate_point(monkeypatch):
+    """The conditioning guard decides its six points in one batched jet;
+    when that raises FrameError it retraces them one by one and names the
+    first point where the frame degenerates."""
+    from confflat import catalog
+    from confflat.errors import FrameError
+    pts = catalog.default_catalog()["example2"].sample_points(6, seed=11)
+    original, shapes = catalog.evaluate_jet, []
+
+    def degenerate_at_third(smooth_map, points, order=3):
+        shapes.append(np.shape(points))
+        if np.any(np.all(np.atleast_2d(points) == pts[2], axis=-1)):
+            raise FrameError("frame rank lost")
+        return original(smooth_map, points, order)
+
+    monkeypatch.setattr(catalog, "evaluate_jet", degenerate_at_third)
+    with pytest.raises(FrameError, match=re.escape(f"degenerates at {pts[2]}")):
+        catalog.build_example2()
+    assert shapes == [(6, 4), (4,), (4,), (4,)]
+    shapes.clear()
+    monkeypatch.setattr(catalog, "evaluate_jet",
+                        lambda *args: shapes.append(np.shape(args[1])))
+    catalog.build_example2()
+    assert shapes == [(6, 4)]

@@ -165,10 +165,12 @@ def test_batched_jets_match_finite_differences(catalog):
 
 
 def test_large_order1_jet_peak_memory(s3xs1_lift):
-    """An order-1 pass of the s3xs1 lift at 4,368 points (the transport
-    sub-step points of a 5^4 grid) releases the evaluator's output jets
-    before the value and d1 are copied out: traced allocations peak under
-    4.0 MB for 1.4 MB of results (5.4 MB when the outputs stayed alive)."""
+    """An order-1 pass of the s3xs1 lift at 4,368 points (as many as the
+    seven transport sub-step fractions of a 5^4 grid together, which the
+    grid build evaluates in passes of 624) releases the evaluator's output
+    jets before the value and d1 are copied out: traced allocations peak
+    under 4.0 MB for 1.4 MB of results (5.4 MB when the outputs stayed
+    alive)."""
     F = s3xs1_lift.F
     pts = F.domain.sample_points(4368, np.random.default_rng(0))
     evaluate_jet(F, pts, 1)                   # warm the cached tables

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NotApplicable
 from .extrinsic import CurvaturePack, ExtrinsicData
-from .jets import SmoothMap, evaluate_jet
+from .jets import Jet3, SmoothMap, evaluate_jet
 
 
 # ---------------------------------------------------------------------------
@@ -28,26 +28,46 @@ class ConformalStructure:
     omega: SmoothMap
     flat_chart: SmoothMap | None = None
 
-    def flat_frame(self, points):
-        """(x, J) with x the flat coordinates of `points` and J = dPhi, at
-        a point or at each point of a point set."""
+    def jets(self, points) -> ConformalJets:
+        """omega and the flat chart at a point set (B, n), each from one
+        batched order-2 evaluation: everything that reads the structure at
+        those points takes these jets."""
         points = np.asarray(points, float)
-        if self.flat_chart is None:
-            return points, np.broadcast_to(np.eye(points.shape[-1]),
-                                           points.shape + points.shape[-1:])
-        jet = evaluate_jet(self.flat_chart, points, 1)
-        return jet.value, np.swapaxes(jet.d1, -1, -2)  # J[a, i] = d Phi_a / d u_i
+        chart = (None if self.flat_chart is None
+                 else evaluate_jet(self.flat_chart, points, 2))
+        return ConformalJets(points, evaluate_jet(self.omega, points, 2), chart)
 
-    def omega_flat_jets(self, points):
-        """(omega, grad, Hess) with respect to the flat coordinates, at a
-        point or at each point of a point set."""
-        jw = evaluate_jet(self.omega, points, 2)
+
+@dataclass
+class ConformalJets:
+    """A conformal structure's order-2 jets at a point set
+    (`ConformalStructure.jets`): omega's, and the flat chart's (None when
+    the chart coordinates are the flat ones)."""
+
+    points: np.ndarray
+    omega: Jet3
+    chart: Jet3 | None
+
+    def flat_frame(self):
+        """(x, J) with x the flat coordinates of the points and J = dPhi at
+        each of them."""
+        if self.chart is None:
+            pts = self.points
+            return pts, np.broadcast_to(np.eye(pts.shape[-1]),
+                                        pts.shape + pts.shape[-1:])
+        # J[a, i] = d Phi_a / d u_i
+        return self.chart.value, np.swapaxes(self.chart.d1, -1, -2)
+
+    def omega_flat_jets(self):
+        """(omega, grad, Hess) with respect to the flat coordinates at each
+        point."""
+        jw = self.omega
         w = jw.value[..., 0]
         gu = jw.d1[..., 0]
         Hu = jw.d2[..., 0]
-        if self.flat_chart is None:
+        if self.chart is None:
             return w, gu, Hu
-        jp = evaluate_jet(self.flat_chart, points, 2)
+        jp = self.chart
         JinvT = np.linalg.inv(jp.d1)                 # J^-T, with J = d1^T
         gx = np.einsum("...ij,...j->...i", JinvT, gu)
         # H_u = J^T H_x J + sum_a (g_x)_a Hess_u Phi_a
@@ -57,9 +77,10 @@ class ConformalStructure:
 
     def metric_residual(self, ext: ExtrinsicData):
         """Worst relative defect of the induced metric `ext.g` against
-        e^{2 omega} (flat chart metric) over the points of `ext`."""
-        _, J = self.flat_frame(ext.point)
-        w = evaluate_jet(self.omega, ext.point, 0).value[..., 0]
+        e^{2 omega} (flat chart metric) over the points of `ext`, which
+        are the points of these jets."""
+        _, J = self.flat_frame()
+        w = self.omega.value[..., 0]
         target = np.exp(2.0 * w)[..., None, None] * (np.swapaxes(J, -1, -2) @ J)
         r = (np.max(np.abs(ext.g - target), axis=(-2, -1))
              / np.max(np.abs(ext.g), axis=(-2, -1)))
@@ -191,17 +212,18 @@ class QSuiteReport:
     schouten_residual: float         # P = -(Q + |grad w|^2 g0 / 2), g0 flat
 
 
-def lemma_q_suite(ext: ExtrinsicData, conf: ConformalStructure, decs,
+def lemma_q_suite(ext: ExtrinsicData, cjets: ConformalJets, decs,
                   pack: CurvaturePack) -> QSuiteReport:
     """Residuals of the two pointwise Q identities that hold for any proper
     isometric immersion with flat normal bundle of a globally conformally
     flat manifold, with Q and gradients taken in the flat chart metric, over
     the points of batched extrinsic data `ext` with their principal
-    decompositions `decs`; and of the Schouten tensor of e^{2w} g0 (from the
-    curvatures `pack` of `ext`) against -(Q + |dw|^2_0 g0 / 2) over the
-    orthonormal basis, relative to max(|P|, 1)."""
-    W, GW, HW = conf.omega_flat_jets(ext.point)
-    _, J = conf.flat_frame(ext.point)
+    decompositions `decs` and the conformal structure's jets `cjets` there;
+    and of the Schouten tensor of e^{2w} g0 (from the curvatures `pack` of
+    `ext`) against -(Q + |dw|^2_0 g0 / 2) over the orthonormal basis,
+    relative to max(|P|, 1)."""
+    W, GW, HW = cjets.omega_flat_jets()
+    _, J = cjets.flat_frame()
     Q = HW - GW[..., :, None] * GW[..., None, :]                  # (B, n, n)
     gw2 = np.sum(GW * GW, axis=-1)
     # the Schouten tensor against -(Q + |dw|^2 g0 / 2), both over the

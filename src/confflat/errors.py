@@ -32,10 +32,6 @@ class ConformalStructureError(ConfflatError):
     """Immersion is not isometric for the declared conformal metric."""
 
 
-class ModelMembershipError(ConfflatError):
-    """Vector does not lie on the light-cone model set."""
-
-
 class SingularTransformError(ConfflatError):
     """Ribaucour direction field is null at some grid point."""
 

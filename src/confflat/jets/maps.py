@@ -171,6 +171,23 @@ def _jet3(jet: Jet, points) -> Jet3:
     return Jet3(value, *derivs, order)
 
 
+def _repacked(jet: Jet3, order=2) -> Jet:
+    """The packed jet (output axis first, then the batch) of a Jet3
+    truncated to `order` (at most 2): the inverse of `_jet3`, bitwise,
+    because the factorials it divides out again are 1 and 2.  An order-0
+    Jet3 names no chart dimension; its one coefficient row is packed as a
+    jet in 0 variables."""
+    order = min(order, jet.order)
+    if order > 2:
+        raise ValueError("repacking reads derivatives up to order 2 only")
+
+    def last(x):
+        return np.moveaxis(x, 0, -1) if jet.value.ndim == 2 else x
+
+    tensors = (jet.value, jet.d1, jet.d2)[:order + 1]
+    return Jet(jet.n if jet.order else 0, order, *(last(x) for x in tensors))
+
+
 # second-order central stencils per derivative order, in units of h
 _STENCILS = {
     0: ((0, 1.0),),

@@ -22,16 +22,14 @@ import numpy as np
 
 from . import ambient as amb_mod
 from .ambient import AmbientSpace
-from .conformal import ConformalStructure
-from .errors import (ConformalStructureError, DomainError,
-                     ModelMembershipError)
+from .conformal import ConformalJets, ConformalStructure
+from .errors import ConformalStructureError, DomainError
 from .extrinsic import ExtrinsicData, _congruent, fundamental_forms
-from .jets import (ChartDomain, Jet, SmoothMap, evaluate_jet, exp as jexp,
+from .jets import (ChartDomain, Jet, Jet3, SmoothMap, evaluate_jet, exp as jexp,
                    log as jlog, norm_sq, stack, unstack)
 from .jets.core import _jet
+from .jets.maps import _jet3, _repacked
 from .principal import offdiagonal_defects, principal_decompositions
-
-MEMBERSHIP_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -82,34 +80,16 @@ def psi_components(model: ConeModel, xs):
     return out
 
 
-def psi_embed(model: ConeModel, x):
-    return np.array([float(c) for c in psi_components(model, list(np.asarray(x, float)))])
-
-
-def psi_invert(model: ConeModel, V, tol=MEMBERSHIP_TOL):
-    """Inverse of the embedding on the model slice; rejects vectors whose
-    cone and slice defects exceed `tol`."""
-    V = np.asarray(V, float)
-    slice_defect = abs(model.ambient.inner(V, model.w) - 1.0)
-    cone_defect = abs(model.ambient.inner(V, V))
-    scale = max(float(V @ V), 1.0)
-    if slice_defect > tol * np.sqrt(scale) or cone_defect > tol * scale:
-        raise ModelMembershipError(
-            f"vector off the model slice: <<V,w>>-1 = {slice_defect:.3e}, "
-            f"<<V,V>> = {cone_defect:.3e}")
-    sig = model.ambient.signature
-    return np.array([float(np.sum(sig * V * model.A[:, b])) for b in range(model.N)])
-
-
 def psi_second_fundamental_residual(model: ConeModel, points):
     """Worst defect of alpha_Psi(X, Y) = -<X,Y> w over coordinate pairs at
-    a point set, with alpha_Psi computed by jets of the embedding on one
-    chart around the hull of the points."""
+    a point set, with alpha_Psi computed by order-2 jets of the embedding
+    on one chart around the hull of the points."""
     points = np.asarray(points, float)
     dom = ChartDomain(model.N, np.column_stack([points.min(axis=0) - 1.0,
                                                 points.max(axis=0) + 1.0]))
     m = SmoothMap(dom, model.N + 2, lambda u: psi_components(model, u), "psi")
-    ext = fundamental_forms(m, model.ambient, points)
+    ext = fundamental_forms(m, model.ambient, points,
+                            jet=evaluate_jet(m, points, 2))
     target = -np.einsum("ij,A->ijA", np.eye(model.N), model.w)
     return float(np.max(np.abs(ext.alpha - target)))
 
@@ -122,46 +102,67 @@ def psi_second_fundamental_residual(model: ConeModel, points):
 class LiftedImmersion:
     """F = e^{-omega} Psi o f, an isometric immersion of the flat metric of
     the source, with image inside the cone, together with its extrinsic
-    data at the points where `flat_lift` verified it."""
+    data at the points where `flat_lift` verified it (`checked`), from
+    F's order-2 jet there: none of its readers needs third derivatives."""
 
     F: SmoothMap
     parent: SmoothMap
     conformal: ConformalStructure
     model: ConeModel
-    checked: ExtrinsicData | None = None
+    checked: ExtrinsicData
 
     @property
     def ambient(self) -> AmbientSpace:
         return self.model.ambient
 
 
+def _scaled(psi, omega):
+    """e^{-omega} psi, componentwise, for the components of Psi o f and the
+    scalar omega (floats or jets): the lift's evaluator applies it to the
+    outputs of f's and omega's, and `lift_jet` to their jets."""
+    scale = jexp(-1.0 * omega)
+    for a, c in enumerate(psi):     # each unscaled component freed in turn
+        psi[a] = scale * c
+    return psi
+
+
+def lift_jet(model: ConeModel, f_jet: Jet3, omega_jet: Jet3) -> Jet:
+    """The lift's packed jet (K, N+2, *batch) from the jets of f and omega
+    at the same points, at the lowest of their orders and 2.  These are the
+    operations the lift's evaluator runs, so the result is bitwise what
+    evaluating the lift at those points gives."""
+    order = min(f_jet.order, omega_jet.order, 2)
+    psi = psi_components(model, unstack(_repacked(f_jet, order)))
+    return stack(_scaled(psi, unstack(_repacked(omega_jet, order))[0]))
+
+
 def flat_lift(f: SmoothMap, conf: ConformalStructure, model: ConeModel,
-              check_points, tol=1e-8) -> LiftedImmersion:
+              f_jet: Jet3, cjets: ConformalJets, tol=1e-8) -> LiftedImmersion:
     """Flat lift of an immersion f whose induced metric is e^{2 omega} times
-    the flat chart metric.  Verifies at the check points, from one batched
-    pass of extrinsic data, that the lift is an isometric immersion of the
-    flat metric, that it lies on the model slice of the cone, that
-    <<alpha_F(X,Y), F>> = -<X,Y>_0, and that the position field is parallel
-    in the normal connection.  The first point (in order) that breaks one of
-    the last three is named; the metric is judged by its worst point."""
+    the flat chart metric, verified at the points of the conformal jets
+    `cjets` (`conf.jets(points)`) from f's jet there (`f_jet`, of order 2
+    or more) and those jets; no map is evaluated.  The lift's order-2 jet
+    comes from f's and omega's by `lift_jet`, and one batched pass of
+    extrinsic data over it verifies that the lift is an isometric
+    immersion of the flat metric, that it lies on the model slice of the
+    cone, that <<alpha_F(X,Y), F>> = -<X,Y>_0, and that the position field
+    is parallel in the normal connection.  The first point (in order) that
+    breaks one of the last three is named; the metric is judged by its
+    worst point."""
     omega_eval = conf.omega.evaluator
     f_eval = f.evaluator
 
     def F_eval(x):
-        psi = psi_components(model, f_eval(list(x)))
-        scale = jexp(-1.0 * omega_eval(list(x))[0])
-        for a, c in enumerate(psi):     # each unscaled component freed in turn
-            psi[a] = scale * c
-        return psi
+        return _scaled(psi_components(model, f_eval(list(x))),
+                       omega_eval(list(x))[0])
 
     F = SmoothMap(f.domain, model.N + 2, F_eval, f.name + "_lift")
-    lift = LiftedImmersion(F, f, conf, model)
-
-    pts = np.asarray(check_points, float)
+    pts = cjets.points
     amb = model.ambient
     sig = amb.signature.astype(float)
-    ext = fundamental_forms(F, amb, pts)
-    _, J = conf.flat_frame(pts)
+    ext = fundamental_forms(F, amb, pts,
+                            jet=_jet3(lift_jet(model, f_jet, cjets.omega), pts))
+    _, J = cjets.flat_frame()
     g0 = np.swapaxes(J, -1, -2) @ J
     g0_scale = np.max(np.abs(g0), axis=(-2, -1))
     metric = np.max(np.abs(ext.g - g0), axis=(-2, -1)) / g0_scale
@@ -169,7 +170,7 @@ def flat_lift(f: SmoothMap, conf: ConformalStructure, model: ConeModel,
     val = ext.jet.value
     ff = np.einsum("...A,A,...A->...", val, sig, val)
     fw = (np.einsum("...A,A->...", val, sig * model.w)
-          - np.exp(-evaluate_jet(conf.omega, pts, 0).value[..., 0]))
+          - np.exp(-cjets.omega.value[..., 0]))
     # position field: <<alpha_F(X,Y), F>> = -<X,Y>_0 and parallel normal
     pairing = np.einsum("...ijA,...A->...ij", ext.alpha, sig * val)
     coef = np.einsum("...iA,A,...aA->...ia", ext.jet.d1, sig, ext.frame)
@@ -196,24 +197,23 @@ def flat_lift(f: SmoothMap, conf: ConformalStructure, model: ConeModel,
         raise ConformalStructureError(
             f"lift metric differs from the flat metric by {metric[m]:.3e} "
             f"at {pts[m]}")
-    lift.checked = ext
-    return lift
+    return LiftedImmersion(F, f, conf, model, ext)
 
 
 def lift_second_fundamental_form(lift: LiftedImmersion, extF: ExtrinsicData,
-                                 extf: ExtrinsicData):
+                                 extf: ExtrinsicData, cjets: ConformalJets):
     """alpha_F over the flat coordinate frame, from the extrinsic data of
-    the lift and of its parent at the same point set, together with its
-    worst residual (relative per point) against the closed form
+    the lift and of its parent and the conformal structure's jets `cjets`,
+    all at the same point set, together with its worst residual (relative
+    per point) against the closed form
 
         -Q(X,Y) F + e^{-w} Psi_*(alpha_f(X,Y) - <X,Y>_0 f_* grad_0 w)
         - e^{w} <X,Y>_0 w.
     """
     model = lift.model
-    conf = lift.conformal
-    wv, gw, Hw = conf.omega_flat_jets(extF.point)
+    wv, gw, Hw = cjets.omega_flat_jets()
     Q = Hw - gw[..., :, None] * gw[..., None, :]
-    _, J = conf.flat_frame(extF.point)
+    _, J = cjets.flat_frame()
     Jinv = np.linalg.inv(J)
 
     # second fundamental forms are tensorial: move the slots to flat coords
@@ -243,11 +243,25 @@ def lift_second_fundamental_form(lift: LiftedImmersion, extF: ExtrinsicData,
 @dataclass
 class ConeProjection:
     """Map into R^N recovered from a cone-valued immersion, together with
-    the conformal factor of the induced metric: <,> = <<F,w>>^{-2} <,>_0."""
+    the conformal factor of the induced metric: <,> = <<F,w>>^{-2} <,>_0,
+    and f's jet at the points where `project_from_cone` checked it."""
 
     f: SmoothMap
     omega: SmoothMap
     eps_pole: float     # pole guard on |<<F,w>>|
+    checked: Jet3 | None = None
+
+
+def _refuse_pole(rho, eps_pole):
+    """DomainError when |<<F,w>>| falls under the pole guard at a point
+    (rho a float) or at a point of a batch (rho (B,)), naming the first."""
+    r = np.asarray(rho)
+    bad = np.abs(r) < eps_pole
+    if bad.any():
+        m = int(np.argmax(bad))
+        where = f" (point {m} of the batch)" if r.ndim else ""
+        raise DomainError(f"<<F,w>> = {r.flat[m]:.3e} under the pole guard "
+                          f"{eps_pole:.3e}{where}")
 
 
 def _w_pairing(model: ConeModel, V):
@@ -275,62 +289,55 @@ def _slice_coordinates(model: ConeModel, V, rho):
 
 
 def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
-                      tol=1e-8) -> ConeProjection:
+                      jet: Jet3 | None = None, tol=1e-8) -> ConeProjection:
     """Invert the lift: f with Psi o f = F / <<F,w>>, plus the conformal
     factor map omega = -log|<<F,w>>|.  Evaluating the returned maps where
     |<<F,w>>| falls under the pole guard (1e-6 times the chart box diagonal)
-    raises DomainError: such points map near infinity.  At the given points
-    the projected metric is checked against <<F,w>>^{-2} <,>_0."""
+    raises DomainError: such points map near infinity.  Given `points` and
+    F's jet there (`jet`, of order 1 or more), f's jet at the points (to
+    the same order, at most 2) comes from it by the evaluator's own
+    operations, with no evaluation, and is kept as `checked`; the pole
+    guard must hold at every point, and the projected metric is checked
+    against <<F,w>>^{-2} <,>_0."""
     widths = [hi - lo for lo, hi in F.domain.box]
     eps_pole = 1e-6 * float(np.sqrt(sum(w * w for w in widths)))
     sig = model.ambient.signature
     F_eval = F.evaluator
 
-    def guarded(x):
-        """(F stacked, <<F,w>>, sign of <<F,w>>) at x, or at each point of a
-        batch; DomainError under the pole guard, naming the first such point
-        of a batch."""
-        V = stack(list(F_eval(list(x))))
+    def guarded(V):
+        """(<<V,w>>, its sign) of F stacked at a point or at each point of
+        a batch, past the pole guard."""
         rho = _w_pairing(model, V)
         r = np.asarray(rho.v if isinstance(rho, Jet) else rho)
-        bad = np.abs(r) < eps_pole
-        if bad.any():
-            m = int(np.argmax(bad))
-            where = f" (point {m} of the batch)" if r.ndim else ""
-            raise DomainError(f"<<F,w>> = {r.flat[m]:.3e} under the pole guard "
-                              f"{eps_pole:.3e}{where}")
-        return V, rho, np.where(r > 0, 1.0, -1.0)
+        _refuse_pole(r, eps_pole)
+        return rho, np.where(r > 0, 1.0, -1.0)
 
     def f_eval(x):
-        V, rho, _ = guarded(x)
-        return unstack(_slice_coordinates(model, V, rho))
+        V = stack(list(F_eval(list(x))))
+        return unstack(_slice_coordinates(model, V, guarded(V)[0]))
 
     def omega_eval(x):
-        _, rho, sign = guarded(x)
+        rho, sign = guarded(stack(list(F_eval(list(x)))))
         return [-1.0 * jlog(sign * rho)]
 
     f = SmoothMap(F.domain, model.N, f_eval, F.name + "_proj")
     omega = SmoothMap(F.domain, 1, omega_eval, F.name + "_proj_omega")
+    if points is None:
+        return ConeProjection(f, omega, eps_pole)
 
-    if points is not None:
-        # metrics only: one batched order-1 jet each of F and f
-        pts = np.asarray(points, float)
-        jF = evaluate_jet(F, pts, 1)
-        rho = jF.value @ (sig * model.w)
-        keep = np.abs(rho) >= eps_pole
-        if keep.any():
-            pts = pts[keep]
-            dF = jF.d1[keep]
-            df = evaluate_jet(f, pts, 1).d1
-            target = (np.einsum("...iA,A,...jA->...ij", dF, sig, dF)
-                      / rho[keep, None, None] ** 2)
-            r = (np.max(np.abs(df @ np.swapaxes(df, -1, -2) - target), axis=(-2, -1))
-                 / np.max(np.abs(target), axis=(-2, -1)))
-            if np.any(r > tol):
-                m = int(np.argmax(r > tol))
-                raise ConformalStructureError(
-                    f"projected metric defect {r[m]:.3e} at {pts[m]}")
-    return ConeProjection(f, omega, eps_pole)
+    pts = np.asarray(points, float)
+    V = _repacked(jet)
+    jf = _jet3(_slice_coordinates(model, V, guarded(V)[0]), pts)
+    dF, df = jet.d1, jf.d1
+    target = (np.einsum("...iA,A,...jA->...ij", dF, sig, dF)
+              / (jet.value @ (sig * model.w))[:, None, None] ** 2)
+    r = (np.max(np.abs(df @ np.swapaxes(df, -1, -2) - target), axis=(-2, -1))
+         / np.max(np.abs(target), axis=(-2, -1)))
+    if np.any(r > tol):
+        m = int(np.argmax(r > tol))
+        raise ConformalStructureError(
+            f"projected metric defect {r[m]:.3e} at {pts[m]}")
+    return ConeProjection(f, omega, eps_pole, jf)
 
 
 # ---------------------------------------------------------------------------

@@ -207,31 +207,23 @@ def _batch_of_one(ext):
     return ExtrinsicData(**one)
 
 
-def _cluster_columns(dist, gap):
-    """Single-linkage clustering of m items with pairwise distances `dist`
-    (m, m) at threshold `gap`.  Returns a list of index lists and the
-    tightest inter-cluster distance."""
-    m = len(dist)
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dist[i, j] <= gap:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    clusters = list(groups.values())
-    inter = np.inf
-    for a, b in combinations(range(len(clusters)), 2):
-        inter = min(inter, float(np.min(dist[np.ix_(clusters[a], clusters[b])])))
-    return clusters, inter
+def _single_linkage(dist, gaps):
+    """Single-linkage clustering of m items at each point of a set, from
+    their symmetric pairwise distances `dist` (B, m, m) at the thresholds
+    `gaps` (B,).  Returns (labels, inter): labels (B, m) gives each item
+    its cluster's smallest member, and inter (B,) the tightest distance
+    between two clusters (inf for one cluster).  The clusters are the
+    components of the within-gap graph, found by boolean closure."""
+    m = dist.shape[-1]
+    reach = (dist <= gaps[:, None, None]) | np.eye(m, dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    labels = np.argmax(reach, axis=-1)
+    inter = np.min(np.where(reach, np.inf, dist), axis=(-2, -1))
+    return labels, inter
 
 
 def _principal_pass(ext, cluster_tol, flat_tol, seed):
@@ -252,29 +244,39 @@ def _principal_pass(ext, cluster_tol, flat_tol, seed):
     etas_cols = np.swapaxes(ext.frame_eps[..., None] * kappa, -1, -2) @ ext.frame
     dist = np.linalg.norm(etas_cols[:, :, None] - etas_cols[:, None], axis=-1)
     gaps = cluster_tol * np.maximum(scale, 1e-12)
+    labels, inter = _single_linkage(dist, gaps)
+    # each cluster's principal normal, summed member by member in ascending
+    # order into its first member's row: bitwise the mean numpy takes
+    rows = np.arange(B)
+    sums = etas_cols.copy()
+    for j in range(n):
+        later = labels[:, j] != j
+        sums[rows[later], labels[later, j]] += etas_cols[later, j]
+    sizes = np.sum(labels[:, :, None] == np.arange(n), axis=1)     # (B, n)
+    etas = sums / np.maximum(sizes, 1)[..., None]
+    keys = np.round(-etas, 9)
 
+    refused = noncommuting.any(axis=(1, 2)) | (inter < 2.0 * gaps)
+    stop = int(np.argmax(refused)) if refused.any() else B
     point_set = _PointSet(ext)
     decs = []
-    for m in range(B):
-        if noncommuting[m].any():
-            a, b = np.argwhere(noncommuting[m])[0]
-            return decs, (m, DegenerateInputError(
-                f"shape operators do not commute: |[A_{a}, A_{b}]| = "
-                f"{comm[m, a, b]:.3e} at {ext.point[m]}"))
-        clusters, inter = _cluster_columns(dist[m], gaps[m])
-        if inter < 2.0 * gaps[m]:
-            return decs, (m, DegenerateInputError(
-                f"principal normal gap {inter:.3e} too close to the clustering "
-                f"threshold {gaps[m]:.3e} to resolve"))
-        entries = []
-        for idx in clusters:
-            eta = etas_cols[m, idx].mean(axis=0)
-            entries.append((len(idx), tuple(np.round(-eta, 9)), eta, V[m][:, idx]))
-        entries.sort(key=lambda e: (-e[0], e[1]))
+    for m in range(stop):
+        firsts = np.flatnonzero(sizes[m])
+        order = sorted(firsts, key=lambda r: (-sizes[m, r], tuple(keys[m, r])))
         decs.append(PrincipalDecomposition(
-            ext.at(m), [e[2] for e in entries], [e[3] for e in entries],
-            V[m], kappa[m], point_set, m))
-    return decs, None
+            ext.at(m), [etas[m, r] for r in order],
+            [V[m][:, labels[m] == r] for r in order], V[m], kappa[m],
+            point_set, m))
+    if stop == B:
+        return decs, None
+    if noncommuting[stop].any():
+        a, b = np.argwhere(noncommuting[stop])[0]
+        return decs, (stop, DegenerateInputError(
+            f"shape operators do not commute: |[A_{a}, A_{b}]| = "
+            f"{comm[stop, a, b]:.3e} at {ext.point[stop]}"))
+    return decs, (stop, DegenerateInputError(
+        f"principal normal gap {inter[stop]:.3e} too close to the clustering "
+        f"threshold {gaps[stop]:.3e} to resolve"))
 
 
 def _decide(ext, cluster_tol, flat_tol, seed):
@@ -602,13 +604,10 @@ def quasiumbilical_frame(dec: PrincipalDecomposition, tol=1e-8) -> QuasiumbilicF
         frame.append(u)
     frame = np.array(frame)
 
-    mult_list = []
-    for xi in frame:
-        A = dec.ext.shape_operator(xi)
-        w = np.linalg.eigvalsh(A)
-        scale = max(float(np.max(np.abs(w))), 1e-12)
-        clusters, _ = _cluster_columns(np.abs(w[:, None] - w[None, :]), 1e-6 * scale)
-        mult_list.append(max(len(c) for c in clusters))
+    w = np.linalg.eigvalsh(np.array([dec.ext.shape_operator(xi) for xi in frame]))
+    scale = np.maximum(np.max(np.abs(w), axis=-1), 1e-12)
+    labels, _ = _single_linkage(np.abs(w[:, :, None] - w[:, None]), 1e-6 * scale)
+    mult_list = [int(np.max(np.bincount(row))) for row in labels]
     if any(m < n - 1 for m in mult_list):
         raise QuasiumbilicError(
             f"completed frame has eigenvalue multiplicities {mult_list}, "

@@ -186,13 +186,20 @@ def _resolve_item(scenario):
 
 @dataclass
 class Run:
-    """One scenario's pass through the chain of layers on its item: the
-    sample points, the order-3 extrinsic data there, its principal
-    decompositions and intrinsic curvatures, and the flat lift checked at
-    the same points, each computed once, when a suite first reads it."""
+    """One scenario's pass through the chain of layers on its item, each
+    computed once, when a suite first reads it: the sample points, the
+    jets there of each map the run reads, the item's extrinsic data, its
+    principal decompositions and intrinsic curvatures, and the flat lift
+    checked at the same points.  Each map is evaluated once per run: the
+    item at order 3 when the run holds a reader of third derivatives (the
+    `extrinsic` or `principal` suite, named in `suites`), else at order 2,
+    and the conformal factor and the flat chart at order 2.  The lift's
+    jet comes from the item's and omega's, and the projection's from the
+    lift's, so neither map is evaluated."""
 
     item: object
     scenario: dict
+    suites: tuple = ()
 
     @cached_property
     def points(self):
@@ -201,9 +208,19 @@ class Run:
             self.scenario["samples"], rng)
 
     @cached_property
+    def jet(self):
+        """The item's jet at the points."""
+        order = 3 if {"extrinsic", "principal"} & set(self.suites) else 2
+        return evaluate_jet(self.item.smooth_map, self.points, order)
+
+    @cached_property
+    def conformal_jets(self):
+        return self.item.conformal.jets(self.points)
+
+    @cached_property
     def ext(self):
         return fundamental_forms(self.item.smooth_map, self.item.ambient,
-                                 self.points)
+                                 self.points, jet=self.jet)
 
     @cached_property
     def decs(self):
@@ -219,7 +236,8 @@ class Run:
         if conf is None or conf.flat_chart is None:
             raise NotApplicable("needs a conformal structure with flat chart")
         model = build_cone_model(self.item.smooth_map.codomain_dim)
-        return flat_lift(self.item.smooth_map, conf, model, self.points)
+        return flat_lift(self.item.smooth_map, conf, model, self.jet,
+                         self.conformal_jets)
 
 
 def suite_extrinsic(run):
@@ -234,7 +252,7 @@ def suite_extrinsic(run):
                               "extrinsic/ricci-agreement", nb.disagreement,
                               1e-8 * ts).evaluate())
     if item.conformal is not None:
-        resid = item.conformal.metric_residual(run.ext)
+        resid = run.conformal_jets.metric_residual(run.ext)
         checks.append(CheckResult("induced metric is e^(2w) x flat chart metric",
                                   "extrinsic/conformal-metric", resid,
                                   1e-8 * ts).evaluate())
@@ -312,7 +330,8 @@ def suite_conformal(run):
             chk.note = "negative control confirmed"
         checks.append(chk)
     if item.conformal is not None:
-        q = lemma_q_suite(run.ext, item.conformal, run.decs, run.curvatures)
+        q = lemma_q_suite(run.ext, run.conformal_jets, run.decs,
+                          run.curvatures)
         checks.append(CheckResult("Q vanishes between eigendistributions",
                                   "conformal/q-offblock",
                                   q.offblock_residual, 1e-7 * ts).evaluate())
@@ -350,12 +369,12 @@ def suite_lightcone(run):
     checks.append(CheckResult("lift lies on the cone",
                               "lightcone/cone-membership", cone,
                               1e-8 * ts).evaluate())
-    proj = project_from_cone(lift.F, model, points=pts)
-    rt = float(np.max(np.abs(evaluate_jet(proj.f, pts, 0).value
-                             - extf.jet.value)))
+    proj = project_from_cone(lift.F, model, pts, extF.jet)
+    rt = float(np.max(np.abs(proj.checked.value - extf.jet.value)))
     checks.append(CheckResult("projection recovers the original immersion",
                               "lightcone/roundtrip", rt, 1e-9 * ts).evaluate())
-    lemma = lift_second_fundamental_form(lift, extF, extf)[1]
+    lemma = lift_second_fundamental_form(lift, extF, extf,
+                                         run.conformal_jets)[1]
     checks.append(CheckResult("closed form of the lifted second fundamental form",
                               "lightcone/lift-second-fundamental", lemma,
                               1e-7 * ts).evaluate())
@@ -414,7 +433,8 @@ def suite_ribaucour(run):
                               result.cone_defect, 1e-12 * ts).evaluate())
     pts = run.points
     dF = lift.checked.jet.d1
-    dT = evaluate_jet(result.F_tilde_map, pts, 1).d1
+    jT = evaluate_jet(result.F_tilde_map, pts, 2)
+    dT = jT.d1
     gF = np.einsum("miA,A,mjA->mij", dF, grid.sig, dF)
     gT = np.einsum("miA,A,mjA->mij", dT, grid.sig, dT)
     mpres = float(np.max(np.max(np.abs(gF - gT), axis=(1, 2))
@@ -422,9 +442,9 @@ def suite_ribaucour(run):
     checks.append(CheckResult("reflection preserves the induced metric",
                               "ribaucour/reflection-metric",
                               mpres, 1e-9 * ts).evaluate())
-    proj = project_from_cone(result.F_tilde_map, model, points=pts)
-    cf = conformal_flatness_test(intrinsic_curvatures(
-        fundamental_forms(proj.f, amb_mod.euclidean(model.N), pts)))
+    proj = project_from_cone(result.F_tilde_map, model, pts, jT)
+    cf = conformal_flatness_test(intrinsic_curvatures(fundamental_forms(
+        proj.f, amb_mod.euclidean(model.N), pts, jet=proj.checked)))
     checks.append(CheckResult("projected reflection is conformally flat",
                               "ribaucour/reflection-projection-flatness",
                               cf, 1e-6 * ts).evaluate())
@@ -461,9 +481,9 @@ def _new_report(scenario, keys):
 
 def run_scenario(source) -> Report:
     scenario = load_scenario(source)
-    run = Run(_resolve_item(scenario), scenario)
-    report = _new_report(scenario, ("suite", "samples"))
     names = SUITES if scenario["suite"] == "all" else (scenario["suite"],)
+    run = Run(_resolve_item(scenario), scenario, names)
+    report = _new_report(scenario, ("suite", "samples"))
     for name in names:
         t0 = time.perf_counter()
         checks, skipped = [], []

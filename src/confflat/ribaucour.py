@@ -30,15 +30,14 @@ from . import ambient as amb_mod
 from .conformal import weyl_defects
 from .errors import (ConfflatError, DegenerateInputError,
                      DegenerateTransformError, DimensionAmbiguityError,
-                     DomainError, FrameError, NotApplicable,
-                     SingularTransformError)
+                     FrameError, NotApplicable, SingularTransformError)
 from .extrinsic import (ExtrinsicData, christoffels, fundamental_forms,
                         intrinsic_curvatures, normal_projectors)
 from .jets import Jet, SmoothMap, evaluate_jet, stack, unstack
 from .jets.core import _jet
 from .jets.maps import _jet3, _packed_jet
-from .lightcone import (LiftedImmersion, _slice_coordinates, _w_pairing,
-                        project_from_cone)
+from .lightcone import (LiftedImmersion, _refuse_pole, _slice_coordinates,
+                        _w_pairing, project_from_cone)
 from .principal import (CLUSTER_TOL, FLAT_NB_TOL, _principal_pass,
                         offdiagonal_defects)
 
@@ -990,16 +989,6 @@ class FamilyResult:
     grid: LiftGrid
     nullspace: ConditionSpectrum
     members: list                   # one MemberReport per candidate
-
-
-def _refuse_pole(rho, eps_pole):
-    """The pole guard of project_from_cone on one member's <<F~, w>> at its
-    sample points."""
-    under = np.abs(rho) < eps_pole
-    if under.any():
-        q = int(np.argmax(under))
-        raise DomainError(f"<<F,w>> = {rho[q]:.3e} under the pole guard "
-                          f"{eps_pole:.3e} (point {q} of the batch)")
 
 
 def _member_postchecks(grid: LiftGrid, members, seed=0):

@@ -8,7 +8,7 @@ from confflat import extrinsic, principal
 from confflat.ambient import sphere_form
 from confflat.catalog import default_catalog
 from confflat.extrinsic import fundamental_forms
-from confflat.jets import SmoothMap, norm_sq
+from confflat.jets import SmoothMap, evaluate_jet, norm_sq
 from confflat.lightcone import build_cone_model, flat_lift
 from confflat.principal import principal_decompositions
 from confflat.ribaucour import build_lift_grid
@@ -26,9 +26,7 @@ def s3xs1(catalog):
 
 @pytest.fixture(scope="session")
 def s3xs1_lift(s3xs1):
-    model = build_cone_model(s3xs1.smooth_map.codomain_dim)
-    return flat_lift(s3xs1.smooth_map, s3xs1.conformal, model,
-                     interior_points(s3xs1, 5))
+    return lift_at(s3xs1, interior_points(s3xs1, 5))
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +39,24 @@ def s3xs1_grid(s3xs1_lift):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def _record_calls(monkeypatch, module, name):
+    """A list that gets (args, result) of every call of `module.name` made
+    through a confflat module while the test runs."""
+    original = getattr(module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("confflat")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, recording)
+    return calls
 
 
 @pytest.fixture
@@ -84,6 +100,17 @@ def principal_passes(monkeypatch):
 def interior_points(item, count, seed=0):
     rng = np.random.default_rng(seed)
     return item.smooth_map.domain.sample_points(count, rng)
+
+
+def lift_at(item, points, conformal=None):
+    """The item's flat lift checked at `points`, from one order-2 jet of the
+    item and its conformal structure's jets there (`conformal` in place of
+    the item's own structure when given)."""
+    conf = item.conformal if conformal is None else conformal
+    model = build_cone_model(item.smooth_map.codomain_dim)
+    pts = np.asarray(points, float)
+    return flat_lift(item.smooth_map, conf, model,
+                     evaluate_jet(item.smooth_map, pts, 2), conf.jets(pts))
 
 
 def sectional(riemann, X, Y):

@@ -21,7 +21,7 @@ from confflat.principal import (holonomicity_check,
                                 quasiumbilical_frame, separation_check)
 from confflat import ribaucour as rb
 from confflat.errors import QuasiumbilicError
-from confflat.jets import ChartDomain, SmoothMap, sin, cos
+from confflat.jets import ChartDomain, SmoothMap, evaluate_jet, sin, cos
 from confflat.reports import run_scenario
 
 from conftest import decompositions, interior_points
@@ -125,7 +125,8 @@ def test_criterion_4_conformal_identities(catalog):
         item = catalog[name]
         pts = interior_points(item, 4)
         ext = fundamental_forms(item.smooth_map, item.ambient, pts)
-        q = lemma_q_suite(ext, item.conformal, principal_decompositions(ext),
+        cjets = item.conformal.jets(pts)
+        q = lemma_q_suite(ext, cjets, principal_decompositions(ext),
                           intrinsic_curvatures(ext))
         ok &= q.offblock_residual <= 1e-7 and q.schouten_residual <= 1e-7
         if q.high_mult_residual is not None:
@@ -134,12 +135,13 @@ def test_criterion_4_conformal_identities(catalog):
         ok &= psi_second_fundamental_residual(
             model, rng.uniform(-0.6, 0.6, size=(2, model.N))) <= 1e-8
         lift = flat_lift(item.smooth_map, item.conformal, model,
-                         check_points=pts)
+                         evaluate_jet(item.smooth_map, pts, 2), cjets)
         for pt in pts[:3]:
             F = lift.F.value(pt)
             ok &= abs(model.ambient.inner(F, F)) <= 1e-8 * max(1.0, F @ F)
-        ok &= lift_second_fundamental_form(lift, lift.checked, ext)[1] <= 1e-7
-        proj = project_from_cone(lift.F, model, points=pts[:3])
+        ok &= lift_second_fundamental_form(lift, lift.checked, ext,
+                                           cjets)[1] <= 1e-7
+        proj = project_from_cone(lift.F, model, pts, lift.checked.jet)
         for pt in pts[:3]:
             ok &= float(np.max(np.abs(
                 proj.f.value(pt) - item.smooth_map.value(pt)))) <= 1e-9
@@ -172,10 +174,11 @@ def test_criterion_5_transform_suite(s3xs1_grid, s3xs1):
         gT = np.einsum("iA,A,jA->ij", jT.d1, sig, jT.d1)
         ok &= float(np.max(np.abs(gF - gT))) <= 1e-9 * float(np.max(np.abs(gF)))
     model = g.lift.model
-    proj = project_from_cone(result.F_tilde_map, model,
-                             points=interior_points(s3xs1, 3))
+    pts = interior_points(s3xs1, 3)
+    proj = project_from_cone(result.F_tilde_map, model, pts,
+                             evaluate_jet(result.F_tilde_map, pts, 2))
     ok &= conformal_flatness_test(intrinsic_curvatures(fundamental_forms(
-        proj.f, euclidean(model.N), interior_points(s3xs1, 3)))) <= 1e-6
+        proj.f, euclidean(model.N), pts))) <= 1e-6
     shifted = rb.shift_data(g, data, 0.8)
     rep = rb.cone_preservation_check(g, shifted, rb.transform(g, shifted))
     ok &= rep.prediction_mismatch <= 1e-8

@@ -15,6 +15,8 @@ from confflat.reports import (_SUITE_FUNCS, Run, load_scenario,
                               read_grid_samples, run_pipeline, run_scenario,
                               write_grid_samples)
 
+from conftest import _record_calls
+
 
 # ---------------------------------------------------------------------------
 # scenario parsing
@@ -104,29 +106,11 @@ def test_pointwise_suites_make_one_fundamental_forms_pass(
             fundamental_forms_calls.clear()
             try:
                 _SUITE_FUNCS[suite](Run(item, load_scenario(
-                    {"schema": 1, "item": name, "suite": suite})))
+                    {"schema": 1, "item": name, "suite": suite}), (suite,)))
             except NotApplicable:         # the run records it as a skip
                 assert suite == "lightcone" and not liftable, (name, suite)
             assert len(fundamental_forms_calls) == expected, (name, suite)
             assert all(np.ndim(p) == 2 for p in fundamental_forms_calls)
-
-
-def _record_calls(monkeypatch, module, name):
-    """A list that gets (args, result) of every call of `module.name` made
-    through a confflat module while the test runs."""
-    original = getattr(module, name)
-    calls = []
-
-    def recording(*args, **kwargs):
-        result = original(*args, **kwargs)
-        calls.append((args, result))
-        return result
-
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("confflat")
-                and getattr(mod, name, None) is original):
-            monkeypatch.setattr(mod, name, recording)
-    return calls
 
 
 @pytest.fixture
@@ -167,6 +151,64 @@ def test_extrinsic_suite_makes_no_principal_pass_and_no_lift(layer_calls):
     assert layer_calls["_principal_pass"] == []
     assert layer_calls["intrinsic_curvatures"] == []
     assert layer_calls["flat_lift"] == []
+
+
+POINTWISE = ("extrinsic", "principal", "conformal", "lightcone")
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """A list that gets ((map, points, order), jet) of every evaluation of
+    a map made while the test runs: every jet goes through _packed_jet."""
+    from confflat.jets import maps
+    return _record_calls(monkeypatch, maps, "_packed_jet")
+
+
+def test_a_run_evaluates_each_map_once(catalog, evaluations, monkeypatch):
+    """On every catalog item, a run of one pointwise suite and a run of all
+    four (`verify ITEM` without the grid suite) evaluate each map at most
+    once, at the sample points, and the item at order 3 only when the run
+    holds a reader of third derivatives."""
+    from confflat import reports
+    monkeypatch.setattr(reports, "SUITES", POINTWISE)
+    for name, item in sorted(catalog.items()):
+        for suite in POINTWISE + ("all",):
+            evaluations.clear()
+            run_scenario({"schema": 1, "item": name, "suite": suite})
+            names = [args[0].name for args, _ in evaluations]
+            assert len(set(names)) == len(names), (name, suite, names)
+            orders = {args[0].name: args[2] for args, _ in evaluations}
+            third = suite in ("extrinsic", "principal", "all")
+            conf = item.conformal
+            if suite == "lightcone" and (conf is None or conf.flat_chart is None):
+                assert orders == {}, name     # refused before any evaluation
+                continue
+            assert orders[item.smooth_map.name] == (3 if third else 2), (
+                name, suite)
+            assert all(k <= 2 for m, k in orders.items()
+                       if m != item.smooth_map.name), (name, suite, orders)
+
+
+def test_lightcone_run_makes_four_evaluations(evaluations):
+    """The s3xs1 light-cone suite evaluates the item, omega, the flat chart
+    and the cone model once each, at order 2; the lift and its projection
+    come from those jets."""
+    run_scenario({"schema": 1, "item": "s3xs1", "suite": "lightcone"})
+    assert sorted((args[0].name, args[2]) for args, _ in evaluations) == [
+        ("cone_coordinates", 2), ("omega_s3xs1", 2), ("psi", 2),
+        ("s3xs1", 2)]
+
+
+def test_pipeline_lift_evaluates_f_and_omega_not_F(s3xs1, evaluations):
+    """A pipeline round checks the lift at its sample points from the jets
+    of the item, omega and the flat chart there: the lift itself is
+    evaluated only at the grid and member points."""
+    run_pipeline({"schema": 1, "item": "s3xs1", "count": 1})
+    pts = s3xs1.smooth_map.domain.sample_points(6, np.random.default_rng(0))
+    at_check = [args[0].name for args, _ in evaluations
+                if np.shape(args[1]) == pts.shape and np.array_equal(args[1], pts)]
+    assert sorted(at_check) == ["cone_coordinates", "omega_s3xs1", "s3xs1"]
+    assert "s3xs1_lift" in {args[0].name for args, _ in evaluations}
 
 
 def test_negative_control_report():
@@ -231,6 +273,16 @@ def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "s3xs1" in out and "negative-control" in out
+
+
+def test_module_entry_point_runs_the_cli(capsys, monkeypatch):
+    """`python -m confflat list` runs the command line in process."""
+    import runpy
+    monkeypatch.setattr(sys, "argv", ["confflat", "list"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("confflat", run_name="__main__")
+    assert done.value.code == 0
+    assert "s3xs1" in capsys.readouterr().out
 
 
 def test_cli_verify_pass(capsys):

@@ -150,7 +150,8 @@ def test_q_suite(catalog):
     for name in ("s3xs1", "cone_t3", "cylinder_r1xs3"):
         item = catalog[name]
         ext = _ext(item, interior_points(item, 4))
-        rep = lemma_q_suite(ext, item.conformal, principal_decompositions(ext),
+        rep = lemma_q_suite(ext, item.conformal.jets(ext.point),
+                            principal_decompositions(ext),
                             intrinsic_curvatures(ext))
         assert rep.offblock_residual < 1e-7
         assert rep.schouten_residual < 1e-7
@@ -173,12 +174,14 @@ def test_schouten_identity_fails_on_a_wrong_factor(catalog):
     conf = item.conformal
     ext = _ext(item, interior_points(item, 6))
     decs, pack = principal_decompositions(ext), intrinsic_curvatures(ext)
-    assert lemma_q_suite(ext, conf, decs, pack).schouten_residual <= 1e-12
+    cjets = conf.jets(ext.point)
+    assert lemma_q_suite(ext, cjets, decs, pack).schouten_residual <= 1e-12
     wrong = ConformalStructure(_scaled(conf.omega, 1.1), conf.flat_chart)
-    assert lemma_q_suite(ext, wrong, decs, pack).schouten_residual > 1e-7
+    assert lemma_q_suite(ext, wrong.jets(ext.point), decs,
+                         pack).schouten_residual > 1e-7
 
-    _, grad, hess = conf.omega_flat_jets(ext.point)
-    _, J = conf.flat_frame(ext.point)
+    _, grad, hess = cjets.omega_flat_jets()
+    _, J = cjets.flat_frame()
     E = J @ ext.onb
     P = schouten(intrinsic_curvatures(ext))
     Q = hess - grad[:, :, None] * grad[:, None, :]

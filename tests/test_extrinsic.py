@@ -113,7 +113,8 @@ def test_normal_curvature_gate_can_fail():
     assert nb.disagreement <= 1e-12
     for item in (holo, quad):
         checks, _ = suite_extrinsic(Run(item, load_scenario(
-            {"schema": 1, "item": item.name, "suite": "extrinsic"})))
+            {"schema": 1, "item": item.name, "suite": "extrinsic"}),
+            ("extrinsic",)))
         verdicts = {c.anchor: c.passed for c in checks}
         assert verdicts == {"extrinsic/flat-normal-bundle": False,
                             "extrinsic/ricci-agreement": True}, item.name
@@ -172,7 +173,7 @@ def test_conformal_metric_residual(catalog):
     for name in ("s3xs1", "cone_t3", "cylinder_r1xs3"):
         item = catalog[name]
         pts = interior_points(item, 4)
-        resid = item.conformal.metric_residual(_ext(item, pts))
+        resid = item.conformal.jets(pts).metric_residual(_ext(item, pts))
         assert resid < 1e-8
 
 

@@ -5,21 +5,43 @@ import numpy as np
 import pytest
 
 from confflat.ambient import euclidean
-from confflat.errors import (ConformalStructureError, DomainError,
-                             ModelMembershipError)
+from confflat.errors import ConformalStructureError, DomainError
 from confflat.extrinsic import fundamental_forms
 from confflat.jets import ChartDomain, SmoothMap, evaluate_jet
-from confflat.lightcone import (build_cone_model, flat_lift,
-                                lift_correspondence_check,
-                                lift_second_fundamental_form, project_from_cone,
-                                psi_embed, psi_invert,
+from confflat.jets.maps import _packed_jet
+from confflat.lightcone import (build_cone_model, lift_correspondence_check,
+                                lift_jet, lift_second_fundamental_form,
+                                project_from_cone, psi_components,
                                 psi_second_fundamental_residual)
 
 from confflat.principal import principal_decompositions
 
-from conftest import interior_points
+from conftest import interior_points, lift_at
 
 LIFTABLE = ["s3xs1", "cone_t3", "cylinder_r1xs3"]
+MEMBERSHIP_TOL = 1e-8
+
+
+def psi_embed(model, x):
+    """Psi(x) at a point x of R^N, as floats."""
+    return np.array([float(c) for c in
+                     psi_components(model, list(np.asarray(x, float)))])
+
+
+def psi_invert(model, V, tol=MEMBERSHIP_TOL):
+    """Inverse of the embedding on the model slice; ValueError for vectors
+    whose cone and slice defects exceed `tol`."""
+    V = np.asarray(V, float)
+    slice_defect = abs(model.ambient.inner(V, model.w) - 1.0)
+    cone_defect = abs(model.ambient.inner(V, V))
+    scale = max(float(V @ V), 1.0)
+    if slice_defect > tol * np.sqrt(scale) or cone_defect > tol * scale:
+        raise ValueError(
+            f"vector off the model slice: <<V,w>>-1 = {slice_defect:.3e}, "
+            f"<<V,V>> = {cone_defect:.3e}")
+    sig = model.ambient.signature
+    return np.array([float(np.sum(sig * V * model.A[:, b]))
+                     for b in range(model.N)])
 
 
 def test_model_vectors():
@@ -42,7 +64,7 @@ def test_embed_invert_roundtrip(rng):
 def test_invert_rejects_off_cone(rng):
     model = build_cone_model(3)
     V = psi_embed(model, np.array([0.3, -0.2, 0.9]))
-    with pytest.raises(ModelMembershipError):
+    with pytest.raises(ValueError, match="off the model slice"):
         psi_invert(model, V + 0.01 * model.w)
 
 
@@ -57,7 +79,7 @@ def test_flat_lift_is_on_cone(catalog, name):
     item = catalog[name]
     model = build_cone_model(item.smooth_map.codomain_dim)
     pts = interior_points(item, 4)
-    lift = flat_lift(item.smooth_map, item.conformal, model, check_points=pts)
+    lift = lift_at(item, pts)
     for pt in pts:
         F = lift.F.value(pt)
         assert abs(model.ambient.inner(F, F)) < 1e-10 * max(1.0, F @ F)
@@ -68,8 +90,7 @@ def test_lift_is_isometric_to_flat_chart(catalog, name):
     """The lift induces exactly the metric of the flat representative."""
     item = catalog[name]
     model = build_cone_model(item.smooth_map.codomain_dim)
-    lift = flat_lift(item.smooth_map, item.conformal, model,
-                     interior_points(item, 5))
+    lift = lift_at(item, interior_points(item, 5))
     sig = model.ambient.signature
     for pt in interior_points(item, 3):
         jF = lift.F.jet(pt, order=1)
@@ -90,28 +111,26 @@ def test_lift_second_fundamental_closed_form(catalog):
     liftable item, and a wrong conformal factor breaks it."""
     for name in LIFTABLE:
         item = catalog[name]
-        model = build_cone_model(item.smooth_map.codomain_dim)
         pts = interior_points(item, 3)
-        lift = flat_lift(item.smooth_map, item.conformal, model,
-                         check_points=pts)
+        lift = lift_at(item, pts)
         extf = _parent_ext(item, pts)
-        _, resid = lift_second_fundamental_form(lift, lift.checked, extf)
+        _, resid = lift_second_fundamental_form(lift, lift.checked, extf,
+                                                item.conformal.jets(pts))
         assert resid < 1e-7, name
         wrong = SmoothMap(item.smooth_map.domain, 1, lambda x: [0.3 * x[0]],
                           "wrong")
-        bad = replace(lift, conformal=replace(item.conformal, omega=wrong))
-        _, resid = lift_second_fundamental_form(bad, lift.checked, extf)
+        bad = replace(item.conformal, omega=wrong).jets(pts)
+        _, resid = lift_second_fundamental_form(lift, lift.checked, extf, bad)
         assert resid > 1e-3, name
 
 
 @pytest.mark.parametrize("name", LIFTABLE)
 def test_projection_roundtrip(catalog, name):
     item = catalog[name]
-    model = build_cone_model(item.smooth_map.codomain_dim)
-    lift = flat_lift(item.smooth_map, item.conformal, model,
-                     interior_points(item, 5))
+    lift = lift_at(item, interior_points(item, 5))
     pts = interior_points(item, 4)
-    proj = project_from_cone(lift.F, model, points=pts)
+    proj = project_from_cone(lift.F, lift.model, pts,
+                             evaluate_jet(lift.F, pts, 1))
     for pt in pts:
         assert np.allclose(proj.f.value(pt), item.smooth_map.value(pt),
                            atol=1e-9)
@@ -122,9 +141,8 @@ def test_projection_roundtrip(catalog, name):
 
 def test_lift_correspondence(catalog):
     item = catalog["s3xs1"]
-    model = build_cone_model(6)
     pts = interior_points(item, 4)
-    lift = flat_lift(item.smooth_map, item.conformal, model, check_points=pts)
+    lift = lift_at(item, pts)
     rep = lift_correspondence_check(
         lift.checked, principal_decompositions(_parent_ext(item, pts)))
     assert rep.offdiag_F < 1e-7
@@ -141,10 +159,8 @@ def test_flat_lift_rejects_wrong_factor(catalog):
     bad_omega = SmoothMap(item.smooth_map.domain, 1,
                           lambda x: [0.7 * x[0]], "wrong")
     bad = ConformalStructure(bad_omega, item.conformal.flat_chart)
-    model = build_cone_model(6)
     with pytest.raises(ConformalStructureError):
-        flat_lift(item.smooth_map, bad, model,
-                  check_points=interior_points(item, 3))
+        lift_at(item, interior_points(item, 3), conformal=bad)
 
 
 def test_pole_guard_decides_per_point():
@@ -155,11 +171,52 @@ def test_pole_guard_decides_per_point():
     F = SmoothMap(ChartDomain(1, ((-1.0, 1.0),)), 4,
                   lambda u: [0.0 * u[0], u[0], 0.0 * u[0], u[0]])
     proj = project_from_cone(F, model)
+    pts = np.array([[0.5], [0.0], [-0.3], [0.0]])
     with pytest.raises(DomainError, match="point 1 of the batch"):
-        evaluate_jet(proj.f, np.array([[0.5], [0.0], [-0.3], [0.0]]), 0)
+        evaluate_jet(proj.f, pts, 0)
+    with pytest.raises(DomainError, match="point 1 of the batch"):
+        project_from_cone(F, model, pts, evaluate_jet(F, pts, 1))
     with pytest.raises(DomainError) as err:
         evaluate_jet(proj.f, np.array([0.0]), 0)
     assert "batch" not in str(err.value)
     omega = evaluate_jet(proj.omega, np.array([[0.5], [-0.25]]), 1)
     assert np.allclose(omega.value[:, 0], -np.log([0.5, 0.25]), atol=1e-15)
     assert np.allclose(omega.d1[:, 0, 0], [-2.0, 4.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("name", LIFTABLE)
+def test_lift_jet_is_the_lift_evaluated(catalog, name):
+    """The lift's jet built from the jets of f and omega is bitwise the
+    lift's own evaluation, at every order up to 2, and from the order-3
+    jet of f that a run of the extrinsic or principal suite holds."""
+    item = catalog[name]
+    f, omega = item.smooth_map, item.conformal.omega
+    pts = interior_points(item, 6)
+    lift = lift_at(item, pts)
+    model = lift.model
+    for k in (0, 1, 2):
+        derived = lift_jet(model, evaluate_jet(f, pts, k),
+                           evaluate_jet(omega, pts, k))
+        assert derived.order == k
+        assert np.array_equal(derived.c, _packed_jet(lift.F, pts, k).c), k
+    from_order3 = lift_jet(model, evaluate_jet(f, pts, 3),
+                           evaluate_jet(omega, pts, 2))
+    assert np.array_equal(from_order3.c, _packed_jet(lift.F, pts, 2).c)
+    checked, jet = lift.checked.jet, evaluate_jet(lift.F, pts, 2)
+    assert checked.order == 2 and checked.d3 is None
+    for field in ("value", "d1", "d2"):
+        assert np.array_equal(getattr(checked, field), getattr(jet, field))
+
+
+@pytest.mark.parametrize("name", LIFTABLE)
+def test_projection_jet_is_the_projection_evaluated(catalog, name):
+    """The projection's jet at the check points, built from the lift's
+    jet, is bitwise the projected map's own evaluation there."""
+    item = catalog[name]
+    pts = interior_points(item, 6)
+    lift = lift_at(item, pts)
+    proj = project_from_cone(lift.F, lift.model, pts, lift.checked.jet)
+    once = evaluate_jet(proj.f, pts, 1)
+    assert np.array_equal(proj.checked.value, once.value)
+    assert np.array_equal(proj.checked.d1, once.d1)
+    assert np.array_equal(proj.checked.d2, evaluate_jet(proj.f, pts, 2).d2)

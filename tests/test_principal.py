@@ -402,6 +402,136 @@ def test_one_pass_names_the_first_noncommuting_point(catalog):
     principal_decompositions(bad.at(np.arange(2)))
 
 
+def _union_find_clusters(dist, gap):
+    """Single-linkage clusters (index lists, in order of their smallest
+    member) of items with pairwise distances `dist` at threshold `gap`, by
+    union-find, and the tightest inter-cluster distance."""
+    m = len(dist)
+    parent = list(range(m))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if dist[i, j] <= gap:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    clusters = list(groups.values())
+    inter = np.inf
+    for a in range(len(clusters)):
+        for b in range(a + 1, len(clusters)):
+            inter = min(inter, float(np.min(dist[np.ix_(clusters[a], clusters[b])])))
+    return clusters, inter
+
+
+def test_whole_set_clustering_matches_union_find():
+    """The boolean-closure clustering of a whole point set gives every
+    point the union-find clusters and inter-cluster gap, on random
+    distance matrices: integer points on a line with the gap an integer
+    (ties exactly at the gap), and points in the plane."""
+    from confflat.principal import _single_linkage
+    rng = np.random.default_rng(3)
+    ties = 0
+    for m in (1, 2, 3, 4, 6, 8):
+        line = rng.integers(0, 3 * m, size=(40, m, 1)).astype(float)
+        plane = rng.uniform(0.0, 2.0, size=(40, m, 2))
+        for pts, gaps in ((line, rng.integers(0, 4, size=40).astype(float)),
+                          (plane, rng.uniform(0.05, 0.8, size=40))):
+            dist = np.linalg.norm(pts[:, :, None] - pts[:, None], axis=-1)
+            ties += int(np.sum(dist == gaps[:, None, None]))
+            labels, inter = _single_linkage(dist, gaps)
+            for b in range(len(dist)):
+                clusters, gap_b = _union_find_clusters(dist[b], gaps[b])
+                got = [list(np.flatnonzero(labels[b] == r))
+                       for r in np.unique(labels[b])]
+                assert got == clusters, (m, b)
+                assert inter[b] == gap_b, (m, b)
+    assert ties > 100
+
+
+def _oracle_pass(ext, cluster_tol, flat_tol, seed=0):
+    """((etas, bases) per point, failure) as the per-point loop over
+    union-find clusters decided them: the shared joint bases, then at each
+    point in turn the commutator check, the clusters, the gap check and the
+    sorted entries, up to the first point refused (index, message)."""
+    from confflat import principal
+    S = ext.S
+    B, p, n, _ = S.shape
+    scale = np.maximum(np.max(np.abs(S), axis=(-3, -2, -1)), 1e-300)
+    SS = S[:, :, None] @ S[:, None]
+    comm = np.max(np.abs(SS - np.swapaxes(SS, 1, 2)), axis=(-2, -1))
+    upper = np.triu(np.ones((p, p), bool), 1)
+    noncommuting = (comm > (flat_tol * scale ** 2 * n)[:, None, None]) & upper
+    V = principal._joint_bases(S, seed, 60, principal.JACOBI_TOL,
+                               skip=noncommuting.any(axis=(1, 2)))
+    kappa = np.sum(V[:, None] * (S @ V[:, None]), axis=-2)
+    cols = np.swapaxes(ext.frame_eps[..., None] * kappa, -1, -2) @ ext.frame
+    dist = np.linalg.norm(cols[:, :, None] - cols[:, None], axis=-1)
+    gaps = cluster_tol * np.maximum(scale, 1e-12)
+    out = []
+    for m in range(B):
+        if noncommuting[m].any():
+            a, b = np.argwhere(noncommuting[m])[0]
+            return out, (m, f"shape operators do not commute: |[A_{a}, A_{b}]| "
+                            f"= {comm[m, a, b]:.3e} at {ext.point[m]}")
+        clusters, inter = _union_find_clusters(dist[m], gaps[m])
+        if inter < 2.0 * gaps[m]:
+            return out, (m, f"principal normal gap {inter:.3e} too close to "
+                            f"the clustering threshold {gaps[m]:.3e} to resolve")
+        entries = sorted(((len(idx), tuple(np.round(-cols[m, idx].mean(axis=0), 9)),
+                           cols[m, idx].mean(axis=0), V[m][:, idx])
+                          for idx in clusters), key=lambda e: (-e[0], e[1]))
+        out.append(([e[2] for e in entries], [e[3] for e in entries]))
+    return out, None
+
+
+@pytest.mark.parametrize("name", sorted(default_catalog()))
+def test_whole_set_pass_matches_the_per_point_loop(catalog, name):
+    """Over a sweep of clustering thresholds, the one-pass decision gives
+    every point the per-point loop's principal normals and bases bitwise,
+    and refuses the same first point with the same message.  The point
+    sets: the item's own; the same with the shape operators of the last
+    four points shifted by a multiple of the identity (same normals apart,
+    a larger scale, so a gap check refuses them first); and the same with
+    the shape operators of point 5 made not to commute."""
+    from confflat.principal import _principal_pass
+    item = catalog[name]
+    ext = fundamental_forms(item.smooth_map, item.ambient,
+                            interior_points(item, 8, seed=5))
+    shifted = ext.S.copy()
+    shifted[4:] += 3.0 * np.max(np.abs(ext.S)) * np.eye(ext.n)
+    twisted = ext.S.copy()
+    twisted[5, 0] += 0.1 * (np.ones((ext.n, ext.n)) - np.eye(ext.n))
+    twisted[5, -1] += 0.1 * np.diag(np.arange(ext.n))
+    later = set()
+    for S in (ext.S, shifted, twisted):
+        for cluster_tol in np.geomspace(1e-7, 2.0, 40):
+            data = replace(ext, S=S)
+            decs, failure = _principal_pass(data, cluster_tol, 1e-8, 0)
+            want, want_failure = _oracle_pass(data, cluster_tol, 1e-8)
+            assert len(decs) == len(want), (name, cluster_tol)
+            for dec, (etas, bases) in zip(decs, want):
+                assert len(dec.etas) == len(etas)
+                assert all(np.array_equal(a, b) for a, b in zip(dec.etas, etas))
+                assert all(np.array_equal(a, b) for a, b in zip(dec.bases, bases))
+            if want_failure is None:
+                assert failure is None, (name, cluster_tol)
+                continue
+            assert (failure[0], str(failure[1])) == want_failure, (name, cluster_tol)
+            if failure[0] > 0:
+                later.add(str(failure[1]).split(":")[0].split(" gap")[0])
+    if ext.p >= 2:                   # one shape operator always commutes
+        assert "shape operators do not commute" in later, name
+    if principal_decompositions(ext)[0].k >= 2:    # else no gap to check
+        assert "principal normal" in later, name
+
+
 # principal decisions per pointwise suite: one pass per ExtrinsicData
 _PASSES = {"extrinsic": 0, "principal": 1, "conformal": 1, "lightcone": 2}
 

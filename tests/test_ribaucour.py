@@ -15,11 +15,10 @@ from confflat.errors import (DegenerateInputError, DegenerateTransformError,
                              DimensionAmbiguityError, FrameError,
                              SingularTransformError)
 from confflat.extrinsic import normal_projectors
-from confflat.lightcone import build_cone_model, flat_lift
 from confflat import ribaucour as rb
 from confflat.reports import _resolve_item, run_scenario
 
-from conftest import interior_points
+from conftest import interior_points, lift_at
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +144,7 @@ def _sequential_transport(lift, step, substeps=2):
 @pytest.fixture(scope="module")
 def s3xs1_coarse_lift():
     item = _resolve_item({"item": "s3xs1", "grid": [3, 3, 3, 3]})
-    model = build_cone_model(item.smooth_map.codomain_dim)
-    return flat_lift(item.smooth_map, item.conformal, model,
-                     interior_points(item, 5))
+    return lift_at(item, interior_points(item, 5))
 
 
 def test_level_sweep_matches_sequential_transport(s3xs1_coarse_lift):
@@ -387,10 +384,7 @@ def test_condition_blocks_match_connected_components(grid_name, request):
 @pytest.fixture(scope="module")
 def s3xs1_refined_grid():
     item = _resolve_item({"item": "s3xs1", "grid": [5, 5, 5, 6]})
-    model = build_cone_model(item.smooth_map.codomain_dim)
-    lift = flat_lift(item.smooth_map, item.conformal, model,
-                     interior_points(item, 5))
-    return rb.build_lift_grid(lift)
+    return rb.build_lift_grid(lift_at(item, interior_points(item, 5)))
 
 
 @pytest.mark.parametrize("grid_name", ["s3xs1_grid", "s3xs1_refined_grid"])
@@ -438,10 +432,7 @@ def test_degenerate_input_guard(catalog):
     """A single principal normal (umbilic lift) makes the condition lose
     rigidity; the solver must refuse instead of reporting a dimension."""
     item = catalog["mobius_flat"]
-    model = build_cone_model(item.smooth_map.codomain_dim)
-    lift = flat_lift(item.smooth_map, item.conformal, model,
-                     interior_points(item, 5))
-    grid = rb.build_lift_grid(lift)
+    grid = rb.build_lift_grid(lift_at(item, interior_points(item, 5)))
     with pytest.raises(DegenerateInputError):
         rb.solve_condition_nullspace(grid)
     with pytest.raises(DegenerateInputError):
@@ -453,9 +444,7 @@ def test_count_and_basis_refuse_alike(catalog):
     the count alone and the basis refuse with the same message, because
     one decision (_nullspace_threshold) serves both."""
     item = catalog["cone_t3"]
-    model = build_cone_model(item.smooth_map.codomain_dim)
-    grid = rb.build_lift_grid(flat_lift(item.smooth_map, item.conformal, model,
-                                        interior_points(item, 5)))
+    grid = rb.build_lift_grid(lift_at(item, interior_points(item, 5)))
     with pytest.raises(DimensionAmbiguityError, match="gap ratio 1.1") as basis:
         rb.solve_condition_nullspace(grid)
     with pytest.raises(DimensionAmbiguityError) as count:
@@ -838,9 +827,7 @@ def test_member_layer_passes_do_not_grow_with_the_family(
         fundamental_forms_calls.clear()
         grid_built.clear()
         grid_started.clear()
-        lift = flat_lift(s3xs1.smooth_map, s3xs1.conformal,
-                         build_cone_model(s3xs1.smooth_map.codomain_dim),
-                         interior_points(s3xs1, 5))
+        lift = lift_at(s3xs1, interior_points(s3xs1, 5))
         fam = rb.conformally_flat_family(lift, count=count, seed=0)
         assert all(m.retained and m.error is None for m in fam.members)
         assert len(fam.members) == count + 1

@@ -78,17 +78,14 @@ class ChartDomain:
 class Jet3:
     """Value and partial derivatives to `order` of a map at a chart point,
     or at each point of a point set (then every field has a leading batch
-    axis).  Derivatives above `order` are None."""
+    axis), in n chart variables.  Derivatives above `order` are None."""
 
     value: np.ndarray             # (..., N)
-    d1: np.ndarray                # (..., n, N)
+    d1: np.ndarray | None         # (..., n, N)
     d2: np.ndarray | None         # (..., n, n, N)
     d3: np.ndarray | None         # (..., n, n, n, N)
-    order: int = 3
-
-    @property
-    def n(self):
-        return self.d1.shape[-2]
+    order: int
+    n: int
 
     @property
     def codim(self):
@@ -96,9 +93,9 @@ class Jet3:
 
     def at(self, m):
         """The jet at point m of a point set."""
-        return Jet3(self.value[m], self.d1[m],
-                    None if self.d2 is None else self.d2[m],
-                    None if self.d3 is None else self.d3[m], self.order)
+        d1, d2, d3 = (None if d is None else d[m]
+                      for d in (self.d1, self.d2, self.d3))
+        return Jet3(self.value[m], d1, d2, d3, self.order, self.n)
 
 
 @dataclass
@@ -168,15 +165,13 @@ def _jet3(jet: Jet, points) -> Jet3:
         bad = points[np.argmin(finite)] if batch else points
         raise DomainError(f"non-finite jet output at {bad}")
     derivs += [None] * (3 - order)
-    return Jet3(value, *derivs, order)
+    return Jet3(value, *derivs, order, n)
 
 
 def _repacked(jet: Jet3, order=2) -> Jet:
     """The packed jet (output axis first, then the batch) of a Jet3
     truncated to `order` (at most 2): the inverse of `_jet3`, bitwise,
-    because the factorials it divides out again are 1 and 2.  An order-0
-    Jet3 names no chart dimension; its one coefficient row is packed as a
-    jet in 0 variables."""
+    because the factorials it divides out again are 1 and 2."""
     order = min(order, jet.order)
     if order > 2:
         raise ValueError("repacking reads derivatives up to order 2 only")
@@ -185,7 +180,7 @@ def _repacked(jet: Jet3, order=2) -> Jet:
         return np.moveaxis(x, 0, -1) if jet.value.ndim == 2 else x
 
     tensors = (jet.value, jet.d1, jet.d2)[:order + 1]
-    return Jet(jet.n if jet.order else 0, order, *(last(x) for x in tensors))
+    return Jet(jet.n, order, *(last(x) for x in tensors))
 
 
 # second-order central stencils per derivative order, in units of h
@@ -258,4 +253,4 @@ def finite_difference_jet(smooth_map: SmoothMap, point, order=3, h=None) -> Jet3
                     val = deriv(c)
                     for p, q, r in itertools.permutations((i, j, k)):
                         d3[p, q, r] = val
-    return Jet3(value, d1, d2, d3, order)
+    return Jet3(value, d1, d2, d3, order, n)

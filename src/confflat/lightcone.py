@@ -252,6 +252,13 @@ class ConeProjection:
     checked: Jet3 | None = None
 
 
+def _pole_guard(domain: ChartDomain) -> float:
+    """The pole guard on |<<F,w>>| of a map on `domain`: 1e-6 times the
+    diagonal of its chart box."""
+    widths = [hi - lo for lo, hi in domain.box]
+    return 1e-6 * float(np.sqrt(sum(w * w for w in widths)))
+
+
 def _refuse_pole(rho, eps_pole):
     """DomainError when |<<F,w>>| falls under the pole guard at a point
     (rho a float) or at a point of a batch (rho (B,)), naming the first."""
@@ -299,8 +306,7 @@ def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
     operations, with no evaluation, and is kept as `checked`; the pole
     guard must hold at every point, and the projected metric is checked
     against <<F,w>>^{-2} <,>_0."""
-    widths = [hi - lo for lo, hi in F.domain.box]
-    eps_pole = 1e-6 * float(np.sqrt(sum(w * w for w in widths)))
+    eps_pole = _pole_guard(F.domain)
     sig = model.ambient.signature
     F_eval = F.evaluator
 

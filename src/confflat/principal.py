@@ -5,7 +5,7 @@ the span / quasiumbilical / nullity structure built on top of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
 
@@ -15,7 +15,6 @@ from .errors import (DegenerateInputError, NonProperError, NotApplicable,
                      QuasiumbilicError)
 from .extrinsic import (ExtrinsicData, _project_out, _unit, _vdot, christoffels,
                         codazzi_tensor, intrinsic_curvatures, orthonormalize)
-from .jets import Jet3
 
 FLAT_NB_TOL = 1e-8
 CLUSTER_TOL = 1e-6
@@ -79,13 +78,6 @@ def _joint_bases(mats, seed, max_sweeps, tol, skip=None):
     for m in np.flatnonzero(rough):
         V[m] = _jacobi_sweeps(work[m], V[m], thresh[m], max_sweeps)
     return V
-
-
-def joint_diagonalize(mats, seed=0, max_sweeps=60, tol=JACOBI_TOL):
-    """Orthogonal V (columns) jointly diagonalizing a stack of commuting
-    symmetric matrices: random-combination eigendecomposition followed by
-    Jacobi refinement sweeps.  Deterministic for a fixed seed."""
-    return _joint_bases(np.array(mats, float)[None], seed, max_sweeps, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +185,6 @@ def _reconstruction_residuals(decs, seed, trials):
     return np.max(np.where(keep[..., None], diff, 0.0), axis=(-2, -1))
 
 
-def _batch_of_one(ext):
-    """Single-point extrinsic data as a point set of one point."""
-    one = {f.name: getattr(ext, f.name) for f in fields(ext)}
-    for name, val in one.items():
-        if isinstance(val, np.ndarray):
-            one[name] = val[None]
-    if ext.lame is None:
-        one["lame"] = np.full((1, ext.n), np.nan)
-    jet = ext.jet
-    one["jet"] = Jet3(*(None if x is None else x[None]
-                        for x in (jet.value, jet.d1, jet.d2, jet.d3)), jet.order)
-    return ExtrinsicData(**one)
-
-
 def _single_linkage(dist, gaps):
     """Single-linkage clustering of m items at each point of a set, from
     their symmetric pairwise distances `dist` (B, m, m) at the thresholds
@@ -294,15 +272,6 @@ def principal_decompositions(ext: ExtrinsicData, cluster_tol=CLUSTER_TOL,
     DegenerateInputError naming the first point whose shape operators do not
     commute or whose principal normals are too close to resolve."""
     return _decide(ext, cluster_tol, FLAT_NB_TOL, seed)
-
-
-def principal_decomposition(ext: ExtrinsicData, cluster_tol=CLUSTER_TOL,
-                            flat_tol=FLAT_NB_TOL, seed=0) -> PrincipalDecomposition:
-    """The decomposition at one point: the one-pass decision on a point set
-    of one."""
-    dec, = _decide(_batch_of_one(ext), cluster_tol, flat_tol, seed)
-    dec.ext = ext
-    return dec
 
 
 # ---------------------------------------------------------------------------

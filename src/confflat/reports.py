@@ -26,9 +26,11 @@ from .errors import ConfflatError, ConfigError, NotApplicable
 from .extrinsic import (fundamental_forms, intrinsic_curvatures,
                         normal_connection_and_curvature)
 from .jets import evaluate_jet
-from .lightcone import (build_cone_model, flat_lift, lift_correspondence_check,
-                        lift_second_fundamental_form, project_from_cone,
-                        psi_second_fundamental_residual)
+from .jets.maps import _jet3, _repacked
+from .lightcone import (_pole_guard, _refuse_pole, _slice_coordinates,
+                        _w_pairing, build_cone_model, flat_lift,
+                        lift_correspondence_check, lift_second_fundamental_form,
+                        project_from_cone, psi_second_fundamental_residual)
 from .principal import (holonomicity_check, principal_decompositions,
                         properness_and_census, separation_check)
 
@@ -431,10 +433,12 @@ def suite_ribaucour(run):
     checks.append(CheckResult("reflection transform stays on the cone",
                               "ribaucour/reflection-cone-defect",
                               result.cone_defect, 1e-12 * ts).evaluate())
+    # the reflection R F at the sample points: R applied to the lift's jet
+    # there, and its projection's jet from that, with no map evaluated
     pts = run.points
-    dF = lift.checked.jet.d1
-    jT = evaluate_jet(result.F_tilde_map, pts, 2)
-    dT = jT.d1
+    V = rb._member_jets(rb.reflection(grid.sig, data.z),
+                        _repacked(lift.checked.jet))
+    dF, dT = lift.checked.jet.d1, _jet3(V, pts).d1
     gF = np.einsum("miA,A,mjA->mij", dF, grid.sig, dF)
     gT = np.einsum("miA,A,mjA->mij", dT, grid.sig, dT)
     mpres = float(np.max(np.max(np.abs(gF - gT), axis=(1, 2))
@@ -442,9 +446,11 @@ def suite_ribaucour(run):
     checks.append(CheckResult("reflection preserves the induced metric",
                               "ribaucour/reflection-metric",
                               mpres, 1e-9 * ts).evaluate())
-    proj = project_from_cone(result.F_tilde_map, model, pts, jT)
+    rho = _w_pairing(model, V)
+    _refuse_pole(rho.v, _pole_guard(lift.F.domain))
+    jf = _jet3(_slice_coordinates(model, V, rho), pts)
     cf = conformal_flatness_test(intrinsic_curvatures(fundamental_forms(
-        proj.f, amb_mod.euclidean(model.N), pts, jet=proj.checked)))
+        lift.F, amb_mod.euclidean(model.N), pts, jet=jf)))
     checks.append(CheckResult("projected reflection is conformally flat",
                               "ribaucour/reflection-projection-flatness",
                               cf, 1e-6 * ts).evaluate())

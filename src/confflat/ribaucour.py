@@ -1,9 +1,16 @@
 """Ribaucour transformations of flat holonomic immersions inside the light
 cone, on a discrete grid: the linear compatibility condition on the data
-(phi, beta), its numerical null space, the transform
-F~ = F - 2 nu_R phi (F_* grad phi + beta), cone preservation, a flatness
-filter for the transformed metric, and the pipeline that projects the
-surviving transforms back to new conformally flat immersions.
+(phi, beta), its numerical null space, the grid transform
+F~ = F - 2 nu_R phi (F_* grad phi + beta) and its cone preservation, and
+the pipeline that builds a family of new conformally flat immersions.
+
+A member of the family is a constant Lorentz image R F of the lift: the
+identity, or the reflection in <<z, .>> = 0, which is the transform by the
+constant-vector datum of z.  The member layer works on the matrices alone:
+R applied to the coefficients of one jet of the lift at the postcheck
+points gives every member's jet there, one pass of extrinsic data over all
+members decides their flatness, and one more gives the Weyl residuals and
+holonomic gates of their projections back to R^N.
 
 All grid fields are stored flat in row-major order over the domain grid.
 Normal fields are expressed in a parallel pseudo-orthonormal normal frame
@@ -30,14 +37,15 @@ from . import ambient as amb_mod
 from .conformal import weyl_defects
 from .errors import (ConfflatError, DegenerateInputError,
                      DegenerateTransformError, DimensionAmbiguityError,
-                     FrameError, NotApplicable, SingularTransformError)
+                     DomainError, FrameError, NotApplicable,
+                     SingularTransformError)
 from .extrinsic import (ExtrinsicData, christoffels, fundamental_forms,
                         intrinsic_curvatures, normal_projectors)
-from .jets import Jet, SmoothMap, evaluate_jet, stack, unstack
+from .jets import SmoothMap, evaluate_jet
 from .jets.core import _jet
 from .jets.maps import _jet3, _packed_jet
-from .lightcone import (LiftedImmersion, _refuse_pole, _slice_coordinates,
-                        _w_pairing, project_from_cone)
+from .lightcone import (LiftedImmersion, _pole_guard, _refuse_pole,
+                        _slice_coordinates, _w_pairing)
 from .principal import (CLUSTER_TOL, FLAT_NB_TOL, _principal_pass,
                         offdiagonal_defects)
 
@@ -636,51 +644,19 @@ class TransformResult:
     rank_margin: float
     cone_defect: float          # max |<<F~, F~>>| / max(1, |F~|^2)
     data: RibaucourData
-    F_tilde_map: SmoothMap | None = None   # exact map when available
-    R: np.ndarray | None = None            # (A, A), F~ = R F, with the map
 
 
-def _member_matrix(grid: LiftGrid, data: RibaucourData):
-    """The constant matrix R with F~ = R F when the datum has a closed-form
-    transform: I for the identity datum phi = 0, and the Lorentz reflection
-    I - (2 / <<z, z>>) z (S z)^T, S = diag(sig), for a constant vector z off
-    the null cone.  None otherwise."""
-    if float(np.max(np.abs(data.phi))) == 0.0:
-        return np.eye(grid.A)
-    if data.z is None:
-        return None
-    z = data.z
-    zz = float(np.sum(grid.sig * z * z))
-    if abs(zz) < SINGULAR_TOL:
-        return None
-    return np.eye(grid.A) - (2.0 / zz) * np.outer(z, grid.sig * z)
-
-
-def _exact_transform_map(grid: LiftGrid, R):
-    """The closed-form transformed map R F: the lift itself for R = I,
-    else an evaluator that applies R to the lift's stacked outputs."""
-    F = grid.lift.F
-    if R is None:
-        return None
-    if np.array_equal(R, np.eye(grid.A)):
-        return F
-    F_eval = F.evaluator
-
-    def refl_eval(x):
-        V = stack(list(F_eval(list(x))))
-        if isinstance(V, Jet):
-            return unstack(_jet(V.n, V.order, np.einsum("BA,KA...->KB...", R, V.c)))
-        return list(R @ V)
-
-    return SmoothMap(F.domain, grid.A, refl_eval, F.name + "_reflected")
-
-
-def _refuse_null_z(grid: LiftGrid, data: RibaucourData):
-    if data.z is not None:
-        zz = float(np.sum(grid.sig * data.z * data.z))
-        if abs(zz) < SINGULAR_TOL * float(np.sum(data.z * data.z)):
-            raise SingularTransformError(
-                f"<<z, z>> = {zz:.3e}: constant-vector direction is null")
+def reflection(sig, z):
+    """The Lorentz reflection R = I - (2 / <<z, z>>) z (S z)^T, S = diag(sig),
+    of a constant vector z off the null cone: R^T S R = S, and R F is the
+    transform of the lift F by the constant-vector datum of z.  Raises
+    SingularTransformError when z is null."""
+    z = np.asarray(z, float)
+    zz = float(np.sum(sig * z * z))
+    if abs(zz) < SINGULAR_TOL * float(np.sum(z * z)):
+        raise SingularTransformError(
+            f"<<z, z>> = {zz:.3e}: constant-vector direction is null")
+    return np.eye(len(z)) - (2.0 / zz) * np.outer(z, sig * z)
 
 
 def _refuse_null_calF(nu_inv, scale):
@@ -713,77 +689,32 @@ def _refuse_rank(margin):
             f"transformed differential rank margin {margin:.3e}")
 
 
-def _passing(check, out, members, *fields):
-    """Run check(*per-member fields) for each member index in `members`;
-    a member whose check raises its toolkit error gets it in `out`.
-    Returns the positions (into `members`) of the members that pass."""
-    kept = []
-    for j, k in enumerate(members):
-        try:
-            check(*(f[j] for f in fields))
-            kept.append(j)
-        except ConfflatError as err:
-            out[k] = err
-    return np.array(kept, dtype=int)
-
-
-def _transforms(grid: LiftGrid, candidates):
-    """The transform of every candidate in one pass over a leading member
-    axis: one np.gradient per axis for grad phi and for F~, and the rank
-    margins of every point from one stacked Gram eigensolve
-    (`_rank_margins`).  Returns, per candidate, its TransformResult or the
-    SingularTransformError / DegenerateTransformError it meets; a candidate
-    that fails a check leaves the pass there."""
-    n, shape = grid.n, grid.shape
-    out = [None] * len(candidates)
-    live = _passing(lambda d: _refuse_null_z(grid, d), out,
-                    range(len(candidates)), candidates)
-    if not len(live):
-        return out
-
-    def diff(values, axis):
-        """_grid_diff along `axis` of fields stacked as (m, M, ...)."""
-        full = values.reshape((len(values),) + shape + values.shape[2:])
-        return np.gradient(full, grid.spacings[axis], axis=axis + 1,
-                           edge_order=2).reshape(values.shape)
-
-    phi = np.stack([candidates[k].phi for k in live])              # (m, M)
-    b = np.stack([candidates[k].b for k in live])                  # (m, M, p)
-    Dphi = np.stack([diff(phi, i) for i in range(n)], axis=-1)     # (m, M, n)
-    gradphi = np.einsum("Mij,mMj->mMi", grid.g_inv, Dphi)
-    calF = (np.einsum("mMi,MiA->mMA", gradphi, grid.tangents)
-            + np.einsum("mMa,MaA->mMA", b, grid.frame))
-    nu_inv = np.einsum("mMA,A,mMA->mM", calF, grid.sig, calF)
-    scale = np.maximum(np.max(np.einsum("mMA,mMA->mM", calF, calF), axis=1),
-                       1e-300)
-    keep = _passing(_refuse_null_calF, out, live, nu_inv, scale)
-    if not len(keep):
-        return out
-    live, phi, calF, nu_inv = live[keep], phi[keep], calF[keep], nu_inv[keep]
-    F_tilde = grid.F_vals - 2.0 * (phi / nu_inv)[..., None] * calF  # (m, M, A)
-
-    dF = np.stack([diff(F_tilde, i) for i in range(n)], axis=2)    # (m, M, n, A)
-    margins = np.min(_rank_margins(dF), axis=1)
-    # near a pole <<calF, calF>> cancels: the rounding floor is eps |F~|^2
-    cone = np.max(np.abs(np.einsum("mMA,A,mMA->mM", F_tilde, grid.sig, F_tilde))
-                  / np.maximum(np.einsum("mMA,mMA->mM", F_tilde, F_tilde), 1.0),
-                  axis=1)
-    for j in _passing(_refuse_rank, out, live, margins):
-        k = live[j]
-        R = _member_matrix(grid, candidates[k])
-        out[k] = TransformResult(F_tilde[j], nu_inv[j], calF[j],
-                                 float(margins[j]), float(cone[j]),
-                                 candidates[k], _exact_transform_map(grid, R), R)
-    return out
-
-
 def transform(grid: LiftGrid, data: RibaucourData) -> TransformResult:
     """F~ = F - 2 nu_R phi calF with calF = F_* grad phi + beta and
-    nu_R^{-1} = <<calF, calF>>: the batched pass on one datum."""
-    result, = _transforms(grid, [data])
-    if isinstance(result, ConfflatError):
-        raise result
-    return result
+    nu_R^{-1} = <<calF, calF>>, on the grid samples: grad phi and the
+    differential of F~ are grid differences (`LiftGrid.diff`).  Raises
+    SingularTransformError for a datum whose constant vector or calF is
+    null, and DegenerateTransformError when the differential of F~ loses
+    rank at a grid point (`_rank_margins`)."""
+    if data.z is not None:
+        reflection(grid.sig, data.z)        # refuses a null direction
+    n = grid.n
+    Dphi = np.stack([grid.diff(data.phi, i) for i in range(n)], axis=-1)
+    gradphi = np.einsum("Mij,Mj->Mi", grid.g_inv, Dphi)
+    calF = (np.einsum("Mi,MiA->MA", gradphi, grid.tangents)
+            + np.einsum("Ma,MaA->MA", data.b, grid.frame))
+    nu_inv = grid.lorentz_inner(calF, calF)
+    _refuse_null_calF(nu_inv, max(float(np.max(np.sum(calF * calF, -1))),
+                                  1e-300))
+    F_tilde = grid.F_vals - 2.0 * (data.phi / nu_inv)[:, None] * calF
+    dF = np.stack([grid.diff(F_tilde, i) for i in range(n)], axis=1)
+    margin = float(np.min(_rank_margins(dF)))
+    _refuse_rank(margin)
+    # near a pole <<calF, calF>> cancels: the rounding floor is eps |F~|^2
+    cone = float(np.max(np.abs(grid.lorentz_inner(F_tilde, F_tilde))
+                        / np.maximum(np.einsum("MA,MA->M", F_tilde, F_tilde),
+                                     1.0)))
+    return TransformResult(F_tilde, nu_inv, calF, margin, cone, data)
 
 
 @dataclass
@@ -829,10 +760,10 @@ def exact_flatness_residual(grid: LiftGrid, F_map: SmoothMap, samples=3, seed=0)
 
 
 def _member_jets(Rs, lift_jet):
-    """The packed jets R F of the members with matrices Rs (m, A, A), from
-    the lift's packed jet at P points: coefficients (K, A, m, P)."""
+    """The packed jets R F of the matrices Rs (..., A, A), from the lift's
+    packed jet at P points: coefficients (K, A, ..., P)."""
     return _jet(lift_jet.n, lift_jet.order,
-                np.einsum("mBA,KAP->KBmP", Rs, lift_jet.c))
+                np.einsum("...BA,KAP->KB...P", Rs, lift_jet.c))
 
 
 def _flattened(jet, pts):
@@ -868,63 +799,31 @@ def _per_member(run, items):
         return out
 
 
-@dataclass
-class FilterRecord:
-    data: RibaucourData
-    result: TransformResult | None
-    flat_residual: float | None
-    retained: bool
-    error: str | None = None
-
-
 def _error_text(err):
     return f"{type(err).__name__}: {err}"
 
 
-def flatness_filter(grid: LiftGrid, candidates):
-    """Retain the transforms whose induced metric stays flat, decided by
-    the exact-jet Riemann residual of their closed-form map at FLAT_TOL.
-    Constant-vector data (ambient reflections) and the identity datum have
-    such a map, R F with a constant matrix R.  A candidate without one is
-    refused with an error: the finite-difference curvature of grid samples
-    cannot decide flatness on the grids this package runs (on s3xs1 at 5^4
-    it reads 0.36 to 1.00 on exactly flat reflection transforms).
-
-    All candidates go through one transform pass (`_transforms`); the
-    members with a map share one jet of the lift at the sample points of
-    exact_flatness_residual, each member's jet is R applied to its
-    coefficients, and one pass of extrinsic data over all members' points
-    gives their residuals."""
-    records = []
-    for data, result in zip(candidates, _transforms(grid, candidates)):
-        if isinstance(result, ConfflatError):
-            records.append(FilterRecord(data, None, None, False,
-                                        _error_text(result)))
-        elif result.F_tilde_map is None:
-            records.append(FilterRecord(
-                data, result, None, False,
-                "no closed-form map: flatness of a grid-only transform is "
-                "not decided"))
-        else:
-            records.append(FilterRecord(data, result, None, False))
-    exact = [rec for rec in records if rec.error is None]
-    if not exact:
-        return records
-    F = grid.lift.F
-    pts = F.domain.sample_points(3, np.random.default_rng(0))
-    lift_jet = _packed_jet(F, pts, 2)       # Riemann by the Gauss equation
+def flatness_filter(grid: LiftGrid, members, pts, lift_jet):
+    """Retain the members whose induced metric stays flat: the exact-jet
+    Riemann residual of each R F at the points `pts`, at most FLAT_TOL.
+    Each member's jet is its R applied to the lift's packed jet there
+    (`lift_jet`), and one pass of extrinsic data over all members' points
+    gives the residuals (`_flat_residuals`); a member whose pass raises a
+    toolkit error gets it as its error.  Flatness is decided on exact jets
+    only: the finite-difference curvature of grid samples cannot decide it
+    on the grids this package runs (on s3xs1 at 5^4 it reads 0.36 to 1.00
+    on exactly flat reflection transforms)."""
 
     def residuals(recs):
-        return _flat_residuals(grid, np.stack([r.result.R for r in recs]),
-                               pts, lift_jet)
+        return _flat_residuals(grid, np.stack([r.R for r in recs]), pts,
+                               lift_jet)
 
-    for rec, resid in zip(exact, _per_member(residuals, exact)):
+    for rec, resid in zip(members, _per_member(residuals, members)):
         if isinstance(resid, ConfflatError):
             rec.error = _error_text(resid)
         else:
             rec.flat_residual = float(resid)
             rec.retained = rec.flat_residual <= FLAT_TOL
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -966,16 +865,16 @@ def hessian_commutation_residual(grid: LiftGrid, phi):
 
 @dataclass
 class MemberReport:
+    """A member R F of the family, the lift F under a constant Lorentz
+    matrix R, with what the flatness filter and the postchecks found."""
+
     name: str
-    c: float
-    condition_residual: float
-    cone_defect: float | None = None
+    R: np.ndarray                       # (A, A)
     flat_residual: float | None = None
     retained: bool = False
     cf_residual: float | None = None
     offdiag_residual: float | None = None
     error: str | None = None
-    f_map: SmoothMap | None = None
     samples: np.ndarray | None = None
 
 
@@ -988,41 +887,38 @@ class FamilyResult:
     lift: LiftedImmersion
     grid: LiftGrid
     nullspace: ConditionSpectrum
-    members: list                   # one MemberReport per candidate
+    members: list                   # one MemberReport per member
 
 
-def _member_postchecks(grid: LiftGrid, members, seed=0):
-    """Postchecks of the retained members, given as (MemberReport,
-    TransformResult) pairs, in one batched pass: the projection f of each
-    member R F to R^N, its Weyl residual and holonomic gate from one pass
-    of extrinsic data over all members' sample points (f's jets come from
-    one jet of the lift by R and the cone projection), and its grid
-    samples, NaN at the points under the pole guard, from the lift's grid
-    values.  A member under the pole guard at a sample point gets that
-    DomainError as its error."""
+def _member_postchecks(grid: LiftGrid, members, pts, lift_jet):
+    """Postchecks of the retained members (MemberReports) in one batched
+    pass: the projection f of each member R F to R^N, its Weyl residual and
+    holonomic gate from one pass of extrinsic data over all members' points
+    `pts` (f's jets come from the lift's packed jet there, `lift_jet`, by R
+    and the cone projection), and its grid samples, NaN at the points under
+    the pole guard, from the lift's grid values.  A member under the pole
+    guard at one of the points gets that DomainError as its error."""
     model = grid.lift.model
-    F = grid.lift.F
-    for rec, result in members:
-        proj = project_from_cone(result.F_tilde_map, model)
-        rec.f_map = proj.f
-    eps_pole = proj.eps_pole        # set by the chart box: one for all members
-    pts = F.domain.sample_points(4, np.random.default_rng(seed))
-    lift_jet = _packed_jet(F, pts, 2)       # Riemann and the holonomic gate
+    eps_pole = _pole_guard(grid.lift.F.domain)
     euclid = amb_mod.euclidean(model.N)
 
-    def residuals(items):
-        V = _member_jets(np.stack([result.R for _, result in items]), lift_jet)
+    def residuals(recs):
+        V = _member_jets(np.stack([rec.R for rec in recs]), lift_jet)
         rho = _w_pairing(model, V)                              # (K, m, P)
-        out = [None] * len(items)
-        ok = _passing(lambda r: _refuse_pole(r, eps_pole), out,
-                      range(len(items)), rho.v)
-        if not len(ok):
+        out = [None] * len(recs)
+        for j, r in enumerate(rho.v):
+            try:
+                _refuse_pole(r, eps_pole)
+            except DomainError as err:
+                out[j] = err
+        ok = [j for j, o in enumerate(out) if o is None]
+        if not ok:
             return out
         f = _slice_coordinates(model, _jet(V.n, V.order, V.c[:, :, ok]),
                                _jet(V.n, V.order, rho.c[:, ok]))
         jet, tiled = _flattened(f, pts)
         # the Weyl residual and the holonomic gate share one pass
-        ext = fundamental_forms(F, euclid, tiled, jet=jet)
+        ext = fundamental_forms(grid.lift.F, euclid, tiled, jet=jet)
         defects = weyl_defects(intrinsic_curvatures(ext)) + offdiagonal_defects(ext)
         worst, kmax, net, alpha = (np.max(x.reshape(len(ok), -1), axis=1)
                                    for x in defects)
@@ -1032,75 +928,62 @@ def _member_postchecks(grid: LiftGrid, members, seed=0):
         return out
 
     checked = []
-    for (rec, result), res in zip(members, _per_member(residuals, members)):
+    for rec, res in zip(members, _per_member(residuals, members)):
         if isinstance(res, ConfflatError):
             rec.error = _error_text(res)
         else:
             rec.cf_residual, rec.offdiag_residual = res
-            checked.append((rec, result))
+            checked.append(rec)
     if not checked:
         return
     # grid samples: R F at the grid values of the lift, projected where
     # |<<R F, w>>| clears the pole guard
-    Rs = np.stack([result.R for _, result in checked])
+    Rs = np.stack([rec.R for rec in checked])
     V = np.einsum("mBA,PA->BmP", Rs, grid.F_vals)                  # (A, m, M)
     rho = _w_pairing(model, V)
     keep = np.abs(rho) >= eps_pole
     samples = np.full((model.N,) + rho.shape, np.nan)
     samples[:, keep] = _slice_coordinates(model, V[:, keep], rho[keep])
-    for (rec, _), vals in zip(checked, np.moveaxis(samples, 0, -1)):
+    for rec, vals in zip(checked, np.moveaxis(samples, 0, -1)):
         rec.samples = vals
 
 
-def _family_members(grid: LiftGrid, candidates, seed=0):
-    """The member layer over all candidates at once: one flatness filter
-    pass, then one postcheck pass over the retained members.  A candidate
-    that fails a check gets its error; the others are unaffected."""
-    members = [MemberReport(d.name, d.c, d.condition_residual)
-               for d in candidates]
-    retained = []
-    for rec, frec in zip(members, flatness_filter(grid, candidates)):
-        if frec.error is not None:
-            rec.error = frec.error
-            continue
-        rec.flat_residual = frec.flat_residual
-        rec.retained = frec.retained
-        rec.cone_defect = frec.result.cone_defect
-        if frec.retained:
-            retained.append((rec, frec.result))
+def _family_members(grid: LiftGrid, members, seed=0):
+    """The member layer over all members (MemberReports) at once: one
+    order-2 jet of the lift at the postcheck points (sample points of the
+    chart from `seed`), one flatness filter pass and one postcheck pass over
+    the retained members, both from that jet.  A member that fails a check
+    gets its error; the others are unaffected.  Returns `members`."""
+    F = grid.lift.F
+    pts = F.domain.sample_points(4, np.random.default_rng(seed))
+    lift_jet = _packed_jet(F, pts, 2)   # Riemann and the holonomic gate
+    flatness_filter(grid, members, pts, lift_jet)
+    retained = [rec for rec in members if rec.retained]
     if retained:
-        _member_postchecks(grid, retained, seed=seed)
+        _member_postchecks(grid, retained, pts, lift_jet)
     return members
 
 
 def conformally_flat_family(lift: LiftedImmersion, count=3,
                             seed=0) -> FamilyResult:
     """Full pipeline from the flat lift of an immersion: solve the
-    compatibility condition, transform by the identity datum and `count`
-    random ambient reflections (constant-vector data, which sit on the
-    cone-preserving c = 0 slice), keep the members whose closed-form
-    transform stays flat, and project each back to a new conformally flat
-    immersion.  The null space enters as its dimension only
-    (`condition_spectrum`): no member is drawn from its basis."""
+    compatibility condition, take the identity and `count` random ambient
+    reflections R F (the transforms by constant-vector data, which sit on
+    the cone-preserving c = 0 slice), keep the members that stay flat, and
+    project each back to a new conformally flat immersion.  The null space
+    enters as its dimension only (`condition_spectrum`): no member is drawn
+    from its basis."""
     if lift.F.domain.dim < 4:
         raise NotApplicable("pipeline needs n >= 4")
     grid = build_lift_grid(lift)
     ns = condition_spectrum(grid)
 
     rng = np.random.default_rng(seed)
-    candidates = []
-    identity = RibaucourData(np.zeros(grid.M),
-                             np.tile(np.eye(grid.p)[0], (grid.M, 1)),
-                             0.0, 0.0, name="identity")
-    identity.condition_residual = condition_residual(grid, identity.phi, identity.b)
-    candidates.append(identity)
-    made = 0
-    while made < count:
+    members = [MemberReport("identity", np.eye(grid.A))]
+    while len(members) <= count:
         z = rng.standard_normal(grid.A)
         z /= np.linalg.norm(z)
-        if abs(float(np.sum(grid.sig * z * z))) < 0.3:
-            continue
-        data = constant_vector_data(grid, z, name=f"reflection-{made}")
-        candidates.append(data)
-        made += 1
-    return FamilyResult(lift, grid, ns, _family_members(grid, candidates, seed))
+        if abs(float(np.sum(grid.sig * z * z))) >= 0.3:
+            members.append(MemberReport(f"reflection-{len(members) - 1}",
+                                        reflection(grid.sig, z)))
+    return FamilyResult(lift, grid, ns, _family_members(grid, members, seed))

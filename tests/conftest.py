@@ -8,7 +8,8 @@ from confflat import extrinsic, principal
 from confflat.ambient import sphere_form
 from confflat.catalog import default_catalog
 from confflat.extrinsic import fundamental_forms
-from confflat.jets import SmoothMap, evaluate_jet, norm_sq
+from confflat.jets import Jet, SmoothMap, evaluate_jet, norm_sq, stack, unstack
+from confflat.jets.core import _jet
 from confflat.lightcone import build_cone_model, flat_lift
 from confflat.principal import principal_decompositions
 from confflat.ribaucour import build_lift_grid
@@ -80,9 +81,8 @@ def fundamental_forms_calls(monkeypatch):
 @pytest.fixture
 def principal_passes(monkeypatch):
     """A list that gets the extrinsic data of every one-pass principal
-    decision (principal_decompositions, principal_decomposition and the
-    lift correspondence) made through a confflat module while the test
-    runs."""
+    decision (principal_decompositions and the lift correspondence) made
+    through a confflat module while the test runs."""
     original = principal._principal_pass
     calls = []
 
@@ -113,6 +113,19 @@ def lift_at(item, points, conformal=None):
                      evaluate_jet(item.smooth_map, pts, 2), conf.jets(pts))
 
 
+def linear_image(F, R):
+    """The map R F, for a constant matrix R, as a SmoothMap of its own: R
+    applied to the stacked outputs of F's evaluator (floats or jets)."""
+    def evaluator(x):
+        V = stack(list(F.evaluator(list(x))))
+        if isinstance(V, Jet):
+            return unstack(_jet(V.n, V.order,
+                                np.einsum("BA,KA...->KB...", R, V.c)))
+        return list(R @ V)
+
+    return SmoothMap(F.domain, len(R), evaluator, F.name + "_image")
+
+
 def sectional(riemann, X, Y):
     """Sectional curvature of the plane spanned by X, Y, for one Riemann
     tensor over an orthonormal basis (riemann[i, j, j, i] is the sectional
@@ -127,6 +140,12 @@ def decompositions(item, points, seed=0):
     fundamental_forms."""
     return principal_decompositions(
         fundamental_forms(item.smooth_map, item.ambient, points), seed=seed)
+
+
+def decomposition_at(item, point):
+    """The principal decomposition at one point: the one-pass decision on a
+    point set of one."""
+    return decompositions(item, np.asarray(point, float)[None])[0]
 
 
 def into_sphere(item):

@@ -16,7 +16,6 @@ from confflat.lightcone import (build_cone_model, flat_lift,
                                 psi_second_fundamental_residual)
 from confflat.principal import (holonomicity_check,
                                 nullity_and_leaf_invariants,
-                                principal_decomposition,
                                 principal_decompositions, properness_and_census,
                                 quasiumbilical_frame, separation_check)
 from confflat import ribaucour as rb
@@ -24,7 +23,8 @@ from confflat.errors import QuasiumbilicError
 from confflat.jets import ChartDomain, SmoothMap, evaluate_jet, sin, cos
 from confflat.reports import run_scenario
 
-from conftest import decompositions, interior_points
+from conftest import (decomposition_at, decompositions, interior_points,
+                      linear_image)
 
 
 def _verdict(num, label, ok):
@@ -62,9 +62,7 @@ def test_criterion_2_quasiumbilical(catalog):
         item = catalog[name]
         n = item.smooth_map.domain.dim
         for pt in interior_points(item, 3):
-            dec = principal_decomposition(
-                fundamental_forms(item.smooth_map, item.ambient, pt),
-                cluster_tol=1e-6)
+            dec = decomposition_at(item, pt)
             qf = quasiumbilical_frame(dec)
             ok &= all(m >= n - 1 for m in qf.eigen_multiplicities)
             m_high = max(dec.multiplicities)
@@ -72,8 +70,7 @@ def test_criterion_2_quasiumbilical(catalog):
     control = catalog["s2xs2_control"]
     pt = interior_points(control, 1)[0]
     try:
-        quasiumbilical_frame(principal_decomposition(
-            fundamental_forms(control.smooth_map, control.ambient, pt)))
+        quasiumbilical_frame(decomposition_at(control, pt))
         ok = False
     except QuasiumbilicError:
         pass
@@ -89,8 +86,7 @@ def test_criterion_3_nullity_invariants(catalog):
     ok = True
     cone = catalog["cone_t3"]
     for pt in interior_points(cone, 3):
-        rep = nullity_and_leaf_invariants(principal_decomposition(
-            fundamental_forms(cone.smooth_map, cone.ambient, pt)))
+        rep = nullity_and_leaf_invariants(decomposition_at(cone, pt))
         ok &= rep.nullity_dim == 1
         ok &= rep.lam_spread <= 1e-7
         ok &= rep.leaf_derivative <= 1e-12
@@ -166,17 +162,18 @@ def test_criterion_5_transform_suite(s3xs1_grid, s3xs1):
     data = rb.constant_vector_data(g, z)
     result = rb.transform(g, data)
     ok &= result.cone_defect <= 1e-10
+    reflected = linear_image(g.lift.F, rb.reflection(g.sig, data.z))
     sig = g.sig
     for pt in interior_points(s3xs1, 3):
         jF = g.lift.F.jet(pt, order=1)
-        jT = result.F_tilde_map.jet(pt, order=1)
+        jT = reflected.jet(pt, order=1)
         gF = np.einsum("iA,A,jA->ij", jF.d1, sig, jF.d1)
         gT = np.einsum("iA,A,jA->ij", jT.d1, sig, jT.d1)
         ok &= float(np.max(np.abs(gF - gT))) <= 1e-9 * float(np.max(np.abs(gF)))
     model = g.lift.model
     pts = interior_points(s3xs1, 3)
-    proj = project_from_cone(result.F_tilde_map, model, pts,
-                             evaluate_jet(result.F_tilde_map, pts, 2))
+    proj = project_from_cone(reflected, model, pts,
+                             evaluate_jet(reflected, pts, 2))
     ok &= conformal_flatness_test(intrinsic_curvatures(fundamental_forms(
         proj.f, euclidean(model.N), pts))) <= 1e-6
     shifted = rb.shift_data(g, data, 0.8)

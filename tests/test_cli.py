@@ -189,6 +189,45 @@ def test_a_run_evaluates_each_map_once(catalog, evaluations, monkeypatch):
                        if m != item.smooth_map.name), (name, suite, orders)
 
 
+def test_a_ribaucour_run_evaluates_no_map_at_its_points(catalog, evaluations,
+                                                       monkeypatch):
+    """On every catalog item whose grid suite runs, no map is evaluated at
+    the run's sample points after the grid build, and no reflected map is
+    built: the reflection's jets there come from the lift's checked jet."""
+    from confflat import ribaucour as rb
+    from confflat.jets import SmoothMap
+    built, grids = [], []
+    build, init = rb.build_lift_grid, SmoothMap.__init__
+
+    def building(*args, **kwargs):
+        grid = build(*args, **kwargs)
+        grids.append(len(evaluations))
+        return grid
+
+    def naming(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.name)
+
+    monkeypatch.setattr(rb, "build_lift_grid", building)
+    monkeypatch.setattr(SmoothMap, "__init__", naming)
+    ran = []
+    for name, item in sorted(catalog.items()):
+        evaluations.clear()
+        built.clear()
+        grids.clear()
+        rep = run_scenario({"schema": 1, "item": name, "suite": "ribaucour"})
+        if not grids:
+            continue
+        if "ribaucour/reflection-metric" in {c.anchor for c in rep.checks}:
+            ran.append(name)
+        pts = item.smooth_map.domain.sample_points(6, np.random.default_rng(0))
+        assert not [args[0].name for args, _ in evaluations[grids[0]:]
+                    if np.shape(args[1]) == pts.shape
+                    and np.array_equal(args[1], pts)], name
+        assert not [m for m in built if m.endswith("_reflected")], name
+    assert "s3xs1" in ran and "cylinder_r1xs3" in ran
+
+
 def test_lightcone_run_makes_four_evaluations(evaluations):
     """The s3xs1 light-cone suite evaluates the item, omega, the flat chart
     and the cone model once each, at order 2; the lift and its projection

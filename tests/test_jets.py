@@ -136,6 +136,20 @@ def test_batched_jets_match_single_points(catalog, order):
                 assert np.max(np.abs(a[k] - b)) <= 1e-13, (name, field, k)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_a_jet_carries_its_chart_dimension(catalog, order):
+    """A jet of every order, order 0 included, names the dimension of its
+    chart, at a point set and at one of its points, and so does its
+    repacked jet."""
+    from confflat.jets.maps import _repacked
+    for name, item in catalog.items():
+        m = item.smooth_map
+        jet = evaluate_jet(m, interior_points(item, 3), order)
+        assert jet.n == jet.at(1).n == m.domain.dim, (name, order)
+        if order <= 2:
+            assert _repacked(jet).n == m.domain.dim, (name, order)
+
+
 def test_batched_jets_match_finite_differences(catalog):
     """A batched pass agrees with the central-difference oracle at every
     point of the batch, to the oracle's O(h^2) error."""

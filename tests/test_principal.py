@@ -10,14 +10,14 @@ from confflat.catalog import default_catalog
 from confflat.errors import DegenerateInputError, NotApplicable, QuasiumbilicError
 from confflat.extrinsic import christoffels, codazzi_tensor, fundamental_forms
 from confflat.jets import ChartDomain, SmoothMap
-from confflat.principal import (holonomicity_check, joint_diagonalize,
+from confflat.principal import (JACOBI_TOL, _joint_bases, holonomicity_check,
                                 nullity_and_leaf_invariants,
                                 offdiagonal_defects,
-                                principal_decomposition,
                                 principal_decompositions, properness_and_census,
                                 quasiumbilical_frame, separation_check,
                                 span_structure, traceless_relations)
-from conftest import decompositions, interior_points, into_sphere
+from conftest import (decomposition_at, decompositions, interior_points,
+                      into_sphere)
 
 CENSUS_ITEMS = ["s3xs1", "s2xpseudosphere", "s2xs2_control", "cone_t3",
                 "cylinder_r1xs3", "flat_cylinder", "example2",
@@ -29,7 +29,7 @@ def test_joint_diagonalize_random_commuting(rng):
     n = 5
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     mats = [q @ np.diag(rng.standard_normal(n)) @ q.T for _ in range(3)]
-    v = joint_diagonalize(np.array(mats), seed=0)
+    v = _joint_bases(np.array(mats)[None], 0, 60, JACOBI_TOL)[0]
     for m in mats:
         d = v.T @ m @ v
         off = d - np.diag(np.diag(d))
@@ -99,8 +99,7 @@ def test_dupin_condition(catalog):
 def test_separation_positive(catalog, name):
     item = catalog[name]
     pt = interior_points(item, 1)[0]
-    dec = principal_decomposition(
-        fundamental_forms(item.smooth_map, item.ambient, pt))
+    dec = decomposition_at(item, pt)
     assert separation_check(dec) > 1e-3
 
 
@@ -109,8 +108,7 @@ def test_quasiumbilical_frame_exists(catalog, name):
     item = catalog[name]
     n = item.smooth_map.domain.dim
     for pt in interior_points(item, 3):
-        dec = principal_decomposition(
-            fundamental_forms(item.smooth_map, item.ambient, pt))
+        dec = decomposition_at(item, pt)
         qf = quasiumbilical_frame(dec)
         assert all(m >= n - 1 for m in qf.eigen_multiplicities)
         assert qf.orthogonality_defect < 1e-8
@@ -122,8 +120,7 @@ def test_quasiumbilical_frame_exists(catalog, name):
 def test_quasiumbilical_frame_negative_control(catalog):
     item = catalog["s2xs2_control"]
     pt = interior_points(item, 1)[0]
-    dec = principal_decomposition(
-        fundamental_forms(item.smooth_map, item.ambient, pt))
+    dec = decomposition_at(item, pt)
     with pytest.raises(QuasiumbilicError):
         quasiumbilical_frame(dec)
 
@@ -132,8 +129,7 @@ def test_traceless_relations(catalog):
     for name in ("s3xs1", "s2xpseudosphere"):
         item = catalog[name]
         pt = interior_points(item, 1)[0]
-        dec = principal_decomposition(
-            fundamental_forms(item.smooth_map, item.ambient, pt))
+        dec = decomposition_at(item, pt)
         rep = traceless_relations(dec)
         if rep.high_mult_norm_residual is not None:
             assert rep.high_mult_norm_residual < 1e-7
@@ -148,8 +144,7 @@ def test_span_structure_umbilic_direction(catalog):
     direction than their differences; the extra direction is umbilic."""
     item = catalog["cylinder_r1xs3"]
     pt = interior_points(item, 1)[0]
-    dec = principal_decomposition(
-        fundamental_forms(item.smooth_map, item.ambient, pt))
+    dec = decomposition_at(item, pt)
     st = span_structure(dec)
     if st.delta is not None:
         assert st.umbilic_residual < 1e-7
@@ -158,8 +153,7 @@ def test_span_structure_umbilic_direction(catalog):
 def test_nullity_invariants_cone(catalog):
     item = catalog["cone_t3"]
     for pt in interior_points(item, 3):
-        rep = nullity_and_leaf_invariants(principal_decomposition(
-            fundamental_forms(item.smooth_map, item.ambient, pt)))
+        rep = nullity_and_leaf_invariants(decomposition_at(item, pt))
         assert rep.nullity_dim == item.expected["nullity"]
         assert rep.lam_spread < 1e-7
         assert rep.leaf_derivative < 1e-12
@@ -169,21 +163,19 @@ def test_nullity_trivial_when_absent(catalog):
     item = catalog["s3xs1"]
     pt = interior_points(item, 1)[0]
     with pytest.raises(NotApplicable):
-        nullity_and_leaf_invariants(principal_decomposition(
-            fundamental_forms(item.smooth_map, item.ambient, pt)))
+        nullity_and_leaf_invariants(decomposition_at(item, pt))
 
 
 def test_flat_cylinder_nullity(catalog):
     item = catalog["flat_cylinder"]
     pt = interior_points(item, 1)[0]
-    rep = nullity_and_leaf_invariants(principal_decomposition(
-        fundamental_forms(item.smooth_map, item.ambient, pt)))
+    rep = nullity_and_leaf_invariants(decomposition_at(item, pt))
     assert rep.nullity_dim == item.expected["nullity"]
 
 
 def _central_eta_derivatives(item, dec, h=1e-5):
     """Oracle for eta_derivatives: central differences of the principal
-    normals that principal_decomposition finds at the neighbouring points
+    normals that the decision finds at the neighbouring points
     along each chart axis (matched to the nearest principal normal at the
     centre), projected to the normal space."""
     ext = dec.ext
@@ -191,9 +183,8 @@ def _central_eta_derivatives(item, dec, h=1e-5):
     for i in range(ext.n):
         step = np.zeros(ext.n)
         step[i] = h
-        plus, minus = (principal_decomposition(
-            fundamental_forms(item.smooth_map, item.ambient, ext.point + s))
-            for s in (step, -step))
+        plus, minus = (decomposition_at(item, ext.point + s)
+                       for s in (step, -step))
         for c, eta in enumerate(dec.etas):
             ep, em = (min(d.etas, key=lambda e: float(np.linalg.norm(e - eta)))
                       for d in (plus, minus))
@@ -369,9 +360,6 @@ def test_one_pass_matches_the_per_point_oracle(catalog, name):
         assert np.max(np.abs(np.array(dec.etas) - np.array(etas))) <= 1e-14
         for got, want in zip(dec.bases, bases):
             assert np.max(np.abs(got - want)) <= 1e-14, (name, m)
-        single = principal_decomposition(ext.at(m))
-        assert single.multiplicities == dec.multiplicities
-        assert np.max(np.abs(np.array(single.etas) - np.array(etas))) <= 1e-14
     if len({d.multiplicities for d in decs}) == 1:
         census = properness_and_census(decs)
         rec, dupin = _oracle_census_residuals(decs)

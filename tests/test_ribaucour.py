@@ -3,7 +3,6 @@ numerical null space, exact reflections, and the full family pipeline."""
 import re
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +14,11 @@ from confflat.errors import (DegenerateInputError, DegenerateTransformError,
                              DimensionAmbiguityError, FrameError,
                              SingularTransformError)
 from confflat.extrinsic import normal_projectors
+from confflat.jets import evaluate_jet
 from confflat import ribaucour as rb
 from confflat.reports import _resolve_item, run_scenario
 
-from conftest import interior_points, lift_at
+from conftest import interior_points, lift_at, linear_image
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +499,40 @@ def test_reflection_stays_on_cone(s3xs1_grid):
     assert result.cone_defect < 1e-10
 
 
+def _reflected(grid, data):
+    """The reflection R F of the lift by a constant-vector datum, as a map."""
+    return linear_image(grid.lift.F, rb.reflection(grid.sig, data.z))
+
+
 def test_reflection_preserves_metric(s3xs1_grid, s3xs1):
-    data = _reflection_data(s3xs1_grid)
-    result = rb.transform(s3xs1_grid, data)
-    assert result.F_tilde_map is not None
+    reflected = _reflected(s3xs1_grid, _reflection_data(s3xs1_grid))
     sig = s3xs1_grid.sig
     for pt in interior_points(s3xs1, 3):
         jF = s3xs1_grid.lift.F.jet(pt, order=1)
-        jT = result.F_tilde_map.jet(pt, order=1)
+        jT = reflected.jet(pt, order=1)
         gF = np.einsum("iA,A,jA->ij", jF.d1, sig, jF.d1)
         gT = np.einsum("iA,A,jA->ij", jT.d1, sig, jT.d1)
         assert np.max(np.abs(gF - gT)) < 1e-9 * np.max(np.abs(gF))
 
 
 def test_reflection_is_exactly_flat(s3xs1_grid):
-    data = _reflection_data(s3xs1_grid)
-    result = rb.transform(s3xs1_grid, data)
-    assert rb.exact_flatness_residual(s3xs1_grid, result.F_tilde_map) < 1e-8
+    reflected = _reflected(s3xs1_grid, _reflection_data(s3xs1_grid))
+    assert rb.exact_flatness_residual(s3xs1_grid, reflected) < 1e-8
+
+
+def test_reflection_is_a_lorentz_matrix(family, s3xs1_lift):
+    """Every member matrix the pipeline makes preserves the ambient pairing,
+    R^T S R = S to 1e-14 of |R|^2, so R F has the lift's induced metric and
+    lies on the cone with it: the identity and each reflection, of the
+    shared family and of a larger one."""
+    sig = family.grid.sig
+    S = np.diag(sig.astype(float))
+    more = rb.conformally_flat_family(s3xs1_lift, count=8, seed=5).members
+    for m in family.members + more:
+        R = m.R
+        scale = np.max(np.abs(R)) ** 2
+        assert np.max(np.abs(R.T @ S @ R - S)) <= 1e-14 * scale, m.name
+    assert len(family.members + more) == 3 + 9
 
 
 def test_cone_defect_identity(s3xs1_grid):
@@ -583,13 +600,17 @@ def test_scaling_check_fails_when_phi_alone_is_scaled(monkeypatch):
     assert not _suite_verdicts("s3xs1", 0)["ribaucour/scaling-invariance"]
 
 
-def test_identity_datum_returns_lift(s3xs1_grid):
+def test_identity_datum_returns_lift(s3xs1_grid, family):
+    """The identity datum phi = 0 transforms the grid samples to the lift's,
+    and the family's identity member is the lift: R = I."""
     g = s3xs1_grid
     data = rb.RibaucourData(np.zeros(g.M), np.tile(np.eye(g.p)[0], (g.M, 1)),
                             0.0, 0.0, name="identity")
     result = rb.transform(g, data)
     assert np.max(np.abs(result.F_tilde - g.F_vals)) < 1e-14
-    assert result.F_tilde_map is g.lift.F
+    identity = family.members[0]
+    assert identity.name == "identity"
+    assert np.array_equal(identity.R, np.eye(g.A))
 
 
 def test_null_direction_rejected(s3xs1_grid):
@@ -598,6 +619,14 @@ def test_null_direction_rejected(s3xs1_grid):
     data = rb.constant_vector_data(g, w, name="null-direction")
     with pytest.raises(SingularTransformError):
         rb.transform(g, data)
+
+
+def test_reflection_refuses_a_null_direction(s3xs1_grid):
+    """The reflection builder refuses the null direction z = w, naming
+    <<z, z>>: a member cannot be the reflection in a null hyperplane."""
+    with pytest.raises(SingularTransformError,
+                       match=r"^<<z, z>> = .*constant-vector direction is null"):
+        rb.reflection(s3xs1_grid.sig, s3xs1_grid.lift.model.w)
 
 
 def _svd_ratios(dF):
@@ -657,33 +686,28 @@ def test_rank_gate_refuses_a_vanishing_differential():
 
 
 def test_flatness_filter(s3xs1_grid):
-    """Flatness is decided through exact jets of a closed-form map only.  A
-    reflection datum with its constant vector z is retained; every candidate
-    without a map is refused with an error naming that: random combinations
-    of the null-space basis, a datum whose light-cone constant varies, and
-    the same exact reflection datum stripped of z."""
+    """Flatness is decided through exact jets of R F at the points given.
+    The identity and a reflection are retained with residuals at most
+    FLAT_TOL; generic linear images I + 0.05 X, whose metric is not flat,
+    are rejected with their residuals and no error."""
     g = s3xs1_grid
-    ns = rb.solve_condition_nullspace(g)
-    candidates = []
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        vec = rng.standard_normal(ns.dimension) @ ns.basis
-        phi = vec[:g.M]
-        b = vec[g.M:].reshape(g.p, g.M).T
-        candidates.append(rb.RibaucourData(phi, b, 0.0, 0.0,
-                                           name=f"combo-{seed}"))
-    data = _reflection_data(g, seed=19)
-    bump = float(np.max(np.abs(data.phi))) * g.points[:, 0]
-    candidates.append(rb.RibaucourData(data.phi + bump, data.b, data.c, 0.0,
-                                       name="varying-c"))
-    candidates.append(rb.RibaucourData(data.phi, data.b, data.c, 0.0,
-                                       name="stripped"))
-    *refused, kept = rb.flatness_filter(g, candidates + [data])
-    for rec in refused:
-        assert rec.error.startswith("no closed-form map"), rec.data.name
-        assert not rec.retained and rec.flat_residual is None, rec.data.name
-    assert kept.error is None and kept.retained
-    assert kept.flat_residual <= rb.FLAT_TOL
+    F = g.lift.F
+    pts = F.domain.sample_points(4, np.random.default_rng(0))
+    generic = np.eye(g.A) + 0.05 * np.random.default_rng(5).standard_normal(
+        (2, g.A, g.A))
+    members = [rb.MemberReport("identity", np.eye(g.A)),
+               rb.MemberReport("reflection", rb.reflection(
+                   g.sig, _reflection_data(g, seed=19).z))]
+    members += [rb.MemberReport(f"generic-{k}", R)
+                for k, R in enumerate(generic)]
+    rb.flatness_filter(g, members, pts, rb._packed_jet(F, pts, 2))
+    for m in members:
+        assert m.error is None, m.name
+    kept, refused = members[:2], members[2:]
+    for m in kept:
+        assert m.retained and m.flat_residual <= rb.FLAT_TOL, m.name
+    for m in refused:
+        assert not m.retained and m.flat_residual > rb.FLAT_TOL, m.name
 
 
 # ---------------------------------------------------------------------------
@@ -701,25 +725,27 @@ def test_family_nullspace(family):
 
 
 def test_family_members_project_to_flat_immersions(family):
+    g = family.grid
     retained = [m for m in family.members if m.retained]
     assert len(retained) >= 3    # identity plus both reflections
     for m in retained:
         assert m.cf_residual < 1e-6
         assert m.offdiag_residual < 1e-6
-        assert m.cone_defect < 1e-10
+        # R F stays on the cone at the grid points
+        V = g.F_vals @ m.R.T
+        cone = np.abs(g.lorentz_inner(V, V)) / np.maximum(np.sum(V * V, -1), 1.0)
+        assert np.max(cone) < 1e-10
         assert np.isfinite(m.samples).any()
 
 
 def test_family_reflections_differ_from_original(family, s3xs1):
-    """The new immersions are genuinely different from the input."""
+    """The new immersions are genuinely different from the input: their
+    grid samples are not the input's values at the grid points."""
+    original = evaluate_jet(s3xs1.smooth_map, family.grid.points, 0).value
     for m in family.members:
         if not m.retained or m.name == "identity":
             continue
-        diff = 0.0
-        for pt in interior_points(s3xs1, 3):
-            diff = max(diff, float(np.max(np.abs(
-                m.f_map.value(pt) - s3xs1.smooth_map.value(pt)))))
-        assert diff > 1e-3
+        assert np.nanmax(np.abs(m.samples - original)) > 1e-3, m.name
 
 
 def test_grid_projectors_match_frame_projectors(s3xs1_grid):
@@ -794,8 +820,9 @@ def test_member_layer_passes_do_not_grow_with_the_family(
     """The member layer makes one batched pass per stage whatever the
     number of members: with 1 and with 3 reflections the pipeline makes
     the same 4 fundamental_forms passes (the lift check of its caller, grid,
-    flatness, postchecks) and the same jet evaluations, of which two are of the lift
-    in the member layer, and none at the grid points after build_lift_grid.
+    flatness, postchecks) and the same jet evaluations, of which one is of
+    the lift in the member layer, shared by the flatness filter and the
+    postchecks, and none at the grid points after build_lift_grid.
     From the grid on every jet is of order 2 (the metric, the second
     fundamental form and Riemann by the Gauss equation need no more), and
     the normal projectors' of order 1, one pass of M - 1 points per
@@ -839,34 +866,34 @@ def test_member_layer_passes_do_not_grow_with_the_family(
         after = calls[grid_built[0]:]
         assert all(shape[0] != fam.grid.M for _, shape, _ in after)
         assert [(name, order) for name, _, order in after
-                if name == fam.lift.F.name] == [(fam.lift.F.name, 2)] * 2
+                if name == fam.lift.F.name] == [(fam.lift.F.name, 2)]
         seen[count] = (len(fundamental_forms_calls), list(calls))
     assert seen[1] == seen[3]
     assert seen[1][0] == 4
 
 
-def _member_candidates(grid, seeds=(7, 11, 13)):
-    identity = rb.RibaucourData(np.zeros(grid.M),
-                                np.tile(np.eye(grid.p)[0], (grid.M, 1)),
-                                0.0, 0.0, name="identity")
-    reflections = []
-    for seed in seeds:
-        data = _reflection_data(grid, seed=seed)
-        data.name = f"reflection-{seed}"
-        reflections.append(data)
-    return [identity] + reflections
+def _members(grid, seeds=(7, 11, 13)):
+    """The identity member and one reflection member per seed."""
+    return [rb.MemberReport("identity", np.eye(grid.A))] + [
+        rb.MemberReport(f"reflection-{seed}", rb.reflection(
+            grid.sig, _reflection_data(grid, seed=seed).z)) for seed in seeds]
+
+
+def _member_map(grid, m):
+    """The member's map as its own SmoothMap: the lift itself for the
+    identity member, else R applied to the lift's outputs."""
+    return grid.lift.F if m.name == "identity" else linear_image(grid.lift.F, m.R)
 
 
 def _member_oracle(grid, F_map, seed):
     """(flat, cf, offdiag, samples) of one member R F, each from its own
-    pass through the public functions: the exact flatness residual, the
-    Weyl residual and holonomic gate of the projection's extrinsic data at
+    pass through the public functions: the exact flatness residual and the
+    Weyl residual and holonomic gate of the projection's extrinsic data, at
     the postcheck points, and the projection at the grid points (NaN under
     the pole guard)."""
     from confflat.ambient import euclidean
     from confflat.conformal import conformal_flatness_test
     from confflat.extrinsic import fundamental_forms, intrinsic_curvatures
-    from confflat.jets import evaluate_jet
     from confflat.lightcone import project_from_cone
     from confflat.principal import offdiagonal_defects
 
@@ -880,7 +907,8 @@ def _member_oracle(grid, F_map, seed):
     rho = evaluate_jet(F_map, grid.points, 0).value @ (grid.sig * model.w)
     keep = np.abs(rho) >= proj.eps_pole
     samples[keep] = evaluate_jet(proj.f, grid.points[keep], 0).value
-    return rb.exact_flatness_residual(grid, F_map), cf, off, samples
+    flat = rb.exact_flatness_residual(grid, F_map, samples=4, seed=seed)
+    return flat, cf, off, samples
 
 
 def _assert_samples_match(samples, oracle, name):
@@ -896,11 +924,9 @@ def test_batched_members_match_the_per_member_oracle(s3xs1_grid):
     points, and the identity member exactly."""
     g = s3xs1_grid
     seed = 1
-    candidates = _member_candidates(g)
-    for data, m in zip(candidates, rb._family_members(g, candidates, seed=seed)):
+    for m in rb._family_members(g, _members(g), seed=seed):
         assert m.error is None and m.retained, m.name
-        flat, cf, off, samples = _member_oracle(
-            g, rb.transform(g, data).F_tilde_map, seed)
+        flat, cf, off, samples = _member_oracle(g, _member_map(g, m), seed)
         assert abs(m.flat_residual - flat) <= 1e-12, m.name
         assert m.cf_residual == cf, m.name
         assert abs(m.offdiag_residual - off) <= 1e-12, m.name
@@ -920,52 +946,53 @@ def test_batched_passes_match_the_oracle_on_generic_images(s3xs1_grid):
     F = g.lift.F
     Rs = np.eye(g.A) + 0.05 * np.random.default_rng(5).standard_normal(
         (3, g.A, g.A))
-    pts = F.domain.sample_points(3, np.random.default_rng(0))
-    flat = rb._flat_residuals(g, Rs, pts, rb._packed_jet(F, pts, 3))
-    pairs = [(rb.MemberReport(f"generic-{k}", 0.0, 0.0),
-              SimpleNamespace(R=R, F_tilde_map=rb._exact_transform_map(g, R)))
-             for k, R in enumerate(Rs)]
-    rb._member_postchecks(g, pairs, seed=seed)
-    for (rec, result), resid in zip(pairs, flat):
-        assert rec.error is None, rec.name
-        ref = _member_oracle(g, result.F_tilde_map, seed)
-        for got, want in zip((resid, rec.cf_residual, rec.offdiag_residual),
-                             ref[:3]):
-            assert want > 1e-4, rec.name
-            assert abs(got - want) <= 1e-12 * want, rec.name
-        assert rec.cf_residual == ref[1], rec.name
-        _assert_samples_match(rec.samples, ref[3], rec.name)
+    members = [rb.MemberReport(f"generic-{k}", R) for k, R in enumerate(Rs)]
+    pts = F.domain.sample_points(4, np.random.default_rng(seed))
+    lift_jet = rb._packed_jet(F, pts, 2)
+    rb.flatness_filter(g, members, pts, lift_jet)
+    rb._member_postchecks(g, members, pts, lift_jet)
+    for m in members:
+        assert m.error is None, m.name
+        ref = _member_oracle(g, _member_map(g, m), seed)
+        for got, want in zip((m.flat_residual, m.cf_residual,
+                              m.offdiag_residual), ref[:3]):
+            assert want > 1e-4, m.name
+            assert abs(got - want) <= 1e-12 * want, m.name
+        assert m.cf_residual == ref[1], m.name
+        _assert_samples_match(m.samples, ref[3], m.name)
 
 
 def _pole_reflection(grid, point):
-    """Constant-vector data whose reflection maps the lift at `point` onto
-    the pole direction w: z = F(point) + w."""
+    """The reflection member that maps the lift at `point` onto the pole
+    direction w: z = F(point) + w."""
     w = grid.lift.model.w
     z = grid.lift.F.value(point) + w
-    return rb.constant_vector_data(grid, z / np.linalg.norm(z), name="pole")
+    return rb.MemberReport("pole", rb.reflection(grid.sig, z / np.linalg.norm(z)))
 
 
 def test_member_errors_stay_with_their_member(s3xs1_grid, monkeypatch):
     """Members that fail inside a batched pass get their own errors: a
-    null-direction reflection (z = w) in the transform pass, a reflection
-    that maps a postcheck point onto the pole in the pole guard, and a
-    member whose postcheck extrinsic pass raises a toolkit error (injected
-    here), attributed by rerunning the pass member by member.  The other
-    members' results are those of a run without them.  A programming error
-    inside a batched pass still ends the run."""
+    rank-deficient matrix (R F is no immersion) in the flatness pass, a
+    reflection that maps a postcheck point onto the pole in the pole guard,
+    and a member whose postcheck extrinsic pass raises a toolkit error
+    (injected here), each attributed by rerunning the pass member by
+    member.  The other members' residuals and samples are those of a run
+    without them.  A programming error inside a batched pass still ends
+    the run."""
     from confflat.errors import FrameError
+    from confflat.lightcone import project_from_cone
 
     g = s3xs1_grid
     seed = 1
-    candidates = _member_candidates(g)
-    before = rb._family_members(g, candidates, seed=seed)
+    before = rb._family_members(g, _members(g), seed=seed)
     pts = g.lift.F.domain.sample_points(4, np.random.default_rng(seed))
-    null = rb.constant_vector_data(g, g.lift.model.w, name="null-direction")
+    e0 = np.eye(g.A)[0]
+    degenerate = rb.MemberReport("rank-deficient", np.outer(e0, e0))
     pole = _pole_reflection(g, pts[0])
-    broken = _reflection_data(g, seed=17)
+    broken, = _members(g, seeds=(17,))[1:]
     broken.name = "broken"
-    marker = rb.project_from_cone(rb.transform(g, broken).F_tilde_map,
-                                  g.lift.model).f.value(pts[0])
+    marker = project_from_cone(_member_map(g, broken),
+                               g.lift.model).f.value(pts[0])
     original = rb.fundamental_forms
 
     def injecting(smooth_map, ambient, points, jet=None):
@@ -975,9 +1002,11 @@ def test_member_errors_stay_with_their_member(s3xs1_grid, monkeypatch):
         return original(smooth_map, ambient, points, jet=jet)
 
     monkeypatch.setattr(rb, "fundamental_forms", injecting)
-    after = rb._family_members(g, [null] + candidates + [pole, broken],
-                               seed=seed)
-    assert after[0].error.startswith("SingularTransformError: <<z, z>>")
+    after = rb._family_members(
+        g, [degenerate] + _members(g) + [pole, broken], seed=seed)
+    assert after[0].error.startswith(
+        "ImmersionError: rank-deficient differential")
+    assert after[0].flat_residual is None and not after[0].retained
     assert after[-2].error.startswith("DomainError: <<F,w>>")
     assert "under the pole guard" in after[-2].error
     assert after[-1].error == "FrameError: injected postcheck failure"
@@ -985,8 +1014,7 @@ def test_member_errors_stay_with_their_member(s3xs1_grid, monkeypatch):
         assert m.cf_residual is None and m.samples is None, m.name
     for b, a in zip(before, after[1:-2]):
         assert a.error is None, a.name
-        for field in ("flat_residual", "cone_defect", "cf_residual",
-                      "offdiag_residual"):
+        for field in ("flat_residual", "cf_residual", "offdiag_residual"):
             assert getattr(a, field) == getattr(b, field), (a.name, field)
         assert np.array_equal(a.samples, b.samples, equal_nan=True), a.name
 
@@ -995,4 +1023,4 @@ def test_member_errors_stay_with_their_member(s3xs1_grid, monkeypatch):
 
     monkeypatch.setattr(rb, "fundamental_forms", mistyped)
     with pytest.raises(TypeError, match="broken extrinsic pass"):
-        rb._family_members(g, candidates, seed=seed)
+        rb._family_members(g, _members(g), seed=seed)

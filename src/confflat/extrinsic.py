@@ -330,19 +330,22 @@ def _spanning_vectors(jet: Jet3, ambient: AmbientSpace):
     return np.concatenate([jet.d1, pos[..., None, :]], axis=-2)
 
 
-def fundamental_forms(smooth_map: SmoothMap, ambient: AmbientSpace, points,
-                      jet: Jet3 | None = None) -> ExtrinsicData:
+def fundamental_forms(smooth_map: SmoothMap | None, ambient: AmbientSpace,
+                      points, jet: Jet3 | None = None) -> ExtrinsicData:
     """Complete pointwise extrinsic data of an immersion, at one point (n,)
     or at each point of a point set (B, n), where every field comes back
     stacked along a leading batch axis.  Frames, pivots and the FrameError
     and ImmersionError checks are decided per point.  Without `jet` the
-    map's order-3 jet at the points is evaluated.  A caller's `jet` may be
-    of lower order: every field here needs order 2 only, and the readers
-    of third derivatives (`codazzi_tensor`, `normal_connection_and_curvature`)
-    then refuse the data."""
+    map's order-3 jet at the points is evaluated; with one, the map is not
+    read and may be None.  A caller's `jet` may be of lower order: every
+    field here needs order 2 only, and the readers of third derivatives
+    (`codazzi_tensor`, `normal_connection_and_curvature`) then refuse the
+    data.  Raises ValueError when given neither a map nor a jet."""
     points = np.asarray(points, float)
     batched = points.ndim == 2
     if jet is None:
+        if smooth_map is None:
+            raise ValueError("fundamental_forms needs a map or a jet")
         jet = evaluate_jet(smooth_map, points, 3)
     n = jet.n
     A = jet.codim

@@ -450,7 +450,7 @@ def suite_ribaucour(run):
     _refuse_pole(rho.v, _pole_guard(lift.F.domain))
     jf = _jet3(_slice_coordinates(model, V, rho), pts)
     cf = conformal_flatness_test(intrinsic_curvatures(fundamental_forms(
-        lift.F, amb_mod.euclidean(model.N), pts, jet=jf)))
+        None, amb_mod.euclidean(model.N), pts, jet=jf)))
     checks.append(CheckResult("projected reflection is conformally flat",
                               "ribaucour/reflection-projection-flatness",
                               cf, 1e-6 * ts).evaluate())

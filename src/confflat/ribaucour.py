@@ -39,7 +39,7 @@ from .errors import (ConfflatError, DegenerateInputError,
                      DegenerateTransformError, DimensionAmbiguityError,
                      DomainError, FrameError, NotApplicable,
                      SingularTransformError)
-from .extrinsic import (ExtrinsicData, christoffels, fundamental_forms,
+from .extrinsic import (ExtrinsicData, fundamental_forms,
                         intrinsic_curvatures, normal_projectors)
 from .jets import SmoothMap, evaluate_jet
 from .jets.core import _jet
@@ -68,33 +68,11 @@ def _grid_diff(values, shape, spacings, axis):
     return out.reshape(values.shape)
 
 
-def _grid_diff2(values, shape, spacings, axis):
-    """Compact three-point second derivative along one axis; the two edge
-    layers copy their interior neighbor (callers use interior points only)."""
-    full = values.reshape(shape + values.shape[1:])
-    out = np.empty_like(full)
-    sl = [slice(None)] * full.ndim
-    lo, mid, hi = list(sl), list(sl), list(sl)
-    lo[axis] = slice(0, -2)
-    mid[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    out[tuple(mid)] = (full[tuple(lo)] - 2.0 * full[tuple(mid)]
-                       + full[tuple(hi)]) / spacings[axis] ** 2
-    first, last = list(sl), list(sl)
-    first[axis] = 0
-    last[axis] = -1
-    nxt, prv = list(sl), list(sl)
-    nxt[axis] = 1
-    prv[axis] = -2
-    out[tuple(first)] = out[tuple(nxt)]
-    out[tuple(last)] = out[tuple(prv)]
-    return out.reshape(values.shape)
-
-
 @dataclass
 class LiftGrid:
     """Pointwise geometry of a lifted immersion sampled on the chart grid,
-    with a parallel pseudo-orthonormal normal frame."""
+    with a parallel pseudo-orthonormal normal frame: only the fields that
+    the condition, the transform and the member layer read."""
 
     lift: LiftedImmersion
     shape: tuple
@@ -102,14 +80,14 @@ class LiftGrid:
     spacings: np.ndarray        # (n,)
     F_vals: np.ndarray          # (M, A)
     tangents: np.ndarray        # (M, n, A)
-    g: np.ndarray               # (M, n, n)
-    g_inv: np.ndarray
-    alpha: np.ndarray           # (M, n, n, A)
+    g_inv: np.ndarray           # (M, n, n)
+    alpha_diag: np.ndarray      # (M, n, A) alpha(d_i, d_i)
     frame: np.ndarray           # (M, p, A) parallel normal frame
     eps: np.ndarray             # (p,)
     parallel_residual: float    # Richardson estimate of the transport error
-    ext: ExtrinsicData          # pointwise data at the grid points, batched,
-                                # from order-2 jets (no Codazzi tensor)
+    ext: ExtrinsicData          # the grid pass's data at the first, middle
+                                # and last grid point, which the degeneracy
+                                # guard decides; order-2 jets (no Codazzi)
 
     @cached_property
     def _analytic_data(self):
@@ -159,27 +137,34 @@ class LiftGrid:
     def h_parallel(self):
         """eps_a <<alpha(d_i, d_i), psi_a>>, shape (M, p, n); computed once
         per grid."""
-        diag = np.diagonal(self.alpha, axis1=1, axis2=2)     # (M, A, n)
+        diag = np.swapaxes(self.alpha_diag, 1, 2)           # (M, A, n)
         return self.eps[:, None] * ((self.frame * self.sig) @ diag)
 
 
 def _pseudo_gs(sig, vectors, eps_expected, points):
-    """Pseudo-orthonormalize the p rows of each frame in a batch (B, p, A),
-    in order; the resulting signs must reproduce `eps_expected` (the
-    transported frame keeps its causal type for small steps).  Raises
-    FrameError naming the first point (row of `points`) where it does not."""
+    """Pseudo-orthonormalize the p rows of each frame in batches
+    (..., B, p, A), in order; the resulting signs must reproduce
+    `eps_expected` (the transported frame keeps its causal type for small
+    steps).  Where they do not, raises FrameError naming a point (row of
+    `points`): of the batches in the order of their leading indices, the
+    first one that fails, at its first row to fail, its first such point,
+    as if the batches were orthonormalized one after the other."""
     out = np.empty_like(vectors)
-    for a in range(vectors.shape[1]):
-        r = vectors[:, a].copy()
+    bad = np.empty(vectors.shape[:-1], bool)         # (..., B, p)
+    for a in range(vectors.shape[-2]):
+        r = vectors[..., a, :].copy()
         for b in range(a):
-            u = out[:, b]
-            r -= eps_expected[b] * np.sum(sig * r * u, axis=-1)[:, None] * u
+            u = out[..., b, :]
+            r -= eps_expected[b] * np.sum(sig * r * u, axis=-1)[..., None] * u
         q = np.sum(sig * r * r, axis=-1)
-        bad = q * eps_expected[a] <= 0
-        if np.any(bad):
-            raise FrameError("transported frame changed causal type at "
-                             f"{points[np.argmax(bad)]}")
-        out[:, a] = r / np.sqrt(np.abs(q))[:, None]
+        bad[..., a] = q * eps_expected[a] <= 0
+        out[..., a, :] = r / np.sqrt(np.abs(q))[..., None]
+    if bad.any():
+        batches = bad.reshape((-1,) + bad.shape[-2:])
+        first = batches[np.argmax(batches.any(axis=(1, 2)))]
+        row = first[:, np.argmax(first.any(axis=0))]
+        raise FrameError("transported frame changed causal type at "
+                         f"{points[np.argmax(row)]}")
     return out
 
 
@@ -238,13 +223,16 @@ def _commutator_step(Pa, Pm, Pc, T):
 
 def _transport_operators(lift: LiftedImmersion, pts, edges, P_grid, substeps):
     """Every edge's transport in `substeps` and in 2*`substeps` commutator
-    Pade steps, as two (E, A, A) operators acting on frame rows from the
-    right.  Both step counts read the normal projectors at fractions k / D,
-    D = 4 substeps, of every edge.  They are evaluated one coarse step at a
-    time: coarse step s spans fractions 4s/D to (4s + 4)/D and takes one
-    step through its midpoint, the fine run two through its quarter points,
-    and only the end projector is kept, as the start of the next step, so
-    the projectors held at once are those of one step, not of all of them."""
+    Pade steps, as one (2, E, A, A) stack of operators acting on frame rows
+    from the right: the coarse run's, then the fine run's.  Both step
+    counts read the normal projectors at fractions k / D, D = 4 substeps,
+    of every edge.  Coarse step s spans fractions 4s/D to (4s + 4)/D and
+    takes one step through its midpoint P2, the fine run two through its
+    quarter points P1 and P3.  Each projector is evaluated just before the
+    first step that reads it and dropped after the last one, so at most
+    three are held at once: (Pa, P1, P2) for the first fine step, (Pa, P2,
+    Pc) for the coarse step and (P2, P3, Pc) for the second fine step; the
+    end projector Pc starts the next coarse step."""
     D = 4 * substeps
     u0 = pts[edges[:, 0]]
     du = pts[edges[:, 1]] - u0
@@ -255,14 +243,19 @@ def _transport_operators(lift: LiftedImmersion, pts, edges, P_grid, substeps):
     Pa = P_grid[edges[:, 0]]
     T_coarse = T_fine = None
     for s in range(substeps):
-        P1, P2, P3 = (projectors(4 * s + j) for j in (1, 2, 3))
-        Pc = P_grid[edges[:, 1]] if s == substeps - 1 else projectors(4 * s + 4)
+        P1 = projectors(4 * s + 1)
+        P2 = projectors(4 * s + 2)
         T_fine = _commutator_step(Pa, P1, P2, T_fine)
-        T_fine = _commutator_step(P2, P3, Pc, T_fine)
+        del P1
+        Pc = P_grid[edges[:, 1]] if s == substeps - 1 else projectors(4 * s + 4)
         T_coarse = _commutator_step(Pa, P2, Pc, T_coarse)
+        del Pa
+        P3 = projectors(4 * s + 3)
+        T_fine = _commutator_step(P2, P3, Pc, T_fine)
+        del P2, P3
         Pa = Pc
-        del P1, P2, P3    # only the end projector outlives its step
-    return np.swapaxes(T_coarse, -1, -2), np.swapaxes(T_fine, -1, -2)
+    del Pa, Pc
+    return np.swapaxes(np.stack([T_coarse, T_fine]), -1, -2)
 
 
 def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
@@ -282,19 +275,24 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
 
     The extrinsic data at the grid points comes from one batched pass of
     order-2 jets (the metric, the second fundamental form and the normal
-    frame need no more).  A step depends on the projectors only, not on the
-    frame it carries, so every edge's transport operator is built before
-    the sweep, per resolution: one batched Pade step per sub-step over all
-    edges, multiplied into one (E, A, A) operator (`_transport_operators`).
-    The normal projectors at the sub-step points (fractions k / (4
-    substeps) of every edge, which the two step counts share) are evaluated
-    one coarse step at a time, 4 substeps - 1 batched passes of M - 1
-    points each, and dropped once the step is taken, so that the build's
-    memory peak grows with one step's projectors, not with all of them.
-    The sweep then runs level by level (`_sweep_edges`): sum(N_i - 1)
-    levels on a grid of shape (N_1, ..., N_n), each one batched apply,
-    projection onto the normal space and pseudo-Gram-Schmidt over all of
-    its edges."""
+    frame need no more).  Before the transport starts, the build keeps of
+    it only what a later reader uses: the lift's values, tangents and
+    inverse metric, the diagonal alpha(d_i, d_i) that `h_parallel` reads,
+    the data at the three points the degeneracy guard decides, and, until
+    the sweep ends, the Gram-Schmidt normal frame with its signs and, until
+    the transport ends, the normal projectors.  A step depends on the
+    projectors only, not on the frame it carries, so every edge's transport
+    operator is built before the sweep, per resolution: one batched Pade
+    step per sub-step over all edges, multiplied into one operator per edge
+    (`_transport_operators`).  The normal projectors at the sub-step points
+    (fractions k / (4 substeps) of every edge, which the two step counts
+    share) are 4 substeps - 1 batched passes of M - 1 points each, each
+    evaluated just before the first step that reads it and dropped after
+    the last, so that at most three are held at once.  The sweep then runs
+    level by level (`_sweep_edges`): sum(N_i - 1) levels on a grid of shape
+    (N_1, ..., N_n), each one batched apply, projection onto the normal
+    space and pseudo-Gram-Schmidt over all of its edges and both
+    resolutions."""
     dom = lift.F.domain
     if dom.grid_shape is None:
         raise ValueError("lift domain carries no grid")
@@ -306,39 +304,43 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
     sig = amb.signature
 
     ext = fundamental_forms(lift.F, amb, pts, jet=evaluate_jet(lift.F, pts, 2))
-    p = ext.p
-    fe = ext.frame_eps
+    guarded = ext.at(np.linspace(0, M - 1, 3).astype(int))
+    F_vals, tangents, g_inv = ext.jet.value, ext.tangent, ext.g_inv
+    alpha_diag = np.einsum("miiA->miA", ext.alpha).copy()
+    normals, fe = ext.frame, ext.frame_eps
     P_grid = ext.normal_projector()
+    del ext     # the rest of the pass: nothing below reads it
 
     levels = _sweep_edges(shape)
-    edges = np.concatenate(levels)
-    T_coarse, T_fine = _transport_operators(lift, pts, edges, P_grid, substeps)
+    T = _transport_operators(lift, pts, np.concatenate(levels), P_grid,
+                             substeps)
+    del P_grid
 
-    # two resolutions of the same transport for a Richardson error estimate
-    coarse = np.zeros((M, p, amb.flat_dim))
-    frame = np.zeros_like(coarse)
-    coarse[0] = frame[0] = ext.frame[0]
-    eps = ext.frame_eps[0].copy()
-    runs = ((coarse, T_coarse), (frame, T_fine))
+    # two resolutions of the same transport, coarse and fine, for a
+    # Richardson error estimate
+    runs = np.zeros((2, M) + normals.shape[1:])
+    runs[:, 0] = normals[0]
+    eps = fe[0].copy()
     start = 0
     for level in levels:
         src, dst = level.T
         ops = slice(start, start + len(level))
         start = ops.stop
-        normals = ext.frame[dst]
-        for out, T in runs:
-            moved = out[src] @ T[ops]
-            # clean residual out-of-bundle drift, keep pseudo-orthonormality
-            coef = moved @ np.swapaxes(normals * sig, -1, -2)
-            coef *= fe[dst][:, None]
-            out[dst] = _pseudo_gs(sig, coef @ normals, eps, pts[dst])
+        nd = normals[dst]
+        moved = runs[:, src] @ T[:, ops]
+        # clean residual out-of-bundle drift, keep pseudo-orthonormality
+        coef = moved @ np.swapaxes(nd * sig, -1, -2)
+        coef *= fe[dst][:, None]
+        runs[:, dst] = _pseudo_gs(sig, coef @ nd, eps, pts[dst])
+    coarse, frame = runs
     transport_error = float(np.max(np.abs(frame - coarse))) / 3.0
 
     if transport_error > frame_tol:
         raise FrameError(
             f"transported frame not parallel: residual {transport_error:.3e}")
-    return LiftGrid(lift, shape, pts, spac, ext.jet.value, ext.tangent, ext.g,
-                    ext.g_inv, ext.alpha, frame, eps, transport_error, ext)
+    # a copy of the fine run, so that the grid does not hold the coarse one
+    return LiftGrid(lift, shape, pts, spac, F_vals, tangents, g_inv,
+                    alpha_diag, frame.copy(), eps, transport_error, guarded)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +441,10 @@ class NullspaceResult:
 
 
 def _degeneracy_guard(grid: LiftGrid):
-    """Refuse, at three grid points decided in one pass, a single principal
-    normal or two principal normals too close to tell apart."""
-    idx = np.linspace(0, grid.M - 1, 3).astype(int)
-    decs, failure = _principal_pass(grid.ext.at(idx), CLUSTER_TOL, FLAT_NB_TOL, 0)
+    """Refuse, at the three grid points of `grid.ext` (the first, middle and
+    last), decided in one pass, a single principal normal or two principal
+    normals too close to tell apart."""
+    decs, failure = _principal_pass(grid.ext, CLUSTER_TOL, FLAT_NB_TOL, 0)
     for dec in decs:
         if dec.k < 2:
             raise DegenerateInputError(
@@ -643,7 +645,6 @@ class TransformResult:
     calF: np.ndarray            # (M, A)
     rank_margin: float
     cone_defect: float          # max |<<F~, F~>>| / max(1, |F~|^2)
-    data: RibaucourData
 
 
 def reflection(sig, z):
@@ -714,7 +715,7 @@ def transform(grid: LiftGrid, data: RibaucourData) -> TransformResult:
     cone = float(np.max(np.abs(grid.lorentz_inner(F_tilde, F_tilde))
                         / np.maximum(np.einsum("MA,MA->M", F_tilde, F_tilde),
                                      1.0)))
-    return TransformResult(F_tilde, nu_inv, calF, margin, cone, data)
+    return TransformResult(F_tilde, nu_inv, calF, margin, cone)
 
 
 @dataclass
@@ -779,7 +780,7 @@ def _flat_residuals(grid: LiftGrid, Rs, pts, lift_jet):
     points `pts`, from the lift's packed jet there and one pass of extrinsic
     data over all members' points."""
     jet, tiled = _flattened(_member_jets(Rs, lift_jet), pts)
-    ext = fundamental_forms(grid.lift.F, grid.lift.ambient, tiled, jet=jet)
+    ext = fundamental_forms(None, grid.lift.ambient, tiled, jet=jet)
     return list(np.max(_flatness_ratios(ext).reshape(len(Rs), -1), axis=1))
 
 
@@ -824,39 +825,6 @@ def flatness_filter(grid: LiftGrid, members, pts, lift_jet):
         else:
             rec.flat_residual = float(resid)
             rec.retained = rec.flat_residual <= FLAT_TOL
-
-
-# ---------------------------------------------------------------------------
-# derived compatibility: Hessian of phi commutes with the shape operators
-# ---------------------------------------------------------------------------
-
-def hessian_commutation_residual(grid: LiftGrid, phi):
-    """Residual of [Hess phi, A_xi] = 0, a consequence of the condition plus
-    flat normal bundle; noise floor O(h^2)."""
-    n = grid.n
-    phi = np.asarray(phi, float)
-    Dphi = np.stack([grid.diff(phi[:, None], i)[:, 0] for i in range(n)],
-                    axis=1)
-    DDphi = np.stack([grid.diff(Dphi, i) for i in range(n)], axis=1)  # (M,i,j)
-    for i in range(n):
-        DDphi[:, i, i] = _grid_diff2(phi[:, None], grid.shape,
-                                     grid.spacings, i)[:, 0]
-    inner = _interior_mask(grid.shape)
-    ext = grid.ext
-    g_inv = ext.g_inv[inner]
-    gam = np.einsum("mlk,mkij->mlij", g_inv, christoffels(ext)[inner])
-    gam_dphi = np.einsum("mlij,ml->mij", gam, Dphi[inner])
-    dd = DDphi[inner]
-    # Hess phi_ij = D_i D_j phi - Gamma^l_ij D_l phi, as a mixed operator
-    H = g_inv @ (0.5 * (dd + np.swapaxes(dd, -1, -2)) - gam_dphi)
-    S = ext.shape_ops[inner]
-    C = H[:, None] @ S - S @ H[:, None]
-    # the normalization uses the raw second-derivative scale of phi, which
-    # stays O(1) even when the intrinsic Hessian itself nearly vanishes
-    # (for solutions the Christoffel and coordinate terms cancel)
-    dd_scale = max(float(np.max(np.abs(dd))), float(np.max(np.abs(gam_dphi))))
-    a_scale = float(np.max(np.abs(S)))
-    return float(np.max(np.abs(C))) / max(dd_scale * a_scale, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +886,7 @@ def _member_postchecks(grid: LiftGrid, members, pts, lift_jet):
                                _jet(V.n, V.order, rho.c[:, ok]))
         jet, tiled = _flattened(f, pts)
         # the Weyl residual and the holonomic gate share one pass
-        ext = fundamental_forms(grid.lift.F, euclid, tiled, jet=jet)
+        ext = fundamental_forms(None, euclid, tiled, jet=jet)
         defects = weyl_defects(intrinsic_curvatures(ext)) + offdiagonal_defects(ext)
         worst, kmax, net, alpha = (np.max(x.reshape(len(ok), -1), axis=1)
                                    for x in defects)

@@ -13,7 +13,8 @@ from confflat.errors import FrameError, ImmersionError
 from confflat.extrinsic import (codazzi_tensor, complement_frame,
                                 fundamental_forms, intrinsic_curvatures,
                                 normal_connection_and_curvature, orthonormalize)
-from confflat.jets import ChartDomain, Jet, SmoothMap, sqrt as jsqrt
+from confflat.jets import (ChartDomain, Jet, SmoothMap, evaluate_jet,
+                           sqrt as jsqrt)
 from confflat.reports import Run, load_scenario, suite_extrinsic
 
 from conftest import interior_points, into_sphere, sectional
@@ -238,6 +239,21 @@ def test_point_set_refuses_a_degenerate_point():
     pts = np.array([[0.2, 0.5], [0.3, 0.0], [0.1, -0.4]])
     with pytest.raises(ImmersionError, match=r"\[0\.3 0\. *\]"):
         fundamental_forms(fold, amb_mod.euclidean(3), pts)
+
+
+def test_a_jet_needs_no_map_and_no_jet_needs_one(catalog):
+    """Given a jet, fundamental_forms reads no map: with None for the map it
+    returns the data it returns beside the jet's own map.  Given neither a
+    map nor a jet, it refuses with a ValueError."""
+    item = catalog["s3xs1"]
+    pts = interior_points(item, 3)
+    jet = evaluate_jet(item.smooth_map, pts, 2)
+    ref = fundamental_forms(item.smooth_map, item.ambient, pts, jet=jet)
+    got = fundamental_forms(None, item.ambient, pts, jet=jet)
+    for field in _FF_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+    with pytest.raises(ValueError, match="needs a map or a jet"):
+        fundamental_forms(None, item.ambient, pts)
 
 
 def test_codimension_zero_is_not_applicable():

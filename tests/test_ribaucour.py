@@ -2,6 +2,7 @@
 numerical null space, exact reflections, and the full family pipeline."""
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from confflat import extrinsic
+from confflat.extrinsic import christoffels
 from confflat.errors import (DegenerateInputError, DegenerateTransformError,
                              DimensionAmbiguityError, FrameError,
                              SingularTransformError)
@@ -24,6 +26,19 @@ from conftest import interior_points, lift_at, linear_image
 # ---------------------------------------------------------------------------
 # grid construction
 # ---------------------------------------------------------------------------
+
+def _grid_pass(grid):
+    """The grid's order-2 extrinsic pass at all of its points, as
+    build_lift_grid makes it before it keeps only what its readers read."""
+    F, pts = grid.lift.F, grid.points
+    return rb.fundamental_forms(F, grid.lift.ambient, pts,
+                                jet=evaluate_jet(F, pts, 2))
+
+
+@pytest.fixture(scope="module")
+def s3xs1_grid_pass(s3xs1_grid):
+    return _grid_pass(s3xs1_grid)
+
 
 def test_grid_transport_converged(s3xs1_grid):
     assert s3xs1_grid.parallel_residual < 0.05
@@ -42,10 +57,10 @@ def test_grid_frame_normal_to_tangents(s3xs1_grid):
     assert np.max(np.abs(mixed)) < 1e-10
 
 
-def test_grid_metric_orthogonal_net(s3xs1_grid):
-    g = s3xs1_grid
-    off = g.g - np.einsum("mij,ij->mij", g.g, np.eye(g.n))
-    assert np.max(np.abs(off)) < 1e-8 * np.max(np.abs(g.g))
+def test_grid_metric_orthogonal_net(s3xs1_grid, s3xs1_grid_pass):
+    g, metric = s3xs1_grid, s3xs1_grid_pass.g
+    off = metric - np.einsum("mij,ij->mij", metric, np.eye(g.n))
+    assert np.max(np.abs(off)) < 1e-8 * np.max(np.abs(metric))
 
 
 # Edges of the (2, 3) grid in the order the one-edge-at-a-time sweep
@@ -199,9 +214,11 @@ def test_normal_projectors_are_batch_invariant(s3xs1_lift):
 
 
 def test_lift_grid_peak_memory(s3xs1_lift):
-    """The grid build holds one coarse transport step's projectors at a
-    time: on the s3xs1 5^4 lift its traced allocations peak under 8.0 MB
-    (6.9 MB; 11.7 MB with every sub-step projector held at once)."""
+    """The grid build drops its extrinsic pass, but for what its readers
+    read, before the transport, and holds at most three sub-step projectors
+    at once: on the s3xs1 5^4 lift its traced allocations peak under 5.0 MB
+    (4.0 MB; 6.9 MB with the whole pass and five projectors held, 11.7 MB
+    with every sub-step projector held at once)."""
     rb.build_lift_grid(s3xs1_lift)              # warm the cached tables
     tracemalloc.start()
     try:
@@ -210,7 +227,28 @@ def test_lift_grid_peak_memory(s3xs1_lift):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8.0e6
+    assert peak < 5.0e6
+
+
+def test_transport_holds_at_most_three_projectors(s3xs1_coarse_lift,
+                                                  monkeypatch):
+    """Each sub-step projector is evaluated just before the first Pade step
+    that reads it and dropped after the last one: no normal_projectors call
+    of the transport finds more than two earlier sub-step projectors still
+    alive, so at most three are held at once."""
+    made, alive_at_call = [], []
+    original = rb.normal_projectors
+
+    def tracking(*args):
+        alive_at_call.append(sum(ref() is not None for ref in made))
+        P = original(*args)
+        made.append(weakref.ref(P))
+        return P
+
+    monkeypatch.setattr(rb, "normal_projectors", tracking)
+    rb.build_lift_grid(s3xs1_coarse_lift, frame_tol=1.0)
+    assert len(alive_at_call) == 7
+    assert max(alive_at_call) <= 2
 
 
 def test_pade_step_preserves_the_lorentz_form(rng):
@@ -229,19 +267,36 @@ def test_pade_step_preserves_the_lorentz_form(rng):
     assert np.all(gaps[0] >= 20.0 * gaps[1])
 
 
-def test_grid_from_order2_jets_is_exact(s3xs1_grid, s3xs1_lift, monkeypatch):
+def test_grid_from_order2_jets_is_exact(s3xs1_grid, s3xs1_grid_pass,
+                                       s3xs1_lift, monkeypatch):
     """The grid's extrinsic pass uses order-2 jets, and every field of the
-    grid is bitwise that of a grid built from the default order-3 pass:
-    truncating a jet drops only its highest coefficient rows."""
+    grid is bitwise that of a grid built from the default order-3 pass, as
+    are the metric and the second fundamental form of the two passes at
+    the grid points: truncating a jet drops only its highest coefficient
+    rows.  The grid keeps the pass's diagonal alpha(d_i, d_i) and its data
+    at the first, middle and last point, and its arrays are their own."""
     from confflat.jets import maps
-    assert s3xs1_grid.ext.jet.order == 2
+    g = s3xs1_grid
+    assert g.ext.jet.order == 2
     monkeypatch.setattr(rb, "evaluate_jet",
                         lambda F, pts, order: maps.evaluate_jet(F, pts, 3))
     oracle = rb.build_lift_grid(s3xs1_lift)
     assert oracle.ext.jet.order == 3
-    for name in ("F_vals", "tangents", "g", "g_inv", "alpha", "frame", "eps"):
-        assert np.array_equal(getattr(s3xs1_grid, name), getattr(oracle, name)), name
-    assert s3xs1_grid.parallel_residual == oracle.parallel_residual
+    for name in ("F_vals", "tangents", "g_inv", "alpha_diag", "frame", "eps"):
+        assert np.array_equal(getattr(g, name), getattr(oracle, name)), name
+    assert g.parallel_residual == oracle.parallel_residual
+    order3 = rb.fundamental_forms(g.lift.F, g.lift.ambient, g.points)
+    for name in ("g", "alpha"):
+        assert np.array_equal(getattr(s3xs1_grid_pass, name),
+                              getattr(order3, name)), name
+    assert np.array_equal(g.alpha_diag,
+                          np.einsum("miiA->miA", s3xs1_grid_pass.alpha))
+    kept = s3xs1_grid_pass.at(np.array([0, (g.M - 1) // 2, g.M - 1]))
+    for name in ("point", "g", "frame", "alpha", "S"):
+        assert np.array_equal(getattr(g.ext, name), getattr(kept, name)), name
+    # no kept field is a view that holds a larger array of the build alive
+    for name in ("F_vals", "tangents", "g_inv", "alpha_diag", "frame"):
+        assert getattr(g, name).base is None, name
 
 
 def test_order3_readers_refuse_the_grid_data(s3xs1_grid):
@@ -273,6 +328,14 @@ def test_pseudo_gs_names_the_point_of_a_causal_type_change():
     assert np.allclose(out, frames[[0, 2]])
     with pytest.raises(FrameError, match=re.escape(str(points[1]))):
         rb._pseudo_gs(sig, frames, eps, points)
+    # stacked runs, as the sweep's coarse and fine run: the first run that
+    # fails is named, even where a later run fails at an earlier row (here
+    # at row 0 of point 2, against row 1 of point 1)
+    other = np.array([[e[1], e[0]], [e[1], e[0]], [e[0], e[1]]])
+    with pytest.raises(FrameError, match=re.escape(str(points[1]))):
+        rb._pseudo_gs(sig, np.stack([frames, other]), eps, points)
+    with pytest.raises(FrameError, match=re.escape(str(points[2]))):
+        rb._pseudo_gs(sig, np.stack([other, frames]), eps, points)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +355,59 @@ def test_random_data_violates_condition(s3xs1_grid, rng):
     assert rb.condition_residual(g, phi, b) > 0.1
 
 
+def _grid_diff2(values, shape, spacings, axis):
+    """Compact three-point second derivative along one axis; the two edge
+    layers copy their interior neighbor (callers use interior points only)."""
+    full = values.reshape(shape + values.shape[1:])
+    out = np.empty_like(full)
+    sl = [slice(None)] * full.ndim
+    lo, mid, hi = list(sl), list(sl), list(sl)
+    lo[axis] = slice(0, -2)
+    mid[axis] = slice(1, -1)
+    hi[axis] = slice(2, None)
+    out[tuple(mid)] = (full[tuple(lo)] - 2.0 * full[tuple(mid)]
+                       + full[tuple(hi)]) / spacings[axis] ** 2
+    first, last = list(sl), list(sl)
+    first[axis] = 0
+    last[axis] = -1
+    nxt, prv = list(sl), list(sl)
+    nxt[axis] = 1
+    prv[axis] = -2
+    out[tuple(first)] = out[tuple(nxt)]
+    out[tuple(last)] = out[tuple(prv)]
+    return out.reshape(values.shape)
+
+
+def hessian_commutation_residual(grid, phi):
+    """Residual of [Hess phi, A_xi] = 0, a consequence of the condition plus
+    flat normal bundle, from the grid's order-2 extrinsic pass at all of its
+    points (`_grid_pass`); noise floor O(h^2)."""
+    n = grid.n
+    phi = np.asarray(phi, float)
+    Dphi = np.stack([grid.diff(phi[:, None], i)[:, 0] for i in range(n)],
+                    axis=1)
+    DDphi = np.stack([grid.diff(Dphi, i) for i in range(n)], axis=1)  # (M,i,j)
+    for i in range(n):
+        DDphi[:, i, i] = _grid_diff2(phi[:, None], grid.shape,
+                                     grid.spacings, i)[:, 0]
+    inner = rb._interior_mask(grid.shape)
+    ext = _grid_pass(grid)
+    g_inv = ext.g_inv[inner]
+    gam = np.einsum("mlk,mkij->mlij", g_inv, christoffels(ext)[inner])
+    gam_dphi = np.einsum("mlij,ml->mij", gam, Dphi[inner])
+    dd = DDphi[inner]
+    # Hess phi_ij = D_i D_j phi - Gamma^l_ij D_l phi, as a mixed operator
+    H = g_inv @ (0.5 * (dd + np.swapaxes(dd, -1, -2)) - gam_dphi)
+    S = ext.shape_ops[inner]
+    C = H[:, None] @ S - S @ H[:, None]
+    # the normalization uses the raw second-derivative scale of phi, which
+    # stays O(1) even when the intrinsic Hessian itself nearly vanishes
+    # (for solutions the Christoffel and coordinate terms cancel)
+    dd_scale = max(float(np.max(np.abs(dd))), float(np.max(np.abs(gam_dphi))))
+    a_scale = float(np.max(np.abs(S)))
+    return float(np.max(np.abs(C))) / max(dd_scale * a_scale, 1e-12)
+
+
 def test_hessian_commutation_for_solutions(s3xs1_grid, rng):
     """Solutions of the condition have Hessians commuting with every shape
     operator; random scalars do not."""
@@ -299,9 +415,9 @@ def test_hessian_commutation_for_solutions(s3xs1_grid, rng):
     z = rng.standard_normal(g.A)
     data = rb.constant_vector_data(g, z)
     h2 = float(np.max(g.spacings)) ** 2
-    assert rb.hessian_commutation_residual(g, data.phi) < 0.5 * h2
+    assert hessian_commutation_residual(g, data.phi) < 0.5 * h2
     phi_bad = np.sin(3.0 * g.points[:, 0]) * np.cos(2.0 * g.points[:, 2])
-    assert rb.hessian_commutation_residual(g, phi_bad) > 0.1
+    assert hessian_commutation_residual(g, phi_bad) > 0.1
 
 
 def test_nullspace_dimension_and_projections(s3xs1_grid):
@@ -748,30 +864,31 @@ def test_family_reflections_differ_from_original(family, s3xs1):
         assert np.nanmax(np.abs(m.samples - original)) > 1e-3, m.name
 
 
-def test_grid_projectors_match_frame_projectors(s3xs1_grid):
+def test_grid_projectors_match_frame_projectors(s3xs1_grid, s3xs1_grid_pass):
     """The transport's normal projectors, built from (U^T G U)^{-1} without
     a frame, equal the projectors of the Gram-Schmidt normal frame at the
     grid points."""
-    g = s3xs1_grid
-    from_frame = np.einsum("ma,maA,B,maB->mAB", g.ext.frame_eps, g.ext.frame,
-                           g.sig, g.ext.frame)
+    g, ext = s3xs1_grid, s3xs1_grid_pass
+    from_frame = np.einsum("ma,maA,B,maB->mAB", ext.frame_eps, ext.frame,
+                           g.sig, ext.frame)
     direct = normal_projectors(g.lift.F, g.lift.ambient, g.points)
     assert np.max(np.abs(direct - from_frame)) <= 1e-12
 
 
-def test_grid_contractions_match_the_einsum_oracle(s3xs1_grid):
+def test_grid_contractions_match_the_einsum_oracle(s3xs1_grid,
+                                                  s3xs1_grid_pass):
     """h_parallel, the grid-point normal projectors and the constant-vector
     data equal their einsum formulas to 1e-13 of each array's scale."""
-    g = s3xs1_grid
+    g, ext = s3xs1_grid, s3xs1_grid_pass
     z = _reflection_data(g).z
-    diag = np.einsum("miiA->miA", g.alpha)
+    diag = np.einsum("miiA->miA", ext.alpha)
     data = rb._constant_vector(g, z, "z")
     pairs = [
         (g.h_parallel,
          np.einsum("a,maA,A,miA->mai", g.eps, g.frame, g.sig, diag)),
-        (g.ext.normal_projector(),
-         np.einsum("ma,maA,B,maB->mAB", g.ext.frame_eps, g.ext.frame, g.sig,
-                   g.ext.frame)),
+        (ext.normal_projector(),
+         np.einsum("ma,maA,B,maB->mAB", ext.frame_eps, ext.frame, g.sig,
+                   ext.frame)),
         (data.phi, np.einsum("mA,A,A->m", g.F_vals, g.sig, z)),
         (data.b, np.einsum("a,maA,A,A->ma", g.eps, g.frame, g.sig, z)),
     ]

@@ -267,7 +267,8 @@ def _check_tractroid_curvature(dom, tol=1e-9):
     m = SmoothMap(d2, 3, lambda x: _tractroid(x[0], x[1]), "tractroid")
     u = np.linspace(d2.box[0][0] + 0.05, d2.box[0][1] - 0.05, 4)
     pts = np.stack([u, np.ones_like(u)], axis=1)
-    pack = intrinsic_curvatures(fundamental_forms(m, amb_mod.euclidean(3), pts))
+    pack = intrinsic_curvatures(fundamental_forms(m, amb_mod.euclidean(3), pts,
+                                                  jet=evaluate_jet(m, pts, 2)))
     K = pack.riemann[:, 0, 1, 1, 0]
     bad = np.abs(K + 1.0) > tol
     if np.any(bad):

@@ -330,6 +330,12 @@ def _spanning_vectors(jet: Jet3, ambient: AmbientSpace):
     return np.concatenate([jet.d1, pos[..., None, :]], axis=-2)
 
 
+def _require_order(jet: Jet3, order, reader):
+    if jet.order < order:
+        raise ValueError(f"{reader} reads derivatives of order {order}: it "
+                         f"needs a jet of order {order}, not order {jet.order}")
+
+
 def fundamental_forms(smooth_map: SmoothMap | None, ambient: AmbientSpace,
                       points, jet: Jet3 | None = None) -> ExtrinsicData:
     """Complete pointwise extrinsic data of an immersion, at one point (n,)
@@ -337,16 +343,19 @@ def fundamental_forms(smooth_map: SmoothMap | None, ambient: AmbientSpace,
     stacked along a leading batch axis.  Frames, pivots and the FrameError
     and ImmersionError checks are decided per point.  Without `jet` the
     map's order-3 jet at the points is evaluated; with one, the map is not
-    read and may be None.  A caller's `jet` may be of lower order: every
-    field here needs order 2 only, and the readers of third derivatives
-    (`codazzi_tensor`, `normal_connection_and_curvature`) then refuse the
-    data.  Raises ValueError when given neither a map nor a jet."""
+    read and may be None.  Every field here needs order 2, and so do
+    `normal_connection_and_curvature`, `christoffels` and
+    `intrinsic_curvatures`; a caller's `jet` may be of order 2, and then
+    `codazzi_tensor`, the one reader of third derivatives, refuses the
+    data.  Raises ValueError when given neither a map nor a jet, or a jet
+    below order 2."""
     points = np.asarray(points, float)
     batched = points.ndim == 2
     if jet is None:
         if smooth_map is None:
             raise ValueError("fundamental_forms needs a map or a jet")
         jet = evaluate_jet(smooth_map, points, 3)
+    _require_order(jet, 2, "fundamental_forms")
     n = jet.n
     A = jet.codim
     if A != ambient.flat_dim:
@@ -427,13 +436,6 @@ def christoffels(ext: ExtrinsicData):
                   - dg)
 
 
-def _require_order3(ext: ExtrinsicData, reader):
-    if ext.jet.order < 3:
-        raise ValueError(f"{reader} reads third derivatives: it needs "
-                         f"extrinsic data from an order-3 jet, not order "
-                         f"{ext.jet.order}")
-
-
 def codazzi_tensor(ext: ExtrinsicData):
     """T[..., i, j, k, :] = (nabla_{d_i} alpha)(d_j, d_k) from the order-3 jet,
     at a point or at each point of a point set:
@@ -441,7 +443,7 @@ def codazzi_tensor(ext: ExtrinsicData):
     The first two terms are nabla-perp_{d_i} alpha_jk; in a space form the
     position normal of alpha_jk = F_jk - Gamma^l_jk F_l + c g_jk F differentiates
     into tangent and position terms, which the projection drops."""
-    _require_order3(ext, "codazzi_tensor")
+    _require_order(ext.jet, 3, "codazzi_tensor")
     perp = ext.normal_projector()
     gam = np.einsum("...lm,...mij->...lij", ext.g_inv, christoffels(ext))
     alpha = ext.alpha
@@ -468,14 +470,14 @@ class NormalBundleData:
 
 
 def _vector_jets(jet: Jet3):
-    """The map and its tangent basis as order-2 vector jets in the chart
+    """The map and its tangent basis as order-1 vector jets in the chart
     variables, with the ambient axis before the batch axis."""
     def last(x):
         return np.moveaxis(x, 0, -1) if jet.value.ndim == 2 else x
 
-    value = Jet(jet.n, 2, last(jet.value), last(jet.d1), last(jet.d2))
-    tangent = [Jet(jet.n, 2, last(jet.d1[..., i, :]), last(jet.d2[..., :, i, :]),
-                   last(jet.d3[..., :, :, i, :])) for i in range(jet.n)]
+    value = Jet(jet.n, 1, last(jet.value), last(jet.d1))
+    tangent = [Jet(jet.n, 1, last(jet.d1[..., i, :]), last(jet.d2[..., :, i, :]))
+               for i in range(jet.n)]
     return value, tangent
 
 
@@ -484,8 +486,9 @@ def normal_connection_and_curvature(ext: ExtrinsicData) -> NormalBundleData:
     computed two independent ways: (a) exact differentiation of the
     Gram-Schmidt frame through jets, (b) shape-operator commutators (Ricci
     equation).  The jet frame is completed from the pivots of `ext`, so its
-    value is `ext.frame` at every point."""
-    _require_order3(ext, "normal_connection_and_curvature")
+    value is `ext.frame` at every point.  Route (a) reads first derivatives
+    of the frame only, so it runs on order-1 frame jets and on extrinsic
+    data from an order-2 jet."""
     jet, ambient, p = ext.jet, ext.ambient, ext.p
     sig = ambient.signature.astype(float)
     batch = ext.g.shape[:-2]
@@ -500,15 +503,14 @@ def normal_connection_and_curvature(ext: ExtrinsicData) -> NormalBundleData:
     # frame jets stacked (a, [derivative axes,] A, batch...)
     V = np.array([xi.v for xi in frame])
     G = np.array([xi.g for xi in frame])
-    Hs = np.array([xi.h for xi in frame])
     eps = _batch_last(frame_eps)                     # (..., p)
 
     # Gamma_{i,a}^b = eps_b <d_i xi_a, xi_b> and its derivatives
-    # dgamma[k, i] = d_k Gamma_i
+    # dgamma[k, i] = d_k Gamma_i without its term eps_b <d_k d_i xi_a, xi_b>,
+    # which is symmetric in (k, i) and cancels in dgamma - swap(dgamma)
     gamma = eps[..., None, None, :] * np.einsum("aiA...,A,bA...->...iab", G, sig, V)
-    dgamma = eps[..., None, None, None, :] * (
-        np.einsum("aikA...,A,bA...->...kiab", Hs, sig, V)
-        + np.einsum("aiA...,A,bkA...->...kiab", G, sig, G))
+    dgamma = eps[..., None, None, None, :] * np.einsum(
+        "aiA...,A,bkA...->...kiab", G, sig, G)
     comm = (np.einsum("...jac,...icb->...ijab", gamma, gamma)
             - np.einsum("...iac,...jcb->...ijab", gamma, gamma))
     r_frame = dgamma - np.swapaxes(dgamma, -4, -3) + comm

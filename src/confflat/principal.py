@@ -289,9 +289,10 @@ class CensusReport:
 
 
 def _eta_derivatives(decs):
-    """(B, k, n, A): eta_derivatives of each decomposition (all with the
-    same multiplicities), from the Codazzi tensor of their point sets; each
-    decomposition keeps its own."""
+    """The eta_derivatives (k, n, A) of each decomposition, as a list: those
+    not yet filled are filled in one pass per multiplicity pattern, from
+    the Codazzi tensor of their point sets, and each decomposition keeps
+    its own."""
     groups = {}
     for d in decs:
         if "eta_derivatives" not in d.__dict__:
@@ -307,7 +308,7 @@ def _eta_derivatives(decs):
             D.append((proj @ T)[:, :, 0] / m)
         for d, Dd in zip(todo, np.stack(D, axis=1)):
             d.__dict__["eta_derivatives"] = Dd
-    return np.array([d.eta_derivatives for d in decs])
+    return [d.eta_derivatives for d in decs]
 
 
 def properness_and_census(decs, seed=0) -> CensusReport:
@@ -332,7 +333,7 @@ def properness_and_census(decs, seed=0) -> CensusReport:
     dupin = {}
     high_idx = [i for i, m in enumerate(mults) if m >= 2]
     if high_idx:
-        D = _eta_derivatives(decs)
+        D = np.array(_eta_derivatives(decs))
         for i in high_idx:
             C = np.array([d.chart_basis(i) for d in decs])       # (B, n, m)
             along = np.swapaxes(C, -1, -2) @ D[:, i]
@@ -422,7 +423,7 @@ def holonomicity_check(decs, net_tol=1e-8) -> HolonomicityReport:
     n = h.shape[1]
     kmax = max(d.k for d in decs)
     etas = _padded([np.array(d.etas) for d in decs], kmax, np.inf)   # (B, k, A)
-    d_eta = _padded([d.eta_derivatives for d in decs], kmax, 0.0)    # (B, k, n, A)
+    d_eta = _padded(_eta_derivatives(decs), kmax, 0.0)               # (B, k, n, A)
     Gam = _gathered(decs, lambda ps: ps.christoffels)                # (B, n, n, n)
     alpha_f = _stacked(decs, "alpha")
     rows = np.arange(len(decs))[:, None]

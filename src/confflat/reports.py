@@ -193,11 +193,11 @@ class Run:
     jets there of each map the run reads, the item's extrinsic data, its
     principal decompositions and intrinsic curvatures, and the flat lift
     checked at the same points.  Each map is evaluated once per run: the
-    item at order 3 when the run holds a reader of third derivatives (the
-    `extrinsic` or `principal` suite, named in `suites`), else at order 2,
-    and the conformal factor and the flat chart at order 2.  The lift's
-    jet comes from the item's and omega's, and the projection's from the
-    lift's, so neither map is evaluated."""
+    item at order 3 when the run holds the `principal` suite (named in
+    `suites`), whose Codazzi tensor is the one reader of third
+    derivatives, else at order 2, and the conformal factor and the flat
+    chart at order 2.  The lift's jet comes from the item's and omega's,
+    and the projection's from the lift's, so neither map is evaluated."""
 
     item: object
     scenario: dict
@@ -212,7 +212,7 @@ class Run:
     @cached_property
     def jet(self):
         """The item's jet at the points."""
-        order = 3 if {"extrinsic", "principal"} & set(self.suites) else 2
+        order = 3 if "principal" in self.suites else 2
         return evaluate_jet(self.item.smooth_map, self.points, order)
 
     @cached_property

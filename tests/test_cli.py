@@ -168,7 +168,8 @@ def test_a_run_evaluates_each_map_once(catalog, evaluations, monkeypatch):
     """On every catalog item, a run of one pointwise suite and a run of all
     four (`verify ITEM` without the grid suite) evaluate each map at most
     once, at the sample points, and the item at order 3 only when the run
-    holds a reader of third derivatives."""
+    holds the principal suite, whose Codazzi tensor is the one reader of
+    third derivatives."""
     from confflat import reports
     monkeypatch.setattr(reports, "SUITES", POINTWISE)
     for name, item in sorted(catalog.items()):
@@ -178,7 +179,7 @@ def test_a_run_evaluates_each_map_once(catalog, evaluations, monkeypatch):
             names = [args[0].name for args, _ in evaluations]
             assert len(set(names)) == len(names), (name, suite, names)
             orders = {args[0].name: args[2] for args, _ in evaluations}
-            third = suite in ("extrinsic", "principal", "all")
+            third = suite in ("principal", "all")
             conf = item.conformal
             if suite == "lightcone" and (conf is None or conf.flat_chart is None):
                 assert orders == {}, name     # refused before any evaluation

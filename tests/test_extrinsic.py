@@ -92,7 +92,8 @@ def test_normal_curvature_gate_can_fail():
     """Surfaces whose normal bundle is not flat: the holomorphic curve
     (x, y, x^2 - y^2, 2xy) in R^4, and (x, y, x^2, xy, y^2) in R^5, whose
     normal connection matrices do not commute.  R-perp reads large, the two
-    routes still agree, and the suite's flat-normal-bundle gate fails."""
+    routes still agree, and the suite's flat-normal-bundle gate, which runs
+    on order-2 jets, fails."""
     holo = _surface("holomorphic", 4,
                     lambda x: [x[0], x[1], x[0] * x[0] - x[1] * x[1],
                                2.0 * x[0] * x[1]])
@@ -113,9 +114,11 @@ def test_normal_curvature_gate_can_fail():
     assert np.max(np.abs(nb.r_perp_frame)) > 1.0
     assert nb.disagreement <= 1e-12
     for item in (holo, quad):
-        checks, _ = suite_extrinsic(Run(item, load_scenario(
+        run = Run(item, load_scenario(
             {"schema": 1, "item": item.name, "suite": "extrinsic"}),
-            ("extrinsic",)))
+            ("extrinsic",))
+        checks, _ = suite_extrinsic(run)
+        assert run.jet.order == 2, item.name
         verdicts = {c.anchor: c.passed for c in checks}
         assert verdicts == {"extrinsic/flat-normal-bundle": False,
                             "extrinsic/ricci-agreement": True}, item.name
@@ -541,8 +544,9 @@ def test_pivots_match_the_list_oracle(catalog, s3xs1_lift):
 
 def test_jet_frame_matches_the_list_oracle(catalog, s3xs1_lift, monkeypatch):
     """The jet route of normal_connection_and_curvature, over 6 points,
-    completes its frame with the list oracle's signs, and its frame jets
-    agree with the oracle's to 1e-15 of scale."""
+    completes its frame with the list oracle's signs, and its frame jets,
+    value and first derivatives (all the route carries), agree with the
+    oracle's to 1e-15 of scale."""
     seen = []
     complete = extrinsic._complete
 
@@ -563,9 +567,64 @@ def test_jet_frame_matches_the_list_oracle(catalog, s3xs1_lift, monkeypatch):
             sig, units, eps, ext.p, pivot_order=list(ext.pivots.T))
         assert np.array_equal(np.array(frame_eps), np.array(ref_eps)), fmap.name
         for xi, ref_xi in zip(frame, ref):
-            for k, f in enumerate("vgh"):
+            assert xi.order == 1, fmap.name
+            for k, f in enumerate("vg"):
                 _assert_close(np.moveaxis(getattr(xi, f), k, 0),
                               [getattr(c, f) for c in ref_xi], (fmap.name, f))
+
+
+def _r_perp_with_second_derivatives(ext):
+    """The frame route of R-perp with the term <d_k d_i xi_a, xi_b> of d_k
+    Gamma_i kept, from the list oracle's order-2 frame jets of order-3
+    data: (gamma, <R-perp(d_i, d_j) xi_a, xi_b>), batch first."""
+    amb = ext.ambient
+    sig = amb.signature.astype(float)
+    units, eps = _list_orthonormalize(sig.tolist(), _list_jet_span(ext.jet, amb))
+    ref, ref_eps, _ = _list_complement_frame(
+        sig.tolist(), units, eps, ext.p, pivot_order=list(ext.pivots.T))
+    V, G, H = (np.array([[getattr(c, f) for c in xi] for xi in ref])
+               for f in "vgh")                       # (p, A, [n, [n,]] B)
+    e = np.array(ref_eps).T                          # (B, p)
+    gamma = e[:, None, None] * np.einsum("aAiB,A,bAB->Biab", G, sig, V)
+    dgamma = e[:, None, None, None] * (
+        np.einsum("aAikB,A,bAB->Bkiab", H, sig, V)
+        + np.einsum("aAiB,A,bAkB->Bkiab", G, sig, G))
+    comm = (np.einsum("Bjac,Bicb->Bijab", gamma, gamma)
+            - np.einsum("Biac,Bjcb->Bijab", gamma, gamma))
+    r = dgamma - np.swapaxes(dgamma, 1, 2) + comm
+    return gamma, r * e[:, None, None, None]
+
+
+def test_normal_connection_on_order2_data(catalog, s3xs1_lift):
+    """On every catalog item and on the lift, over 6 points, the normal
+    connection of extrinsic data from an order-2 jet has bitwise the gamma
+    and R-perp of order-3 data, and R-perp and the disagreement of the two
+    routes agree to 1e-15 of scale with a frame route that keeps the
+    second frame derivatives, which cancel in R-perp."""
+    for fmap, amb in _parity_cases(catalog, s3xs1_lift):
+        pts = fmap.domain.sample_points(6, np.random.default_rng(2))
+        ext3 = fundamental_forms(fmap, amb, pts)
+        nb = normal_connection_and_curvature(fundamental_forms(
+            None, amb, pts, jet=evaluate_jet(fmap, pts, 2)))
+        nb3 = normal_connection_and_curvature(ext3)
+        assert np.array_equal(nb.gamma, nb3.gamma), fmap.name
+        assert np.array_equal(nb.r_perp_frame, nb3.r_perp_frame), fmap.name
+        gamma, r_ref = _r_perp_with_second_derivatives(ext3)
+        _assert_close(nb.gamma, gamma, (fmap.name, "gamma"))
+        _assert_close(nb.r_perp_frame, r_ref, (fmap.name, "r_perp_frame"))
+        _assert_close(nb.disagreement,
+                      np.max(np.abs(r_ref - nb3.r_perp_commutator)),
+                      (fmap.name, "disagreement"))
+
+
+def test_fundamental_forms_refuses_a_jet_below_order_2(catalog):
+    """An order-1 jet holds no second fundamental form: refused with the
+    order named, at a point and over a point set."""
+    item = catalog["s3xs1"]
+    for pts in (interior_points(item, 2), interior_points(item, 1)[0]):
+        jet = evaluate_jet(item.smooth_map, pts, 1)
+        with pytest.raises(ValueError, match="not order 1"):
+            fundamental_forms(None, item.ambient, pts, jet=jet)
 
 
 def _one_unit_span(u0, u1):

@@ -57,6 +57,28 @@ def test_holonomicity(catalog, name):
     assert rep.c1_residual <= 1e-10
 
 
+def test_holonomicity_fills_eta_derivatives_in_one_pass(catalog, monkeypatch):
+    """On cone_t3, whose census fills no eta derivatives, the holonomicity
+    check fills those of all 6 points in one pass per multiplicity pattern
+    (one stack of their tangent bases each), bitwise as one point at a
+    time."""
+    from confflat import principal
+    item = catalog["cone_t3"]
+    pts = interior_points(item, 6)
+    decs = decompositions(item, pts)
+    stacked, names = principal._stacked, []
+
+    def recording(decs, name):
+        names.append(name)
+        return stacked(decs, name)
+
+    monkeypatch.setattr(principal, "_stacked", recording)
+    holonomicity_check(decs)
+    assert names.count("onb") == len({d.multiplicities for d in decs}) == 1
+    for d, one in zip(decs, decompositions(item, pts)):
+        assert np.array_equal(d.__dict__["eta_derivatives"], one.eta_derivatives)
+
+
 def _defects_in_r5(evaluator, pinned_axis=None):
     """offdiagonal_defects of a map of the chart (-1, 1)^4 into R^5 at four
     points, with one coordinate set to 0 when `pinned_axis` is given."""

@@ -301,14 +301,21 @@ def test_grid_from_order2_jets_is_exact(s3xs1_grid, s3xs1_grid_pass,
 
 def test_order3_readers_refuse_the_grid_data(s3xs1_grid):
     """The grid's extrinsic data holds no third derivatives; the Codazzi
-    tensor and the frame-derivative route of the normal connection say so
-    instead of failing inside numpy."""
+    tensor says so instead of failing inside numpy.  The frame-derivative
+    route of the normal connection reads first frame derivatives only: it
+    accepts that data and gives, bitwise, the connection of order-3 data at
+    the same points."""
     from confflat.extrinsic import (codazzi_tensor,
                                     normal_connection_and_curvature)
+    ext = s3xs1_grid.ext
     with pytest.raises(ValueError, match="order 2"):
-        codazzi_tensor(s3xs1_grid.ext)
-    with pytest.raises(ValueError, match="order 2"):
-        normal_connection_and_curvature(s3xs1_grid.ext.at(np.arange(3)))
+        codazzi_tensor(ext)
+    nb = normal_connection_and_curvature(ext)
+    ref = normal_connection_and_curvature(rb.fundamental_forms(
+        s3xs1_grid.lift.F, s3xs1_grid.lift.ambient, ext.point))
+    assert ext.jet.order == 2 and ref.disagreement == nb.disagreement
+    for name in ("frame", "gamma", "r_perp_frame", "r_perp_commutator"):
+        assert np.array_equal(getattr(nb, name), getattr(ref, name)), name
 
 
 def test_frame_tolerance_gate_can_fail(s3xs1_lift):

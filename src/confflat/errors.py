@@ -33,11 +33,7 @@ class ConformalStructureError(ConfflatError):
 
 
 class SingularTransformError(ConfflatError):
-    """Ribaucour direction field is null at some grid point."""
-
-
-class DegenerateTransformError(ConfflatError):
-    """Transformed map fails to be an immersion."""
+    """Ribaucour direction field is null at some point."""
 
 
 class DegenerateInputError(ConfflatError):

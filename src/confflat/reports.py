@@ -19,18 +19,16 @@ from functools import cached_property
 
 import numpy as np
 
-from . import ambient as amb_mod
 from .catalog import default_catalog
 from .conformal import conformal_flatness_test, lemma_q_suite
 from .errors import ConfflatError, ConfigError, NotApplicable
 from .extrinsic import (fundamental_forms, intrinsic_curvatures,
                         normal_connection_and_curvature)
 from .jets import evaluate_jet
-from .jets.maps import _jet3, _repacked
-from .lightcone import (_pole_guard, _refuse_pole, _slice_coordinates,
-                        _w_pairing, build_cone_model, flat_lift,
-                        lift_correspondence_check, lift_second_fundamental_form,
-                        project_from_cone, psi_second_fundamental_residual)
+from .jets.maps import _repacked
+from .lightcone import (build_cone_model, flat_lift, lift_correspondence_check,
+                        lift_second_fundamental_form, project_from_cone,
+                        psi_second_fundamental_residual)
 from .principal import (holonomicity_check, principal_decompositions,
                         properness_and_census, separation_check)
 
@@ -402,7 +400,6 @@ def suite_ribaucour(run):
                                   "equations need >= 5 points per axis"})
         return checks, skipped
     rng = np.random.default_rng(run.scenario["seed"])
-    model = lift.model
     grid = rb.build_lift_grid(lift)
     h2 = float(np.max(grid.spacings)) ** 2
     checks.append(CheckResult("parallel frame transport converged",
@@ -416,29 +413,31 @@ def suite_ribaucour(run):
     ns = rb.solve_condition_nullspace(grid)
     checks.append(CheckResult("null space holds at least N+3 directions",
                               "ribaucour/nullspace-dimension",
-                              float(ns.dimension), float(model.N + 3),
+                              float(ns.dimension), float(lift.model.N + 3),
                               kind="min").evaluate())
     checks.append(CheckResult("analytic family captured by the null space",
                               "ribaucour/analytic-projection",
                               float(np.min(ns.analytic_projections)),
                               0.999, kind="min").evaluate())
 
-    z = rng.standard_normal(grid.A)
-    z /= np.linalg.norm(z)
-    while abs(float(np.sum(grid.sig * z * z))) < 0.3:
-        z = rng.standard_normal(grid.A)
-        z /= np.linalg.norm(z)
-    data = rb.constant_vector_data(grid, z, name="reflection")
-    result = rb.transform(grid, data)
+    # the reflection's datum at the run's sample points, from the lift's
+    # checked order-2 data there: its transform is R F
+    ext = lift.checked
+    z = rb._off_cone_direction(rng, grid.sig)
+    phi, dphi, beta = rb.constant_vector_datum(ext, z)
+    F_t, _ = rb.transform_at(ext, phi, dphi, beta)
+    pair = grid.lorentz_inner
+    # near a pole |F~| is large: the rounding floor is eps |F~|^2
+    cone = float(np.max(np.abs(pair(F_t, F_t))
+                        / np.maximum(np.einsum("mA,mA->m", F_t, F_t), 1.0)))
     checks.append(CheckResult("reflection transform stays on the cone",
                               "ribaucour/reflection-cone-defect",
-                              result.cone_defect, 1e-12 * ts).evaluate())
-    # the reflection R F at the sample points: R applied to the lift's jet
-    # there, and its projection's jet from that, with no map evaluated
-    pts = run.points
-    V = rb._member_jets(rb.reflection(grid.sig, data.z),
-                        _repacked(lift.checked.jet))
-    dF, dT = lift.checked.jet.d1, _jet3(V, pts).d1
+                              cone, 1e-12 * ts).evaluate())
+    # R applied to the lift's checked d1, and the projection's data from
+    # R and the lift's checked jet: no map is evaluated
+    R = rb.reflection(grid.sig, z)
+    dF = ext.jet.d1
+    dT = dF @ R.T
     gF = np.einsum("miA,A,mjA->mij", dF, grid.sig, dF)
     gT = np.einsum("miA,A,mjA->mij", dT, grid.sig, dT)
     mpres = float(np.max(np.max(np.abs(gF - gT), axis=(1, 2))
@@ -446,26 +445,24 @@ def suite_ribaucour(run):
     checks.append(CheckResult("reflection preserves the induced metric",
                               "ribaucour/reflection-metric",
                               mpres, 1e-9 * ts).evaluate())
-    rho = _w_pairing(model, V)
-    _refuse_pole(rho.v, _pole_guard(lift.F.domain))
-    jf = _jet3(_slice_coordinates(model, V, rho), pts)
-    cf = conformal_flatness_test(intrinsic_curvatures(fundamental_forms(
-        None, amb_mod.euclidean(model.N), pts, jet=jf)))
+    cf = conformal_flatness_test(intrinsic_curvatures(rb._projection_data(
+        lift, R[None], run.points, _repacked(ext.jet))))
     checks.append(CheckResult("projected reflection is conformally flat",
                               "ribaucour/reflection-projection-flatness",
                               cf, 1e-6 * ts).evaluate())
-    shifted = rb.shift_data(grid, data, 1.0)
-    res2 = rb.transform(grid, shifted)
-    rep = rb.cone_preservation_check(grid, shifted, res2)
+    # the datum shifted by 1 leaves the cone-preserving slice c = 0
+    shifted = phi + 1.0
+    F_s, nu_inv = rb.transform_at(ext, shifted, dphi, beta)
+    predicted = 4.0 * shifted * (shifted - pair(ext.jet.value, beta)) / nu_inv
+    mismatch = (float(np.max(np.abs(pair(F_s, F_s) - predicted)))
+                / max(float(np.max(np.abs(predicted))), 1.0))
     checks.append(CheckResult("cone defect matches its algebraic prediction",
                               "ribaucour/cone-identity",
-                              rep.prediction_mismatch, 1e-8 * ts).evaluate())
+                              mismatch, 1e-8 * ts).evaluate())
     t = 2.5
-    scaled = rb.RibaucourData(t * data.phi, t * data.b, t * data.c,
-                              data.condition_residual, name="scaled")
-    res3 = rb.transform(grid, scaled)
-    inv = (float(np.max(np.abs(res3.F_tilde - result.F_tilde)))
-           / max(1.0, float(np.max(np.abs(result.F_tilde)))) ** 2)
+    F_3, _ = rb.transform_at(ext, t * phi, t * dphi, t * beta)
+    inv = (float(np.max(np.abs(F_3 - F_t)))
+           / max(1.0, float(np.max(np.abs(F_t)))) ** 2)
     checks.append(CheckResult("transform invariant under data scaling",
                               "ribaucour/scaling-invariance",
                               inv, 1e-12 * ts).evaluate())

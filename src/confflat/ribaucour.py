@@ -1,8 +1,9 @@
 """Ribaucour transformations of flat holonomic immersions inside the light
-cone, on a discrete grid: the linear compatibility condition on the data
-(phi, beta), its numerical null space, the grid transform
-F~ = F - 2 nu_R phi (F_* grad phi + beta) and its cone preservation, and
-the pipeline that builds a family of new conformally flat immersions.
+cone: the linear compatibility condition on the data (phi, beta) on a
+discrete grid and its numerical null space, the transform
+F~ = F - 2 nu_R phi (F_* grad phi + beta) at points where the lift's exact
+extrinsic data is known, and the pipeline that builds a family of new
+conformally flat immersions.
 
 A member of the family is a constant Lorentz image R F of the lift: the
 identity, or the reflection in <<z, .>> = 0, which is the transform by the
@@ -36,8 +37,7 @@ import numpy as np
 from . import ambient as amb_mod
 from .conformal import weyl_defects
 from .errors import (ConfflatError, DegenerateInputError,
-                     DegenerateTransformError, DimensionAmbiguityError,
-                     DomainError, FrameError, NotApplicable,
+                     DimensionAmbiguityError, FrameError, NotApplicable,
                      SingularTransformError)
 from .extrinsic import (ExtrinsicData, fundamental_forms,
                         intrinsic_curvatures, normal_projectors)
@@ -51,8 +51,6 @@ from .principal import (CLUSTER_TOL, FLAT_NB_TOL, _principal_pass,
 
 SINGULAR_TOL = 1e-8
 DEGENERATE_MARGIN = 1e-3
-RANK_MARGIN = 1e-8
-GRAM_RATIO = 1e-4    # rank margins below this come from singular values
 FLAT_TOL = 1e-8
 
 
@@ -72,7 +70,8 @@ def _grid_diff(values, shape, spacings, axis):
 class LiftGrid:
     """Pointwise geometry of a lifted immersion sampled on the chart grid,
     with a parallel pseudo-orthonormal normal frame: only the fields that
-    the condition, the transform and the member layer read."""
+    the condition and the member layer read, and the tangents that the
+    frame is checked against."""
 
     lift: LiftedImmersion
     shape: tuple
@@ -95,7 +94,7 @@ class LiftGrid:
         fam = [_constant_vector(self, e, f"basis-{a}")
                for a, e in enumerate(np.eye(self.A))]
         return fam + [RibaucourData(np.ones(self.M), np.zeros((self.M, self.p)),
-                                    -1.0, None, z=None, name="shift")]
+                                    -1.0, None, name="shift")]
 
     @property
     def M(self):
@@ -121,17 +120,15 @@ class LiftGrid:
         return _grid_diff(values, self.shape, self.spacings, axis)
 
     def lorentz_inner(self, U, V):
-        """Pointwise <<U, V>> for (M, A) fields."""
+        """Pointwise <<U, V>> for (M, A) fields, or (P, A) ones at P
+        points."""
         return np.einsum("mA,A,mA->m", U, self.sig, V)
 
-    def beta_ambient(self, b):
-        """Ambient components of beta = sum_a b_a psi_a, b of shape (M, p)."""
-        return np.einsum("ma,maA->mA", b, self.frame)
-
     def cone_constant(self, phi, b):
-        """Pointwise <<F, beta>> - phi, constant for a solution of the
-        condition (its light-cone constant c)."""
-        return self.lorentz_inner(self.F_vals, self.beta_ambient(b)) - phi
+        """Pointwise <<F, beta>> - phi, beta = sum_a b_a psi_a, constant for
+        a solution of the condition (its light-cone constant c)."""
+        beta = np.einsum("ma,maA->mA", b, self.frame)
+        return self.lorentz_inner(self.F_vals, beta) - phi
 
     @cached_property
     def h_parallel(self):
@@ -357,7 +354,6 @@ class RibaucourData:
     b: np.ndarray               # (M, p)
     c: float
     condition_residual: float | None   # None where no check reads it
-    z: np.ndarray | None = None  # set when the datum comes from a constant vector
     name: str = ""
 
 
@@ -392,29 +388,15 @@ def condition_residual(grid: LiftGrid, phi, b, interior=True):
 
 
 def _constant_vector(grid: LiftGrid, z, name):
-    """constant_vector_data without its condition residual."""
+    """The analytic compatibility solution on the grid generated by a
+    constant ambient vector z: phi = <<F, z>>, beta = normal part of z,
+    without its condition residual."""
     z = np.asarray(z, float)
     sz = grid.sig * z
     phi = grid.F_vals @ sz
     b = grid.eps * (grid.frame @ sz)
     c = float(np.mean(grid.cone_constant(phi, b)))
-    return RibaucourData(phi, b, c, None, z=z, name=name)
-
-
-def constant_vector_data(grid: LiftGrid, z, name="") -> RibaucourData:
-    """The analytic compatibility solution generated by a constant ambient
-    vector z: phi = <<F, z>>, beta = normal part of z."""
-    data = _constant_vector(grid, z, name or "constant-vector")
-    data.condition_residual = condition_residual(grid, data.phi, data.b)
-    return data
-
-
-def shift_data(grid: LiftGrid, data: RibaucourData, delta) -> RibaucourData:
-    """(phi + delta, beta): still a compatibility solution, with the
-    light-cone constant shifted by -delta."""
-    return RibaucourData(data.phi + delta, data.b.copy(), data.c - delta,
-                         data.condition_residual, z=None,
-                         name=data.name + f"+shift({delta:g})")
+    return RibaucourData(phi, b, c, None, name=name)
 
 
 def analytic_family(grid: LiftGrid):
@@ -638,15 +620,6 @@ def solve_condition_nullspace(grid: LiftGrid) -> NullspaceResult:
 # the transform
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TransformResult:
-    F_tilde: np.ndarray         # (M, A) grid samples
-    nu_inv: np.ndarray          # (M,) <<calF, calF>>
-    calF: np.ndarray            # (M, A)
-    rank_margin: float
-    cone_defect: float          # max |<<F~, F~>>| / max(1, |F~|^2)
-
-
 def reflection(sig, z):
     """The Lorentz reflection R = I - (2 / <<z, z>>) z (S z)^T, S = diag(sig),
     of a constant vector z off the null cone: R^T S R = S, and R F is the
@@ -660,79 +633,41 @@ def reflection(sig, z):
     return np.eye(len(z)) - (2.0 / zz) * np.outer(z, sig * z)
 
 
-def _refuse_null_calF(nu_inv, scale):
+def _off_cone_direction(rng, sig):
+    """A unit vector z with |<<z, z>>| >= 0.3: standard normal draws from
+    `rng`, each normalized, until one clears the bound."""
+    while True:
+        z = rng.standard_normal(len(sig))
+        z /= np.linalg.norm(z)
+        if abs(float(np.sum(sig * z * z))) >= 0.3:
+            return z
+
+
+def constant_vector_datum(ext: ExtrinsicData, z):
+    """The constant-vector datum of z at the points of `ext`: phi = <<F, z>>,
+    its differential dphi_i = <<d_i F, z>> and beta, the normal part of z.
+    Returns (phi, dphi, beta) of shapes (P,), (P, n) and (P, A)."""
+    z = np.asarray(z, float)
+    sz = ext.ambient.signature * z
+    return ext.jet.value @ sz, ext.tangent @ sz, ext.normal_projector() @ z
+
+
+def transform_at(ext: ExtrinsicData, phi, dphi, beta):
+    """F~ = F - 2 nu_R phi calF at the points of `ext`, with
+    calF = F_* g^{-1} dphi + beta and nu_R^{-1} = <<calF, calF>>, from a
+    datum's values phi (P,), differentials dphi (P, n) and normal fields
+    beta (P, A) there.  Returns (F~, <<calF, calF>>).  Raises
+    SingularTransformError where calF is null."""
+    grad = np.einsum("mij,mj->mi", ext.g_inv, dphi)
+    calF = np.einsum("mi,miA->mA", grad, ext.tangent) + beta
+    nu_inv = np.einsum("mA,A,mA->m", calF, ext.ambient.signature, calF)
+    scale = max(float(np.max(np.sum(calF * calF, -1))), 1e-300)
     if float(np.min(np.abs(nu_inv))) < SINGULAR_TOL * scale:
         worst = int(np.argmin(np.abs(nu_inv)))
         raise SingularTransformError(
-            f"<<calF, calF>> = {nu_inv[worst]:.3e} at grid point {worst}: "
+            f"<<calF, calF>> = {nu_inv[worst]:.3e} at point {worst}: "
             "transform direction is null")
-
-
-def _rank_margins(dF):
-    """sigma_min / sigma_max of each matrix of a stack (..., n, A), n <= A.
-    The extreme eigenvalues of the n x n Gram dF dF^T give the ratio with a
-    relative error of about eps / ratio^2, so within 1e-8 of it wherever it
-    is at least GRAM_RATIO; below that, or where it is not finite (a
-    vanishing differential), it is recomputed from the singular values."""
-    lam = np.linalg.eigvalsh(dF @ np.swapaxes(dF, -1, -2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sqrt(lam[..., 0] / lam[..., -1])
-        redo = ~(ratio >= GRAM_RATIO)
-        if np.any(redo):
-            sv = np.linalg.svd(dF[redo], compute_uv=False)
-            ratio[redo] = sv[..., -1] / sv[..., 0]
-    return ratio
-
-
-def _refuse_rank(margin):
-    if not np.isfinite(margin) or margin < RANK_MARGIN:
-        raise DegenerateTransformError(
-            f"transformed differential rank margin {margin:.3e}")
-
-
-def transform(grid: LiftGrid, data: RibaucourData) -> TransformResult:
-    """F~ = F - 2 nu_R phi calF with calF = F_* grad phi + beta and
-    nu_R^{-1} = <<calF, calF>>, on the grid samples: grad phi and the
-    differential of F~ are grid differences (`LiftGrid.diff`).  Raises
-    SingularTransformError for a datum whose constant vector or calF is
-    null, and DegenerateTransformError when the differential of F~ loses
-    rank at a grid point (`_rank_margins`)."""
-    if data.z is not None:
-        reflection(grid.sig, data.z)        # refuses a null direction
-    n = grid.n
-    Dphi = np.stack([grid.diff(data.phi, i) for i in range(n)], axis=-1)
-    gradphi = np.einsum("Mij,Mj->Mi", grid.g_inv, Dphi)
-    calF = (np.einsum("Mi,MiA->MA", gradphi, grid.tangents)
-            + np.einsum("Ma,MaA->MA", data.b, grid.frame))
-    nu_inv = grid.lorentz_inner(calF, calF)
-    _refuse_null_calF(nu_inv, max(float(np.max(np.sum(calF * calF, -1))),
-                                  1e-300))
-    F_tilde = grid.F_vals - 2.0 * (data.phi / nu_inv)[:, None] * calF
-    dF = np.stack([grid.diff(F_tilde, i) for i in range(n)], axis=1)
-    margin = float(np.min(_rank_margins(dF)))
-    _refuse_rank(margin)
-    # near a pole <<calF, calF>> cancels: the rounding floor is eps |F~|^2
-    cone = float(np.max(np.abs(grid.lorentz_inner(F_tilde, F_tilde))
-                        / np.maximum(np.einsum("MA,MA->M", F_tilde, F_tilde),
-                                     1.0)))
-    return TransformResult(F_tilde, nu_inv, calF, margin, cone)
-
-
-@dataclass
-class ConePreservationReport:
-    prediction_mismatch: float  # <<F~, F~>> vs 4 nu_R phi (phi - <<F, beta>>)
-
-
-def cone_preservation_check(grid: LiftGrid, data: RibaucourData,
-                            result: TransformResult) -> ConePreservationReport:
-    """<<F~, F~>> against the algebraic identity
-    4 nu_R phi (phi - <<F, beta>>); zero exactly when c = 0."""
-    measured = grid.lorentz_inner(result.F_tilde, result.F_tilde)
-    FB = grid.lorentz_inner(grid.F_vals, grid.beta_ambient(data.b))
-    predicted = 4.0 * data.phi * (data.phi - FB) / result.nu_inv
-    scale = max(float(np.max(np.abs(predicted))), 1.0)
-    return ConePreservationReport(
-        float(np.max(np.abs(measured - predicted))) / scale)
+    return ext.jet.value - 2.0 * (phi / nu_inv)[:, None] * calF, nu_inv
 
 
 # ---------------------------------------------------------------------------
@@ -858,42 +793,39 @@ class FamilyResult:
     members: list                   # one MemberReport per member
 
 
+def _projection_data(lift: LiftedImmersion, Rs, pts, lift_jet):
+    """Extrinsic data of the projections to R^N of the maps R F, R in Rs
+    (m, A, A), at the points `pts`, in one pass over all members' points,
+    member after member: their jets come from the lift's packed jet there
+    (`lift_jet`) by R and the cone projection.  Raises DomainError when
+    |<<R F, w>>| falls under the pole guard at one of the points."""
+    model = lift.model
+    V = _member_jets(Rs, lift_jet)
+    rho = _w_pairing(model, V)                                  # (K, m, P)
+    _refuse_pole(rho.v, _pole_guard(lift.F.domain))
+    jet, tiled = _flattened(_slice_coordinates(model, V, rho), pts)
+    return fundamental_forms(None, amb_mod.euclidean(model.N), tiled, jet=jet)
+
+
 def _member_postchecks(grid: LiftGrid, members, pts, lift_jet):
     """Postchecks of the retained members (MemberReports) in one batched
     pass: the projection f of each member R F to R^N, its Weyl residual and
     holonomic gate from one pass of extrinsic data over all members' points
-    `pts` (f's jets come from the lift's packed jet there, `lift_jet`, by R
-    and the cone projection), and its grid samples, NaN at the points under
-    the pole guard, from the lift's grid values.  A member under the pole
-    guard at one of the points gets that DomainError as its error."""
+    `pts` (`_projection_data`), and its grid samples, NaN at the points
+    under the pole guard, from the lift's grid values.  A member under the
+    pole guard at one of the points gets that DomainError as its error."""
     model = grid.lift.model
-    eps_pole = _pole_guard(grid.lift.F.domain)
-    euclid = amb_mod.euclidean(model.N)
 
     def residuals(recs):
-        V = _member_jets(np.stack([rec.R for rec in recs]), lift_jet)
-        rho = _w_pairing(model, V)                              # (K, m, P)
-        out = [None] * len(recs)
-        for j, r in enumerate(rho.v):
-            try:
-                _refuse_pole(r, eps_pole)
-            except DomainError as err:
-                out[j] = err
-        ok = [j for j, o in enumerate(out) if o is None]
-        if not ok:
-            return out
-        f = _slice_coordinates(model, _jet(V.n, V.order, V.c[:, :, ok]),
-                               _jet(V.n, V.order, rho.c[:, ok]))
-        jet, tiled = _flattened(f, pts)
+        ext = _projection_data(grid.lift, np.stack([rec.R for rec in recs]),
+                               pts, lift_jet)
         # the Weyl residual and the holonomic gate share one pass
-        ext = fundamental_forms(None, euclid, tiled, jet=jet)
         defects = weyl_defects(intrinsic_curvatures(ext)) + offdiagonal_defects(ext)
-        worst, kmax, net, alpha = (np.max(x.reshape(len(ok), -1), axis=1)
+        worst, kmax, net, alpha = (np.max(x.reshape(len(recs), -1), axis=1)
                                    for x in defects)
         cf = worst / np.maximum(kmax, 1e-12)
-        for j, c, o in zip(ok, cf, np.maximum(net, alpha)):
-            out[j] = (float(c), float(o))
-        return out
+        return [(float(c), float(o))
+                for c, o in zip(cf, np.maximum(net, alpha))]
 
     checked = []
     for rec, res in zip(members, _per_member(residuals, members)):
@@ -909,7 +841,7 @@ def _member_postchecks(grid: LiftGrid, members, pts, lift_jet):
     Rs = np.stack([rec.R for rec in checked])
     V = np.einsum("mBA,PA->BmP", Rs, grid.F_vals)                  # (A, m, M)
     rho = _w_pairing(model, V)
-    keep = np.abs(rho) >= eps_pole
+    keep = np.abs(rho) >= _pole_guard(grid.lift.F.domain)
     samples = np.full((model.N,) + rho.shape, np.nan)
     samples[:, keep] = _slice_coordinates(model, V[:, keep], rho[keep])
     for rec, vals in zip(checked, np.moveaxis(samples, 0, -1)):
@@ -947,11 +879,8 @@ def conformally_flat_family(lift: LiftedImmersion, count=3,
     ns = condition_spectrum(grid)
 
     rng = np.random.default_rng(seed)
-    members = [MemberReport("identity", np.eye(grid.A))]
-    while len(members) <= count:
-        z = rng.standard_normal(grid.A)
-        z /= np.linalg.norm(z)
-        if abs(float(np.sum(grid.sig * z * z))) >= 0.3:
-            members.append(MemberReport(f"reflection-{len(members) - 1}",
-                                        reflection(grid.sig, z)))
+    members = [MemberReport("identity", np.eye(grid.A))] + [
+        MemberReport(f"reflection-{k}",
+                     reflection(grid.sig, _off_cone_direction(rng, grid.sig)))
+        for k in range(count)]
     return FamilyResult(lift, grid, ns, _family_members(grid, members, seed))

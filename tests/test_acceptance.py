@@ -159,11 +159,12 @@ def test_criterion_5_transform_suite(s3xs1_grid, s3xs1):
     rng = np.random.default_rng(1)
     z = rng.standard_normal(g.A)
     z /= np.linalg.norm(z)
-    data = rb.constant_vector_data(g, z)
-    result = rb.transform(g, data)
-    ok &= result.cone_defect <= 1e-10
-    reflected = linear_image(g.lift.F, rb.reflection(g.sig, data.z))
+    ext = g.lift.checked
     sig = g.sig
+    phi, dphi, beta = rb.constant_vector_datum(ext, z)
+    F_t, _ = rb.transform_at(ext, phi, dphi, beta)
+    ok &= float(np.max(np.abs(np.einsum("mA,A,mA->m", F_t, sig, F_t)))) <= 1e-10
+    reflected = linear_image(g.lift.F, rb.reflection(sig, z))
     for pt in interior_points(s3xs1, 3):
         jF = g.lift.F.jet(pt, order=1)
         jT = reflected.jet(pt, order=1)
@@ -176,14 +177,16 @@ def test_criterion_5_transform_suite(s3xs1_grid, s3xs1):
                              evaluate_jet(reflected, pts, 2))
     ok &= conformal_flatness_test(intrinsic_curvatures(fundamental_forms(
         proj.f, euclidean(model.N), pts))) <= 1e-6
-    shifted = rb.shift_data(g, data, 0.8)
-    rep = rb.cone_preservation_check(g, shifted, rb.transform(g, shifted))
-    ok &= rep.prediction_mismatch <= 1e-8
+    # the datum shifted by 0.8: <<F~, F~>> = 4 nu phi (phi - <<F, beta>>)
+    F_s, nu_inv = rb.transform_at(ext, phi + 0.8, dphi, beta)
+    FB = np.einsum("mA,A,mA->m", ext.jet.value, sig, beta)
+    predicted = 4.0 * (phi + 0.8) * (phi + 0.8 - FB) / nu_inv
+    ok &= float(np.max(np.abs(np.einsum("mA,A,mA->m", F_s, sig, F_s)
+                              - predicted))) <= 1e-8 * max(
+        float(np.max(np.abs(predicted))), 1.0)
     t = 2.0
-    scaled = rb.RibaucourData(t * data.phi, t * data.b, t * data.c,
-                              data.condition_residual)
-    ok &= float(np.max(np.abs(
-        rb.transform(g, scaled).F_tilde - result.F_tilde))) <= 1e-12
+    F_2, _ = rb.transform_at(ext, t * phi, t * dphi, t * beta)
+    ok &= float(np.max(np.abs(F_2 - F_t))) <= 1e-12
     elapsed = time.perf_counter() - t0
     ok &= elapsed <= 600.0
     _verdict(5, f"lifted transform family ({elapsed:.1f}s)", ok)

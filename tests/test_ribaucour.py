@@ -3,7 +3,6 @@ numerical null space, exact reflections, and the full family pipeline."""
 import re
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +11,8 @@ from scipy.linalg import expm
 
 from confflat import extrinsic
 from confflat.extrinsic import christoffels
-from confflat.errors import (DegenerateInputError, DegenerateTransformError,
-                             DimensionAmbiguityError, FrameError,
-                             SingularTransformError)
+from confflat.errors import (DegenerateInputError, DimensionAmbiguityError,
+                             FrameError, SingularTransformError)
 from confflat.extrinsic import normal_projectors
 from confflat.jets import evaluate_jet
 from confflat import ribaucour as rb
@@ -420,7 +418,7 @@ def test_hessian_commutation_for_solutions(s3xs1_grid, rng):
     operator; random scalars do not."""
     g = s3xs1_grid
     z = rng.standard_normal(g.A)
-    data = rb.constant_vector_data(g, z)
+    data = rb._constant_vector(g, z, "z")
     h2 = float(np.max(g.spacings)) ** 2
     assert hessian_commutation_residual(g, data.phi) < 0.5 * h2
     phi_bad = np.sin(3.0 * g.points[:, 0]) * np.cos(2.0 * g.points[:, 2])
@@ -600,35 +598,50 @@ def test_pipeline_reads_the_count_from_singular_values_alone(s3xs1_lift,
 # transforms
 # ---------------------------------------------------------------------------
 
-def _reflection_data(grid, seed=7):
-    rng = np.random.default_rng(seed)
-    while True:
-        z = rng.standard_normal(grid.A)
-        z /= np.linalg.norm(z)
-        if abs(float(np.sum(grid.sig * z * z))) >= 0.3:
-            return rb.constant_vector_data(grid, z, name="refl")
+def _reflection_vector(sig, seed=7):
+    return rb._off_cone_direction(np.random.default_rng(seed), sig)
 
 
 def test_constant_vector_data_sits_on_cone_slice(s3xs1_grid):
     """phi - <<F, beta>> = <<F, tangential part of z>> vanishes on the cone,
     so constant-vector data needs no shift."""
-    data = _reflection_data(s3xs1_grid)
+    z = _reflection_vector(s3xs1_grid.sig)
+    data = rb._constant_vector(s3xs1_grid, z, "z")
     assert abs(data.c) < 1e-10
 
 
-def test_reflection_stays_on_cone(s3xs1_grid):
-    data = _reflection_data(s3xs1_grid)
-    result = rb.transform(s3xs1_grid, data)
-    assert result.cone_defect < 1e-10
+def test_reflection_stays_on_cone(s3xs1_lift):
+    ext = s3xs1_lift.checked
+    sig = ext.ambient.signature
+    F_t, _ = rb.transform_at(ext, *rb.constant_vector_datum(
+        ext, _reflection_vector(sig)))
+    cone = (np.abs(np.einsum("mA,A,mA->m", F_t, sig, F_t))
+            / np.maximum(np.sum(F_t * F_t, -1), 1.0))
+    assert np.max(cone) < 1e-14
 
 
-def _reflected(grid, data):
-    """The reflection R F of the lift by a constant-vector datum, as a map."""
-    return linear_image(grid.lift.F, rb.reflection(grid.sig, data.z))
+def test_transform_of_the_constant_vector_datum_is_the_reflection(s3xs1_lift):
+    """The transform by the constant-vector datum of z is R F at the lift's
+    checked points, R the reflection of z, to 1e-13 relative (about 3e-16
+    on s3xs1): calF = grad phi + beta is z itself."""
+    ext = s3xs1_lift.checked
+    sig = ext.ambient.signature
+    for seed in (7, 11, 13, 17):
+        z = _reflection_vector(sig, seed=seed)
+        F_t, nu_inv = rb.transform_at(ext, *rb.constant_vector_datum(ext, z))
+        RF = ext.jet.value @ rb.reflection(sig, z).T
+        assert np.max(np.abs(F_t - RF)) <= 1e-13 * np.max(np.abs(RF)), seed
+        assert np.allclose(nu_inv, np.sum(sig * z * z), rtol=1e-13), seed
+
+
+def _reflected(grid, z):
+    """The reflection R F of the lift by the constant-vector datum of z, as a
+    map."""
+    return linear_image(grid.lift.F, rb.reflection(grid.sig, z))
 
 
 def test_reflection_preserves_metric(s3xs1_grid, s3xs1):
-    reflected = _reflected(s3xs1_grid, _reflection_data(s3xs1_grid))
+    reflected = _reflected(s3xs1_grid, _reflection_vector(s3xs1_grid.sig))
     sig = s3xs1_grid.sig
     for pt in interior_points(s3xs1, 3):
         jF = s3xs1_grid.lift.F.jet(pt, order=1)
@@ -639,7 +652,7 @@ def test_reflection_preserves_metric(s3xs1_grid, s3xs1):
 
 
 def test_reflection_is_exactly_flat(s3xs1_grid):
-    reflected = _reflected(s3xs1_grid, _reflection_data(s3xs1_grid))
+    reflected = _reflected(s3xs1_grid, _reflection_vector(s3xs1_grid.sig))
     assert rb.exact_flatness_residual(s3xs1_grid, reflected) < 1e-8
 
 
@@ -658,24 +671,30 @@ def test_reflection_is_a_lorentz_matrix(family, s3xs1_lift):
     assert len(family.members + more) == 3 + 9
 
 
-def test_cone_defect_identity(s3xs1_grid):
+def test_cone_defect_identity(s3xs1_lift):
     """<<F~, F~>> equals 4 nu phi (phi - <<F, beta>>) algebraically, shifted
     datum or not."""
-    data = _reflection_data(s3xs1_grid, seed=11)
-    for cand in (data, rb.shift_data(s3xs1_grid, data, 1.3)):
-        result = rb.transform(s3xs1_grid, cand)
-        rep = rb.cone_preservation_check(s3xs1_grid, cand, result)
-        assert rep.prediction_mismatch < 1e-8
+    ext = s3xs1_lift.checked
+    sig = ext.ambient.signature
+    phi, dphi, beta = rb.constant_vector_datum(
+        ext, _reflection_vector(s3xs1_lift.ambient.signature, seed=11))
+    FB = np.einsum("mA,A,mA->m", ext.jet.value, sig, beta)
+    for shifted in (phi, phi + 1.3):
+        F_t, nu_inv = rb.transform_at(ext, shifted, dphi, beta)
+        measured = np.einsum("mA,A,mA->m", F_t, sig, F_t)
+        predicted = 4.0 * shifted * (shifted - FB) / nu_inv
+        assert np.max(np.abs(measured - predicted)) < 1e-8 * max(
+            np.max(np.abs(predicted)), 1.0)
 
 
-def test_scaling_invariance(s3xs1_grid):
-    data = _reflection_data(s3xs1_grid, seed=13)
-    base = rb.transform(s3xs1_grid, data)
+def test_scaling_invariance(s3xs1_lift):
+    ext = s3xs1_lift.checked
+    phi, dphi, beta = rb.constant_vector_datum(
+        ext, _reflection_vector(s3xs1_lift.ambient.signature, seed=13))
+    base, _ = rb.transform_at(ext, phi, dphi, beta)
     t = 3.7
-    scaled = rb.RibaucourData(t * data.phi, t * data.b, t * data.c,
-                              data.condition_residual)
-    again = rb.transform(s3xs1_grid, scaled)
-    assert np.max(np.abs(again.F_tilde - base.F_tilde)) < 1e-12
+    again, _ = rb.transform_at(ext, t * phi, t * dphi, t * beta)
+    assert np.max(np.abs(again - base)) < 1e-12
 
 
 def _suite_verdicts(item, seed):
@@ -686,8 +705,10 @@ def _suite_verdicts(item, seed):
 
 @pytest.mark.parametrize("seed", [3, 37])
 def test_cone_and_scaling_checks_pass_near_a_pole(seed):
-    """At these seeds the reflection of cylinder_r1xs3 passes near a pole,
-    where <<calF, calF>> cancels and max|F~| reaches about 1e4: the cone
+    """At these seeds cylinder_r1xs3's reflection passes near a pole of the
+    grid, where a transform from grid differences reached max|F~| of about
+    1e4.  The suite transforms at the run's sample points from the lift's
+    exact data, where max|F~| stays under 5 (the shifted datum's); the cone
     defect and the scaling residual, taken relative to |F~|^2, stay at
     rounding level, and every check of the suite passes."""
     verdicts = _suite_verdicts("cylinder_r1xs3", seed)
@@ -696,52 +717,88 @@ def test_cone_and_scaling_checks_pass_near_a_pole(seed):
     assert all(verdicts.values()), verdicts
 
 
+def _wrapped_transform(monkeypatch, change):
+    """Wrap rb.transform_at: `change(ext, phi, dphi, beta, first)` gives the
+    datum to transform, `first` being the phi of the suite's first call
+    (the reflection's datum)."""
+    real, first = rb.transform_at, []
+
+    def wrapped(ext, phi, dphi, beta):
+        if not first:
+            first.append(phi)
+        return real(ext, *change(ext, phi, dphi, beta, first[0]))
+
+    monkeypatch.setattr(rb, "transform_at", wrapped)
+
+
 def test_cone_defect_check_fails_off_the_cone(monkeypatch):
     """The reflection's datum shifted by 1 (light-cone constant c = -1)
-    leaves the cone: `ribaucour/reflection-cone-defect` FAILs."""
-    real = rb.constant_vector_data
+    leaves the cone: `ribaucour/reflection-cone-defect` FAILs (it reads
+    0.70 on s3xs1 at seed 0)."""
+    real = rb.constant_vector_datum
 
-    def shifted(grid, z, name=""):
-        data = real(grid, z, name=name)
-        return replace(rb.shift_data(grid, data, 1.0), z=data.z)
+    def shifted(ext, z):
+        phi, dphi, beta = real(ext, z)
+        return phi + 1.0, dphi, beta
 
-    monkeypatch.setattr(rb, "constant_vector_data", shifted)
+    monkeypatch.setattr(rb, "constant_vector_datum", shifted)
     assert not _suite_verdicts("s3xs1", 0)["ribaucour/reflection-cone-defect"]
 
 
+def test_cone_identity_check_fails_on_a_perturbed_beta(monkeypatch):
+    """The shifted datum transformed with beta + 1e-6 xi, xi a unit normal
+    field, while the prediction reads beta: <<F~, F~>> moves by
+    4 nu phi 1e-6 <<F, xi>> off the prediction, and
+    `ribaucour/cone-identity` FAILs (it reads 1.2e-6 on s3xs1 at seed 0)."""
+    def perturbed(ext, phi, dphi, beta, first):
+        if np.array_equal(phi, first + 1.0):
+            beta = beta + 1e-6 * ext.frame[:, 0]
+        return phi, dphi, beta
+
+    _wrapped_transform(monkeypatch, perturbed)
+    verdicts = _suite_verdicts("s3xs1", 0)
+    assert not verdicts["ribaucour/cone-identity"]
+    assert verdicts["ribaucour/reflection-cone-defect"]
+    assert verdicts["ribaucour/scaling-invariance"]
+
+
 def test_scaling_check_fails_when_phi_alone_is_scaled(monkeypatch):
-    """Scaling phi by 2.5 without b and c is a different datum, with a
-    different transform: `ribaucour/scaling-invariance` FAILs."""
-    real = rb.RibaucourData
+    """Scaling phi by 2.5 without dphi and beta is a different datum, with a
+    different transform: `ribaucour/scaling-invariance` FAILs (it reads
+    0.31 on s3xs1 at seed 0)."""
+    def phi_alone(ext, phi, dphi, beta, first):
+        if np.array_equal(phi, 2.5 * first):     # the suite's scaled datum
+            dphi, beta = dphi / 2.5, beta / 2.5
+        return phi, dphi, beta
 
-    def phi_alone(phi, b, c, *args, name="", **kwargs):
-        if name == "scaled":                  # the suite's 2.5-scaled datum
-            b, c = b / 2.5, c / 2.5
-        return real(phi, b, c, *args, name=name, **kwargs)
-
-    monkeypatch.setattr(rb, "RibaucourData", phi_alone)
-    assert not _suite_verdicts("s3xs1", 0)["ribaucour/scaling-invariance"]
+    _wrapped_transform(monkeypatch, phi_alone)
+    verdicts = _suite_verdicts("s3xs1", 0)
+    assert not verdicts["ribaucour/scaling-invariance"]
+    assert verdicts["ribaucour/cone-identity"]
 
 
-def test_identity_datum_returns_lift(s3xs1_grid, family):
-    """The identity datum phi = 0 transforms the grid samples to the lift's,
-    and the family's identity member is the lift: R = I."""
-    g = s3xs1_grid
-    data = rb.RibaucourData(np.zeros(g.M), np.tile(np.eye(g.p)[0], (g.M, 1)),
-                            0.0, 0.0, name="identity")
-    result = rb.transform(g, data)
-    assert np.max(np.abs(result.F_tilde - g.F_vals)) < 1e-14
+def test_identity_datum_returns_lift(s3xs1_lift, family):
+    """The identity datum phi = 0 (with a normal beta) transforms the lift's
+    checked values to themselves exactly, and the family's identity member
+    is the lift: R = I."""
+    ext = s3xs1_lift.checked
+    P = len(ext.point)
+    F_t, _ = rb.transform_at(ext, np.zeros(P), np.zeros((P, ext.n)),
+                             ext.frame[:, 0])
+    assert np.array_equal(F_t, ext.jet.value)
     identity = family.members[0]
     assert identity.name == "identity"
-    assert np.array_equal(identity.R, np.eye(g.A))
+    assert np.array_equal(identity.R, np.eye(len(ext.ambient.signature)))
 
 
-def test_null_direction_rejected(s3xs1_grid):
-    g = s3xs1_grid
-    w = g.lift.model.w
-    data = rb.constant_vector_data(g, w, name="null-direction")
-    with pytest.raises(SingularTransformError):
-        rb.transform(g, data)
+def test_null_direction_rejected(s3xs1_lift):
+    """The constant-vector datum of the null direction z = w has calF = w,
+    and the transform refuses it."""
+    ext = s3xs1_lift.checked
+    datum = rb.constant_vector_datum(ext, s3xs1_lift.model.w)
+    with pytest.raises(SingularTransformError,
+                       match=r"^<<calF, calF>> = .*transform direction is null"):
+        rb.transform_at(ext, *datum)
 
 
 def test_reflection_refuses_a_null_direction(s3xs1_grid):
@@ -752,60 +809,20 @@ def test_reflection_refuses_a_null_direction(s3xs1_grid):
         rb.reflection(s3xs1_grid.sig, s3xs1_grid.lift.model.w)
 
 
-def _svd_ratios(dF):
-    sv = np.linalg.svd(dF, compute_uv=False)
-    return sv[..., -1] / sv[..., 0]
-
-
-def test_rank_margins_match_the_svd(s3xs1_grid, monkeypatch):
-    """The Gram-eigenvalue rank margins equal sigma_min / sigma_max from the
-    SVD to 1e-8 relative, point by point: on the differentials of four
-    reflections of the s3xs1 grid (and each transform's margin is their
-    minimum), and on crafted matrices with ratios from 1 down to 1e-9,
-    where exactly the ones below GRAM_RATIO go to the SVD.  The 1e-9
-    matrix fails the rank gate."""
-    g = s3xs1_grid
-    for seed in (7, 11, 13, 17):
-        result = rb.transform(g, _reflection_data(g, seed=seed))
-        dF = np.stack([g.diff(result.F_tilde, i) for i in range(g.n)], axis=1)
-        ref = _svd_ratios(dF)
-        assert np.all(np.abs(rb._rank_margins(dF) - ref) <= 1e-8 * ref), seed
-        assert abs(result.rank_margin - ref.min()) <= 1e-8 * ref.min(), seed
-
-    rng = np.random.default_rng(0)
-    ratios = np.logspace(0, -9, 7)
-    U = np.linalg.qr(rng.standard_normal((7, 4, 4)))[0]
-    W = np.linalg.qr(rng.standard_normal((7, 8, 4)))[0]       # (7, 8, 4)
-    s = 3.0 * np.geomspace(np.ones(7), ratios, 4, axis=1)     # (7, 4)
-    J = (U * s[:, None, :]) @ np.swapaxes(W, -1, -2)          # (7, 4, 8)
-    ref = _svd_ratios(J)
-    sent = []
-    svd = np.linalg.svd
-
-    def recording(a, *args, **kwargs):
-        sent.append(np.array(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    margins = rb._rank_margins(J)
-    assert np.all(np.abs(margins - ref) <= 1e-8 * ref)
-    assert np.array_equal(np.concatenate(sent), J[ratios < rb.GRAM_RATIO])
-    with pytest.raises(DegenerateTransformError, match="rank margin"):
-        rb._refuse_rank(np.min(margins))
-
-
-def test_rank_gate_refuses_a_vanishing_differential():
-    """Where dF~ vanishes the rank margin is 0 / 0: the margin code gives
-    NaN there and for the minimum over the stack, and the gate refuses a
-    margin that is not finite instead of passing a rank-0 transform."""
-    dF = np.random.default_rng(1).standard_normal((3, 4, 8))
-    dF[1] = 0.0
-    margins = rb._rank_margins(dF)
-    assert np.isnan(margins[1]) and np.isfinite(margins[[0, 2]]).all()
-    for margin in (np.min(margins), np.nan):
-        with pytest.raises(DegenerateTransformError, match="rank margin nan"):
-            rb._refuse_rank(margin)
-    rb._refuse_rank(np.min(margins[[0, 2]]))
+def test_off_cone_draws_match_the_inline_loop(s3xs1_grid):
+    """The shared draw makes the draws of the loop it replaced: standard
+    normal vectors, each normalized, until |<<z, z>>| >= 0.3."""
+    sig = s3xs1_grid.sig
+    for seed in range(6):
+        ref = np.random.default_rng(seed)
+        z = ref.standard_normal(len(sig))
+        z /= np.linalg.norm(z)
+        while abs(float(np.sum(sig * z * z))) < 0.3:
+            z = ref.standard_normal(len(sig))
+            z /= np.linalg.norm(z)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(rb._off_cone_direction(rng, sig), z), seed
+        assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
 
 def test_flatness_filter(s3xs1_grid):
@@ -820,7 +837,7 @@ def test_flatness_filter(s3xs1_grid):
         (2, g.A, g.A))
     members = [rb.MemberReport("identity", np.eye(g.A)),
                rb.MemberReport("reflection", rb.reflection(
-                   g.sig, _reflection_data(g, seed=19).z))]
+                   g.sig, _reflection_vector(g.sig, seed=19)))]
     members += [rb.MemberReport(f"generic-{k}", R)
                 for k, R in enumerate(generic)]
     rb.flatness_filter(g, members, pts, rb._packed_jet(F, pts, 2))
@@ -887,7 +904,7 @@ def test_grid_contractions_match_the_einsum_oracle(s3xs1_grid,
     """h_parallel, the grid-point normal projectors and the constant-vector
     data equal their einsum formulas to 1e-13 of each array's scale."""
     g, ext = s3xs1_grid, s3xs1_grid_pass
-    z = _reflection_data(g).z
+    z = _reflection_vector(g.sig)
     diag = np.einsum("miiA->miA", ext.alpha)
     data = rb._constant_vector(g, z, "z")
     pairs = [
@@ -1000,7 +1017,8 @@ def _members(grid, seeds=(7, 11, 13)):
     """The identity member and one reflection member per seed."""
     return [rb.MemberReport("identity", np.eye(grid.A))] + [
         rb.MemberReport(f"reflection-{seed}", rb.reflection(
-            grid.sig, _reflection_data(grid, seed=seed).z)) for seed in seeds]
+            grid.sig, _reflection_vector(grid.sig, seed=seed)))
+        for seed in seeds]
 
 
 def _member_map(grid, m):

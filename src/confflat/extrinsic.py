@@ -3,10 +3,14 @@ operators, normal connection and curvature, and the intrinsic curvature
 quantities (Riemann, Ricci, scalar, sectional).
 
 The normal frame is built by Gram-Schmidt (with signs, so it also handles
-Lorentzian ambient spaces) applied to the ambient basis projected to the
-normal space.  The same construction is run on vector jets to obtain exact
-derivatives of the frame, which gives the normal connection and its
-curvature without finite differencing.
+Lorentzian ambient spaces) on the tangents, the position normal of a space
+form, and then the ambient axes with the largest residuals.  Over a point
+set this is a few batched factorizations: a signed LDL^T of the span's Gram
+matrix, pivoted rank-1 steps on the candidates' residual metric, and
+triangular solves.  The first derivatives of the frame follow in closed
+form from those of the vectors it was built from, which gives the normal
+connection and its curvature exactly, without jets of the frame and
+without finite differencing.
 """
 from __future__ import annotations
 
@@ -26,15 +30,21 @@ COMPLETE_TOL = 1e-10      # smallest residual a completing candidate may have
 
 
 # ---------------------------------------------------------------------------
-# signed Gram-Schmidt over stacked ambient vectors
+# signed Gram-Schmidt
 # ---------------------------------------------------------------------------
-# An ambient vector is one object with the ambient axis first: an (A,) array
-# at a point, an (A, B) array over a point set, or a Jet whose batch shape is
-# (A,) or (A, B), so axis 1 of its coefficients.  Inner products keep that
-# axis with length 1, so that they multiply vectors directly (jet products
-# align on trailing axes).  Signs and pivots are floats at a point and (B,)
-# arrays over a point set, so sign choices, pivots and breakdown checks are
-# made per point.
+# Array input, k vectors as the rows of a (k, A) array at a point or of a
+# (..., k, A) stack over a point set, is orthonormalized by factorizations
+# batched over the points: a signed LDL^T of the Gram matrix for the span,
+# pivoted rank-1 steps on the candidates' residual metric for the
+# completion, and one triangular solve for the units of each.  Every sign,
+# pivot and refusal is decided per point.
+#
+# A jet of batch shape (k, A) or (k, A, B), the form example2's evaluator
+# passes, runs the step-by-step loop below instead, and its completion is
+# always given a pivot order.  An ambient vector there is one jet whose
+# batch shape is (A,) or (A, B), with the ambient axis first; inner products
+# keep that axis with length 1, so that they multiply vectors directly (jet
+# products align on trailing axes).
 
 def _val(x):
     return x.v if isinstance(x, Jet) else x
@@ -58,16 +68,10 @@ def _sign(q):
     return 1.0 if q > 0 else -1.0
 
 
-def _pick(take, new, old):
-    if isinstance(take, np.ndarray):
-        return np.where(take, new, old)
-    return new if take else old
-
-
 def _refuse(bad, message):
     """FrameError when `bad` holds, at the point or at any point of a batch
     (the first one is named)."""
-    if isinstance(bad, np.ndarray):
+    if np.ndim(bad):
         if bad.any():
             raise FrameError(f"{message} (point {int(np.argmax(bad))} of the batch)")
     elif bad:
@@ -103,103 +107,127 @@ def _orthonormalize(sig, vectors, tol):
     return units, eps
 
 
-def _complete(sig, units, eps, count, pivot_order, tol):
+def _complete(sig, units, eps, pivot_order, tol):
     A = sig.shape[0]
     units, eps = list(units), list(eps)
-    frame, frame_eps, chosen = [], [], []
-    # residuals of all A candidates (axis 1), projected once per unit
-    R, done = np.eye(A).reshape((A,) + sig.shape), 0
-    for j in range(count):
-        if pivot_order is None:
-            R = _project_out(sig[:, None], [u[:, None] for u in units[done:]],
-                             eps[done:], R)
-            done = len(units)
-            Q = abs(_vdot(sig[:, None], R, R))[0]
-            if chosen:
-                np.put_along_axis(Q, np.array(chosen), -np.inf, axis=0)
-            q, b = -np.inf, -1
-            for c, qc in enumerate(Q):
-                take = qc > q + 1e-15
-                q, b = _pick(take, qc, q), _pick(take, c, b)
-            r = np.take_along_axis(R, np.asarray(b)[None, None], axis=1)[:, 0]
-        else:
-            b = pivot_order[j]
-            r = _project_out(sig, units, eps,
-                             (np.arange(A).reshape(sig.shape) == b) * 1.0)
+    frame, frame_eps = [], []
+    for b in pivot_order:
+        r = _project_out(sig, units, eps,
+                         (np.arange(A).reshape(sig.shape) == b) * 1.0)
         q = _vdot(sig, r, r)
         _refuse(abs(_val(q)[0]) < tol,
                 "cannot complete normal frame: residuals degenerate")
-        chosen.append(b)
         unit, e = _unit(sig, r, q)
         units.append(unit)
         eps.append(e)
         frame.append(unit)
         frame_eps.append(e)
-    return frame, frame_eps, chosen
+    return frame, frame_eps
 
 
-def _stacked_in(vectors):
-    """k vectors, given as a (..., k, A) array, as one jet of batch shape
-    (k, A[, B]) or as sequences of A scalars, as stacked vectors.  Arrays
-    come out C-contiguous, so that every sum over the ambient axis adds in
-    ambient order over a batch."""
-    if isinstance(vectors, np.ndarray):
-        return list(np.ascontiguousarray(np.moveaxis(vectors, (-2, -1), (0, 1))))
-    if isinstance(vectors, Jet):
-        return unstack(vectors)
-    return [stack(v) for v in vectors]
-
-
-def _stacked_out(vectors, like):
-    """Stacked vectors in the form of `like`, as _stacked_in takes it."""
-    if isinstance(like, np.ndarray):
-        return np.moveaxis(np.array(vectors), (0, 1), (-2, -1))
-    if isinstance(like, Jet):
-        return stack(vectors)
-    return [unstack(u) for u in vectors]
-
-
-def _batch_last(xs):
-    return np.moveaxis(np.array(xs), 0, -1)
+def _units(L, d, V):
+    """The rows of L^-1 V, each scaled to <u, u> = sign(d), for the unit
+    lower triangular L and the pivots d of a signed LDL^T; returns
+    (units, signs)."""
+    R = np.linalg.solve(L, V)
+    return R / np.sqrt(np.abs(d))[..., None], np.where(d > 0, 1.0, -1.0)
 
 
 def orthonormalize(sig, vectors, tol=SPAN_TOL):
     """Gram-Schmidt with signs for a (possibly indefinite) diagonal metric.
 
-    `vectors` is a (..., k, A) array, one jet of batch shape (k, A) or
-    (k, A, B), or k vectors each a sequence of A scalars (floats, (B,)
-    arrays over a point set, or jets).  Returns (units, eps) with units in
-    the same form and eps a (..., k) array for an array, else a list, where
-    each unit u satisfies <u,u> = eps in {-1,+1}.  Raises FrameError when a
-    vector degenerates against the span built so far.
-    """
-    vecs = _stacked_in(vectors)
-    units, eps = _orthonormalize(_sig(sig, vecs[0]), vecs, tol)
-    if isinstance(vectors, np.ndarray):
-        eps = _batch_last(eps)
-    return _stacked_out(units, vectors), eps
+    `vectors` is a (..., k, A) array, or one jet of batch shape (k, A) or
+    (k, A, B).  Returns (units, eps), the units in the same form and eps a
+    (..., k) array for an array, else a list, where each unit u satisfies
+    <u,u> = eps in {-1,+1}.  An array is orthonormalized by a signed LDL^T
+    of its Gram matrix V S V^T, k rank-1 steps over the whole stack, and
+    one triangular solve for the units; a jet by the step-by-step loop.
+    Raises FrameError when a vector degenerates against the span before
+    it: when its residual |<r, r>| falls below `tol` max(|v|^2, 1), which
+    is checked before the residual divides anything."""
+    sig = np.asarray(sig, float)
+    if isinstance(vectors, Jet):
+        units, eps = _orthonormalize(_sig(sig, vectors.v[0]), unstack(vectors),
+                                     tol)
+        return stack(units), eps
+    V = np.asarray(vectors, float)
+    batch, k = V.shape[:-2], V.shape[-2]
+    Vf = V.reshape((-1,) + V.shape[-2:])
+    M = (Vf * sig) @ np.swapaxes(Vf, -1, -2)          # (N, k, k) Gram matrix
+    floor = tol * np.maximum(np.sum(Vf * Vf, axis=-1), 1.0)
+    L = np.zeros(M.shape)
+    d = np.empty(M.shape[:-1])
+    for j in range(k):
+        # M is the Schur complement on vectors j.. : <r_i, r_l>
+        col = M[:, :, 0]
+        d[:, j] = col[:, 0]
+        bad = np.abs(d[:, j]) < floor[:, j]
+        if bad.any():
+            _refuse(bad.reshape(batch),
+                    "Gram-Schmidt breakdown: degenerate residual")
+        L[:, j:, j] = col / d[:, j, None]
+        M = M[:, 1:, 1:] - L[:, j + 1:, j, None] * col[:, None, 1:]
+    units, eps = _units(L, d, Vf)
+    return units.reshape(V.shape), eps.reshape(batch + (k,))
 
 
 def complement_frame(sig, span_units, span_eps, count, pivot_order=None,
                      tol=COMPLETE_TOL):
-    """Extend an orthonormalized spanning set, in any form orthonormalize
-    returns, to the full space by projecting the ambient basis, pivoting on
-    the largest residual self inner product (per point over a batch: in
-    candidate order, a candidate replaces the best only when its residual is
-    larger by more than 1e-15).  With a `pivot_order` the candidates are
-    taken in that order instead; over a batch an entry may be a (B,) array
-    of per-point pivots.  Without one the span must not be jets.  Returns
-    (frame, eps, pivots), the frame in the span's form; eps and pivots are
-    (..., count) arrays for an array span, else lists."""
-    units = _stacked_in(span_units)
-    as_array = isinstance(span_units, np.ndarray)
-    if as_array:
-        span_eps = list(np.moveaxis(span_eps, -1, 0))
-    frame, eps, chosen = _complete(_sig(sig, units[0]), units, span_eps, count,
-                                   pivot_order, tol)
-    if as_array:
-        eps, chosen = _batch_last(eps), _batch_last(chosen)
-    return _stacked_out(frame, span_units), eps, chosen
+    """Extend an orthonormalized spanning set, in either form orthonormalize
+    returns, by `count` units made from ambient axes e_b.
+
+    For an array span each step pivots on the candidate with the largest
+    residual |<r_b, r_b>|, read from the diagonal of the candidates'
+    residual metric M = S - S U^T E U S (S the signature, U the span's
+    units, E their signs); ties go to the lowest index within 1e-15 of the
+    largest.  A step is one pivoted rank-1 update of M for every point at
+    once, and the new units come from one triangular solve.  With a
+    `pivot_order` the candidates are taken in that order instead; over a
+    batch an entry may be a (B,) array of per-point pivots.  A jet span
+    needs one, and runs the step-by-step loop.  Raises FrameError when the
+    chosen candidate's residual |<r_b, r_b>| is below `tol`, before it
+    divides anything.  Returns (frame, eps, pivots), the frame in the
+    span's form; eps and pivots are (..., count) arrays for an array span,
+    else lists."""
+    sig = np.asarray(sig, float)
+    if isinstance(span_units, Jet):
+        frame, eps = _complete(_sig(sig, span_units.v[0]), unstack(span_units),
+                               span_eps, pivot_order, tol)
+        return stack(frame), eps, list(pivot_order)
+    U = np.asarray(span_units, float)
+    batch, A = U.shape[:-2], sig.shape[0]
+    Uf = U.reshape((-1,) + U.shape[-2:])
+    E = np.asarray(span_eps, float).reshape(Uf.shape[:-1])
+    # rows: the candidates' residuals r_b; times S, their metric M
+    residual = np.eye(A) - np.swapaxes(Uf * sig, -1, -2) @ (E[..., None] * Uf)
+    M = residual * sig
+    at = np.arange(len(M))
+    L = np.empty((len(M), A, count))
+    d = np.empty((len(M), count))
+    pivots = np.empty((len(M), count), int)
+    for j in range(count):
+        if pivot_order is None:
+            # a taken axis's residual is 0 after its own step and stays at
+            # rounding level, so it can only come within 1e-15 of the
+            # largest where every residual is below tol, and the step refuses
+            q = np.abs(np.diagonal(M, axis1=-2, axis2=-1))
+            b = np.argmax(q >= q.max(axis=-1, keepdims=True) - 1e-15, axis=-1)
+        else:
+            b = np.broadcast_to(pivot_order[j], batch).reshape(-1)
+        col = M[at, :, b]
+        d[:, j] = col[at, b]
+        bad = np.abs(d[:, j]) < tol
+        if bad.any():
+            _refuse(bad.reshape(batch),
+                    "cannot complete normal frame: residuals degenerate")
+        L[:, :, j] = col / d[:, j, None]
+        M = M - L[:, :, j, None] * col[:, None, :]
+        pivots[:, j] = b
+    # the multipliers at the pivots, made exactly unit lower triangular
+    Lp = L[at[:, None], pivots] * np.tri(count)
+    frame, eps = _units(Lp, d, residual[at[:, None], pivots])
+    return (frame.reshape(batch + frame.shape[-2:]),
+            eps.reshape(batch + (count,)), pivots.reshape(batch + (count,)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,55 +490,67 @@ class NormalBundleData:
     """Normal connection and curvature at a point, or at each point of a
     point set (then every array has a leading batch axis)."""
 
-    frame: np.ndarray          # (p, A) value of the jet frame: ext.frame
+    frame: np.ndarray          # (p, A) the normal frame: ext.frame
     gamma: np.ndarray          # (n, p, p) connection coefficients Gamma_{i,a}^b
     r_perp_frame: np.ndarray   # (n, n, p, p) from frame differentiation
     r_perp_commutator: np.ndarray  # (n, n, p, p) from shape-operator commutators
     disagreement: float        # worst |frame - commutator| over all points
 
 
-def _vector_jets(jet: Jet3):
-    """The map and its tangent basis as order-1 vector jets in the chart
-    variables, with the ambient axis before the batch axis."""
-    def last(x):
-        return np.moveaxis(x, 0, -1) if jet.value.ndim == 2 else x
+def _frame_derivative(ext: ExtrinsicData):
+    """d_i xi_a, (..., n, p, A): the first derivatives of the normal frame
+    of `ext` in closed form.
 
-    value = Jet(jet.n, 1, last(jet.value), last(jet.d1))
-    tangent = [Jet(jet.n, 1, last(jet.d1[..., i, :]), last(jet.d2[..., :, i, :]))
-               for i in range(jet.n)]
-    return value, tangent
+    V, the span rows then the pivot axes e_b, is L U with U the units of
+    the Gram-Schmidt frame, E their signs and L = V S U^T E lower
+    triangular.  With X_i = L^-1 (d_i V) S U^T E, d_i U = Omega_i E U,
+    where Omega_i is the strict upper part of X_i E made antisymmetric:
+    d_i V = (d_i L) U + L d_i U, L^-1 d_i L is lower triangular, and
+    (d_i U) S U^T is antisymmetric.  The rows of d_i V are F_ij, then F_i / r
+    for the position normal of a space form, then zero."""
+    jet, ambient = ext.jet, ext.ambient
+    sig = ambient.signature.astype(float)
+    span = _spanning_vectors(jet, ambient)           # (..., k, A)
+    su, se = orthonormalize(sig, span)
+    U = np.concatenate([su, ext.frame], axis=-2)     # (..., A, A)
+    E = np.concatenate([se, ext.frame_eps], axis=-1)
+    W = np.swapaxes(U * sig, -1, -2) * E[..., None, :]   # S U^T E = U^-1
+    A = W.shape[-1]
+    axes = np.take_along_axis(W, ext.pivots[..., None], axis=-2)
+    L = np.concatenate([span @ W, axes], axis=-2) * np.tri(A)
+    dspan = jet.d2                                   # (..., n, k, A)
+    if ambient.is_space_form:
+        dspan = np.concatenate([dspan, jet.d1[..., None, :] / ambient.radius],
+                               axis=-2)
+    # X_i E, with d_i V zero on the pivot axes
+    k = span.shape[-2]
+    XE = (np.linalg.inv(L)[..., None, :, :k] @ (dspan @ W[..., None, :, :])) \
+        * E[..., None, None, :]
+    omega = XE * np.tri(A, k=-1).T
+    omega = omega - np.swapaxes(omega, -1, -2)
+    return (omega[..., k:, :] * E[..., None, None, :]) @ U[..., None, :, :]
 
 
 def normal_connection_and_curvature(ext: ExtrinsicData) -> NormalBundleData:
     """Normal connection coefficients and R-perp at the points of `ext`,
-    computed two independent ways: (a) exact differentiation of the
-    Gram-Schmidt frame through jets, (b) shape-operator commutators (Ricci
-    equation).  The jet frame is completed from the pivots of `ext`, so its
-    value is `ext.frame` at every point.  Route (a) reads first derivatives
-    of the frame only, so it runs on order-1 frame jets and on extrinsic
-    data from an order-2 jet."""
-    jet, ambient, p = ext.jet, ext.ambient, ext.p
-    sig = ambient.signature.astype(float)
-    batch = ext.g.shape[:-2]
-
-    value, span = _vector_jets(jet)
-    if ambient.is_space_form:
-        span.append(value * (1.0 / ambient.radius))
-    sig_v = _sig(sig, value)
-    units, eps_span = _orthonormalize(sig_v, span, SPAN_TOL)
-    frame, frame_eps, _ = _complete(sig_v, units, eps_span, p,
-                                    list(ext.pivots.T), COMPLETE_TOL)
-    # frame jets stacked (a, [derivative axes,] A, batch...)
-    V = np.array([xi.v for xi in frame])
-    G = np.array([xi.g for xi in frame])
-    eps = _batch_last(frame_eps)                     # (..., p)
+    computed two independent ways: (a) differentiation of the Gram-Schmidt
+    normal frame of `ext`, whose first derivatives come in closed form from
+    the derivatives of the vectors it was built from
+    (`_frame_derivative`), (b) shape-operator commutators (Ricci
+    equation).  Route (a) reads first derivatives of the frame only, so it
+    runs on extrinsic data from an order-2 jet."""
+    sig = ext.ambient.signature.astype(float)
+    frame, eps = ext.frame, ext.frame_eps            # (..., p, A), (..., p)
+    G = _frame_derivative(ext)                       # (..., n, p, A)
 
     # Gamma_{i,a}^b = eps_b <d_i xi_a, xi_b> and its derivatives
     # dgamma[k, i] = d_k Gamma_i without its term eps_b <d_k d_i xi_a, xi_b>,
     # which is symmetric in (k, i) and cancels in dgamma - swap(dgamma)
-    gamma = eps[..., None, None, :] * np.einsum("aiA...,A,bA...->...iab", G, sig, V)
-    dgamma = eps[..., None, None, None, :] * np.einsum(
-        "aiA...,A,bkA...->...kiab", G, sig, G)
+    GS = G * sig
+    gamma = (GS @ np.swapaxes(frame, -1, -2)[..., None, :, :]) \
+        * eps[..., None, None, :]
+    dgamma = (GS[..., None, :, :, :] @ np.swapaxes(G, -1, -2)[..., :, None, :, :]) \
+        * eps[..., None, None, None, :]
     comm = (np.einsum("...jac,...icb->...ijab", gamma, gamma)
             - np.einsum("...iac,...jcb->...ijab", gamma, gamma))
     r_frame = dgamma - np.swapaxes(dgamma, -4, -3) + comm
@@ -525,8 +565,7 @@ def normal_connection_and_curvature(ext: ExtrinsicData) -> NormalBundleData:
     r_comm = np.einsum("...jk,...abki->...ijab", ext.g, C)
 
     disagreement = float(np.max(np.abs(r_frame_pair - r_comm)))
-    return NormalBundleData(np.moveaxis(V, -1, 0) if batch else V, gamma,
-                            r_frame_pair, r_comm, disagreement)
+    return NormalBundleData(frame, gamma, r_frame_pair, r_comm, disagreement)
 
 
 # ---------------------------------------------------------------------------

@@ -400,7 +400,8 @@ def suite_ribaucour(run):
                                   "equations need >= 5 points per axis"})
         return checks, skipped
     rng = np.random.default_rng(run.scenario["seed"])
-    grid = rb.build_lift_grid(lift)
+    # every check below reads the frame at every grid point
+    grid = rb.extend_sweep(rb.build_lift_grid(lift))
     h2 = float(np.max(grid.spacings)) ** 2
     checks.append(CheckResult("parallel frame transport converged",
                               "ribaucour/frame-transport",

@@ -19,12 +19,17 @@ obtained by transporting the base-point frame along grid lines (the normal
 bundle of a flat lift is flat, so the transport is path independent up to
 discretization error); each transport step is a Pade [2/2] approximant of a
 commutator exponential, which preserves the ambient pairing exactly.  The
-condition operator is held as its nonzeros, four per row, and split into
-its independent blocks by labelling the connected components of its
-row/column graph in numpy.  The null-space basis is a sparse matrix whose
-rows each live on one block of the condition operator; it is the only
-sparse matrix here, and solve_condition_nullspace alone loads the sparse
-module that builds it.
+frame is swept only where a reader reads it: build_lift_grid sweeps the
+interior points, which the condition operator reads, and the points on
+their sweep paths from the base point (121 of 625 at 5^4), and that is all
+the pipeline reads; extend_sweep continues the same sweep over the rest of
+the grid for the ribaucour suite, whose analytic family reads the frame at
+every grid point.  The condition operator is held as its nonzeros, four
+per row, and split into its independent blocks by labelling the connected
+components of its row/column graph in numpy.  The null-space basis is a
+sparse matrix whose rows each live on one block of the condition operator;
+it is the only sparse matrix here, and solve_condition_nullspace alone
+loads the sparse module that builds it.
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ from .conformal import weyl_defects
 from .errors import (ConfflatError, DegenerateInputError,
                      DimensionAmbiguityError, FrameError, NotApplicable,
                      SingularTransformError)
-from .extrinsic import (ExtrinsicData, fundamental_forms,
+from .extrinsic import (ExtrinsicData, _immersion_metric, fundamental_forms,
                         intrinsic_curvatures, normal_projectors)
 from .jets import SmoothMap, evaluate_jet
 from .jets.core import _jet
@@ -66,12 +71,33 @@ def _grid_diff(values, shape, spacings, axis):
     return out.reshape(values.shape)
 
 
+def _interior_mask(shape):
+    m = np.zeros(shape, bool)
+    m[(slice(1, -1),) * len(shape)] = True
+    return m.reshape(-1)
+
+
+class _Carry(NamedTuple):
+    """What `extend_sweep` continues a grid's sweep from, at its swept
+    points, and the build's settings."""
+
+    coarse: np.ndarray          # (S, p, A) the coarse run of the frame
+    P: np.ndarray               # (S, A, A) the normal projectors
+    substeps: int
+    frame_tol: float
+
+
 @dataclass
 class LiftGrid:
     """Pointwise geometry of a lifted immersion sampled on the chart grid,
     with a parallel pseudo-orthonormal normal frame: only the fields that
     the condition and the member layer read, and the tangents that the
-    frame is checked against."""
+    frame is checked against.  The values, tangents and inverse metric are
+    held at every grid point; the frame only at the points its sweep
+    reached (`swept`), and alpha(d_i, d_i) only at those and the degeneracy
+    guard's, with NaN elsewhere.  `build_lift_grid` sweeps the points the
+    condition operator reads, and `extend_sweep` the whole grid, which the
+    readers of every point (`check_condition`, `_constant_vector`) need."""
 
     lift: LiftedImmersion
     shape: tuple
@@ -83,10 +109,13 @@ class LiftGrid:
     alpha_diag: np.ndarray      # (M, n, A) alpha(d_i, d_i)
     frame: np.ndarray           # (M, p, A) parallel normal frame
     eps: np.ndarray             # (p,)
-    parallel_residual: float    # Richardson estimate of the transport error
+    parallel_residual: float    # Richardson estimate of the transport
+                                # error at the swept points
     ext: ExtrinsicData          # the grid pass's data at the first, middle
                                 # and last grid point, which the degeneracy
                                 # guard decides; order-2 jets (no Codazzi)
+    swept: np.ndarray           # (M,) bool, where the frame is held
+    carry: _Carry | None        # None once swept everywhere
 
     @cached_property
     def _analytic_data(self):
@@ -94,7 +123,7 @@ class LiftGrid:
         fam = [_constant_vector(self, e, f"basis-{a}")
                for a, e in enumerate(np.eye(self.A))]
         return fam + [RibaucourData(np.ones(self.M), np.zeros((self.M, self.p)),
-                                    -1.0, None, name="shift")]
+                                    None, name="shift")]
 
     @property
     def M(self):
@@ -124,16 +153,17 @@ class LiftGrid:
         points."""
         return np.einsum("mA,A,mA->m", U, self.sig, V)
 
-    def cone_constant(self, phi, b):
-        """Pointwise <<F, beta>> - phi, beta = sum_a b_a psi_a, constant for
-        a solution of the condition (its light-cone constant c)."""
-        beta = np.einsum("ma,maA->mA", b, self.frame)
-        return self.lorentz_inner(self.F_vals, beta) - phi
+    def _require_swept(self, reader):
+        """Refuse, with a ValueError, a grid whose frame is not swept
+        everywhere: `reader` reads it at every grid point."""
+        if self.carry is not None:
+            raise ValueError(f"{reader} reads the frame at every grid "
+                             "point: sweep the grid with extend_sweep")
 
     @cached_property
     def h_parallel(self):
-        """eps_a <<alpha(d_i, d_i), psi_a>>, shape (M, p, n); computed once
-        per grid."""
+        """eps_a <<alpha(d_i, d_i), psi_a>>, shape (M, p, n), NaN where the
+        frame is not swept; computed once per grid."""
         diag = np.swapaxes(self.alpha_diag, 1, 2)           # (M, A, n)
         return self.eps[:, None] * ((self.frame * self.sig) @ diag)
 
@@ -255,69 +285,59 @@ def _transport_operators(lift: LiftedImmersion, pts, edges, P_grid, substeps):
     return np.swapaxes(np.stack([T_coarse, T_fine]), -1, -2)
 
 
-def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
-                    substeps=2) -> LiftGrid:
-    """Sample the lift geometry on the domain grid and construct a parallel
-    normal frame by second-order discrete transport of the base-point frame
-    along grid lines.  Each edge step applies the Pade [2/2] approximant of
-    the commutator exponential exp([P1 - P0, P_mid]) built from normal-space
-    projectors (`_pade_step`), a midpoint discretization of the transport
-    equation.  The commutator of two projectors that are self-adjoint for
-    the ambient pairing is skew for it, and the diagonal Pade approximant
-    maps such a matrix into the pairing's group exactly, so each step
-    preserves the ambient pairing.  The transport is run at step counts
-    `substeps` and 2*`substeps` per edge; the Richardson difference between
-    the two estimates the transport error, and a frame error is raised when
-    it exceeds frame_tol.
+def _sweep_paths(shape, targets):
+    """Mask of the grid points on the sweep's paths from the base point to
+    the points of the mask `targets`, the base point and the targets
+    included.  A point's path is the chain of `_sweep_edges` edges that
+    reaches it, so walking the levels backwards from the targets marks
+    every point on one."""
+    on_path = targets.copy()
+    on_path[0] = True
+    for level in reversed(_sweep_edges(shape)):
+        src, dst = level.T
+        on_path[src[on_path[dst]]] = True
+    return on_path
 
-    The extrinsic data at the grid points comes from one batched pass of
-    order-2 jets (the metric, the second fundamental form and the normal
-    frame need no more).  Before the transport starts, the build keeps of
-    it only what a later reader uses: the lift's values, tangents and
-    inverse metric, the diagonal alpha(d_i, d_i) that `h_parallel` reads,
-    the data at the three points the degeneracy guard decides, and, until
-    the sweep ends, the Gram-Schmidt normal frame with its signs and, until
-    the transport ends, the normal projectors.  A step depends on the
-    projectors only, not on the frame it carries, so every edge's transport
-    operator is built before the sweep, per resolution: one batched Pade
-    step per sub-step over all edges, multiplied into one operator per edge
-    (`_transport_operators`).  The normal projectors at the sub-step points
-    (fractions k / (4 substeps) of every edge, which the two step counts
-    share) are 4 substeps - 1 batched passes of M - 1 points each, each
-    evaluated just before the first step that reads it and dropped after
-    the last, so that at most three are held at once.  The sweep then runs
-    level by level (`_sweep_edges`): sum(N_i - 1) levels on a grid of shape
-    (N_1, ..., N_n), each one batched apply, projection onto the normal
-    space and pseudo-Gram-Schmidt over all of its edges and both
-    resolutions."""
-    dom = lift.F.domain
-    if dom.grid_shape is None:
-        raise ValueError("lift domain carries no grid")
-    shape = tuple(dom.grid_shape)
-    pts = dom.grid_points().reshape(-1, dom.dim)
-    spac = dom.spacings()
-    amb = lift.ambient
-    M = pts.shape[0]
-    sig = amb.signature
 
-    ext = fundamental_forms(lift.F, amb, pts, jet=evaluate_jet(lift.F, pts, 2))
-    guarded = ext.at(np.linspace(0, M - 1, 3).astype(int))
-    F_vals, tangents, g_inv = ext.jet.value, ext.tangent, ext.g_inv
-    alpha_diag = np.einsum("miiA->miA", ext.alpha).copy()
-    normals, fe = ext.frame, ext.frame_eps
-    P_grid = ext.normal_projector()
-    del ext     # the rest of the pass: nothing below reads it
+def _normal_pass(lift: LiftedImmersion, pts, at):
+    """The order-2 extrinsic pass at the grid points `at` (indices into the
+    M points `pts`; the metric, the second fundamental form and the normal
+    frame need no more), and what the sweep reads of it as (M, ...) arrays
+    that hold its values at `at`, NaN elsewhere: the diagonal
+    alpha(d_i, d_i), the Gram-Schmidt normal frame with its signs (zero
+    elsewhere) and the normal projectors.  Returns (ext, alpha_diag,
+    normals, fe, P)."""
+    ext = fundamental_forms(lift.F, lift.ambient, pts[at],
+                            jet=evaluate_jet(lift.F, pts[at], 2))
+    M, (n, A), p = len(pts), ext.tangent.shape[1:], ext.p
+    alpha_diag = np.full((M, n, A), np.nan)
+    alpha_diag[at] = np.einsum("miiA->miA", ext.alpha)
+    normals = np.full((M, p, A), np.nan)
+    normals[at] = ext.frame
+    fe = np.zeros((M, p), ext.frame_eps.dtype)
+    fe[at] = ext.frame_eps
+    P = np.full((M, A, A), np.nan)
+    P[at] = ext.normal_projector()
+    return ext, alpha_diag, normals, fe, P
 
-    levels = _sweep_edges(shape)
-    T = _transport_operators(lift, pts, np.concatenate(levels), P_grid,
-                             substeps)
-    del P_grid
 
-    # two resolutions of the same transport, coarse and fine, for a
-    # Richardson error estimate
-    runs = np.zeros((2, M) + normals.shape[1:])
-    runs[:, 0] = normals[0]
-    eps = fe[0].copy()
+def _sweep(lift: LiftedImmersion, shape, pts, reach, runs, P, normals, fe,
+           eps, substeps):
+    """Carry the coarse and the fine run of the frame (`runs`, (2, M, p, A),
+    the fine one second) over the edges of `_sweep_edges(shape)` that end at
+    the points of the mask `reach`, in place; every edge must start at a
+    point whose runs and normal projector (`P`, (M, A, A)) are set, or that
+    an earlier level reaches.  A step depends on the projectors only, not
+    on the frame it carries, so every edge's two transport operators are
+    built first (`_transport_operators`).  The sweep then runs level by
+    level: one batched apply, projection onto the normal space at the
+    edges' ends (the Gram-Schmidt frames `normals` with signs `fe`) and
+    pseudo-Gram-Schmidt to the signs `eps` over all of a level's edges and
+    both runs."""
+    levels = [lvl[reach[lvl[:, 1]]] for lvl in _sweep_edges(shape)]
+    levels = [lvl for lvl in levels if len(lvl)]
+    T = _transport_operators(lift, pts, np.concatenate(levels), P, substeps)
+    sig = lift.ambient.signature
     start = 0
     for level in levels:
         src, dst = level.T
@@ -329,15 +349,111 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
         coef = moved @ np.swapaxes(nd * sig, -1, -2)
         coef *= fe[dst][:, None]
         runs[:, dst] = _pseudo_gs(sig, coef @ nd, eps, pts[dst])
-    coarse, frame = runs
-    transport_error = float(np.max(np.abs(frame - coarse))) / 3.0
 
-    if transport_error > frame_tol:
+
+def _transport_error(runs, swept, frame_tol):
+    """The Richardson estimate of the transport error at the points of the
+    mask `swept`, from the coarse and the fine run; raises FrameError above
+    frame_tol."""
+    coarse, fine = runs[:, swept]
+    error = float(np.max(np.abs(fine - coarse))) / 3.0
+    if error > frame_tol:
         raise FrameError(
-            f"transported frame not parallel: residual {transport_error:.3e}")
+            f"transported frame not parallel: residual {error:.3e}")
+    return error
+
+
+def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
+                    substeps=2) -> LiftGrid:
+    """Sample the lift geometry on the domain grid and construct a parallel
+    normal frame by second-order discrete transport of the base-point frame
+    along grid lines, at the points the condition operator reads: the
+    interior points and the points on their sweep paths from the base
+    point (`_sweep_paths`; 121 of 625 at 5^4, 781 of 2,401 at 7^4).
+    `extend_sweep` continues the same sweep over the rest of the grid.
+    Each edge step applies the Pade [2/2] approximant of the commutator
+    exponential exp([P1 - P0, P_mid]) built from normal-space projectors
+    (`_pade_step`), a midpoint discretization of the transport equation.
+    The commutator of two projectors that are self-adjoint for the ambient
+    pairing is skew for it, and the diagonal Pade approximant maps such a
+    matrix into the pairing's group exactly, so each step preserves the
+    ambient pairing.  The transport is run at step counts `substeps` and
+    2*`substeps` per edge; the Richardson difference between the two at the
+    swept points estimates the transport error, and a frame error is raised
+    when it exceeds frame_tol.
+
+    The lift's values, tangents and inverse metric at every grid point come
+    from one order-1 pass, whose rank check refuses a differential that is
+    rank deficient at any grid point.  One order-2 extrinsic pass at the
+    swept points and the three points the degeneracy guard decides (the
+    first, middle and last) gives the diagonal alpha(d_i, d_i) that
+    `h_parallel` reads, the guard's data, and the Gram-Schmidt normal frames
+    and projectors that the sweep reads (`_normal_pass`); the rest of the
+    pass is dropped before the transport starts.  The normal projectors at
+    the sub-step points (fractions k / (4 substeps) of every swept edge,
+    which the two step counts share) are 4 substeps - 1 batched passes,
+    each evaluated just before the first step that reads it and dropped
+    after the last, so that at most three are held at once.  The sweep then
+    runs level by level (`_sweep`).  On the s3xs1 lift the build's traced
+    allocations peak at 1.9 MB at 5^4 and 8.7 MB at 7^4, against 4.0 and
+    15.1 MB for a pass and a sweep at every grid point."""
+    dom = lift.F.domain
+    if dom.grid_shape is None:
+        raise ValueError("lift domain carries no grid")
+    shape = tuple(dom.grid_shape)
+    pts = dom.grid_points().reshape(-1, dom.dim)
+    M = pts.shape[0]
+
+    jet = evaluate_jet(lift.F, pts, 1)
+    sig = lift.ambient.signature.astype(float)
+    g_inv = np.linalg.inv(_immersion_metric(jet, sig, pts))
+    swept = _sweep_paths(shape, _interior_mask(shape))
+    guard = np.linspace(0, M - 1, 3).astype(int)
+    at = np.union1d(np.flatnonzero(swept), guard)
+    ext, alpha_diag, normals, fe, P = _normal_pass(lift, pts, at)
+    guarded = ext.at(np.searchsorted(at, guard))
+    del ext     # the rest of the pass: nothing below reads it
+
+    # two resolutions of the same transport, coarse and fine, for a
+    # Richardson error estimate
+    runs = np.full((2,) + normals.shape, np.nan)
+    runs[:, 0] = normals[0]
+    eps = fe[0].copy()
+    _sweep(lift, shape, pts, swept, runs, P, normals, fe, eps, substeps)
+    error = _transport_error(runs, swept, frame_tol)
     # a copy of the fine run, so that the grid does not hold the coarse one
-    return LiftGrid(lift, shape, pts, spac, F_vals, tangents, g_inv,
-                    alpha_diag, frame.copy(), eps, transport_error, guarded)
+    return LiftGrid(lift, shape, pts, dom.spacings(), jet.value, jet.d1,
+                    g_inv, alpha_diag, runs[1].copy(), eps, error, guarded,
+                    swept, _Carry(runs[0, swept], P[swept], substeps,
+                                  frame_tol))
+
+
+def extend_sweep(grid: LiftGrid) -> LiftGrid:
+    """The grid with its frame swept over every grid point: the build's
+    sweep continued from its runs and projectors at the swept points over
+    the edges that end at the others, with one order-2 extrinsic pass
+    there.  Every frame, alpha(d_i, d_i) and the Richardson estimate, now
+    over the whole grid, are bitwise those of one sweep of the whole grid,
+    because each point's frame depends only on its path.  Raises FrameError
+    as build_lift_grid does, with its frame_tol.  A grid that is swept
+    everywhere is returned as it is."""
+    carry = grid.carry
+    if carry is None:
+        return grid
+    swept, rest = grid.swept, ~grid.swept
+    alpha_diag, normals, fe, P = _normal_pass(grid.lift, grid.points,
+                                              np.flatnonzero(rest))[1:]
+    alpha_diag[swept] = grid.alpha_diag[swept]
+    P[swept] = carry.P
+    runs = np.full((2,) + normals.shape, np.nan)
+    runs[:, swept] = carry.coarse, grid.frame[swept]
+    _sweep(grid.lift, grid.shape, grid.points, rest, runs, P, normals, fe,
+           grid.eps, carry.substeps)
+    everywhere = np.ones(grid.M, bool)
+    return replace(grid, alpha_diag=alpha_diag, frame=runs[1].copy(),
+                   parallel_residual=_transport_error(runs, everywhere,
+                                                      carry.frame_tol),
+                   swept=everywhere, carry=None)
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +463,10 @@ def build_lift_grid(lift: LiftedImmersion, frame_tol=0.05,
 @dataclass
 class RibaucourData:
     """Scalar phi and normal field beta (components b_a in the parallel
-    frame) satisfying the compatibility condition, together with the
-    light-cone constant c = <<F, beta>> - phi."""
+    frame) satisfying the compatibility condition."""
 
     phi: np.ndarray             # (M,)
     b: np.ndarray               # (M, p)
-    c: float
     condition_residual: float | None   # None where no check reads it
     name: str = ""
 
@@ -361,6 +475,7 @@ def check_condition(grid: LiftGrid, phi, b):
     """Residual field of the compatibility condition in principal
     coordinates: D_i b_a + g^{ii} (D_i phi) eps_a <<alpha(d_i,d_i), psi_a>>
     per grid point, direction and frame index; shape (M, n, p)."""
+    grid._require_swept("check_condition")
     phi = np.asarray(phi, float)
     b = np.asarray(b, float)
     M, n, p = grid.M, grid.n, grid.p
@@ -371,12 +486,6 @@ def check_condition(grid: LiftGrid, phi, b):
         Db = grid.diff(b, i)
         res[:, i, :] = Db + (grid.g_inv[:, i, i] * Dphi)[:, None] * hpar[:, :, i]
     return res
-
-
-def _interior_mask(shape):
-    m = np.zeros(shape, bool)
-    m[(slice(1, -1),) * len(shape)] = True
-    return m.reshape(-1)
 
 
 def condition_residual(grid: LiftGrid, phi, b, interior=True):
@@ -391,12 +500,11 @@ def _constant_vector(grid: LiftGrid, z, name):
     """The analytic compatibility solution on the grid generated by a
     constant ambient vector z: phi = <<F, z>>, beta = normal part of z,
     without its condition residual."""
+    grid._require_swept("_constant_vector")
     z = np.asarray(z, float)
     sz = grid.sig * z
-    phi = grid.F_vals @ sz
-    b = grid.eps * (grid.frame @ sz)
-    c = float(np.mean(grid.cone_constant(phi, b)))
-    return RibaucourData(phi, b, c, None, name=name)
+    return RibaucourData(grid.F_vals @ sz, grid.eps * (grid.frame @ sz), None,
+                         name=name)
 
 
 def analytic_family(grid: LiftGrid):
@@ -785,7 +893,9 @@ class MemberReport:
 class FamilyResult:
     """The pipeline's output.  `nullspace` is the condition's spectrum with
     its null-space threshold and dimension (`condition_spectrum`): the
-    pipeline reports the count and builds no basis."""
+    pipeline reports the count and builds no basis.  `grid` is
+    build_lift_grid's, with the frame swept on the interior points' paths
+    only; the member layer reads its values at every grid point."""
 
     lift: LiftedImmersion
     grid: LiftGrid

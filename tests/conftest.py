@@ -12,7 +12,7 @@ from confflat.jets import Jet, SmoothMap, evaluate_jet, norm_sq, stack, unstack
 from confflat.jets.core import _jet
 from confflat.lightcone import build_cone_model, flat_lift
 from confflat.principal import principal_decompositions
-from confflat.ribaucour import build_lift_grid
+from confflat.ribaucour import build_lift_grid, extend_sweep
 
 
 @pytest.fixture(scope="session")
@@ -32,9 +32,10 @@ def s3xs1_lift(s3xs1):
 
 @pytest.fixture(scope="session")
 def s3xs1_grid(s3xs1_lift):
-    """Shared lifted grid; building it runs the parallel-frame transport
-    over the whole chart, so construct it once per session."""
-    return build_lift_grid(s3xs1_lift)
+    """Shared lifted grid with its frame swept over the whole chart, as the
+    ribaucour suite reads it; building it runs the parallel-frame
+    transport, so construct it once per session."""
+    return extend_sweep(build_lift_grid(s3xs1_lift))
 
 
 @pytest.fixture

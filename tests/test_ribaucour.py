@@ -3,6 +3,7 @@ numerical null space, exact reflections, and the full family pipeline."""
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from scipy.linalg import expm
 from confflat import extrinsic
 from confflat.extrinsic import christoffels
 from confflat.errors import (DegenerateInputError, DimensionAmbiguityError,
-                             FrameError, SingularTransformError)
+                             FrameError, ImmersionError,
+                             SingularTransformError)
 from confflat.extrinsic import normal_projectors
-from confflat.jets import evaluate_jet
+from confflat.jets import SmoothMap, evaluate_jet
 from confflat import ribaucour as rb
 from confflat.reports import _resolve_item, run_scenario
 
@@ -83,6 +85,23 @@ def test_sweep_levels_reach_every_point_once(shape):
         assert np.all(np.abs(step).sum(axis=0) == 1)
         assert np.all(step.sum(axis=0) == 1)
     assert np.all(reached_at >= 0)
+
+
+@pytest.mark.parametrize("shape, count", [((5, 5, 5, 5), 121),
+                                          ((6, 6, 5, 5), 213),
+                                          ((7, 7, 7, 7), 781)])
+def test_sweep_paths_reach_the_interior(shape, count):
+    """The build sweeps the interior points and the points on their sweep
+    paths from the base point: with every point but the base, the source
+    of the edge that reaches it, and no point on an axis's last layer."""
+    swept = rb._sweep_paths(shape, rb._interior_mask(shape))
+    assert int(np.sum(swept)) == count
+    assert np.all(swept[rb._interior_mask(shape)])
+    for level in rb._sweep_edges(shape):
+        src, dst = level.T
+        assert np.all(swept[src[swept[dst]]])
+    last = np.stack(np.unravel_index(np.arange(len(swept)), shape), axis=1)
+    assert not np.any(swept & np.any(last == np.array(shape) - 1, axis=1))
 
 
 def test_sweep_levels_regroup_the_sequential_edges():
@@ -161,11 +180,13 @@ def s3xs1_coarse_lift():
 
 
 def test_level_sweep_matches_sequential_transport(s3xs1_coarse_lift):
-    """The level sweep is the sequential transport with the same Pade step,
-    regrouped; against the sequential transport with the exact exponential
-    it differs by the step's fifth-order local error (1.4e-5 at 3^4)."""
+    """The level sweep, the build's extended over the whole grid, is the
+    sequential transport with the same Pade step, regrouped; against the
+    sequential transport with the exact exponential it differs by the
+    step's fifth-order local error (1.4e-5 at 3^4)."""
     # the 3^4 grid is too coarse for the default frame_tol gate
-    grid = rb.build_lift_grid(s3xs1_coarse_lift, frame_tol=1.0)
+    grid = rb.extend_sweep(rb.build_lift_grid(s3xs1_coarse_lift,
+                                              frame_tol=1.0))
     frame, residual = _sequential_transport(s3xs1_coarse_lift, rb._pade_step)
     assert np.max(np.abs(grid.frame - frame)) <= 1e-12
     assert abs(grid.parallel_residual - residual) <= 1e-12
@@ -177,7 +198,9 @@ def test_level_sweep_matches_sequential_transport(s3xs1_coarse_lift):
 def test_transport_makes_one_pade_step_per_substep(s3xs1_coarse_lift,
                                                    monkeypatch, substeps):
     """Every edge's operator comes from batched Pade steps: 3 * substeps
-    calls per grid, each on the stack of all M - 1 edges."""
+    calls per sweep, each on the stack of all of that sweep's edges.  At
+    3^4 the build sweeps the 4 edges on the path to the one interior
+    point, and extend_sweep the other 76 of the M - 1 = 80."""
     stacks = []
     original = rb._pade_step
 
@@ -188,8 +211,11 @@ def test_transport_makes_one_pade_step_per_substep(s3xs1_coarse_lift,
     monkeypatch.setattr(rb, "_pade_step", counting)
     grid = rb.build_lift_grid(s3xs1_coarse_lift, frame_tol=1.0,
                               substeps=substeps)
-    assert len(stacks) == 3 * substeps
-    assert all(s == (grid.M - 1, grid.A, grid.A) for s in stacks)
+    assert int(np.sum(grid.swept)) == 5
+    assert stacks == [(4, grid.A, grid.A)] * (3 * substeps)
+    stacks.clear()
+    rb.extend_sweep(grid)
+    assert stacks == [(grid.M - 5, grid.A, grid.A)] * (3 * substeps)
 
 
 def test_normal_projectors_are_batch_invariant(s3xs1_lift):
@@ -212,11 +238,14 @@ def test_normal_projectors_are_batch_invariant(s3xs1_lift):
 
 
 def test_lift_grid_peak_memory(s3xs1_lift):
-    """The grid build drops its extrinsic pass, but for what its readers
-    read, before the transport, and holds at most three sub-step projectors
-    at once: on the s3xs1 5^4 lift its traced allocations peak under 5.0 MB
-    (4.0 MB; 6.9 MB with the whole pass and five projectors held, 11.7 MB
-    with every sub-step projector held at once)."""
+    """The grid build makes its extrinsic pass at the 122 points the
+    condition operator's sweep and the degeneracy guard read, drops it, but
+    for what its readers read, before the transport, and holds at most
+    three sub-step projectors at once: on the s3xs1 5^4 lift its traced
+    allocations peak under 2.5 MB (1.9 MB; 4.0 MB with the pass and the
+    sweep at all 625 points, 6.9 MB with the whole pass and five
+    projectors held, 11.7 MB with every sub-step projector held at
+    once)."""
     rb.build_lift_grid(s3xs1_lift)              # warm the cached tables
     tracemalloc.start()
     try:
@@ -225,7 +254,7 @@ def test_lift_grid_peak_memory(s3xs1_lift):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.0e6
+    assert peak < 2.5e6
 
 
 def test_transport_holds_at_most_three_projectors(s3xs1_coarse_lift,
@@ -233,7 +262,8 @@ def test_transport_holds_at_most_three_projectors(s3xs1_coarse_lift,
     """Each sub-step projector is evaluated just before the first Pade step
     that reads it and dropped after the last one: no normal_projectors call
     of the transport finds more than two earlier sub-step projectors still
-    alive, so at most three are held at once."""
+    alive, so at most three are held at once, in the build's sweep and in
+    extend_sweep's, seven calls each."""
     made, alive_at_call = [], []
     original = rb.normal_projectors
 
@@ -244,7 +274,11 @@ def test_transport_holds_at_most_three_projectors(s3xs1_coarse_lift,
         return P
 
     monkeypatch.setattr(rb, "normal_projectors", tracking)
-    rb.build_lift_grid(s3xs1_coarse_lift, frame_tol=1.0)
+    grid = rb.build_lift_grid(s3xs1_coarse_lift, frame_tol=1.0)
+    assert len(alive_at_call) == 7
+    assert max(alive_at_call) <= 2
+    alive_at_call.clear()
+    rb.extend_sweep(grid)
     assert len(alive_at_call) == 7
     assert max(alive_at_call) <= 2
 
@@ -265,6 +299,62 @@ def test_pade_step_preserves_the_lorentz_form(rng):
     assert np.all(gaps[0] >= 20.0 * gaps[1])
 
 
+def test_condition_reads_only_the_swept_points(s3xs1_lift, s3xs1_grid):
+    """The build's grid holds the frame at its 121 swept points of 625 and
+    NaN elsewhere.  There its frame, alpha(d_i, d_i) and h_parallel, and
+    its values, tangents and inverse metric everywhere, are bitwise those
+    of the grid swept everywhere, and so is the condition's spectrum,
+    which reads the interior points alone; the readers of every point
+    refuse it."""
+    g, full = rb.build_lift_grid(s3xs1_lift), s3xs1_grid
+    swept = g.swept
+    assert int(np.sum(swept)) == 121 and np.all(full.swept)
+    assert np.all(np.isnan(g.frame[~swept]))
+    for name in ("F_vals", "tangents", "g_inv"):
+        assert np.array_equal(getattr(g, name), getattr(full, name)), name
+    for name in ("frame", "alpha_diag", "h_parallel"):
+        assert np.array_equal(getattr(g, name)[swept],
+                              getattr(full, name)[swept]), name
+    ours, theirs = rb.condition_spectrum(g), rb.condition_spectrum(full)
+    assert np.array_equal(ours.spectrum, theirs.spectrum)
+    assert ours[1:] == theirs[1:]
+    with pytest.raises(ValueError, match="extend_sweep"):
+        rb.analytic_family(g)
+    with pytest.raises(ValueError, match="extend_sweep"):
+        rb._constant_vector(g, np.ones(g.A), "z")
+
+
+def _folded(F, corner):
+    """F after the chart map that squares (u_0 - c_0) + i (u_1 - c_1), for
+    `corner` = (c_0, c_1), as a SmoothMap: its differential has rank n - 2
+    where u_0 = c_0 and u_1 = c_1, and full rank elsewhere."""
+    c0, c1 = corner
+
+    def evaluator(x):
+        a, b = x[0] - c0, x[1] - c1
+        return F.evaluator([a * a - b * b + c0, 2.0 * a * b + c1] + list(x[2:]))
+
+    return SmoothMap(F.domain, F.codomain_dim, evaluator, F.name + "_folded")
+
+
+def test_pipeline_refuses_a_rank_deficiency_it_does_not_sweep(s3xs1_lift):
+    """The lift after a chart fold is rank deficient on the 25 grid points
+    where u_0 is at its upper and u_1 at its lower bound.  None of them is
+    swept, in the extrinsic pass or on a transport edge of the pipeline's
+    grid; the order-1 pass at every grid point still refuses the lift,
+    naming the first of them, the corner (4, 0, 0, 0) of the 5^4 grid."""
+    F = s3xs1_lift.F
+    (_, hi), (lo, _) = F.domain.box[:2]
+    shape = F.domain.grid_shape
+    pts = F.domain.grid_points().reshape(-1, F.domain.dim)
+    corner = np.ravel_multi_index((4, 0, 0, 0), shape)
+    assert not rb._sweep_paths(shape, rb._interior_mask(shape))[corner]
+    folded = replace(s3xs1_lift, F=_folded(F, (hi, lo)))
+    with pytest.raises(ImmersionError, match=re.escape(
+            f"rank-deficient differential at {pts[corner]}")):
+        rb.conformally_flat_family(folded, count=1)
+
+
 def test_grid_from_order2_jets_is_exact(s3xs1_grid, s3xs1_grid_pass,
                                        s3xs1_lift, monkeypatch):
     """The grid's extrinsic pass uses order-2 jets, and every field of the
@@ -278,7 +368,7 @@ def test_grid_from_order2_jets_is_exact(s3xs1_grid, s3xs1_grid_pass,
     assert g.ext.jet.order == 2
     monkeypatch.setattr(rb, "evaluate_jet",
                         lambda F, pts, order: maps.evaluate_jet(F, pts, 3))
-    oracle = rb.build_lift_grid(s3xs1_lift)
+    oracle = rb.extend_sweep(rb.build_lift_grid(s3xs1_lift))
     assert oracle.ext.jet.order == 3
     for name in ("F_vals", "tangents", "g_inv", "alpha_diag", "frame", "eps"):
         assert np.array_equal(getattr(g, name), getattr(oracle, name)), name
@@ -317,10 +407,17 @@ def test_order3_readers_refuse_the_grid_data(s3xs1_grid):
 
 
 def test_frame_tolerance_gate_can_fail(s3xs1_lift):
-    """The Richardson estimate on the default 5^4 grid (about 1.2e-2) fails
-    a 1e-6 tolerance."""
+    """Each sweep gates the Richardson estimate at the points it swept: on
+    the default 5^4 grid it reads about 5.6e-3 on the build's 121 points
+    and 1.2e-2 on the whole grid, so a 1e-6 tolerance fails the build, and
+    8e-3 passes the build and fails extend_sweep."""
     with pytest.raises(FrameError, match="transported frame not parallel"):
         rb.build_lift_grid(s3xs1_lift, frame_tol=1e-6)
+    grid = rb.build_lift_grid(s3xs1_lift, frame_tol=8e-3)
+    assert 1e-3 < grid.parallel_residual < 8e-3
+    with pytest.raises(FrameError,
+                       match="transported frame not parallel: residual 1.2"):
+        rb.extend_sweep(grid)
 
 
 def test_pseudo_gs_names_the_point_of_a_causal_type_change():
@@ -505,7 +602,8 @@ def test_condition_blocks_match_connected_components(grid_name, request):
 @pytest.fixture(scope="module")
 def s3xs1_refined_grid():
     item = _resolve_item({"item": "s3xs1", "grid": [5, 5, 5, 6]})
-    return rb.build_lift_grid(lift_at(item, interior_points(item, 5)))
+    return rb.extend_sweep(rb.build_lift_grid(
+        lift_at(item, interior_points(item, 5))))
 
 
 @pytest.mark.parametrize("grid_name", ["s3xs1_grid", "s3xs1_refined_grid"])
@@ -604,10 +702,12 @@ def _reflection_vector(sig, seed=7):
 
 def test_constant_vector_data_sits_on_cone_slice(s3xs1_grid):
     """phi - <<F, beta>> = <<F, tangential part of z>> vanishes on the cone,
-    so constant-vector data needs no shift."""
-    z = _reflection_vector(s3xs1_grid.sig)
-    data = rb._constant_vector(s3xs1_grid, z, "z")
-    assert abs(data.c) < 1e-10
+    so constant-vector data needs no shift: its light-cone constant
+    <<F, beta>> - phi, beta = sum_a b_a psi_a, is 0 at every grid point."""
+    g = s3xs1_grid
+    data = rb._constant_vector(g, _reflection_vector(g.sig), "z")
+    beta = np.einsum("ma,maA->mA", data.b, g.frame)
+    assert np.max(np.abs(g.lorentz_inner(g.F_vals, beta) - data.phi)) < 1e-10
 
 
 def test_reflection_stays_on_cone(s3xs1_lift):
@@ -923,9 +1023,10 @@ def test_grid_contractions_match_the_einsum_oracle(s3xs1_grid,
 
 def test_lift_grid_rank_checks_need_no_eigvalsh(s3xs1_lift, monkeypatch):
     """Building the s3xs1 lift grid decides every rank check by the
-    Cholesky test: _immersion_metric sees the 625 grid points and the
-    4,368 transport sub-step points, in seven passes of 624 (one per
-    sub-step fraction), and calls eigvalsh on none of them."""
+    Cholesky test: _immersion_metric sees the 625 grid points (the order-1
+    pass), the 122 of the extrinsic pass and the 840 transport sub-step
+    points of the 120 swept edges, in seven passes of 120 (one per sub-step
+    fraction), and calls eigvalsh on none of them."""
     sizes, eig_calls = [], []
     gate, eigvalsh = extrinsic._immersion_metric, np.linalg.eigvalsh
 
@@ -938,10 +1039,10 @@ def test_lift_grid_rank_checks_need_no_eigvalsh(s3xs1_lift, monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(extrinsic, "_immersion_metric", counting_gate)
+    monkeypatch.setattr(rb, "_immersion_metric", counting_gate)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     rb.build_lift_grid(s3xs1_lift)
-    assert sorted(sizes) == [624] * 7 + [625]
-    assert sum(sizes) - 625 == 4368
+    assert sizes == [625, 122] + [120] * 7
     assert eig_calls == []
 
 
@@ -964,9 +1065,11 @@ def test_member_layer_passes_do_not_grow_with_the_family(
     flatness, postchecks) and the same jet evaluations, of which one is of
     the lift in the member layer, shared by the flatness filter and the
     postchecks, and none at the grid points after build_lift_grid.
-    From the grid on every jet is of order 2 (the metric, the second
+    The grid's values come from one order-1 pass at its M points; from its
+    extrinsic pass (the 121 swept points and the degeneracy guard's far
+    corner at 5^4) on every jet is of order 2 (the metric, the second
     fundamental form and Riemann by the Gauss equation need no more), and
-    the normal projectors' of order 1, one pass of M - 1 points per
+    the normal projectors' of order 1, one pass of the 120 swept edges per
     transport sub-step fraction.  Every jet evaluation, evaluate_jet's
     and the member layer's, goes through the packed step, which is counted
     here."""
@@ -999,11 +1102,12 @@ def test_member_layer_passes_do_not_grow_with_the_family(
         fam = rb.conformally_flat_family(lift, count=count, seed=0)
         assert all(m.retained and m.error is None for m in fam.members)
         assert len(fam.members) == count + 1
-        # the extrinsic pass at the grid points, then the projectors
+        # the values at the grid points, the extrinsic pass, then the
+        # projectors
         in_grid = calls[grid_started[0]:grid_built[0]]
-        assert [order for _, _, order in in_grid] == [2] + [1] * 7
-        assert in_grid[0][1][0] == fam.grid.M
-        assert all(shape[0] == fam.grid.M - 1 for _, shape, _ in in_grid[1:])
+        assert [order for _, _, order in in_grid] == [1, 2] + [1] * 7
+        assert [shape[0] for _, shape, _ in in_grid] == [
+            fam.grid.M, 122] + [120] * 7
         after = calls[grid_built[0]:]
         assert all(shape[0] != fam.grid.M for _, shape, _ in after)
         assert [(name, order) for name, _, order in after
@@ -1011,6 +1115,41 @@ def test_member_layer_passes_do_not_grow_with_the_family(
         seen[count] = (len(fundamental_forms_calls), list(calls))
     assert seen[1] == seen[3]
     assert seen[1][0] == 4
+
+
+def test_pipeline_and_suite_sweep_counts(s3xs1_lift, fundamental_forms_calls,
+                                        monkeypatch):
+    """At 5^4 the pipeline sweeps the 120 edges on the paths to the
+    interior points, in 3 * substeps Pade stacks of 120, and its grid makes
+    one extrinsic pass of 122 points (the 121 swept and the degeneracy
+    guard's far corner).  The ribaucour suite extends the sweep over the
+    other 504 edges, 624 in all, with one more pass at the other 504
+    points."""
+    stacks, passes = [], []
+    original, build = rb._pade_step, rb.build_lift_grid
+
+    def counting(a):
+        stacks.append(len(a))
+        return original(a)
+
+    def building(*args, **kwargs):
+        before = len(fundamental_forms_calls)
+        grid = build(*args, **kwargs)
+        passes.extend(len(p) for p in fundamental_forms_calls[before:])
+        return grid
+
+    monkeypatch.setattr(rb, "_pade_step", counting)
+    monkeypatch.setattr(rb, "build_lift_grid", building)
+    rb.conformally_flat_family(s3xs1_lift, count=1, seed=0)
+    assert stacks == [120] * 6
+    assert passes == [122]
+    stacks.clear()
+    fundamental_forms_calls.clear()
+    run_scenario({"schema": 1, "item": "s3xs1", "suite": "ribaucour",
+                  "seed": 0})
+    assert stacks == [120] * 6 + [504] * 6
+    assert [len(p) for p in fundamental_forms_calls if len(p) > 100] == [
+        122, 504]
 
 
 def _members(grid, seeds=(7, 11, 13)):

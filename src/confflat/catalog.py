@@ -13,10 +13,11 @@ import numpy as np
 from . import ambient as amb_mod
 from .ambient import AmbientSpace
 from .conformal import ConformalStructure
-from .errors import CurveError, FrameError
+from .errors import CurveError
 from .extrinsic import complement_frame, fundamental_forms, intrinsic_curvatures, orthonormalize
 from .jets import (ChartDomain, Jet, SmoothMap, cos, cosh,
                    evaluate_jet, exp, log, sin, sinh, sqrt, stack, unstack)
+from .jets.core import _jet
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,9 +94,10 @@ class SphericalCircle:
         return [-sin(s), cos(s), 0.0 * u]
 
 
-def validate_unit_speed(curve, box, samples=7, tol=1e-8):
-    """Numerically confirm |gamma'| = 1 and that deriv matches the jet of
-    value; raises CurveError otherwise."""
+def validate_unit_speed(curve, box, samples=7, tol=1e-8, radius=None):
+    """Numerically confirm |gamma'| = 1, that deriv matches the jet of
+    value and, given a `radius`, that |gamma| = radius; raises CurveError
+    otherwise."""
     for t0 in np.linspace(box[0] + 0.01, box[1] - 0.01, samples):
         s = Jet.variable(float(t0), 0, 1, 3)
         vals = curve.value(s)
@@ -104,6 +106,10 @@ def validate_unit_speed(curve, box, samples=7, tol=1e-8):
         dv = np.array([float(c) for c in ders])
         if abs(np.linalg.norm(d1) - 1.0) > tol:
             raise CurveError(f"curve speed {np.linalg.norm(d1):.6f} != 1 at t={t0}")
+        size = np.linalg.norm([float(c) for c in vals])
+        if radius is not None and abs(size - radius) > tol:
+            raise CurveError(f"curve leaves the sphere of radius {radius}: "
+                             f"|gamma| = {size:.6f} at t={t0}")
         if np.max(np.abs(d1 - dv)) > tol:
             raise CurveError("curve deriv inconsistent with value jet")
 
@@ -362,6 +368,25 @@ def build_generalized():
 # spherical-curve normal-bundle construction
 # ---------------------------------------------------------------------------
 
+def _coefficients(fn, *xs):
+    """fn, an array map over the axes after the first, applied to the Taylor
+    coefficients (K, ...) of stacked jets of one order, or to arrays as one
+    row of coefficients; returns a jet or an array like xs."""
+    if not isinstance(xs[0], Jet):
+        return fn(*(x[None] for x in xs))[0]
+    return _jet(xs[0].n, xs[0].order, fn(*(x.c for x in xs)))
+
+
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
+
+
+def _cross(a, b):
+    """a x b along axis 1 of stacked (m, 3, ...) vectors, arrays or jets."""
+    def turn(x, idx):
+        return _coefficients(lambda y: y[:, :, idx], x)
+    return turn(a, _NEXT) * turn(b, _AFTER) - turn(a, _AFTER) * turn(b, _NEXT)
+
+
 def build_example2(curve1=None, curve2=None, r1=0.8, r2=0.6,
                    u_box=(-0.7, 0.7), v_box=(-0.7, 0.7), name="example2"):
     """Conformally flat submanifold of R^{n+2} built over the spherical
@@ -374,67 +399,84 @@ def build_example2(curve1=None, curve2=None, r1=0.8, r2=0.6,
     is (1 + (r2/r1) cos a)^2 du^2 + (1 + (r1/r2) cos a)^2 dv^2 + da^2
     + sin^2 a db^2, whose Weyl tensor vanishes identically, while the
     sphere-tangent fiber flips the second sign and leaves a Weyl residual of
-    order 1.  Here n = 4 and the fiber is parametrized by two angles over a
-    deterministic Gram-Schmidt frame."""
+    order 1.  Here n = 4 and the fiber is parametrized by two angles over
+    a Darboux frame of the fiber space,
+
+        (r2/r1 gamma1, r1/r2 gamma2), (gamma1 x gamma1' / r1, 0),
+        (0, gamma2 x gamma2' / r2),
+
+    which is orthonormal because |gamma_i| = r_i and |gamma_i x gamma_i'|
+    = r_i, and parallel in the fiber space, so the chart is principal for
+    any such curves.  It is turned by one constant rotation R0, which takes
+    the Darboux frame at the chart center to the Gram-Schmidt frame of the
+    span there (completed from the ambient axes with the largest
+    residuals)."""
     if abs(r1 * r1 + r2 * r2 - 1.0) > 1e-10:
         raise CurveError("radii must satisfy r1^2 + r2^2 = 1")
     if curve1 is None:
         curve1 = SphericalCircle(r1, 0.9)
     if curve2 is None:
         curve2 = SphericalCircle(r2, 1.2)
-    validate_unit_speed(curve1, u_box)
-    validate_unit_speed(curve2, v_box)
+    validate_unit_speed(curve1, u_box, radius=r1)
+    validate_unit_speed(curve2, v_box, radius=r2)
 
     dom = ChartDomain(4, (u_box, v_box, (0.4, 2.7), (0.05, TWO_PI - 0.05)),
                       (5, 5, 5, 5))
-    sig = np.ones(6)
+    ratio = np.array([r2 / r1, r1 / r2])
 
-    def span_at(u, v):
-        g1, d1 = curve1.value(u), curve1.deriv(u)
-        g2, d2 = curve2.value(v), curve2.deriv(v)
-        h = list(g1) + list(g2)
-        zeta = list(g1) + [-c for c in g2]
-        zeros1 = [0.0 * c for c in g1]
-        zeros2 = [0.0 * c for c in g2]
-        hu = list(d1) + zeros2
-        hv = zeros1 + list(d2)
-        return h, [zeta, hu, hv]
+    def curves(u, v):
+        """gamma_i and gamma_i', stacked (2, 3, ...) each."""
+        GT = stack([curve1.value(u), curve2.value(v),
+                    curve1.deriv(u), curve2.deriv(v)])
+        return (_coefficients(lambda y: y[:, :2], GT),
+                _coefficients(lambda y: y[:, 2:], GT))
 
-    # freeze the complement pivot order at the chart center for smoothness
+    # the Darboux frame and the span (zeta, h_u, h_v) at the chart center,
+    # as (3 rows, 2 curves, 3) arrays
     c = dom.center()
-    h0, span0 = span_at(c[0], c[1])
-    u0, e0 = orthonormalize(sig, stack(span0))
-    _, _, pivot = complement_frame(sig, u0, e0, 3)
+    G0, T0 = curves(c[0], c[1])
+    N0 = _cross(G0, T0)
+    darboux0, span0 = np.zeros((2, 3, 2, 3))
+    darboux0[0] = ratio[:, None] * G0
+    darboux0[1, 0], darboux0[2, 1] = N0[0] / r1, N0[1] / r2
+    span0[0] = G0 * [[1.0], [-1.0]]
+    span0[1, 0], span0[2, 1] = T0[0], T0[1]
+    darboux0, span0 = darboux0.reshape(3, 6), span0.reshape(3, 6)
+    sig = np.ones(6)
+    units, eps = orthonormalize(sig, span0)
+    frame0, _, _ = complement_frame(sig, units, eps, 3)
+    R0 = frame0 @ darboux0.T
+    # the fiber point sum_a c_a (R0 D)_a is sum_b (R0^T c)_b D_b; `mix`
+    # takes c to the coefficients of gamma_i and of gamma_i x gamma_i',
+    # (2 kinds, 2 curves)
+    mix = np.concatenate([ratio[:, None] * R0[:, 0], R0[:, 1:].T / [[r1], [r2]]])
+
+    def mixed(y):
+        """mix times the fiber coefficients y (K, 3, ...), term by term so
+        that a point's coefficients do not depend on the batch around it;
+        (K, 2 kinds, 2 curves, 1, ...)."""
+        m = mix.reshape(mix.shape + (1,) * (y.ndim - 2))
+        out = m[:, 0] * y[:, None, 0]
+        for j in (1, 2):
+            out += m[:, j] * y[:, None, j]
+        return out.reshape(y.shape[:1] + (2, 2, 1) + y.shape[2:])
 
     def phi(x):
         u, v, p, q = x
-        h, span = span_at(u, v)
-        # one stacked span (3, 6) in, one stacked frame out
-        units, eps = orthonormalize(sig, stack(span))
-        frame, _, _ = complement_frame(sig, units, eps, 3, pivot_order=pivot)
-        xi1, xi2, xi3 = unstack(frame)
-        w = cos(p) * xi1 + sin(p) * cos(q) * xi2 + sin(p) * sin(q) * xi3
-        return unstack(stack(h) + w)
+        G, T = curves(u, v)
+        sp = sin(p)
+        coef = _coefficients(mixed, stack([cos(p), sp * cos(q), sp * sin(q)]))
+        terms = _coefficients(lambda g, n: np.stack([g, n], axis=1),
+                              G, _cross(G, T)) * coef
+        out = G + _coefficients(lambda y: y[:, 0] + y[:, 1], terms)
+        return unstack(_coefficients(
+            lambda y: y.reshape(y.shape[:1] + (6,) + y.shape[3:]), out))
 
-    item = CatalogItem(
+    return CatalogItem(
         name, SmoothMap(dom, 6, phi, name), amb_mod.euclidean(6), None,
         {"conformally_flat": True, "k": 3, "multiplicities": (2, 1, 1),
          "nullity": 0, "r1": r1, "r2": r2},
         "unit-normal-bundle submanifold over a product of spherical curves")
-    # conditioning guard: the frame must stay smooth over the whole chart;
-    # one batched pass decides it, and a failure is retraced point by point
-    # to name the point
-    pts = item.sample_points(6, seed=11)
-    try:
-        evaluate_jet(item.smooth_map, pts, 1)
-    except FrameError:
-        for pt in pts:
-            try:
-                evaluate_jet(item.smooth_map, pt, 1)
-            except FrameError as err:
-                raise FrameError(f"fiber frame degenerates at {pt}; shrink the chart") from err
-        raise
-    return item
 
 
 # ---------------------------------------------------------------------------

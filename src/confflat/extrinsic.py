@@ -20,8 +20,7 @@ import numpy as np
 
 from .ambient import QUADRIC_TOL, AmbientSpace
 from .errors import FrameError, ImmersionError, NotApplicable
-from .jets import Jet, evaluate_jet, sqrt as jsqrt, stack, unstack
-from .jets.core import _jet
+from .jets import evaluate_jet
 from .jets.maps import Jet3, SmoothMap
 
 RANK_TOL = 1e-8
@@ -32,41 +31,12 @@ COMPLETE_TOL = 1e-10      # smallest residual a completing candidate may have
 # ---------------------------------------------------------------------------
 # signed Gram-Schmidt
 # ---------------------------------------------------------------------------
-# Array input, k vectors as the rows of a (k, A) array at a point or of a
-# (..., k, A) stack over a point set, is orthonormalized by factorizations
-# batched over the points: a signed LDL^T of the Gram matrix for the span,
-# pivoted rank-1 steps on the candidates' residual metric for the
-# completion, and one triangular solve for the units of each.  Every sign,
-# pivot and refusal is decided per point.
-#
-# A jet of batch shape (k, A) or (k, A, B), the form example2's evaluator
-# passes, runs the step-by-step loop below instead, and its completion is
-# always given a pivot order.  An ambient vector there is one jet whose
-# batch shape is (A,) or (A, B), with the ambient axis first; inner products
-# keep that axis with length 1, so that they multiply vectors directly (jet
-# products align on trailing axes).
-
-def _val(x):
-    return x.v if isinstance(x, Jet) else x
-
-
-def _sig(sig, v):
-    """The signature shaped to broadcast against the stacked vector v."""
-    return np.asarray(sig, float).reshape((-1,) + (1,) * (_val(v).ndim - 1))
-
-
-def _vdot(sig, u, v):
-    w = sig * (u * v)
-    if isinstance(w, Jet):
-        return _jet(w.n, w.order, w.c.sum(axis=1, keepdims=True))
-    return w.sum(axis=0, keepdims=True)
-
-
-def _sign(q):
-    if isinstance(q, np.ndarray):
-        return np.where(q > 0, 1.0, -1.0)
-    return 1.0 if q > 0 else -1.0
-
+# k vectors, as the rows of a (k, A) array at a point or of a (..., k, A)
+# stack over a point set, are orthonormalized by factorizations batched over
+# the points: a signed LDL^T of the Gram matrix for the span, pivoted rank-1
+# steps on the candidates' residual metric for the completion, and one
+# triangular solve for the units of each.  Every sign, pivot and refusal is
+# decided per point.
 
 def _refuse(bad, message):
     """FrameError when `bad` holds, at the point or at any point of a batch
@@ -76,53 +46,6 @@ def _refuse(bad, message):
             raise FrameError(f"{message} (point {int(np.argmax(bad))} of the batch)")
     elif bad:
         raise FrameError(message)
-
-
-def _unit(sig, r, q):
-    """r scaled to <u, u> = eps in {-1, +1}, given q = <r, r>; returns
-    (u, eps)."""
-    e = _sign(_val(q)[0])
-    if isinstance(q, Jet):
-        return jsqrt(q * e) ** -1.0 * r, e
-    return 1.0 / np.sqrt(q * e) * r, e
-
-
-def _project_out(sig, units, eps, r):
-    for u, e in zip(units, eps):
-        r = r + -e * _vdot(sig, r, u) * u
-    return r
-
-
-def _orthonormalize(sig, vectors, tol):
-    units, eps = [], []
-    for v in vectors:
-        r = _project_out(sig, units, eps, v)
-        q = _vdot(sig, r, r)
-        scale = np.maximum(np.sum(_val(v) ** 2, axis=0), 1.0)
-        _refuse(abs(_val(q)[0]) < tol * scale,
-                "Gram-Schmidt breakdown: degenerate residual")
-        u, e = _unit(sig, r, q)
-        units.append(u)
-        eps.append(e)
-    return units, eps
-
-
-def _complete(sig, units, eps, pivot_order, tol):
-    A = sig.shape[0]
-    units, eps = list(units), list(eps)
-    frame, frame_eps = [], []
-    for b in pivot_order:
-        r = _project_out(sig, units, eps,
-                         (np.arange(A).reshape(sig.shape) == b) * 1.0)
-        q = _vdot(sig, r, r)
-        _refuse(abs(_val(q)[0]) < tol,
-                "cannot complete normal frame: residuals degenerate")
-        unit, e = _unit(sig, r, q)
-        units.append(unit)
-        eps.append(e)
-        frame.append(unit)
-        frame_eps.append(e)
-    return frame, frame_eps
 
 
 def _units(L, d, V):
@@ -136,20 +59,14 @@ def _units(L, d, V):
 def orthonormalize(sig, vectors, tol=SPAN_TOL):
     """Gram-Schmidt with signs for a (possibly indefinite) diagonal metric.
 
-    `vectors` is a (..., k, A) array, or one jet of batch shape (k, A) or
-    (k, A, B).  Returns (units, eps), the units in the same form and eps a
-    (..., k) array for an array, else a list, where each unit u satisfies
-    <u,u> = eps in {-1,+1}.  An array is orthonormalized by a signed LDL^T
-    of its Gram matrix V S V^T, k rank-1 steps over the whole stack, and
-    one triangular solve for the units; a jet by the step-by-step loop.
-    Raises FrameError when a vector degenerates against the span before
-    it: when its residual |<r, r>| falls below `tol` max(|v|^2, 1), which
-    is checked before the residual divides anything."""
+    `vectors` is a (..., k, A) array.  Returns (units, eps), the units of
+    the same shape and eps a (..., k) array, where each unit u satisfies
+    <u,u> = eps in {-1,+1}.  The units come from a signed LDL^T of the Gram
+    matrix V S V^T, k rank-1 steps over the whole stack, and one triangular
+    solve.  Raises FrameError when a vector degenerates against the span
+    before it: when its residual |<r, r>| falls below `tol` max(|v|^2, 1),
+    which is checked before the residual divides anything."""
     sig = np.asarray(sig, float)
-    if isinstance(vectors, Jet):
-        units, eps = _orthonormalize(_sig(sig, vectors.v[0]), unstack(vectors),
-                                     tol)
-        return stack(units), eps
     V = np.asarray(vectors, float)
     batch, k = V.shape[:-2], V.shape[-2]
     Vf = V.reshape((-1,) + V.shape[-2:])
@@ -171,29 +88,20 @@ def orthonormalize(sig, vectors, tol=SPAN_TOL):
     return units.reshape(V.shape), eps.reshape(batch + (k,))
 
 
-def complement_frame(sig, span_units, span_eps, count, pivot_order=None,
-                     tol=COMPLETE_TOL):
-    """Extend an orthonormalized spanning set, in either form orthonormalize
-    returns, by `count` units made from ambient axes e_b.
+def complement_frame(sig, span_units, span_eps, count, tol=COMPLETE_TOL):
+    """Extend an orthonormalized spanning set, as orthonormalize returns it,
+    by `count` units made from ambient axes e_b.
 
-    For an array span each step pivots on the candidate with the largest
-    residual |<r_b, r_b>|, read from the diagonal of the candidates'
-    residual metric M = S - S U^T E U S (S the signature, U the span's
-    units, E their signs); ties go to the lowest index within 1e-15 of the
-    largest.  A step is one pivoted rank-1 update of M for every point at
-    once, and the new units come from one triangular solve.  With a
-    `pivot_order` the candidates are taken in that order instead; over a
-    batch an entry may be a (B,) array of per-point pivots.  A jet span
-    needs one, and runs the step-by-step loop.  Raises FrameError when the
+    Each step pivots on the candidate with the largest residual
+    |<r_b, r_b>|, read from the diagonal of the candidates' residual metric
+    M = S - S U^T E U S (S the signature, U the span's units, E their
+    signs); ties go to the lowest index within 1e-15 of the largest.  A
+    step is one pivoted rank-1 update of M for every point at once, and the
+    new units come from one triangular solve.  Raises FrameError when the
     chosen candidate's residual |<r_b, r_b>| is below `tol`, before it
-    divides anything.  Returns (frame, eps, pivots), the frame in the
-    span's form; eps and pivots are (..., count) arrays for an array span,
-    else lists."""
+    divides anything.  Returns (frame, eps, pivots), the frame (..., count,
+    A) and eps and pivots (..., count) arrays."""
     sig = np.asarray(sig, float)
-    if isinstance(span_units, Jet):
-        frame, eps = _complete(_sig(sig, span_units.v[0]), unstack(span_units),
-                               span_eps, pivot_order, tol)
-        return stack(frame), eps, list(pivot_order)
     U = np.asarray(span_units, float)
     batch, A = U.shape[:-2], sig.shape[0]
     Uf = U.reshape((-1,) + U.shape[-2:])
@@ -206,14 +114,11 @@ def complement_frame(sig, span_units, span_eps, count, pivot_order=None,
     d = np.empty((len(M), count))
     pivots = np.empty((len(M), count), int)
     for j in range(count):
-        if pivot_order is None:
-            # a taken axis's residual is 0 after its own step and stays at
-            # rounding level, so it can only come within 1e-15 of the
-            # largest where every residual is below tol, and the step refuses
-            q = np.abs(np.diagonal(M, axis1=-2, axis2=-1))
-            b = np.argmax(q >= q.max(axis=-1, keepdims=True) - 1e-15, axis=-1)
-        else:
-            b = np.broadcast_to(pivot_order[j], batch).reshape(-1)
+        # a taken axis's residual is 0 after its own step and stays at
+        # rounding level, so it can only come within 1e-15 of the largest
+        # where every residual is below tol, and the step refuses
+        q = np.abs(np.diagonal(M, axis1=-2, axis2=-1))
+        b = np.argmax(q >= q.max(axis=-1, keepdims=True) - 1e-15, axis=-1)
         col = M[at, :, b]
         d[:, j] = col[at, b]
         bad = np.abs(d[:, j]) < tol
@@ -257,6 +162,9 @@ class ExtrinsicData:
     S: np.ndarray             # (p, n, n) symmetric shape operators in the ONB
     H: np.ndarray             # (A,) mean curvature vector
     pivots: np.ndarray        # (p,) ambient axes the frame was completed from
+    span_units: np.ndarray    # (k, A) Gram-Schmidt units of the spanning
+                              # vectors (tangents, then the position normal)
+    span_eps: np.ndarray      # (k,) their signs
 
     @property
     def n(self):
@@ -279,7 +187,8 @@ class ExtrinsicData:
                              self.tangent[m], self.g[m], self.g_inv[m], lame,
                              self.frame[m], self.frame_eps[m], self.alpha[m],
                              self.h_comp[m], self.shape_ops[m], self.onb[m],
-                             self.S[m], self.H[m], self.pivots[m])
+                             self.S[m], self.H[m], self.pivots[m],
+                             self.span_units[m], self.span_eps[m])
 
     def alpha_onb(self):
         """Second fundamental form over the orthonormal tangent basis."""
@@ -430,7 +339,8 @@ def fundamental_forms(smooth_map: SmoothMap | None, ambient: AmbientSpace,
     else:
         lame[~orthogonal] = np.nan
     return ExtrinsicData(points, ambient, jet, jet.d1, g, g_inv, lame, frame,
-                         frame_eps, alpha, h_comp, shape_ops, B, S, H, pivots)
+                         frame_eps, alpha, h_comp, shape_ops, B, S, H, pivots,
+                         su, se)
 
 
 def normal_projectors(smooth_map: SmoothMap, ambient: AmbientSpace, points):
@@ -502,18 +412,18 @@ def _frame_derivative(ext: ExtrinsicData):
     of `ext` in closed form.
 
     V, the span rows then the pivot axes e_b, is L U with U the units of
-    the Gram-Schmidt frame, E their signs and L = V S U^T E lower
-    triangular.  With X_i = L^-1 (d_i V) S U^T E, d_i U = Omega_i E U,
-    where Omega_i is the strict upper part of X_i E made antisymmetric:
-    d_i V = (d_i L) U + L d_i U, L^-1 d_i L is lower triangular, and
-    (d_i U) S U^T is antisymmetric.  The rows of d_i V are F_ij, then F_i / r
-    for the position normal of a space form, then zero."""
+    the Gram-Schmidt frame (the span's units of `ext`, then its normal
+    frame), E their signs and L = V S U^T E lower triangular.  With
+    X_i = L^-1 (d_i V) S U^T E, d_i U = Omega_i E U, where Omega_i is the
+    strict upper part of X_i E made antisymmetric: d_i V = (d_i L) U + L
+    d_i U, L^-1 d_i L is lower triangular, and (d_i U) S U^T is
+    antisymmetric.  The rows of d_i V are F_ij, then F_i / r for the
+    position normal of a space form, then zero."""
     jet, ambient = ext.jet, ext.ambient
     sig = ambient.signature.astype(float)
     span = _spanning_vectors(jet, ambient)           # (..., k, A)
-    su, se = orthonormalize(sig, span)
-    U = np.concatenate([su, ext.frame], axis=-2)     # (..., A, A)
-    E = np.concatenate([se, ext.frame_eps], axis=-1)
+    U = np.concatenate([ext.span_units, ext.frame], axis=-2)   # (..., A, A)
+    E = np.concatenate([ext.span_eps, ext.frame_eps], axis=-1)
     W = np.swapaxes(U * sig, -1, -2) * E[..., None, :]   # S U^T E = U^-1
     A = W.shape[-1]
     axes = np.take_along_axis(W, ext.pivots[..., None], axis=-2)

@@ -26,7 +26,7 @@ from .conformal import ConformalJets, ConformalStructure
 from .errors import ConformalStructureError, DomainError
 from .extrinsic import ExtrinsicData, _congruent, fundamental_forms
 from .jets import (ChartDomain, Jet, Jet3, SmoothMap, evaluate_jet, exp as jexp,
-                   log as jlog, norm_sq, stack, unstack)
+                   log as jlog, stack, unstack)
 from .jets.core import _jet
 from .jets.maps import _jet3, _repacked
 from .principal import offdiagonal_defects, principal_decompositions
@@ -67,17 +67,55 @@ def build_cone_model(N: int) -> ConeModel:
     return ConeModel(N, v, w, A, amb_mod.lorentz(dim))
 
 
+# the pair table of a jet product holds 1.8 (order 1), 3 (order 2) or 4.7
+# (order 3) times its stacked operand at n = 4; groups of components of at
+# most this many bytes keep the lift's order-1 tables under glibc's 128 KiB
+# mmap threshold, where the pipeline's peak RSS is the componentwise lift's
+# (0.45 MB above it with 96 KiB groups or more, at the same traced peak)
+_GROUP_BYTES = 1 << 16
+
+
+def _groups(count, nbytes):
+    """Slices over `count` components of `nbytes` each, in groups of at most
+    _GROUP_BYTES (at least one component)."""
+    step = max(1, _GROUP_BYTES // max(nbytes, 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _square_sum(cols, ref):
+    """|x|^2 of the coordinates cols (all floats, or all jets like `ref`),
+    summed in coordinate order, as coefficients with a leading Taylor axis
+    (one row for floats); the squares are one stacked product per group."""
+    q = None
+    for sl in _groups(len(cols), 0 if ref is None else ref.c.nbytes):
+        S = stack(cols[sl])
+        S = S * S
+        for s in np.moveaxis(S.c if ref is not None else S[None], 1, 0):
+            q = s if q is None else q + s
+    return q
+
+
 def psi_components(model: ConeModel, xs):
-    """Psi(x) = v + Ax - (|x|^2 / 2) w, componentwise over floats or jets."""
-    q = norm_sq(xs)
-    out = []
-    for a in range(model.N + 2):
-        acc = model.v[a] + (-0.5 * model.w[a]) * q
-        for b, x in enumerate(xs):
-            if model.A[a, b] != 0.0:
-                acc = acc + model.A[a, b] * x
-        out.append(acc)
-    return out
+    """Psi(x) = v + Ax - (|x|^2 / 2) w for the N coordinates xs (floats or
+    jets, or one jet stacked along its first batch axis), as one array or
+    jet with the N + 2 components along its first axis.  Each component is
+    bitwise the componentwise formula over scalars (up to the sign of a
+    zero where floats come mixed with jets): |x|^2 summed in coordinate
+    order, then v_a - (w_a / 2) |x|^2 plus the nonzero A_ab x_b in order of
+    b."""
+    cols = unstack(xs) if isinstance(xs, Jet) else list(xs)
+    ref = next((x for x in cols if isinstance(x, Jet)), None)
+    if ref is not None:                  # floats among jets become constants
+        cols = [x if isinstance(x, Jet) else
+                Jet.constant(np.full(np.shape(ref.v), x), ref.n, ref.order)
+                for x in cols]
+    pad = (1,) * (0 if ref is None else np.ndim(ref.v))
+    out = (_square_sum(cols, ref)[:, None]
+           * (-0.5 * model.w).reshape((-1,) + pad))
+    out[0] += model.v.reshape((-1,) + pad)
+    for b, a in zip(*np.nonzero(model.A.T)):
+        out[:, a] += model.A[a, b] * (cols[b] if ref is None else cols[b].c)
+    return out[0] if ref is None else _jet(ref.n, ref.order, out)
 
 
 def psi_second_fundamental_residual(model: ConeModel, points):
@@ -87,7 +125,8 @@ def psi_second_fundamental_residual(model: ConeModel, points):
     points = np.asarray(points, float)
     dom = ChartDomain(model.N, np.column_stack([points.min(axis=0) - 1.0,
                                                 points.max(axis=0) + 1.0]))
-    m = SmoothMap(dom, model.N + 2, lambda u: psi_components(model, u), "psi")
+    m = SmoothMap(dom, model.N + 2,
+                  lambda u: unstack(psi_components(model, u)), "psi")
     ext = fundamental_forms(m, model.ambient, points,
                             jet=evaluate_jet(m, points, 2))
     target = -np.einsum("ij,A->ijA", np.eye(model.N), model.w)
@@ -117,12 +156,16 @@ class LiftedImmersion:
 
 
 def _scaled(psi, omega):
-    """e^{-omega} psi, componentwise, for the components of Psi o f and the
-    scalar omega (floats or jets): the lift's evaluator applies it to the
-    outputs of f's and omega's, and `lift_jet` to their jets."""
+    """e^{-omega} psi for Psi o f stacked as `psi_components` returns it
+    (a jet is scaled in place) and the scalar omega (floats or jets), one
+    product per group of components, bitwise the product component by
+    component: the lift's evaluator applies it to the outputs of f's and
+    omega's, and `lift_jet` to their jets."""
     scale = jexp(-1.0 * omega)
-    for a, c in enumerate(psi):     # each unscaled component freed in turn
-        psi[a] = scale * c
+    if not isinstance(psi, Jet):
+        return scale * psi
+    for sl in _groups(psi.c.shape[1], psi.c[:, 0].nbytes):
+        psi.c[:, sl] = (scale * _jet(psi.n, psi.order, psi.c[:, sl])).c
     return psi
 
 
@@ -132,8 +175,8 @@ def lift_jet(model: ConeModel, f_jet: Jet3, omega_jet: Jet3) -> Jet:
     operations the lift's evaluator runs, so the result is bitwise what
     evaluating the lift at those points gives."""
     order = min(f_jet.order, omega_jet.order, 2)
-    psi = psi_components(model, unstack(_repacked(f_jet, order)))
-    return stack(_scaled(psi, unstack(_repacked(omega_jet, order))[0]))
+    psi = psi_components(model, _repacked(f_jet, order))
+    return _scaled(psi, unstack(_repacked(omega_jet, order))[0])
 
 
 def flat_lift(f: SmoothMap, conf: ConformalStructure, model: ConeModel,
@@ -153,8 +196,8 @@ def flat_lift(f: SmoothMap, conf: ConformalStructure, model: ConeModel,
     f_eval = f.evaluator
 
     def F_eval(x):
-        return _scaled(psi_components(model, f_eval(list(x))),
-                       omega_eval(list(x))[0])
+        return unstack(_scaled(psi_components(model, f_eval(list(x))),
+                               omega_eval(list(x))[0]))
 
     F = SmoothMap(f.domain, model.N + 2, F_eval, f.name + "_lift")
     pts = cjets.points

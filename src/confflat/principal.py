@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import (DegenerateInputError, NonProperError, NotApplicable,
                      QuasiumbilicError)
-from .extrinsic import (ExtrinsicData, _project_out, _unit, _vdot, christoffels,
-                        codazzi_tensor, intrinsic_curvatures, orthonormalize)
+from .extrinsic import (ExtrinsicData, christoffels, codazzi_tensor,
+                        intrinsic_curvatures, orthonormalize)
 
 FLAT_NB_TOL = 1e-8
 CLUSTER_TOL = 1e-6
@@ -559,18 +559,20 @@ def quasiumbilical_frame(dec: PrincipalDecomposition, tol=1e-8) -> QuasiumbilicF
     span = list(ext.tangent)
     if amb.is_space_form:
         span.append(amb.position_normal(ext.jet.value))
-    units, eps = map(list, orthonormalize(sig, np.array(span + dirs)))
-    frame = units[len(span):]
+    units, eps = orthonormalize(sig, np.array(span + dirs))
+    frame = list(units[len(span):])
     for cand in ext.frame:
         if len(frame) == ext.p:
             break
-        r = _project_out(sig, units, eps, cand)
-        q = _vdot(sig, r, r)
-        if abs(q[0]) < 1e-10:
+        # the candidate minus its part in the units so far
+        r = cand - (eps * (units @ (sig * cand))) @ units
+        q = r @ (sig * r)
+        if abs(q) < 1e-10:
             continue
-        u, e = _unit(sig, r, q)
-        units.append(u)
-        eps.append(e)
+        e = 1.0 if q > 0 else -1.0
+        u = r / np.sqrt(q * e)
+        units = np.vstack([units, u])
+        eps = np.append(eps, e)
         frame.append(u)
     frame = np.array(frame)
 

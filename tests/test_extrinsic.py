@@ -1,6 +1,7 @@
 """Pointwise extrinsic data: Gauss equation, frame orthonormality, flat
 normal bundle detection, and the intrinsic curvature cross-checks."""
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,7 @@ from confflat.extrinsic import (codazzi_tensor, complement_frame,
                                 fundamental_forms, intrinsic_curvatures,
                                 normal_connection_and_curvature, orthonormalize)
 from confflat.jets import (ChartDomain, Jet, SmoothMap, evaluate_jet,
-                           sqrt as jsqrt, stack)
+                           sqrt as jsqrt)
 from confflat.reports import Run, load_scenario, suite_extrinsic
 
 from conftest import interior_points, into_sphere, sectional
@@ -81,6 +82,35 @@ def test_normal_connection_on_a_point_set(catalog):
                 err = np.max(np.abs(getattr(batch, field)[k] - ref))
                 assert err <= 1e-12 * max(1.0, np.max(np.abs(ref))), \
                     (item.smooth_map.name, field, k)
+
+
+def test_normal_connection_reads_the_span_units_of_the_data(catalog,
+                                                           s3xs1_lift):
+    """The span's units and signs that fundamental_forms keeps are bitwise
+    a fresh Gram-Schmidt of the spanning vectors, and `at` slices them; the
+    normal bundle data read from them is bitwise that of a frame
+    derivative which orthonormalizes the span again, on every catalog
+    item, on one composed into a sphere and on the lift, over 4 points and
+    at one."""
+    items = list(catalog.values()) + [into_sphere(catalog["example2"])]
+    cases = [(i.smooth_map, i.ambient) for i in items]
+    for fmap, amb in cases + [(s3xs1_lift.F, s3xs1_lift.ambient)]:
+        pts = fmap.domain.sample_points(4, np.random.default_rng(3))
+        for points in (pts, pts[1]):
+            ext = fundamental_forms(fmap, amb, points)
+            su, se = orthonormalize(amb.signature,
+                                    extrinsic._spanning_vectors(ext.jet, amb))
+            assert np.array_equal(ext.span_units, su), fmap.name
+            assert np.array_equal(ext.span_eps, se), fmap.name
+            fresh = replace(ext, span_units=su.copy(), span_eps=se.copy())
+            got, ref = (normal_connection_and_curvature(e) for e in (ext, fresh))
+            for field in _NB_FIELDS + ("disagreement",):
+                assert np.array_equal(getattr(got, field), getattr(ref, field)), \
+                    (fmap.name, field)
+        ext = fundamental_forms(fmap, amb, pts)
+        for m in (1, [0, 2]):
+            assert np.array_equal(ext.at(m).span_units, ext.span_units[m])
+            assert np.array_equal(ext.at(m).span_eps, ext.span_eps[m])
 
 
 def _surface(name, dim, evaluator):
@@ -667,14 +697,10 @@ def test_complement_pivot_tie_break():
 
 def test_batch_breakdown_names_the_point():
     """A vector that degenerates at one point of a batch is refused and the
-    point is named, for array input and for jet input."""
+    point is named."""
     x = np.array([0.1, 0.5, 0.9])         # the second vector dies at x = 0.5
     vectors = np.zeros((3, 2, 3))
     vectors[:, 0, 0] = vectors[:, 1, 0] = 1.0
     vectors[:, 1, 1] = x - 0.5
     with pytest.raises(FrameError, match=r"\(point 1 of the batch\)"):
         orthonormalize(np.ones(3), vectors)
-    t = Jet.variable(x, 0, 1)
-    jets = [[1.0 + 0.0 * t, 0.0 * t, 0.0 * t], [1.0 + 0.0 * t, t - 0.5, 0.0 * t]]
-    with pytest.raises(FrameError, match=r"\(point 1 of the batch\)"):
-        orthonormalize(np.ones(3), stack(jets))

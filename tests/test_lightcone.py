@@ -7,7 +7,8 @@ import pytest
 from confflat.ambient import euclidean
 from confflat.errors import ConformalStructureError, DomainError
 from confflat.extrinsic import fundamental_forms
-from confflat.jets import ChartDomain, SmoothMap, evaluate_jet
+from confflat.jets import (ChartDomain, SmoothMap, evaluate_jet, exp as jexp,
+                           norm_sq, stack, unstack)
 from confflat.jets.maps import _packed_jet
 from confflat.lightcone import (build_cone_model, lift_correspondence_check,
                                 lift_jet, lift_second_fundamental_form,
@@ -206,6 +207,46 @@ def test_lift_jet_is_the_lift_evaluated(catalog, name):
     assert checked.order == 2 and checked.d3 is None
     for field in ("value", "d1", "d2"):
         assert np.array_equal(getattr(checked, field), getattr(jet, field))
+
+
+def _componentwise_lift(model, xs, omega):
+    """e^{-omega} Psi(x) as a list of N + 2 scalars, one jet operation at a
+    time: the formula the stacked lift must reproduce bit for bit."""
+    q = norm_sq(xs)
+    scale = jexp(-1.0 * omega)
+    out = []
+    for a in range(model.N + 2):
+        acc = model.v[a] + (-0.5 * model.w[a]) * q
+        for b, x in enumerate(xs):
+            if model.A[a, b] != 0.0:
+                acc = acc + model.A[a, b] * x
+        out.append(scale * acc)
+    return out
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def test_lift_jets_are_the_componentwise_formula(s3xs1_lift):
+    """The lift's stacked Psi and e^{-omega} scaling give bitwise (signed
+    zeros included) the jets of the componentwise formula, at orders 1 and
+    2 over the s3xs1 grid, through `lift_jet` and through the lift's
+    evaluator, and the same floats at a point."""
+    lift = s3xs1_lift
+    model, f, omega = lift.model, lift.parent, lift.conformal.omega
+    pts = f.domain.grid_points().reshape(-1, 4)
+    for k in (1, 2):
+        fj, wj = _packed_jet(f, pts, k), _packed_jet(omega, pts, k)
+        ref = stack(_componentwise_lift(model, unstack(fj), unstack(wj)[0]))
+        derived = lift_jet(model, evaluate_jet(f, pts, k),
+                           evaluate_jet(omega, pts, k))
+        assert np.array_equal(_bits(derived.c), _bits(ref.c)), k
+        assert np.array_equal(_bits(_packed_jet(lift.F, pts, k).c),
+                              _bits(ref.c)), k
+    x = list(pts[7])
+    ref = _componentwise_lift(model, f.evaluator(x), omega.evaluator(x)[0])
+    assert np.array_equal(_bits(lift.F.value(pts[7])), _bits(np.array(ref)))
 
 
 @pytest.mark.parametrize("name", LIFTABLE)

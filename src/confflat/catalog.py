@@ -85,13 +85,25 @@ class SphericalCircle:
         self.rho = r * np.sin(colat)      # circle radius
         self.z = r * np.cos(colat)
 
-    def value(self, u):
+    def value_and_deriv(self, u):
+        """gamma(u) and gamma'(u), from one sin/cos pair."""
         s = u / self.rho
-        return [self.rho * cos(s), self.rho * sin(s), self.z + 0.0 * u]
+        c, sn = cos(s), sin(s)
+        return ([self.rho * c, self.rho * sn, self.z + 0.0 * u],
+                [-sn, c, 0.0 * u])
+
+    def value(self, u):
+        return self.value_and_deriv(u)[0]
 
     def deriv(self, u):
-        s = u / self.rho
-        return [-sin(s), cos(s), 0.0 * u]
+        return self.value_and_deriv(u)[1]
+
+
+def _value_and_deriv(curve, u):
+    """A curve's value and derivative at u, from one call when the curve
+    shares their work (`value_and_deriv`), else from one call each."""
+    both = getattr(curve, "value_and_deriv", None)
+    return both(u) if both is not None else (curve.value(u), curve.deriv(u))
 
 
 def validate_unit_speed(curve, box, samples=7, tol=1e-8, radius=None):
@@ -426,8 +438,8 @@ def build_example2(curve1=None, curve2=None, r1=0.8, r2=0.6,
 
     def curves(u, v):
         """gamma_i and gamma_i', stacked (2, 3, ...) each."""
-        GT = stack([curve1.value(u), curve2.value(v),
-                    curve1.deriv(u), curve2.deriv(v)])
+        (g1, t1), (g2, t2) = _value_and_deriv(curve1, u), _value_and_deriv(curve2, v)
+        GT = stack([g1, g2, t1, t2])
         return (_coefficients(lambda y: y[:, :2], GT),
                 _coefficients(lambda y: y[:, 2:], GT))
 

@@ -282,10 +282,10 @@ def fundamental_forms(smooth_map: SmoothMap | None, ambient: AmbientSpace,
     map's order-3 jet at the points is evaluated; with one, the map is not
     read and may be None.  Every field here needs order 2, and so do
     `normal_connection_and_curvature`, `christoffels` and
-    `intrinsic_curvatures`; a caller's `jet` may be of order 2, and then
-    `codazzi_tensor`, the one reader of third derivatives, refuses the
-    data.  Raises ValueError when given neither a map nor a jet, or a jet
-    below order 2."""
+    `intrinsic_curvatures`; a caller's `jet` may be of order 2, as every
+    suite's is, and then `codazzi_tensor`, the one reader of third
+    derivatives, refuses the data.  Raises ValueError when given neither a
+    map nor a jet, or a jet below order 2."""
     points = np.asarray(points, float)
     batched = points.ndim == 2
     if jet is None:

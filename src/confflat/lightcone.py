@@ -396,9 +396,8 @@ def project_from_cone(F: SmoothMap, model: ConeModel, points=None,
 @dataclass
 class LiftCorrespondenceReport:
     offdiag_F: float              # max(net, alpha) holonomic defect of the lift
-    k_f: int
-    k_F: int
-    multiplicities_match: bool
+    mismatched_points: int        # points where the lift's principal normal
+                                  # count or multiplicity pattern is not f's
 
 
 def lift_correspondence_check(extF: ExtrinsicData, decs_f,
@@ -407,10 +406,10 @@ def lift_correspondence_check(extF: ExtrinsicData, decs_f,
     extrinsic data of the flat lift and the immersion's principal
     decompositions at the same points: the lift is holonomic with respect to
     the same coordinates (its net orthogonal and its second fundamental form
-    diagonal), and the principal normals of f and of the lift correspond
-    one to one."""
+    diagonal), and at every point the principal normals of f and of the
+    lift correspond one to one, with the same multiplicities."""
     decs_F = principal_decompositions(extF, seed=seed)
-    match = all(sorted(a.multiplicities) == sorted(b.multiplicities)
-                for a, b in zip(decs_f, decs_F))
+    mismatched = sum(sorted(a.multiplicities) != sorted(b.multiplicities)
+                     for a, b in zip(decs_f, decs_F))
     off_F = float(max(np.max(x) for x in offdiagonal_defects(extF)))
-    return LiftCorrespondenceReport(off_F, decs_f[-1].k, decs_F[-1].k, match)
+    return LiftCorrespondenceReport(off_F, mismatched)

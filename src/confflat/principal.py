@@ -111,18 +111,20 @@ class PrincipalDecomposition:
 
     etas[i] is the i-th distinct principal normal (ambient vector); columns
     of bases[i] span its eigendistribution E_i in the orthonormal tangent
-    basis of `ext`.  Entries are sorted by descending multiplicity, ties by
-    the principal normal components.  `point_set` and `index` locate the
-    point in the batched data it was decided with.
+    basis of the point's extrinsic data.  Entries are sorted by descending
+    multiplicity, ties by the principal normal components.  `point_set`
+    and `index` locate the point in the batched data it was decided with;
+    `ext`, that point's data alone, is sliced from them when first read.
     """
 
-    ext: ExtrinsicData
     etas: list            # k ambient vectors (A,)
     bases: list           # k arrays (n, m_i), ONB tangent coordinates
-    eigen_onb: np.ndarray  # (n, n) the full joint eigenbasis
-    kappa: np.ndarray     # (p, n) per-axis eigenvalues of each shape operator
     point_set: _PointSet = field(repr=False)
     index: int
+
+    @cached_property
+    def ext(self) -> ExtrinsicData:
+        return self.point_set.ext.at(self.index)
 
     @property
     def k(self):
@@ -134,7 +136,7 @@ class PrincipalDecomposition:
 
     def chart_basis(self, i):
         """E_i basis pushed to chart coordinates."""
-        return self.ext.onb @ self.bases[i]
+        return self.point_set.ext.onb[self.index] @ self.bases[i]
 
     @cached_property
     def eta_derivatives(self):
@@ -143,10 +145,6 @@ class PrincipalDecomposition:
         alpha(e_s, e_s) over an orthonormal frame e_s of E_c, and the frame
         terms alpha(nabla e_s, e_s) = <nabla e_s, e_s> eta_c vanish."""
         return _eta_derivatives([self])[0]
-
-    def reconstruction_residual(self, seed=0, trials=8):
-        """max over random unit normals xi of |A_xi - sum_i <xi, eta_i> P_i|."""
-        return float(_reconstruction_residuals([self], seed, trials)[0])
 
 
 def _gathered(decs, get):
@@ -167,10 +165,9 @@ def _reconstruction_residuals(decs, seed, trials):
     """Per decomposition (all with the same k): max over `trials` random
     unit normals xi (one draw for every point) of |A_xi - sum_i <xi, eta_i>
     P_i|, with A_xi = sum_a eps_a <xi, xi_a> S_a."""
-    ext0 = decs[0].ext
-    sig = ext0.ambient.signature
-    frame = _stacked(decs, "frame")
-    xi = np.random.default_rng(seed).standard_normal((trials, ext0.p)) @ frame
+    sig = decs[0].point_set.ext.ambient.signature
+    frame = _stacked(decs, "frame")                            # (B, p, A)
+    xi = np.random.default_rng(seed).standard_normal((trials, frame.shape[1])) @ frame
     nrm = np.sqrt(np.abs(np.einsum("btA,A,btA->bt", xi, sig, xi)))
     keep = nrm >= 1e-12
     xi = xi / np.where(keep, nrm, 1.0)[..., None]
@@ -232,18 +229,25 @@ def _principal_pass(ext, cluster_tol, flat_tol, seed):
         sums[rows[later], labels[later, j]] += etas_cols[later, j]
     sizes = np.sum(labels[:, :, None] == np.arange(n), axis=1)     # (B, n)
     etas = sums / np.maximum(sizes, 1)[..., None]
+    # the canonical order of the clusters (rows of their first members) at
+    # every point: descending size, ties by the rounded components of
+    # -eta, then by row; the rows of no cluster (size 0) sort last
     keys = np.round(-etas, 9)
+    order = np.lexsort(np.concatenate([np.moveaxis(keys[..., ::-1], -1, 0),
+                                       -sizes[None]]), axis=-1)
 
     refused = noncommuting.any(axis=(1, 2)) | (inter < 2.0 * gaps)
     stop = int(np.argmax(refused)) if refused.any() else B
     point_set = _PointSet(ext)
     decs = []
-    for m in range(stop):
-        firsts = np.flatnonzero(sizes[m])
-        order = sorted(firsts, key=lambda r: (-sizes[m, r], tuple(keys[m, r])))
+    for m, (ranked, labels_m) in enumerate(zip(order[:stop].tolist(),
+                                               labels[:stop].tolist())):
+        members = {}
+        for j, r in enumerate(labels_m):
+            members.setdefault(r, []).append(j)
+        firsts = ranked[:len(members)]
         decs.append(PrincipalDecomposition(
-            ext.at(m), [etas[m, r] for r in order],
-            [V[m][:, labels[m] == r] for r in order], V[m], kappa[m],
+            [etas[m, r] for r in firsts], [V[m][:, members[r]] for r in firsts],
             point_set, m))
     if stop == B:
         return decs, None
@@ -280,12 +284,32 @@ def principal_decompositions(ext: ExtrinsicData, cluster_tol=CLUSTER_TOL,
 
 @dataclass
 class CensusReport:
+    """The properness census of a sample set.  `dupin_residuals` (cluster
+    index -> worst |nabla-perp eta| over E_i, for each cluster of
+    multiplicity >= 2) is computed when first read, from the Codazzi tensor
+    of the decompositions' point sets: on data from an order-2 jet, reading
+    it raises codazzi_tensor's ValueError."""
+
     k: int
     multiplicities: tuple
     points: np.ndarray
-    dupin_residuals: dict      # cluster index -> worst |nabla-perp eta| over E_i
     reconstruction_residual: float
     single_high_multiplicity: bool
+    decs: list = field(repr=False, compare=False)
+
+    @cached_property
+    def dupin_residuals(self):
+        high = [i for i, m in enumerate(self.multiplicities) if m >= 2]
+        if not high:
+            return {}
+        # nabla-perp eta_i along the unit basis vectors of E_i
+        D = np.array(_eta_derivatives(self.decs))
+        dupin = {}
+        for i in high:
+            C = np.array([d.chart_basis(i) for d in self.decs])     # (B, n, m)
+            along = np.swapaxes(C, -1, -2) @ D[:, i]
+            dupin[i] = float(np.max(np.linalg.norm(along, axis=-1)))
+        return dupin
 
 
 def _eta_derivatives(decs):
@@ -315,50 +339,39 @@ def properness_and_census(decs, seed=0) -> CensusReport:
     """Check, over the decompositions at the sample points, that the number
     of distinct principal normals is constant, and that every multiplicity
     >= 2 principal normal is a Dupin one (covariantly constant along its own
-    eigendistribution)."""
-    points = np.array([d.ext.point for d in decs])
+    eigendistribution; see CensusReport)."""
+    points = _stacked(decs, "point")
     ks = [d.k for d in decs]
     if len(set(ks)) > 1:
         strata = {}
-        for pt, d in zip(points, decs):
-            strata.setdefault(d.k, []).append(pt)
+        for pt, k in zip(points, ks):
+            strata.setdefault(k, []).append(pt)
         raise NonProperError(f"number of principal normals varies: {sorted(set(ks))}",
                              strata=strata)
     mults = decs[0].multiplicities
     if any(d.multiplicities != mults for d in decs):
         raise NonProperError("multiplicity pattern varies across samples")
-
     rec = float(np.max(_reconstruction_residuals(decs, seed, 8)))
-    # Dupin check: nabla-perp eta_i along the unit basis vectors of E_i
-    dupin = {}
-    high_idx = [i for i, m in enumerate(mults) if m >= 2]
-    if high_idx:
-        D = np.array(_eta_derivatives(decs))
-        for i in high_idx:
-            C = np.array([d.chart_basis(i) for d in decs])       # (B, n, m)
-            along = np.swapaxes(C, -1, -2) @ D[:, i]
-            dupin[i] = float(np.max(np.linalg.norm(along, axis=-1)))
-    return CensusReport(ks[0], mults, points, dupin, rec, len(high_idx) <= 1)
+    return CensusReport(ks[0], mults, points, rec,
+                        sum(m >= 2 for m in mults) <= 1, decs)
 
 
 # ---------------------------------------------------------------------------
 # separation of principal normals
 # ---------------------------------------------------------------------------
 
-def separation_check(dec: PrincipalDecomposition):
+def separation_check(decs):
     """Smallest singular value of [eta_j - eta_m, eta_j - eta_l] over all
-    triples of distinct principal normals; positive means no principal
-    normal lies on the segment through two others."""
-    k = dec.k
+    triples of distinct principal normals and all the decompositions (all
+    with the same k), by one batched SVD over points x triples: positive
+    means no principal normal lies on the segment through two others."""
+    k = decs[0].k
     if k < 3:
         raise NotApplicable("separation needs at least three principal normals")
-    worst = np.inf
-    for j, m, l in permutations(range(k), 3):
-        if m > l:
-            continue
-        M = np.column_stack([dec.etas[j] - dec.etas[m], dec.etas[j] - dec.etas[l]])
-        worst = min(worst, float(np.linalg.svd(M, compute_uv=False)[-1]))
-    return worst
+    j, m, l = np.array([t for t in permutations(range(k), 3) if t[1] < t[2]]).T
+    etas = np.array([d.etas for d in decs])                       # (B, k, A)
+    M = np.stack([etas[:, j] - etas[:, m], etas[:, j] - etas[:, l]], axis=-1)
+    return float(np.min(np.linalg.svd(M, compute_uv=False)[..., -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +380,29 @@ def separation_check(dec: PrincipalDecomposition):
 
 @dataclass
 class HolonomicityReport:
+    """The holonomic check of a sample set.  The residuals of the two
+    derivation rules, `c1_residual` (X, Y in one distribution) and
+    `c2_residual` (three distributions), are computed together when either
+    is first read, from the Christoffel and Codazzi tensors of the
+    decompositions' point sets: on data from an order-2 jet, reading them
+    raises codazzi_tensor's ValueError."""
+
     net_offdiag: float        # metric orthogonality defect (relative)
     alpha_offdiag: float      # off-diagonal second fundamental form (relative)
-    c1_residual: float        # conjugate-net derivation rule, X,Y in one distribution
-    c2_residual: float        # mixed three-distribution compatibility rule
     points: np.ndarray
+    decs: list = field(repr=False, compare=False)
+
+    @cached_property
+    def _rules(self):
+        return _derivation_rule_residuals(self.decs)
+
+    @property
+    def c1_residual(self):
+        return self._rules[0]
+
+    @property
+    def c2_residual(self):
+        return self._rules[1]
 
 
 def offdiagonal_defects(ext: ExtrinsicData):
@@ -408,18 +439,26 @@ def holonomicity_check(decs, net_tol=1e-8) -> HolonomicityReport:
     coordinates follow the curvature directions: the net must be orthogonal,
     the second fundamental form diagonal, and the principal normals must
     satisfy the two derivation rules that characterize a holonomic
-    curvature net.  All points are checked in one pass; a refusal names the
-    first point that fails."""
+    curvature net (see HolonomicityReport).  All points are checked in one
+    pass; a refusal names the first point that fails."""
     points = _stacked(decs, "point")
-    lames = [d.ext.lame for d in decs]
     net, alpha = _gathered(decs, lambda ps: ps.defects).T
-    for m, dec in enumerate(decs):
+    bad = (net > net_tol) | np.isnan(_stacked(decs, "lame")).any(axis=-1)
+    if bad.any():
+        m = int(np.argmax(bad))
         if net[m] > net_tol:
             raise DegenerateInputError(
-                f"coordinate net not orthogonal: defect {net[m]:.3e} at {dec.ext.point}")
-        if lames[m] is None:
-            raise DegenerateInputError("no Lame functions: net not orthogonal")
-    h = np.array(lames)                                       # (B, n)
+                f"coordinate net not orthogonal: defect {net[m]:.3e} at {points[m]}")
+        raise DegenerateInputError("no Lame functions: net not orthogonal")
+    return HolonomicityReport(float(np.max(net)), float(np.max(alpha)), points,
+                              decs)
+
+
+def _derivation_rule_residuals(decs):
+    """(c1, c2): the worst residuals of the two derivation rules of a
+    holonomic curvature net over the decompositions, relative to the
+    largest principal normal at each point."""
+    h = _stacked(decs, "lame")                                # (B, n)
     n = h.shape[1]
     kmax = max(d.k for d in decs)
     etas = _padded([np.array(d.etas) for d in decs], kmax, np.inf)   # (B, k, A)
@@ -457,8 +496,7 @@ def holonomicity_check(decs, net_tol=1e-8) -> HolonomicityReport:
     three = apart[:, :, :, None] & apart[:, :, None, :] & apart[:, None, :, :]
     c2 = np.max(np.where(three, np.linalg.norm(lhs - rhs, axis=-1), 0.0)
                 / eta_scale[..., None], initial=0.0)
-    return HolonomicityReport(float(np.max(net)), float(np.max(alpha)),
-                              float(c1), float(c2), points)
+    return float(c1), float(c2)
 
 
 # ---------------------------------------------------------------------------

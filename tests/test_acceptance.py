@@ -47,7 +47,7 @@ def test_criterion_1_principal_structure(catalog):
         hol = holonomicity_check(decs[:20])
         ok &= hol.alpha_offdiag <= 1e-7 and hol.net_offdiag <= 1e-7
         if census.k >= 3:
-            ok &= separation_check(decs[0]) > 0.0
+            ok &= separation_check(decs) > 0.0
     elapsed = time.perf_counter() - t0
     ok &= elapsed <= 60.0
     _verdict(1, f"principal census, holonomicity, separation "

@@ -106,7 +106,7 @@ def test_pointwise_suites_make_one_fundamental_forms_pass(
             fundamental_forms_calls.clear()
             try:
                 _SUITE_FUNCS[suite](Run(item, load_scenario(
-                    {"schema": 1, "item": name, "suite": suite}), (suite,)))
+                    {"schema": 1, "item": name, "suite": suite})))
             except NotApplicable:         # the run records it as a skip
                 assert suite == "lightcone" and not liftable, (name, suite)
             assert len(fundamental_forms_calls) == expected, (name, suite)
@@ -122,9 +122,9 @@ def layer_calls(monkeypatch):
 
 
 def test_one_run_makes_one_pass_per_layer(catalog, layer_calls, monkeypatch):
-    """One run of the four pointwise suites makes one order-3
-    fundamental_forms pass of the item, one principal pass and one
-    intrinsic_curvatures of those data, and at most one flat lift."""
+    """One run of the four pointwise suites makes one fundamental_forms
+    pass of the item, one principal pass and one intrinsic_curvatures of
+    those data, and at most one flat lift."""
     from confflat import reports
     monkeypatch.setattr(reports, "SUITES", reports.SUITES[:4])
     for name, item in sorted(catalog.items()):
@@ -141,6 +141,18 @@ def test_one_run_makes_one_pass_per_layer(catalog, layer_calls, monkeypatch):
             assert len(of_item) == 1, (name, layer)
         assert len(layer_calls["intrinsic_curvatures"]) == 1, name
         assert len(layer_calls["flat_lift"]) <= 1, name
+
+
+def test_pointwise_suites_read_no_third_derivatives(catalog, monkeypatch):
+    """A run of the four pointwise suites computes no Codazzi tensor and no
+    Christoffel symbols on any catalog item: no report line reads them."""
+    from confflat import extrinsic, reports
+    monkeypatch.setattr(reports, "SUITES", POINTWISE)
+    calls = {name: _record_calls(monkeypatch, extrinsic, name)
+             for name in ("codazzi_tensor", "christoffels")}
+    for name in sorted(catalog):
+        run_scenario({"schema": 1, "item": name, "seed": 0})
+    assert calls == {"codazzi_tensor": [], "christoffels": []}
 
 
 def test_extrinsic_suite_makes_no_principal_pass_and_no_lift(layer_calls):
@@ -167,9 +179,8 @@ def evaluations(monkeypatch):
 def test_a_run_evaluates_each_map_once(catalog, evaluations, monkeypatch):
     """On every catalog item, a run of one pointwise suite and a run of all
     four (`verify ITEM` without the grid suite) evaluate each map at most
-    once, at the sample points, and the item at order 3 only when the run
-    holds the principal suite, whose Codazzi tensor is the one reader of
-    third derivatives."""
+    once, at the sample points, and every map at order 2: no report line
+    reads a third derivative."""
     from confflat import reports
     monkeypatch.setattr(reports, "SUITES", POINTWISE)
     for name, item in sorted(catalog.items()):
@@ -179,15 +190,12 @@ def test_a_run_evaluates_each_map_once(catalog, evaluations, monkeypatch):
             names = [args[0].name for args, _ in evaluations]
             assert len(set(names)) == len(names), (name, suite, names)
             orders = {args[0].name: args[2] for args, _ in evaluations}
-            third = suite in ("principal", "all")
             conf = item.conformal
             if suite == "lightcone" and (conf is None or conf.flat_chart is None):
                 assert orders == {}, name     # refused before any evaluation
                 continue
-            assert orders[item.smooth_map.name] == (3 if third else 2), (
-                name, suite)
-            assert all(k <= 2 for m, k in orders.items()
-                       if m != item.smooth_map.name), (name, suite, orders)
+            assert orders[item.smooth_map.name] == 2, (name, suite)
+            assert all(k == 2 for k in orders.values()), (name, suite, orders)
 
 
 def test_a_ribaucour_run_evaluates_no_map_at_its_points(catalog, evaluations,

@@ -146,8 +146,7 @@ def test_normal_curvature_gate_can_fail():
     assert np.max(np.abs(nb.r_perp_frame)) > 1.0
     for item in (holo, quad):
         run = Run(item, load_scenario(
-            {"schema": 1, "item": item.name, "suite": "extrinsic"}),
-            ("extrinsic",))
+            {"schema": 1, "item": item.name, "suite": "extrinsic"}))
         checks, _ = suite_extrinsic(run)
         assert run.jet.order == 2, item.name
         verdicts = {c.anchor: c.passed for c in checks}

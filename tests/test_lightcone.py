@@ -17,7 +17,7 @@ from confflat.lightcone import (build_cone_model, lift_correspondence_check,
 
 from confflat.principal import principal_decompositions
 
-from conftest import interior_points, lift_at
+from conftest import decompositions, interior_points, lift_at
 
 LIFTABLE = ["s3xs1", "cone_t3", "cylinder_r1xs3"]
 MEMBERSHIP_TOL = 1e-8
@@ -147,8 +147,25 @@ def test_lift_correspondence(catalog):
     rep = lift_correspondence_check(
         lift.checked, principal_decompositions(_parent_ext(item, pts)))
     assert rep.offdiag_F < 1e-7
-    assert rep.k_F == rep.k_f
-    assert rep.multiplicities_match
+    assert rep.mismatched_points == 0
+
+
+def test_lift_k_match_reads_every_point(catalog):
+    """The lift's principal structure is compared with f's at every sample
+    point: a decomposition of another item put in at the first of six
+    points (k = 4 against the lift's 2) is counted, and the suite's
+    `lightcone/lift-k-match` check fails on it."""
+    from confflat import reports
+    run = reports.Run(catalog["s3xs1"], reports.load_scenario(
+        {"schema": 1, "item": "s3xs1", "suite": "lightcone"}))
+    cone = catalog["cone_t3"]
+    other = decompositions(cone, interior_points(cone, 1))[0]
+    run.decs = [other] + run.decs[1:]
+    rep = lift_correspondence_check(run.lift.checked, run.decs)
+    assert rep.mismatched_points == 1
+    checks, _ = reports.suite_lightcone(run)
+    (check,) = [c for c in checks if c.anchor == "lightcone/lift-k-match"]
+    assert check.residual == 1.0 and not check.passed
 
 
 def test_flat_lift_rejects_wrong_factor(catalog):

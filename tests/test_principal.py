@@ -1,6 +1,7 @@
 """Principal normal census, holonomicity, quasiumbilical frames and the
 nullity/leaf invariants over the catalog."""
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from confflat.ambient import euclidean
 from confflat.catalog import default_catalog
 from confflat.errors import DegenerateInputError, NotApplicable, QuasiumbilicError
 from confflat.extrinsic import christoffels, codazzi_tensor, fundamental_forms
-from confflat.jets import ChartDomain, SmoothMap
+from confflat.jets import ChartDomain, SmoothMap, evaluate_jet
 from confflat.principal import (JACOBI_TOL, _joint_bases, holonomicity_check,
                                 nullity_and_leaf_invariants,
                                 offdiagonal_defects,
@@ -59,9 +60,9 @@ def test_holonomicity(catalog, name):
 
 def test_holonomicity_fills_eta_derivatives_in_one_pass(catalog, monkeypatch):
     """On cone_t3, whose census fills no eta derivatives, the holonomicity
-    check fills those of all 6 points in one pass per multiplicity pattern
-    (one stack of their tangent bases each), bitwise as one point at a
-    time."""
+    check's derivation rules, when read, fill those of all 6 points in one
+    pass per multiplicity pattern (one stack of their tangent bases each),
+    bitwise as one point at a time."""
     from confflat import principal
     item = catalog["cone_t3"]
     pts = interior_points(item, 6)
@@ -73,10 +74,68 @@ def test_holonomicity_fills_eta_derivatives_in_one_pass(catalog, monkeypatch):
         return stacked(decs, name)
 
     monkeypatch.setattr(principal, "_stacked", recording)
-    holonomicity_check(decs)
+    rep = holonomicity_check(decs)
+    assert names.count("onb") == 0
+    assert rep.c1_residual <= 1e-10
     assert names.count("onb") == len({d.multiplicities for d in decs}) == 1
     for d, one in zip(decs, decompositions(item, pts)):
         assert np.array_equal(d.__dict__["eta_derivatives"], one.eta_derivatives)
+
+
+def test_derivation_rules_and_dupin_need_order_3_only_when_read(catalog):
+    """On data from an order-2 jet the census and the holonomic check report
+    what they read without third derivatives; the Dupin residuals and the
+    derivation rules are computed when first read, and then refuse the data
+    as codazzi_tensor does."""
+    item = catalog["s3xs1"]
+    pts = interior_points(item, 4)
+    ext = fundamental_forms(item.smooth_map, item.ambient, pts,
+                            jet=evaluate_jet(item.smooth_map, pts, 2))
+    decs = principal_decompositions(ext)
+    census = properness_and_census(decs)
+    rep = holonomicity_check(decs)
+    assert census.k == 2 and census.reconstruction_residual < 1e-7
+    assert max(rep.net_offdiag, rep.alpha_offdiag) < 1e-7
+    for read in (lambda: census.dupin_residuals, lambda: rep.c1_residual,
+                 lambda: rep.c2_residual):
+        with pytest.raises(ValueError, match="order 3"):
+            read()
+
+
+def _oracle_holonomic_refusal(ext, net_tol=1e-8):
+    """The message of the first point that the holonomic check refuses,
+    point by point: a net defect over `net_tol`, else no Lame functions."""
+    for m in range(len(ext.point)):
+        one = ext.at(m)
+        net, _ = offdiagonal_defects(one)
+        if net > net_tol:
+            return f"coordinate net not orthogonal: defect {net:.3e} at {one.point}"
+        if one.lame is None:
+            return "no Lame functions: net not orthogonal"
+    return None
+
+
+def test_holonomicity_refuses_the_first_failing_point(catalog):
+    """A point set whose metric is sheared at point 2 (its Lame row NaN), or
+    whose Lame functions are missing at point 1, or both, is refused with
+    the message of the first point that fails, as the per-point loop
+    names it."""
+    item = catalog["s3xs1"]
+    ext = fundamental_forms(item.smooth_map, item.ambient, interior_points(item, 4))
+    sheared = ext.g.copy()
+    sheared[2, 0, 1] = sheared[2, 1, 0] = 1e-4 * sheared[2, 0, 0]
+    lame_2, lame_1, lame_12 = ext.lame.copy(), ext.lame.copy(), ext.lame.copy()
+    lame_2[2] = lame_1[1] = lame_12[1] = lame_12[2] = np.nan
+    cases = [(replace(ext, g=sheared, lame=lame_2), "not orthogonal: defect"),
+             (replace(ext, lame=lame_1), "no Lame functions"),
+             (replace(ext, g=sheared, lame=lame_12), "no Lame functions")]
+    for bad, kind in cases:
+        want = _oracle_holonomic_refusal(bad)
+        assert kind in want
+        with pytest.raises(DegenerateInputError) as err:
+            holonomicity_check(principal_decompositions(bad))
+        assert str(err.value) == want
+    assert str(ext.point[2]) in _oracle_holonomic_refusal(cases[0][0])
 
 
 def _defects_in_r5(evaluator, pinned_axis=None):
@@ -122,7 +181,39 @@ def test_separation_positive(catalog, name):
     item = catalog[name]
     pt = interior_points(item, 1)[0]
     dec = decomposition_at(item, pt)
-    assert separation_check(dec) > 1e-3
+    assert separation_check([dec]) > 1e-3
+
+
+def _oracle_separation(dec):
+    """Smallest singular value over the triples of one decomposition, one
+    SVD per triple."""
+    worst = np.inf
+    for j, m, l in permutations(range(dec.k), 3):
+        if m < l:
+            M = np.column_stack([dec.etas[j] - dec.etas[m],
+                                 dec.etas[j] - dec.etas[l]])
+            worst = min(worst, float(np.linalg.svd(M, compute_uv=False)[-1]))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["s2xpseudosphere", "example2", "cone_t3"])
+def test_separation_is_the_minimum_over_the_points(catalog, name):
+    """Over a point set, the separation is the per-point minimum over the
+    triples of each point, taken over every point; a principal normal put
+    on the segment through two others at one later point brings it to
+    rounding level, while the first point alone stays separated."""
+    item = catalog[name]
+    decs = decompositions(item, interior_points(item, 6, seed=1))
+    per_point = [_oracle_separation(d) for d in decs]
+    assert separation_check(decs) == min(per_point)
+    assert [separation_check([d]) for d in decs] == per_point
+    d = decs[4]
+    etas = list(d.etas)
+    etas[2] = 0.25 * etas[0] + 0.75 * etas[1]
+    bad = decs[:4] + [replace(d, etas=etas)] + decs[5:]
+    scale = max(np.linalg.norm(e) for e in etas)
+    assert separation_check(bad) <= 1e-14 * scale
+    assert separation_check(bad[:1]) > 1e-3
 
 
 @pytest.mark.parametrize("name", ["s3xs1", "s2xpseudosphere", "example2"])
